@@ -67,6 +67,14 @@ def _params(text: str) -> list[float]:
         raise DescriptorError(str(e)) from None
 
 
+def _load_json(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise DescriptorError(str(e)) from None
+
+
 def parse_sequence(desc: str, pmax: int) -> LogWeightSequence:
     """`family:params` or `file:path` (CSV `p,logM` or JSON descriptor)."""
     if ":" not in desc:
@@ -74,8 +82,7 @@ def parse_sequence(desc: str, pmax: int) -> LogWeightSequence:
     head, rest = desc.split(":", 1)
     if head == "file":
         if rest.endswith(".json"):
-            with open(rest) as fh:
-                d = json.load(fh)
+            d = _load_json(rest)
             fam = d.pop("family")
             label = d.pop("label", None)
             seq = SEQ_FAMILIES[fam](**d) if fam in SEQ_FAMILIES else None
@@ -113,8 +120,7 @@ def parse_matrix(args, pmax: int) -> WeightMatrix:
     if getattr(args, "matrix", None):
         desc = args.matrix
         if desc.startswith("file:"):
-            with open(desc[5:]) as fh:
-                d = json.load(fh)
+            d = _load_json(desc[5:])
             labels = tuple(float(x) for x in d["labels"])
             rows = []
             for lbl in d["labels"]:

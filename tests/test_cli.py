@@ -41,6 +41,21 @@ def test_parse_error_is_exit_2(tmp_path):
     assert main(["analyze", "--seq", "gevrey"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--seq", "file:{missing}"],
+    ["matrix", "conditions", "--matrix", "file:{missing}"],
+])
+def test_missing_descriptor_file_is_exit_2(tmp_path, argv):
+    missing = str(tmp_path / "missing.json")
+    res = subprocess.run(
+        [sys.executable, "-m", "wcalc.cli", *(a.format(missing=missing) for a in argv)],
+        capture_output=True,
+    )
+    assert res.returncode == 2
+    assert b"Traceback" not in res.stderr
+    assert b"missing.json" in res.stderr
+
+
 def test_precondition_failure_is_exit_3(tmp_path):
     # a p! row carries no certified tail bound, so construction must refuse
     code = main(

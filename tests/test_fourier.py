@@ -1,6 +1,7 @@
 """Spectra, spectral derivatives, weighted norms and the membership harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from wcalc.errors import (
     TailDominates,
     WidthBudgetExceeded,
 )
+from wcalc.catalogue import gevrey
 from wcalc.fourier import (
+    MASK_REL,
     CompactBox,
     SampledFunction,
     bump_builder,
@@ -202,3 +205,173 @@ def test_harness_hypothesis_gate():
     M = matrix_from_rows((gevrey(1.0, 200),), (1.0,))
     with pytest.raises(HypothesisNotCertified):
         theorem51_harness(M)
+
+
+# -- per-function tables against the uncached computation ------------------
+
+def _reference_derivative(f, k):
+    """Spectral derivative from a fresh FFT, as computed before the cache."""
+    v = np.asarray(f.values)
+    F = np.fft.fft(v)
+    xi = 2 * np.pi * np.fft.fftfreq(f.n, d=f.dx)
+    floor = MASK_REL * np.max(np.abs(F))
+    kept = np.abs(F) > floor
+    if k > 0:
+        if not np.any(kept):
+            raise DerivativeOrderUnreliable("empty resolved band")
+        if np.max(np.abs(xi[kept])) >= 0.99 * np.max(np.abs(xi)):
+            raise DerivativeOrderUnreliable(
+                f"order {k}: spectrum unresolved at the grid edge"
+            )
+        grown = np.where(kept, np.abs(F) * np.abs(xi) ** k, 0.0)
+        edge = np.max(np.abs(xi[kept]))
+        peak_xi = abs(xi[int(np.argmax(grown))])
+        if peak_xi >= edge * (1 - 1e-9):
+            raise DerivativeOrderUnreliable(
+                f"order {k}: integrand peaks at the mask boundary"
+            )
+    mult = np.where(kept, (1j * xi) ** k, 0.0)
+    return np.real(np.fft.ifft(mult * F))
+
+
+def _reference_seminorm(f, seq, K, h, k_max):
+    """The uncached loop: one derivative per order, normalised per call.
+
+    Returns (result, None) or (None, (order, type, message)) on refusal."""
+    (a, b), = K.intervals
+    sel = (f.xs >= a) & (f.xs <= b)
+    best, bk, bx = -math.inf, 0, a
+    per = []
+    for k in range(k_max + 1):
+        try:
+            d = _reference_derivative(f, k)[sel]
+        except DerivativeOrderUnreliable as e:
+            return None, (k, type(e), str(e))
+        i = int(np.argmax(np.abs(d)))
+        val = np.abs(d[i]) * math.exp(-k * math.log(h) - seq.log_at(k))
+        per.append(float(val))
+        if val > best:
+            best, bk, bx = float(val), k, float(f.xs[sel][i])
+    return (best, bk, bx, tuple(per)), None
+
+
+def _table_seminorm(f, seq, h, k_max):
+    try:
+        r = seminorm_derivative(f, seq, f.support, h, k_max)
+    except DerivativeOrderUnreliable as e:
+        return None, (type(e), str(e))
+    return (r.value, r.attained_k, r.attained_x, r.per_order), None
+
+
+H_SEMI = (1.0, 2.0, 4.0, 8.0)       # theorem51_harness's seminorm h grid
+H_SMALL = (0.02, 0.05, 0.1)         # and its Fourier-norm h grid
+
+
+def _algebraic_decay():
+    """exp(-r) (1 + r + 2r^2/5 + r^3/15), r = 50|x|: spectrum ~ |xi|^-8.
+
+    The decay reaches the noise floor inside the grid, so low orders and
+    the Fourier norm are certified while order 9 peaks at the mask edge."""
+    n = 2 ** 14
+    xs = -4.0 + 8.0 / n * np.arange(n)
+    r = 50.0 * np.abs(xs)
+    v = (1 + r + 2 * r ** 2 / 5 + r ** 3 / 15) * np.exp(-r)
+    v[np.abs(xs) > 1.0] = 0.0
+    return SampledFunction(-4.0, 8.0 / n, v, CompactBox(((-1.0, 1.0),)))
+
+
+def _equivalence_battery():
+    G = build_gevrey_matrix((1.0, 2.0), 200)
+    K = CompactBox(((-1.0, 1.0),))
+    return G.rows[1], {
+        "bump": lambda: bump_builder(K, G.rows[1], 20),
+        "indicator": indicator_control,
+        "single-mollify": lambda: bump_builder(K, G.rows[0], 1),
+        "algebraic-decay": _algebraic_decay,
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["bump", "indicator", "single-mollify", "algebraic-decay"]
+)
+def test_seminorm_table_matches_uncached_loop(name):
+    row, builders = _equivalence_battery()
+    build = builders[name]
+    k_max = 10
+    g = build()
+    ref = {h: _reference_seminorm(g, row, g.support, h, k_max) for h in H_SEMI}
+    f = build()
+    # fill the table in a different order each pass: a short prefix of the
+    # orders first, then h descending, then ascending twice
+    _table_seminorm(f, row, 3.0, 2)
+    for hs in (H_SEMI[::-1], H_SEMI, H_SEMI):
+        for h in hs:
+            got, refused = _table_seminorm(f, row, h, k_max)
+            want, want_refused = ref[h]
+            if want_refused is None:
+                assert refused is None
+                assert got == want          # bit for bit, attained x included
+            else:
+                k, kind, msg = want_refused
+                assert got is None and refused == (kind, msg)
+                # the refusal comes at the same order: one order less succeeds
+                assert _table_seminorm(f, row, h, k - 1)[1] is None
+    for h in H_SMALL:
+        first = _bracket_or_refusal(f, row, h)
+        assert _bracket_or_refusal(f, row, h) == first
+        assert _bracket_or_refusal(build(), row, h) == first
+
+
+def _bracket_or_refusal(f, row, h):
+    try:
+        return fourier_norm(f, row, h)
+    except TailDominates as e:
+        return (type(e), str(e))
+
+
+class _FFTCounter:
+    def __init__(self, monkeypatch):
+        self.forward = self.inverse = 0
+        fft, ifft = np.fft.fft, np.fft.ifft
+
+        def forward(*args, **kwargs):
+            self.forward += 1
+            return fft(*args, **kwargs)
+
+        def inverse(*args, **kwargs):
+            self.inverse += 1
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", forward)
+        monkeypatch.setattr(np.fft, "ifft", inverse)
+
+
+def test_harness_fft_count(monkeypatch):
+    G = build_gevrey_matrix((1.0, 1.5, 2.0, 2.5, 3.0), 200)
+    count = _FFTCounter(monkeypatch)
+    assert theorem51_harness(G)["status"] == "holds"
+    # one forward FFT per battery function (5 bumps, 2 controls) and at most
+    # one inverse per function and order k <= k_max = 10
+    assert count.forward <= 7
+    assert count.inverse <= 7 * 11
+
+
+def test_lemma53_i_fft_count(monkeypatch):
+    f = standard_bump()
+    count = _FFTCounter(monkeypatch)
+    assert check_lemma53_i(f, gevrey(2.0, 1200), 0.1).holds
+    assert count.forward <= 1
+    assert count.inverse <= 11
+
+
+def test_harness_memory_peak():
+    # the battery is built one function at a time and refusals are cached
+    # without their tracebacks, so at most one function's arrays are alive
+    G = build_gevrey_matrix((1.0, 1.5, 2.0, 2.5, 3.0), 200)
+    tracemalloc.start()
+    try:
+        theorem51_harness(G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2 ** 20
