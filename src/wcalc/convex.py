@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import WcalcError
+
 SLOPE_TOL = 1e-12
 
 
-class NotConvex(ValueError):
-    pass
+class NotConvex(WcalcError, ValueError):
+    """Slopes of a piecewise-linear function decrease beyond SLOPE_TOL."""
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,12 @@ class ConvexPL:
             raise ValueError("breakpoint abscissae must be strictly increasing")
         slopes = self.slopes()
         finite = [m for m in slopes if math.isfinite(m)]
-        if any(b - a < -SLOPE_TOL for a, b in zip(finite, finite[1:])):
-            raise NotConvex(f"slopes not non-decreasing: {finite}")
+        for i, (a, b) in enumerate(zip(finite, finite[1:])):
+            if b - a < -SLOPE_TOL:
+                raise NotConvex(
+                    f"slopes not non-decreasing: slope {i} is {float(a)!r}, "
+                    f"slope {i + 1} is {float(b)!r}, a drop of {a - b:.3g}"
+                )
 
     # -- basic geometry -------------------------------------------------
 

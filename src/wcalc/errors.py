@@ -59,7 +59,3 @@ class TailDominates(WcalcError):
 
 class DerivativeOrderUnreliable(WcalcError):
     """Spectral differentiation hit the noise floor before the requested order."""
-
-
-class NoWitnessOnGrid(WcalcError):
-    pass

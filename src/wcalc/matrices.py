@@ -23,6 +23,7 @@ from .sequences import (
     check_log_convex,
     check_moderate_growth,
     lc_minorant,
+    min_plus_self,
     relation_approx,
     relation_preceq,
     relation_triangle,
@@ -53,6 +54,8 @@ class WeightMatrix:
     rows: tuple[LogWeightSequence, ...]
     extender: object = None          # callable label -> LogWeightSequence
     label: str = ""
+    # extended rows built so far; dataclasses.replace starts a new memo
+    _extended: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.labels) != len(self.rows):
@@ -65,8 +68,14 @@ class WeightMatrix:
             if lbl == x:
                 return r
         if self.extender is not None:
-            return self.extender(x)
+            return self._extend(x)
         raise KeyError(f"label {x} not represented and no extender")
+
+    def _extend(self, x: float) -> LogWeightSequence:
+        """extender(x), built once per matrix."""
+        if x not in self._extended:
+            self._extended[x] = self.extender(x)
+        return self._extended[x]
 
     def check_M(self) -> Verdict:
         """Normalized rows, each non-decreasing, pointwise ordered in x."""
@@ -159,11 +168,8 @@ def _dc_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
 def _mg_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
     """Is sup_{j,k} (L^x_{j+k} - L^y_j - L^y_k)/(j+k) finite?"""
     P = min(x.P, y.P)
-    Lx, Ly = x.L[: P + 1], y.L[: P + 1]
-    best = -math.inf
-    for m in range(1, P + 1):
-        conv = Ly[: m + 1] + Ly[m::-1]
-        best = max(best, float((Lx[m] - conv.min()) / m))
+    mins, _ = min_plus_self(y.L[: P + 1])
+    best = float(np.max((x.L[1 : P + 1] - mins[1:]) / np.arange(1, P + 1)))
     g = root_gap_limit(x.tail, y.tail)
     if g is None:
         return verdicts.inconclusive("no tail", prefix_C=math.exp(best))
@@ -224,7 +230,7 @@ def _candidates(M: WeightMatrix, direction: str):
         else:
             bot = M.labels[0]
             extra = [bot / 2, bot / 4, bot / 8]
-        pool += [(lbl, M.extender(lbl), True) for lbl in extra]
+        pool += [(lbl, M._extend(lbl), True) for lbl in extra]
     return pool
 
 
@@ -438,11 +444,8 @@ def integer_step_identity_error(chain: MultiIndexChain) -> float:
 
 def min_convolution(seq: LogWeightSequence) -> LogWeightSequence:
     """N_p = min_{0<=q<=p} M_q * M_{p-q} in log domain."""
-    L = seq.L
-    out = np.array(
-        [float(np.min(L[: p + 1] + L[p::-1])) for p in range(seq.P + 1)]
-    )
-    return LogWeightSequence(tuple(out), None, 0, f"minconv({seq.label})")
+    mins, _ = min_plus_self(seq.L)
+    return LogWeightSequence(mins, None, 0, f"minconv({seq.label})")
 
 
 def min_convolution_omega_gap(seq: LogWeightSequence, n: int = 256) -> float:
@@ -695,7 +698,6 @@ def comparison_report(obj) -> dict:
         l_set = (1.0, 2.0, 0.5)
         rows = {}
         for l in l_set:
-            pmax = obj.P if l >= 1 else obj.P   # slopes l*j <= P constrain anyway
             pmax = int(min(obj.P, obj.P // max(l, 1.0)))
             rows[l] = sequence_from_weight(w, l, max(pmax, 2))
         V["reconstruction"] = (

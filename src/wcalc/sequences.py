@@ -5,6 +5,11 @@ Everything is stored and compared as L_p = log M_p.  Conditions that are
 asymptotic (non-quasianalyticity, moderate growth, root divergence, ...)
 are decided exactly when the sequence carries a symbolic tail and reported
 Inconclusive otherwise.
+
+Array code here is bit-identical to the scalar loops it stands for: numpy
+does only + - * /, comparisons and reductions (min, max, argmin) on the
+stored values, and transcendentals go through the math module, because
+numpy's log, exp and power may round differently in the last bit.
 """
 from __future__ import annotations
 
@@ -30,6 +35,9 @@ class LogWeightSequence:
     tail, when present, is a closed-form rule valid for p >= tail_from and
     must agree with the stored prefix on [tail_from, P].  A non-zero
     tail_from admits finitely perturbed members of a symbolic family.
+    log_values may be passed as any flat sequence of floats (an array is
+    cheapest); it is stored as a tuple, and L holds the same values as a
+    read-only array.
     """
 
     log_values: tuple[float, ...]
@@ -38,12 +46,14 @@ class LogWeightSequence:
     label: str = ""
 
     def __post_init__(self):
-        L = np.asarray(self.log_values, dtype=float)
+        L = np.array(self.log_values, dtype=float)
         if L.size < 3:
             raise ValueError("need at least indices p = 0, 1, 2")
         if not np.all(np.isfinite(L)):
             raise ValueError("log values must be finite")
-        object.__setattr__(self, "log_values", tuple(float(v) for v in L))
+        L.flags.writeable = False
+        object.__setattr__(self, "_L", L)
+        object.__setattr__(self, "log_values", tuple(L.tolist()))
         if self.tail is not None:
             lo = max(self.tail_from, 0)
             ps = np.arange(lo, L.size)
@@ -59,7 +69,7 @@ class LogWeightSequence:
     @staticmethod
     def from_tail(tail: Tail, pmax: int, label: str = "", tail_from: int = 0) -> "LogWeightSequence":
         vals = tail.log_values(np.arange(pmax + 1))
-        return LogWeightSequence(tuple(vals), tail, tail_from, label)
+        return LogWeightSequence(vals, tail, tail_from, label)
 
     @staticmethod
     def gevrey(s: float, pmax: int = 200, label: str = "") -> "LogWeightSequence":
@@ -85,7 +95,8 @@ class LogWeightSequence:
 
     @property
     def L(self) -> np.ndarray:
-        return np.asarray(self.log_values)
+        """The stored log values as a read-only float array."""
+        return self._L
 
     def log_at(self, p: float) -> float:
         """log M_p, using the symbolic tail beyond the stored prefix."""
@@ -171,16 +182,44 @@ def check_in_LC(seq: LogWeightSequence) -> Verdict:
     return verdicts.holds(prefix_root_slope=float(slope), prefix_only=True)
 
 
-def _mg_prefix_constant(L: np.ndarray) -> tuple[float, int, int]:
-    """max over j+k <= P of (L_{j+k} - L_j - L_k)/(j+k), with arg."""
-    best, bj, bm = -math.inf, 0, 1
-    for m in range(1, L.size):
+def _diagonal_minimum(L: np.ndarray) -> bool:
+    """Do the stored second differences certify strict convexity?"""
+    d2 = L[2:] - 2.0 * L[1:-1] + L[:-2]
+    margin = 64.0 * np.finfo(float).eps * max(1.0, float(np.abs(L).max()))
+    return bool(d2.size) and bool(d2.min() > margin)
+
+
+def min_plus_self(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (min,+) self-convolution min_j L_j + L_{m-j} for m = 0..P, and
+    the first j attaining each minimum; bit-identical to the O(P^2) loop.
+
+    When every stored second difference exceeds 64*eps*max(1, max|L|) the
+    stored values are strictly convex as real numbers, so L_j + L_{m-j}
+    strictly decreases towards j = m // 2 by more than the rounding of one
+    sum (Murota, Discrete Convex Analysis, 2003).  Rounding is monotone,
+    so the float minimum and its first argmin sit there too.  Any other
+    input takes the loop.
+    """
+    L = np.asarray(L, dtype=float)
+    if _diagonal_minimum(L):
+        m = np.arange(L.size)
+        j = m // 2
+        return L[j] + L[m - j], j
+    mins = np.empty(L.size)
+    args = np.empty(L.size, dtype=int)
+    for m in range(L.size):
         conv = L[: m + 1] + L[m::-1]     # L_j + L_{m-j}, j = 0..m
         j = int(np.argmin(conv))
-        val = (L[m] - conv[j]) / m
-        if val > best:
-            best, bj, bm = float(val), j, m
-    return best, bj, bm
+        mins[m], args[m] = conv[j], j
+    return mins, args
+
+
+def _mg_prefix_constant(L: np.ndarray) -> tuple[float, int, int]:
+    """max over j+k <= P of (L_{j+k} - L_j - L_k)/(j+k), with arg."""
+    mins, args = min_plus_self(L)
+    vals = (L[1:] - mins[1:]) / np.arange(1, L.size)
+    m = int(np.argmax(vals)) + 1     # first maximum, as a strict > scan
+    return float(vals[m - 1]), int(args[m]), m
 
 
 def check_moderate_growth(seq: LogWeightSequence) -> Verdict:
@@ -336,7 +375,7 @@ def lc_minorant(seq: LogWeightSequence) -> LogWeightSequence:
         return replace(seq, label=seq.label)
     tail = seq.tail if (seq.tail is not None and seq.tail.is_log_convex()) else None
     return LogWeightSequence(
-        tuple(out),
+        out,
         tail,
         seq.P if tail is not None else 0,
         f"lc({seq.label})" if seq.label else "",
@@ -363,7 +402,7 @@ def increasing_root_minorant(seq: LogWeightSequence) -> LogWeightSequence:
     # from P on whenever the final stored value survived
     keep = seq.tail is not None and abs(out[-1] - seq.L[-1]) <= LOG_TOL
     return LogWeightSequence(
-        tuple(out),
+        out,
         seq.tail if keep else None,
         P if keep else 0,
         f"I({seq.label})" if seq.label else "",

@@ -11,6 +11,12 @@ key for its root sequence p -> log(M_p)/p:
 
 The key is all that is needed to decide the quotient-series conditions and
 the pairwise root-limit relations exactly.
+
+Tail.log_values(ps) evaluates many indices at once and is bit-identical to
+[log_value(p) for p in ps]: a family's vector hook _log_values computes
+every transcendental (lgamma, log, p**beta) with the scalar math routines
+and lets numpy do only + - * / and linear interpolation, which round the
+same way elementwise as they do on Python floats.
 """
 from __future__ import annotations
 
@@ -37,7 +43,12 @@ class Tail:
         raise NotImplementedError
 
     def log_values(self, ps) -> np.ndarray:
-        return np.array([self.log_value(float(p)) for p in np.atleast_1d(ps)])
+        """log_value at every point of ps, as a float array."""
+        return self._log_values(np.atleast_1d(np.asarray(ps, dtype=float)))
+
+    def _log_values(self, ps: np.ndarray) -> np.ndarray:
+        # families override this hook, never log_values itself
+        return np.array([self.log_value(p) for p in ps.tolist()], dtype=float)
 
     def root(self, p: float) -> float:
         return self.log_value(p) / p
@@ -83,6 +94,10 @@ class FactorialPower(Tail):
 
     def log_value(self, p: float) -> float:
         return self.s * math.lgamma(p + 1.0) + p * math.log(self.a)
+
+    def _log_values(self, ps: np.ndarray) -> np.ndarray:
+        lg = np.fromiter(map(math.lgamma, (ps + 1.0).tolist()), float, ps.size)
+        return self.s * lg + ps * math.log(self.a)
 
     def asymptote(self) -> tuple:
         # log p!/p = log p - 1 + o(1)
@@ -131,6 +146,10 @@ class PowerIndex(Tail):
     def log_value(self, p: float) -> float:
         return self.kappa * p ** self.beta
 
+    def _log_values(self, ps: np.ndarray) -> np.ndarray:
+        powers = np.fromiter(map(pow, ps.tolist(), [self.beta] * ps.size), float, ps.size)
+        return self.kappa * powers
+
     def asymptote(self) -> tuple:
         if self.beta == 1.0:
             return ("log", 0.0, self.kappa)
@@ -172,6 +191,18 @@ class SteppedTail(Tail):
 
     def log_value(self, p: float) -> float:
         return self._parent_log(self.l * p) / self.l
+
+    def _log_values(self, ps: np.ndarray) -> np.ndarray:
+        xs = self.l * ps
+        last = len(self.parent_log_values) - 1
+        inside = xs <= last
+        out = np.empty_like(xs)
+        out[inside] = np.interp(xs[inside], np.arange(last + 1), self.parent_log_values)
+        if not inside.all():
+            if self.parent_tail is None:
+                raise ValueError("parent prefix exhausted and no parent tail")
+            out[~inside] = self.parent_tail._log_values(xs[~inside])
+        return out / self.l
 
     def asymptote(self) -> tuple:
         if self.parent_tail is None:

@@ -142,9 +142,14 @@ def associated_function(seq: LogWeightSequence) -> WeightFunction:
     """omega_M(t) = sup_p log(t^p / M_p) as an exact envelope in s = log t."""
     if not seq.is_normalized():
         raise NotNormalized(seq.label or "input sequence")
-    P = seq.P
-    env = upper_envelope_of_lines(np.arange(P + 1), -seq.L)
-    valid_to = env.breakpoints[-1][0]
+    # The envelope is kept on the sequence, never the WeightFunction: its
+    # source points back at seq, and that cycle would keep every row alive
+    # until the garbage collector runs.
+    cached = seq.__dict__.get("_envelope")
+    if cached is None:
+        env = upper_envelope_of_lines(np.arange(seq.P + 1), -seq.L)
+        cached = seq.__dict__["_envelope"] = (env, env.breakpoints[-1][0])
+    env, valid_to = cached
     return WeightFunction(
         ("sequence", seq), env, valid_to,
         f"omega({seq.label})" if seq.label else "",
@@ -193,9 +198,7 @@ def sequence_from_weight(
         vals = stepped.log_values(js)
         # a prefix-only parent gives no certified asymptote for the row
         tail = stepped if hull.tail is not None else None
-    return LogWeightSequence(
-        tuple(vals), tail, 0, label or f"{w.label};l={l:g}"
-    )
+    return LogWeightSequence(vals, tail, 0, label or f"{w.label};l={l:g}")
 
 
 # -- condition battery --------------------------------------------------

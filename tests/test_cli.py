@@ -65,6 +65,19 @@ def test_precondition_failure_is_exit_3(tmp_path):
     assert code == 3
 
 
+def test_not_convex_refusal_is_exit_3_and_short():
+    # rounding in the derived l = 0.5 row trips the conjugate's slope check
+    res = subprocess.run(
+        [sys.executable, "-m", "wcalc.cli", "matrix", "dossier",
+         "--seq", "gevrey:3", "--pmax", "1000"],
+        capture_output=True,
+    )
+    assert res.returncode == 3
+    assert b"Traceback" not in res.stderr
+    assert b"NotConvex" in res.stderr
+    assert len(res.stderr) < 1024
+
+
 def test_prefix_only_dossier_is_honest_not_fatal(tmp_path):
     # no tail certificate: the dossier completes with open verdicts
     code, rep = run(["matrix", "dossier", "--seq", "prefix_only:2"], tmp_path)

@@ -1,6 +1,9 @@
 """Weight matrices: quantified conditions, chains, stability, dossiers."""
 
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -27,7 +30,11 @@ from wcalc.matrices import (
     relation_matrix,
 )
 from wcalc.sequences import LogWeightSequence
-from wcalc.weightfuncs import make_power_log_weight, make_root_power_weight
+from wcalc.weightfuncs import (
+    associated_function,
+    make_power_log_weight,
+    make_root_power_weight,
+)
 
 
 def test_matrix_invariants():
@@ -204,3 +211,39 @@ def test_matrix_json():
     d = G.to_json()
     assert d["labels"] == [1.0, 2.0]
     assert d["rows"]["1"]["family"] == "gevrey"
+
+
+# -- row reuse -------------------------------------------------------------
+
+def test_extended_rows_built_once_per_matrix():
+    calls = []
+
+    def extend(s):
+        calls.append(s)
+        return gevrey(s + 1.0, 200)
+
+    M = WeightMatrix((1.0, 2.0), (gevrey(2.0, 200), gevrey(3.0, 200)), extend)
+    for name in CONDITION_NAMES:
+        check_matrix_condition(M, name)
+    check_pseudo_mg(M)
+    assert M.row(0.5) is M.row(0.5)
+    assert sorted(calls) == sorted(set(calls))
+    # a copy starts with an empty memo of its own
+    copy = dataclasses.replace(M)
+    copy.row(0.5)
+    assert calls.count(0.5) == 2
+
+
+def test_rows_die_without_garbage_collection():
+    # cached envelopes must not tie a row to its WeightFunction in a cycle
+    gc.disable()
+    try:
+        M = build_gevrey_matrix((1.0, 2.0), pmax=4000)
+        v = check_pseudo_mg(M)
+        ws = [associated_function(r) for r in M.rows]
+        refs = [weakref.ref(r) for r in M.rows]
+        refs.append(weakref.ref(M.row(2 * M.labels[-1] + 1)))
+        del M, v, ws
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()

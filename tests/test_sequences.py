@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcalc.catalogue import bumpy_prefix, perturbed_gevrey, prefix_only
+from wcalc.catalogue import (
+    bumpy_prefix,
+    factorial_power,
+    gevrey,
+    perturbed_gevrey,
+    power_index,
+    prefix_only,
+)
 from wcalc.errors import NotLogConvex
 from wcalc.sequences import (
     LogWeightSequence,
@@ -21,10 +28,12 @@ from wcalc.sequences import (
     increasing_root_minorant,
     lc_minorant,
     lc_minorant_oracle,
+    min_plus_self,
     relation_approx,
     relation_preceq,
     relation_triangle,
 )
+from wcalc.sequences import _diagonal_minimum, _mg_prefix_constant
 
 
 @st.composite
@@ -223,3 +232,84 @@ def test_json_round_trip():
     assert d["family"] == "gevrey" and d["s"] == 2.0 and d["pmax"] == 50
     d2 = prefix_only(2.0).to_json()
     assert len(d2["log_values"]) == 61
+
+
+# -- (min,+) kernel --------------------------------------------------------
+
+def _loop_min_plus(L):
+    """Reference: the O(P^2) scan the kernel replaces."""
+    mins, args = [], []
+    for m in range(L.size):
+        conv = L[: m + 1] + L[m::-1]
+        j = int(np.argmin(conv))
+        mins.append(conv[j])
+        args.append(j)
+    return np.array(mins), np.array(args)
+
+
+def _loop_mg_prefix_constant(L):
+    """Reference: _mg_prefix_constant as a strict > scan over the loop."""
+    best, bj, bm = -math.inf, 0, 1
+    for m in range(1, L.size):
+        conv = L[: m + 1] + L[m::-1]
+        j = int(np.argmin(conv))
+        val = (L[m] - conv[j]) / m
+        if val > best:
+            best, bj, bm = float(val), j, m
+    return best, bj, bm
+
+
+def _assert_kernel_matches_loop(L):
+    mins, args = min_plus_self(L)
+    want_mins, want_args = _loop_min_plus(L)
+    assert np.array_equal(mins.view(np.uint64), want_mins.view(np.uint64))
+    assert np.array_equal(args, want_args)
+
+
+@pytest.mark.parametrize("seq", [
+    gevrey(1.0, 4000),
+    gevrey(3.0, 4000),
+    gevrey(1.5, 1000),
+    factorial_power(2.0, 3.0, 4000),
+    factorial_power(1.0, 0.5, 1000),
+    power_index(0.25, 1.25, 4000),
+    power_index(2.0, 3.0, 1000),
+    # the catalogue's dents are too shallow to break convexity
+    perturbed_gevrey(2.0),
+    perturbed_gevrey(1.5, 0.2),
+], ids=lambda s: s.label)
+def test_min_plus_kernel_diagonal_path_matches_loop(seq):
+    assert _diagonal_minimum(seq.L)
+    _assert_kernel_matches_loop(seq.L)
+    assert _mg_prefix_constant(seq.L) == _loop_mg_prefix_constant(seq.L)
+
+
+@pytest.mark.parametrize("seq", [
+    perturbed_gevrey(2.0, amplitude=2.0, pmax=400),
+    bumpy_prefix(),
+    LogWeightSequence.from_values(0.75 * np.arange(300), "linear"),
+    power_index(1.0, 1.0, 300),
+], ids=lambda s: s.label)
+def test_min_plus_kernel_falls_back_to_loop(seq):
+    assert not _diagonal_minimum(seq.L)
+    _assert_kernel_matches_loop(seq.L)
+    assert _mg_prefix_constant(seq.L) == _loop_mg_prefix_constant(seq.L)
+
+
+@st.composite
+def barely_convex(draw):
+    """Convex sequences whose second differences sit near rounding level."""
+    n = draw(st.integers(min_value=3, max_value=120))
+    scale = draw(st.sampled_from([1e-16, 1e-14, 1e-12, 1e-9, 1e-3]))
+    d2 = draw(st.lists(st.floats(0.0, 100.0), min_size=n - 2, max_size=n - 2))
+    slope0 = draw(st.floats(-50.0, 50.0))
+    level = draw(st.sampled_from([0.0, 1.0, 1e4, 1e8]))
+    slopes = slope0 + np.cumsum([0.0, *(scale * np.array(d2))])
+    return np.concatenate(([level], level + np.cumsum(slopes)))
+
+
+@given(barely_convex())
+@settings(max_examples=300, deadline=None)
+def test_min_plus_kernel_matches_loop_near_rounding(L):
+    _assert_kernel_matches_loop(L)
+    assert _mg_prefix_constant(L) == _loop_mg_prefix_constant(L)

@@ -13,6 +13,7 @@ from wcalc.tails import (
     PowerIndex,
     RootPowerDualTail,
     SteppedTail,
+    Tail,
     geometric_mean,
     root_gap_limit,
     tail_from_json,
@@ -150,3 +151,66 @@ def test_json_round_trip():
     ):
         back = tail_from_json(t.to_json())
         assert back.log_value(17.0) == pytest.approx(t.log_value(17.0))
+
+
+# -- vector evaluation ---------------------------------------------------
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _scalar_values(t, ps):
+    return np.array([t.log_value(float(p)) for p in ps])
+
+
+_P = 16000
+_GEVREY_PREFIX = FactorialPower(2.0).log_values(np.arange(0, 4001))
+
+
+@pytest.mark.parametrize("t", [
+    FactorialPower(1.0),
+    FactorialPower(2.5),
+    FactorialPower(1.5, 3.0),
+    FactorialPower(3.0, 0.4),
+    PowerIndex(0.5, 1.0),
+    PowerIndex(0.25, 1.5),
+    PowerIndex(1.0, 2.0),
+    PowerIndex(2.0, 3.0),
+    RootPowerDualTail(0.5, 1.0, 2.0),
+    RootPowerDualTail(2.0, 1.0, 0.5),
+    *(SteppedTail(_GEVREY_PREFIX, FactorialPower(2.0), l) for l in (0.5, 2.0, 3.0)),
+], ids=repr)
+def test_log_values_bit_identical_to_scalar_loop(t):
+    # with a parent tail the stepped rows run past the stored prefix
+    ps = np.arange(0, _P + 1)
+    assert _same_bits(t.log_values(ps), _scalar_values(t, ps))
+    odd = np.array([0.0, 0.5, 7.25, 1e3 / 3.0, 12345.5])
+    assert _same_bits(t.log_values(odd), _scalar_values(t, odd))
+    assert _same_bits(t.log_values(17), _scalar_values(t, [17]))
+
+
+@pytest.mark.parametrize("l", [0.5, 2.0, 3.0])
+def test_stepped_log_values_without_parent_tail(l):
+    t = SteppedTail(_GEVREY_PREFIX, None, l)
+    inside = np.arange(0, int(4000 / l) + 1)
+    assert _same_bits(t.log_values(inside), _scalar_values(t, inside))
+    beyond = np.arange(0, int(4000 / l) + 2)
+    with pytest.raises(ValueError, match="no parent tail"):
+        t.log_values(beyond)
+    with pytest.raises(ValueError, match="no parent tail"):
+        _scalar_values(t, beyond)
+
+
+def test_every_family_goes_through_base_log_values():
+    # Tail.log_values is the one entry point a wrapper on the base class
+    # sees; families override the _log_values hook instead
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    families = list(subclasses(Tail))
+    assert {FactorialPower, PowerIndex, SteppedTail, RootPowerDualTail} <= set(families)
+    for cls in families:
+        assert "log_values" not in cls.__dict__, cls.__name__
