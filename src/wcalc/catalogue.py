@@ -34,8 +34,14 @@ def power_index(kappa: float, beta: float, pmax: int = 200) -> LogWeightSequence
 def perturbed_gevrey(
     s: float, amplitude: float = 0.3, pmax: int = 200
 ) -> LogWeightSequence:
-    """Gevrey values with a deterministic non-convex dent on p in [3, 9];
-    the symbolic tail stays valid from the end of the dent on."""
+    """Gevrey values with a deterministic sine dent on p in [3, 9]; the
+    symbolic tail stays valid from the end of the dent on.
+
+    The dent perturbs the stored prefix without breaking log-convexity at
+    small amplitudes: at s = 2 the row stays strictly log-convex up to
+    amplitude about 1.15 and loses convexity from about 1.2, so the
+    battery members (amplitudes 0.3 and 0.2) are log-convex.
+    """
     base = LogWeightSequence.gevrey(s, pmax)
     L = np.array(base.L)
     ps = np.arange(3, 10)

@@ -6,10 +6,21 @@ slopes -inf (left) and +inf (right) encode a "wall": the function is +inf
 outside the breakpoint range.  With this convention the Legendre conjugate of
 a convex PL function is again convex PL and conjugation is an exact
 involution: breakpoints and slopes simply trade places.
+
+Each ConvexPL also keeps its abscissae, values and segment slopes as
+read-only float64 arrays, and every operation is a linear sweep over them
+(the discrete Legendre transform in linear time, after Lucet 1997).  The
+array code is bit-identical to the scalar loops it stands for: numpy does
+only + - * / and comparisons, which round exactly as Python floats do.
+Where a sequential loop could change its input (a collinear merge, a dedupe
+of dual abscissae, a hull pop), a vectorised certificate first decides
+whether it would change nothing; only when the certificate declines does
+the loop run, so each rule has one implementation.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,25 +41,45 @@ class ConvexPL:
     right_slope: float = math.inf
 
     def __post_init__(self):
-        if not self.breakpoints:
+        bp = np.array(self.breakpoints, dtype=float).reshape(-1, 2)
+        self._check(bp[:, 0], bp[:, 1])
+
+    @classmethod
+    def _from_arrays(cls, breakpoints, xs, vs, left, right) -> "ConvexPL":
+        """Build from breakpoints whose abscissae and values are already the
+        float arrays xs and vs, checked like any other construction."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "breakpoints", breakpoints)
+        object.__setattr__(f, "left_slope", left)
+        object.__setattr__(f, "right_slope", right)
+        f._check(xs, vs)
+        return f
+
+    def _check(self, xs: np.ndarray, vs: np.ndarray) -> None:
+        """Validate the breakpoint arrays and keep them on the instance."""
+        if not xs.size:
             raise ValueError("at least one breakpoint required")
-        ss = [s for s, _ in self.breakpoints]
-        if any(b <= a for a, b in zip(ss, ss[1:])):
+        if np.any(xs[1:] <= xs[:-1]):
             raise ValueError("breakpoint abscissae must be strictly increasing")
-        slopes = self.slopes()
-        finite = [m for m in slopes if math.isfinite(m)]
-        for i, (a, b) in enumerate(zip(finite, finite[1:])):
-            if b - a < -SLOPE_TOL:
-                raise NotConvex(
-                    f"slopes not non-decreasing: slope {i} is {float(a)!r}, "
-                    f"slope {i + 1} is {float(b)!r}, a drop of {a - b:.3g}"
-                )
+        seg = (vs[1:] - vs[:-1]) / (xs[1:] - xs[:-1])
+        slopes = np.concatenate(([self.left_slope], seg, [self.right_slope]))
+        finite = slopes[np.isfinite(slopes)]
+        drops = np.flatnonzero(finite[1:] - finite[:-1] < -SLOPE_TOL)
+        if drops.size:
+            i = int(drops[0])
+            a, b = finite[i], finite[i + 1]
+            raise NotConvex(
+                f"slopes not non-decreasing: slope {i} is {float(a)!r}, "
+                f"slope {i + 1} is {float(b)!r}, a drop of {a - b:.3g}"
+            )
+        for name, arr in (("_xs", xs), ("_vs", vs), ("_seg", seg)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     # -- basic geometry -------------------------------------------------
 
     def segment_slopes(self) -> list[float]:
-        bp = self.breakpoints
-        return [(v1 - v0) / (s1 - s0) for (s0, v0), (s1, v1) in zip(bp, bp[1:])]
+        return self._seg.tolist()
 
     def slopes(self) -> list[float]:
         """Full slope sequence: left extension, segments, right extension."""
@@ -56,8 +87,7 @@ class ConvexPL:
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        xs = np.array([p for p, _ in self.breakpoints])
-        vs = np.array([v for _, v in self.breakpoints])
+        xs, vs = self._xs, self._vs
         out = np.interp(s, xs, vs)
         lo, hi = xs[0], xs[-1]
         if math.isfinite(self.left_slope):
@@ -73,34 +103,37 @@ class ConvexPL:
         return out if out.ndim else float(out)
 
     def canonical(self, tol: float = SLOPE_TOL) -> "ConvexPL":
-        """Merge collinear segments and boundary extensions."""
-        bp = list(self.breakpoints)
-        # interior collinear merges
-        changed = True
-        while changed:
-            changed = False
-            for i in range(1, len(bp) - 1):
-                (s0, v0), (s1, v1), (s2, v2) = bp[i - 1], bp[i], bp[i + 1]
-                m0 = (v1 - v0) / (s1 - s0)
-                m1 = (v2 - v1) / (s2 - s1)
-                if abs(m1 - m0) <= tol:
-                    del bp[i]
-                    changed = True
-                    break
-        # boundary extensions collinear with first/last segment
-        while len(bp) > 1:
-            m0 = (bp[1][1] - bp[0][1]) / (bp[1][0] - bp[0][0])
-            if math.isfinite(self.left_slope) and abs(self.left_slope - m0) <= tol:
-                del bp[0]
-            else:
-                break
-        while len(bp) > 1:
-            m1 = (bp[-1][1] - bp[-2][1]) / (bp[-1][0] - bp[-2][0])
-            if math.isfinite(self.right_slope) and abs(self.right_slope - m1) <= tol:
-                del bp[-1]
-            else:
-                break
-        return ConvexPL(tuple(bp), self.left_slope, self.right_slope)
+        """Merge collinear segments and boundary extensions.
+
+        Middle breakpoints whose two segments differ in slope by at most tol
+        go first, leftmost first; then end breakpoints whose finite boundary
+        slope is within tol of their segment.
+        """
+        seg = self._seg
+        a, b = self.left_slope, self.right_slope
+        flat = np.abs(seg[1:] - seg[:-1]) <= tol
+        ends = seg.size and (
+            (math.isfinite(a) and abs(a - seg[0]) <= tol)
+            or (math.isfinite(b) and abs(b - seg[-1]) <= tol)
+        )
+        if not (ends or flat.any()):
+            return self
+        x, v = self._xs.tolist(), self._vs.tolist()
+        keep = _merge_collinear(x, v, (np.flatnonzero(flat) + 1).tolist(), tol)
+
+        def slope(i, j):
+            return (v[j] - v[i]) / (x[j] - x[i])
+
+        lo, hi = 0, len(keep) - 1
+        while hi > lo and math.isfinite(a) and abs(a - slope(keep[lo], keep[lo + 1])) <= tol:
+            lo += 1
+        while hi > lo and math.isfinite(b) and abs(b - slope(keep[hi - 1], keep[hi])) <= tol:
+            hi -= 1
+        keep = keep[lo:hi + 1]
+        bp = self.breakpoints
+        return ConvexPL._from_arrays(
+            tuple(bp[i] for i in keep), self._xs[keep], self._vs[keep], a, b
+        )
 
     # -- conjugation ----------------------------------------------------
 
@@ -112,38 +145,32 @@ class ConvexPL:
         a wall of f* and vice versa.
         """
         f = self.canonical()
-        bp = f.breakpoints
-        n = len(bp)
-        seg = f.segment_slopes()
+        bp, xs, vs, seg = f.breakpoints, f._xs, f._vs, f._seg
         a, b = f.left_slope, f.right_slope
 
-        dual: list[tuple[float, float]] = []
+        dx, dv = seg, seg * xs[1:] - vs[1:]
         if math.isfinite(a):
-            s0, v0 = bp[0]
-            dual.append((a, a * s0 - v0))
-        for i, m in enumerate(seg):
-            s, v = bp[i + 1]
-            dual.append((m, m * s - v))
+            dx = np.concatenate(([a], dx))
+            dv = np.concatenate(([a * xs[0] - vs[0]], dv))
         if math.isfinite(b):
-            s1, v1 = bp[-1]
-            dual.append((b, b * s1 - v1))
+            dx = np.concatenate((dx, [b]))
+            dv = np.concatenate((dv, [b * xs[-1] - vs[-1]]))
 
         left = bp[0][0] if not math.isfinite(a) else -math.inf
         right = bp[-1][0] if not math.isfinite(b) else math.inf
 
-        if not dual:
+        if not dx.size:
             # f finite only on a single point between two walls: f* is the
             # global line x -> x*s0 - v0.
             s0, v0 = bp[0]
             return ConvexPL(((0.0, -v0),), s0, s0)
 
         # dedupe equal abscissae (possible only through rounding)
-        clean = [dual[0]]
-        for x, v in dual[1:]:
-            if x - clean[-1][0] <= SLOPE_TOL:
-                continue
-            clean.append((x, v))
-        return ConvexPL(tuple(clean), left, right).canonical()
+        if not np.all(dx[1:] - dx[:-1] > SLOPE_TOL):
+            keep = _dedupe(dx.tolist())
+            dx, dv = dx[keep], dv[keep]
+        dual = tuple(zip(dx.tolist(), dv.tolist()))
+        return ConvexPL._from_arrays(dual, dx, dv, left, right).canonical()
 
     # -- algebra helpers ------------------------------------------------
 
@@ -185,6 +212,49 @@ class ConvexPL:
         )
 
 
+def _merge_collinear(x: list, v: list, flagged: list, tol: float) -> list[int]:
+    """Indices left after deleting, leftmost first and one at a time, every
+    middle point whose two segments differ in slope by at most tol.
+
+    A stack sweep: deleting a point changes only the segments of its two
+    neighbours, so the leftmost candidate is always at the top of the stack.
+    flagged lists the points whose own input triple merges; while the top
+    two stack entries are consecutive inputs the sweep jumps to the next.
+    """
+    n = len(x)
+    keep = [0]
+    k = 1
+    while k < n:
+        while len(keep) >= 2:
+            i, j = keep[-2], keep[-1]
+            m0 = (v[j] - v[i]) / (x[j] - x[i])
+            m1 = (v[k] - v[j]) / (x[k] - x[j])
+            if abs(m1 - m0) <= tol:
+                keep.pop()
+            else:
+                break
+        keep.append(k)
+        if keep[-2] == k - 1:
+            f = bisect_left(flagged, k)
+            nxt = flagged[f] if f < len(flagged) else n - 1
+            keep.extend(range(k + 1, nxt + 1))
+            k = nxt + 1
+        else:
+            k += 1
+    return keep
+
+
+def _dedupe(x: list) -> list[int]:
+    """Indices left after dropping each abscissa within SLOPE_TOL of the
+    last one kept."""
+    keep = [0]
+    for i in range(1, len(x)):
+        if x[i] - x[keep[-1]] <= SLOPE_TOL:
+            continue
+        keep.append(i)
+    return keep
+
+
 def young_conjugate(f: ConvexPL) -> ConvexPL:
     """Conjugate of a convex PL function (raises NotConvex on bad input)."""
     return f.conjugate()
@@ -196,19 +266,51 @@ def upper_envelope_of_lines(slopes, intercepts) -> ConvexPL:
     Equivalent to conjugating the discrete function i -> -intercepts[i]
     placed at abscissae slopes[i] with walls on both sides.
     """
-    pts = sorted(zip(slopes, intercepts))
-    support = ConvexPL(
-        tuple(lower_hull([(m, -c) for m, c in pts])),
-        -math.inf,
-        math.inf,
+    m = np.asarray(slopes)
+    if not np.all(m[1:] > m[:-1]):
+        pts = sorted(zip(slopes, intercepts))
+        slopes, intercepts = [s for s, _ in pts], [c for _, c in pts]
+        m = np.asarray(slopes)
+    hull = lower_hull(
+        np.column_stack((m.astype(float), -np.asarray(intercepts, dtype=float)))
+    )
+    xs = hull[:, 0].tolist()
+    if xs:
+        # the end abscissae become the envelope's boundary slopes: keep the
+        # caller's scalars there, so integer slopes stay integers
+        xs[0], xs[-1] = slopes[0], slopes[-1]
+    support = ConvexPL._from_arrays(
+        tuple(zip(xs, hull[:, 1].tolist())), hull[:, 0], hull[:, 1],
+        -math.inf, math.inf,
     )
     return support.conjugate()
 
 
-def lower_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Lower convex hull of points sorted by x (monotone chain sweep)."""
-    hull: list[tuple[float, float]] = []
-    for p in points:
+def lower_hull(points):
+    """Lower convex hull of points sorted by x (monotone chain sweep).
+
+    points is a list of (x, y) pairs or an (n, 2) float array; the hull is
+    returned in the same form.
+    """
+    is_array = isinstance(points, np.ndarray)
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    x, y = p[:, 0], p[:, 1]
+    # the sweep's pop test on each consecutive triple: if none pops, no
+    # point is ever popped and the hull is the input
+    turn = (x[1:-1] - x[:-2]) * (y[2:] - y[:-2]) - (x[2:] - x[:-2]) * (y[1:-1] - y[:-2])
+    pops = np.flatnonzero(turn <= 0.0)
+    if not pops.size:
+        return points if is_array else list(points)
+    start = int(pops[0]) + 2
+    if is_array:
+        return np.array(_monotone_chain(points.tolist(), start), dtype=float)
+    return _monotone_chain(points, start)
+
+
+def _monotone_chain(points: list, start: int) -> list:
+    """Andrew's monotone chain over points; points[:start] need no pop."""
+    hull = list(points[:start])
+    for p in points[start:]:
         while len(hull) >= 2:
             (x0, y0), (x1, y1) = hull[-2], hull[-1]
             # keep only right turns (convex from below)

@@ -365,14 +365,12 @@ def relation_approx(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
 
 def lc_minorant(seq: LogWeightSequence) -> LogWeightSequence:
     """Log-convex minorant: lower convex hull of the points (p, L_p)."""
-    pts = [(float(p), v) for p, v in enumerate(seq.log_values)]
-    hull = lower_hull(pts)
-    xs = np.array([x for x, _ in hull])
-    ys = np.array([y for _, y in hull])
-    out = np.interp(np.arange(seq.P + 1), xs, ys)
-    unchanged = bool(np.max(np.abs(out - seq.L)) <= LOG_TOL)
-    if unchanged:
-        return replace(seq, label=seq.label)
+    ps = np.arange(seq.P + 1)
+    hull = lower_hull(np.column_stack((ps.astype(float), seq.L)))
+    out = np.interp(ps, hull[:, 0], hull[:, 1])
+    if np.max(np.abs(out - seq.L)) <= LOG_TOL:
+        # the very instance, so what callers cached on it stays shared
+        return seq
     tail = seq.tail if (seq.tail is not None and seq.tail.is_log_convex()) else None
     return LogWeightSequence(
         out,

@@ -194,3 +194,21 @@ def test_closed_form_conjugates_are_convex_duals(sigma, x):
     ys = np.linspace(0.0, 4.0 * y_star + 1.0, 200001)
     sup = np.max(x * ys - ys ** sigma)
     assert w.phi_star(x) == pytest.approx(sup, rel=1e-5, abs=1e-7)
+
+
+def test_lc_minorant_of_convex_row_shares_its_envelope(monkeypatch):
+    from wcalc import catalogue, weightfuncs
+
+    seq = catalogue.gevrey(2.0, 4000)
+    assert lc_minorant(seq) is seq
+    w = associated_function(seq)
+    calls = []
+    real = weightfuncs.upper_envelope_of_lines
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(weightfuncs, "upper_envelope_of_lines", counted)
+    assert associated_function(lc_minorant(seq)).phi_pl is w.phi_pl
+    assert calls == []
