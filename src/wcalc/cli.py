@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -62,9 +63,12 @@ class DescriptorError(ValueError):
 
 def _params(text: str) -> list[float]:
     try:
-        return [float(t) for t in text.split(",") if t]
+        out = [float(t) for t in text.split(",") if t]
     except ValueError as e:
         raise DescriptorError(str(e)) from None
+    if not all(math.isfinite(v) for v in out):
+        raise DescriptorError(f"non-finite parameter in {text!r}")
+    return out
 
 
 def _load_json(path: str) -> dict:
@@ -107,16 +111,21 @@ def parse_weight(desc: str) -> WeightFunction:
     head, rest = desc.split(":", 1)
     from .weightfuncs import make_power_log_weight, make_root_power_weight
 
-    if head == "powerlog":
-        return make_power_log_weight(*_params(rest))
-    if head == "rootpower":
-        return make_root_power_weight(*_params(rest))
-    raise DescriptorError(f"unknown weight family {head!r}")
+    makers = {"powerlog": make_power_log_weight, "rootpower": make_root_power_weight}
+    if head not in makers:
+        raise DescriptorError(f"unknown weight family {head!r}")
+    try:
+        return makers[head](*_params(rest))
+    except (TypeError, ValueError) as e:
+        raise DescriptorError(str(e)) from None
 
 
 def parse_matrix(args, pmax: int) -> WeightMatrix:
     if getattr(args, "gevrey", None):
-        return build_gevrey_matrix(tuple(_params(args.gevrey)), pmax)
+        try:
+            return build_gevrey_matrix(tuple(_params(args.gevrey)), pmax)
+        except (TypeError, ValueError) as e:
+            raise DescriptorError(str(e)) from None
     if getattr(args, "matrix", None):
         desc = args.matrix
         if desc.startswith("file:"):
@@ -218,8 +227,11 @@ def cmd_matrix(args) -> int:
         _emit(args, {"stability": check_stability_theorem(M).to_json()})
         return 0
     if args.action == "chain":
+        steps = _params(args.steps)
+        if any(l <= 0 for l in steps):
+            raise DescriptorError(f"--steps {args.steps!r}: every step must be positive")
         chain = MultiIndexChain(M, (), None)
-        for l in _params(args.steps):
+        for l in steps:
             chain = multi_index_step(chain, l)
         report = {
             "steps": list(chain.steps),

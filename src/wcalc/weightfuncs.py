@@ -13,6 +13,7 @@ and fall back to Inconclusive grid evidence when no class is known.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,10 +83,12 @@ class WeightFunction:
                 x > th, (xx / a) * np.log(xx / th) - xx / a + c, 0.0
             )
         else:
-            out = np.asarray(self._star_pl()(x), dtype=float)
+            out = np.asarray(self._star_pl(x), dtype=float)
         return out if out.ndim else float(out)
 
+    @functools.cached_property
     def _star_pl(self) -> ConvexPL:
+        """The conjugate of phi_pl, computed on first use and kept."""
         return self.phi_pl.conjugate()
 
     def growth_class(self) -> tuple | None:

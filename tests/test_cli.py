@@ -56,6 +56,29 @@ def test_missing_descriptor_file_is_exit_2(tmp_path, argv):
     assert b"missing.json" in res.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--weight", "powerlog:0.5"],
+    ["analyze", "--weight", "rootpower:0"],
+    ["analyze", "--weight", "powerlog:nan"],
+    ["analyze", "--weight", "powerlog:inf"],
+    ["analyze", "--weight", "powerlog:"],
+    ["matrix", "conditions", "--gevrey", "0"],
+    ["matrix", "conditions", "--gevrey", "2,2"],
+    ["matrix", "conditions", "--gevrey", "nan"],
+    ["fourier", "harness", "--gevrey", "0"],
+    ["matrix", "chain", "--gevrey", "2", "--steps", "0"],
+    ["matrix", "chain", "--gevrey", "2", "--steps", "nan"],
+    ["matrix", "chain", "--gevrey", "2", "--steps", "-1"],
+])
+def test_out_of_domain_descriptor_value_is_exit_2(argv):
+    res = subprocess.run(
+        [sys.executable, "-m", "wcalc.cli", *argv], capture_output=True
+    )
+    assert res.returncode == 2
+    assert b"Traceback" not in res.stderr
+    assert res.stderr.startswith(b"error: ")
+
+
 def test_precondition_failure_is_exit_3(tmp_path):
     # a p! row carries no certified tail bound, so construction must refuse
     code = main(

@@ -3,6 +3,8 @@
 import math
 import tracemalloc
 
+import mpmath as mp
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from wcalc.errors import (
     TailDominates,
     WidthBudgetExceeded,
 )
+from wcalc import fourier
 from wcalc.catalogue import gevrey
+from wcalc.convex import ConvexPL
 from wcalc.fourier import (
     MASK_REL,
     CompactBox,
@@ -375,3 +379,88 @@ def test_harness_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 7 * 2 ** 20
+
+
+def _horner_reference_spectrum(xis, n=2 ** 14, dps=80):
+    """The direct complex trapezoid sum over all n samples, by Horner."""
+    with mp.workdps(dps):
+        span = mp.mpf(4)
+        dx = span / n
+        xs = [-span / 2 + dx * k for k in range(n)]
+        fs = []
+        for x in xs:
+            if abs(x) < 1:
+                fs.append(mp.e ** (-1 / (1 - x * x)))
+            else:
+                fs.append(mp.mpf(0))
+        out = []
+        for xi in xis:
+            xi = mp.mpf(xi)
+            w = mp.e ** (-1j * xi * dx)
+            acc = mp.mpc(0)
+            # Horner evaluation of sum f_k w^k
+            for fk in reversed(fs):
+                acc = acc * w + fk
+            acc = acc * mp.e ** (-1j * xi * xs[0]) * dx
+            out.append(float(mp.fabs(acc)))
+    return np.array(out)
+
+
+def test_reference_spectrum_bit_identical_to_horner_sum():
+    # the frequencies of criterion 12 and of the benchmark, plus its warm-up
+    xis = [*np.geomspace(1e2, 1e4, 7), 100.0]
+    got = reference_spectrum_standard_bump(xis, dps=80)
+    want = _horner_reference_spectrum(xis, dps=80)
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+def test_reference_spectrum_agrees_with_horner_sum_at_fft_bins():
+    spec = compute_spectrum(standard_bump())
+    idx = [int(np.argmin(np.abs(spec.xi_arr - x))) for x in (5.0, 20.0, 60.0)]
+    xis = [float(spec.xi[i]) for i in idx] + [0.5]
+    got = reference_spectrum_standard_bump(xis, dps=40)
+    want = _horner_reference_spectrum(xis, dps=40)
+    # far below one ulp: the floats must coincide
+    assert np.all(np.abs(got - want) <= 1e-25 * np.abs(want))
+
+
+def test_reference_spectrum_cache_is_keyed_on_precision():
+    assert fourier._bump_half_samples.cache_info().maxsize == 2
+    xis = [100.0, 1e4]
+
+    def fresh(dps):
+        fourier._bump_half_samples.cache_clear()
+        return reference_spectrum_standard_bump(xis, dps=dps)
+
+    want = {40: fresh(40), 80: fresh(80)}
+    # at 1e4 the modulus is below what 40 digits resolve, so the two differ
+    assert want[40][1] != want[80][1]
+    fourier._bump_half_samples.cache_clear()
+    for dps in (40, 80, 40):
+        got = reference_spectrum_standard_bump(xis, dps=dps)
+        assert got.tobytes() == want[dps].tobytes(), dps
+    assert fourier._bump_half_samples.cache_info().hits == 1
+
+
+def test_lemma53_i_conjugates_each_envelope_once(monkeypatch):
+    calls = []
+    conjugate = ConvexPL.conjugate
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return conjugate(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConvexPL, "conjugate", counting)
+    f = standard_bump()
+    g2 = gevrey(2.0, 1200)
+    first = check_lemma53_i(f, g2, 0.1)
+    assert len(calls) <= 2
+    second = check_lemma53_i(f, g2, 0.1)
+    assert len(calls) <= 4
+    assert first.witness == second.witness
+    # the memoised conjugate gives the uncached values bit for bit
+    w = fourier._norm_row(f, g2, f._band).w
+    xs = np.arange(11) / 0.1
+    cached = np.array([w.phi_star(x) for x in xs])
+    uncached = np.asarray(conjugate(w.phi_pl)(xs), dtype=float)
+    assert cached.tobytes() == uncached.tobytes()
