@@ -8,12 +8,13 @@ failure, 4 internal consistency violation.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
-import os
+import operator
 import sys
 
-from . import __version__, catalogue, serialize
+from . import __version__, catalogue, convex, sequences, serialize
 from .errors import RoutesDisagree, TruncationExhausted, WcalcError
 from .matrices import (
     CONDITION_NAMES,
@@ -143,12 +144,14 @@ def parse_matrix(args, pmax: int) -> WeightMatrix:
 
 def _emit(args, report: dict) -> None:
     report["config"] = {
-        "argv": [a for a in sys.argv[1:]],
+        "argv": args.argv,
         "version": __version__,
-        "pmax": getattr(args, "pmax", None),
-        "tol": getattr(args, "tol", None),
-        "seed": getattr(args, "seed", None),
-        "threads": int(os.environ.get("WCALC_THREADS", "1")),
+        "pmax": args.pmax,
+        "tolerances": {
+            "LOG_TOL": sequences.LOG_TOL,
+            "TAIL_CONSISTENCY_TOL": sequences.TAIL_CONSISTENCY_TOL,
+            "SLOPE_TOL": convex.SLOPE_TOL,
+        },
     }
     if getattr(args, "format", "json") == "csv":
         if args.out:
@@ -246,19 +249,50 @@ def cmd_matrix(args) -> int:
     raise DescriptorError(f"unknown matrix action {args.action!r}")
 
 
+_ROW_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+
+
+def _row_value(node, q: int):
+    """Evaluate a row expression: numbers, q, binary + - * / ** and unary -."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id == "q":
+        return q
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_row_value(node.operand, q)
+    if isinstance(node, ast.BinOp) and type(node.op) in _ROW_OPS:
+        left, right = _row_value(node.left, q), _row_value(node.right, q)
+        if (isinstance(node.op, ast.Pow) and isinstance(left, int)
+                and isinstance(right, int) and abs(left) > 1
+                and abs(left).bit_length() * right > 4096):
+            # an integer power this large is slow to build and overflows a float
+            raise OverflowError("integer power too large")
+        return _ROW_OPS[type(node.op)](left, right)
+    raise DescriptorError(f"unsupported syntax {ast.unparse(node)!r}")
+
+
 def _parse_row_pattern(pattern: str) -> list[tuple[float, float]]:
-    """`EXPR:q=a..b` -> [(label 1/q, exponent EXPR(q))] for q in a..b."""
+    """`EXPR:q=1..b` -> [(label 1/q, exponent EXPR(q))] for q in 1..b."""
     try:
         expr, rng = pattern.rsplit(":q=", 1)
         lo, hi = rng.split("..")
         qs = range(int(lo), int(hi) + 1)
-        out = []
-        for q in qs:
-            s = float(eval(expr, {"__builtins__": {}}, {"q": q}))
-            out.append((1.0 / q, s))
-        return out
-    except (ValueError, SyntaxError, NameError) as e:
+        if qs.start != 1 or len(qs) < 2:
+            raise ValueError("the range must run from q=1 over at least two rows")
+        tree = ast.parse(expr, mode="eval").body
+        rows = [(1.0 / q, float(_row_value(tree, q))) for q in qs]
+    except (ValueError, SyntaxError, ZeroDivisionError, OverflowError,
+            TypeError, RecursionError) as e:
         raise DescriptorError(f"bad row pattern {pattern!r}: {e}") from None
+    if not all(math.isfinite(s) for _, s in rows):
+        raise DescriptorError(f"bad row pattern {pattern!r}: non-finite exponent")
+    return rows
 
 
 def cmd_quasi(args) -> int:
@@ -269,7 +303,10 @@ def cmd_quasi(args) -> int:
     if args.action == "construct":
         rows = _parse_row_pattern(args.rows)
         labels = tuple(l for l, _ in rows)
-        seqs = tuple(catalogue.gevrey(s, args.pmax) for _, s in rows)
+        try:
+            seqs = tuple(catalogue.gevrey(s, args.pmax) for _, s in rows)
+        except ValueError as e:
+            raise DescriptorError(str(e)) from None
         order = sorted(range(len(rows)), key=lambda i: labels[i])
         M = WeightMatrix(
             tuple(labels[i] for i in order),
@@ -292,6 +329,8 @@ def cmd_quasi(args) -> int:
 
 
 def cmd_fourier(args) -> int:
+    if args.bump_depth < 1:
+        raise DescriptorError(f"--bump-depth {args.bump_depth}: a bump needs depth >= 1")
     from .fourier import theorem51_harness
 
     M = parse_matrix(args, args.pmax)
@@ -302,11 +341,8 @@ def cmd_fourier(args) -> int:
 
 def _add_common(p) -> None:
     p.add_argument("--pmax", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--labels", type=str, default=None)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.fn(args)
     except DescriptorError as e:

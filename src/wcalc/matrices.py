@@ -189,6 +189,26 @@ def _mg_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
     return verdicts.fails(prefix_C=math.exp(best), divergent_diagonal=True)
 
 
+def _L_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
+    """Does y absorb every power C**p over x (root gap to -inf)?"""
+    g = root_gap_limit(x.tail, y.tail)
+    if g is None:
+        return verdicts.inconclusive("no tail")
+    if g == -math.inf:
+        return verdicts.holds(absorbs="every C")
+    return verdicts.fails(gap_limit=g)
+
+
+def _strict_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
+    """Is the root gap of y over x unbounded?"""
+    g = root_gap_limit(y.tail, x.tail)
+    if g is None:
+        return verdicts.inconclusive("no tail")
+    if g == math.inf:
+        return verdicts.holds(sup="+inf")
+    return verdicts.fails(gap_limit=g)
+
+
 # -- quantifier helpers -------------------------------------------------
 
 def _exists(candidates, pred) -> Verdict:
@@ -216,14 +236,14 @@ def _forall(items, pred) -> Verdict:
     return verdicts.conjunction(parts)
 
 
-def _candidates(M: WeightMatrix, direction: str):
+def _candidates(M: WeightMatrix, direction: str | None = None):
     """Search pool for an existential label: all rows, then extended ones.
 
     direction "up" appends labels beyond the maximum, "down" below the
-    minimum; both only when the matrix carries an extender.
+    minimum; both only when the matrix carries an extender and has rows.
     """
     pool = [(lbl, row, False) for lbl, row in zip(M.labels, M.rows)]
-    if M.extender is not None:
+    if direction is not None and M.extender is not None and M.labels:
         if direction == "up":
             top = M.labels[-1]
             extra = [top + 1, 2 * top + 1, 4 * top + 2]
@@ -234,136 +254,80 @@ def _candidates(M: WeightMatrix, direction: str):
     return pool
 
 
+def _forall_exists(M: WeightMatrix, pool, pred) -> Verdict:
+    """For every row x of M some candidate y in pool with pred(x, y)."""
+    return _forall(
+        zip(M.labels, M.rows),
+        lambda lbl, row: _exists(pool, lambda y: pred(row, y)),
+    )
+
+
+def _roumieu(M: WeightMatrix, pair) -> Verdict:
+    """For every row x a row y above it with pair(x, y)."""
+    return _forall_exists(M, _candidates(M, "up"), pair)
+
+
+def _beurling(M: WeightMatrix, pair) -> Verdict:
+    """For every row x a row y below it with pair(y, x)."""
+    return _forall_exists(M, _candidates(M, "down"), lambda x, y: pair(y, x))
+
+
+_VARIANTS = {"roumieu": _roumieu, "beurling": _beurling}
+
+# pair tests of the conditions quantified as forall x exists y
+_PAIRS = {
+    "dc": _dc_pair,
+    "mg": _mg_pair,     # Beurling: x_1 = x_2 = the larger row suffices, rows are ordered
+    "L": _L_pair,
+    "strict": _strict_pair,
+    "BR": relation_triangle,
+}
+
+
 # -- matrix conditions --------------------------------------------------
 
 def check_matrix_condition(M: WeightMatrix, condition: str) -> Verdict:
     if condition not in CONDITION_NAMES:
         raise ValueError(f"unknown condition: {condition}")
-    name = condition
-
-    if name == "dc_roumieu":
-        return _forall(
-            zip(M.labels, M.rows),
-            lambda lbl, row: _exists(_candidates(M, "up"), lambda y: _dc_pair(row, y)),
-        )
-    if name == "dc_beurling":
-        return _forall(
-            zip(M.labels, M.rows),
-            lambda lbl, row: _exists(_candidates(M, "down"), lambda y: _dc_pair(y, row)),
-        )
-    if name == "mg_roumieu":
-        return _forall(
-            zip(M.labels, M.rows),
-            lambda lbl, row: _exists(_candidates(M, "up"), lambda y: _mg_pair(row, y)),
-        )
-    if name == "mg_beurling":
-        # x_1 = x_2 = the larger of any pair suffices since rows are ordered
-        return _forall(
-            zip(M.labels, M.rows),
-            lambda lbl, row: _exists(_candidates(M, "down"), lambda y: _mg_pair(y, row)),
-        )
-    if name in ("L_roumieu", "L_beurling"):
-        up = name == "L_roumieu"
-
-        def absorbs_all_C(row):
-            def pred(y):
-                g = root_gap_limit(*((row.tail, y.tail) if up else (y.tail, row.tail)))
-                if g is None:
-                    return verdicts.inconclusive("no tail")
-                if g == -math.inf:
-                    return verdicts.holds(absorbs="every C")
-                return verdicts.fails(gap_limit=g)
-
-            return _exists(_candidates(M, "up" if up else "down"), pred)
-
-        return _forall(zip(M.labels, M.rows), lambda lbl, row: absorbs_all_C(row))
-    if name in ("strict_roumieu", "strict_beurling"):
-        up = name == "strict_roumieu"
-
-        def strict_pred(row):
-            def pred(y):
-                g = root_gap_limit(*((y.tail, row.tail) if up else (row.tail, y.tail)))
-                if g is None:
-                    return verdicts.inconclusive("no tail")
-                if g == math.inf:
-                    return verdicts.holds(sup="+inf")
-                return verdicts.fails(gap_limit=g)
-
-            return _exists(_candidates(M, "up" if up else "down"), pred)
-
-        return _forall(zip(M.labels, M.rows), lambda lbl, row: strict_pred(row))
-    if name in ("BR_roumieu", "BR_beurling"):
-        up = name == "BR_roumieu"
-
-        def br_pred(row):
-            def pred(y):
-                return (
-                    relation_triangle(row, y) if up else relation_triangle(y, row)
-                )
-
-            return _exists(_candidates(M, "up" if up else "down"), pred)
-
-        return _forall(zip(M.labels, M.rows), lambda lbl, row: br_pred(row))
+    family, _, variant = condition.rpartition("_")
+    if family in _PAIRS:
+        return _VARIANTS[variant](M, _PAIRS[family])
 
     # analytic-containment conditions via the root behaviour of m = M/p!
-    def m_root_gap(row):
-        return root_gap_limit(row.tail, FactorialPower(1.0, 1.0))
-
-    if name == "Cw_roumieu":
-        for lbl, row in zip(M.labels, M.rows):
-            g = m_root_gap(row)
+    gaps = [
+        (lbl, root_gap_limit(row.tail, FactorialPower(1.0, 1.0)))
+        for lbl, row in zip(M.labels, M.rows)
+    ]
+    if condition == "Cw_roumieu":
+        for lbl, g in gaps:
             if g is not None and g > -math.inf:
                 return verdicts.holds(x=lbl, m_root_liminf_log=g)
-        if any(row.tail is None for row in M.rows):
+        if any(g is None for _, g in gaps):
             return verdicts.inconclusive("rows without tails")
         return verdicts.fails()
-    if name in ("H", "Cw_beurling"):
-        parts = {}
-        for lbl, row in zip(M.labels, M.rows):
-            g = m_root_gap(row)
-            if g is None:
-                parts[f"x={lbl:g}"] = verdicts.inconclusive("no tail")
-            elif name == "H":
-                parts[f"x={lbl:g}"] = (
-                    verdicts.holds(gap=g) if g > -math.inf else verdicts.fails()
-                )
-            else:
-                parts[f"x={lbl:g}"] = (
-                    verdicts.holds() if g == math.inf else verdicts.fails(gap=g)
-                )
-        return verdicts.conjunction(parts)
-    raise AssertionError(name)
+    parts = {}
+    for lbl, g in gaps:
+        if g is None:
+            v = verdicts.inconclusive("no tail")
+        elif condition == "H":
+            v = verdicts.holds(gap=g) if g > -math.inf else verdicts.fails()
+        else:
+            v = verdicts.holds() if g == math.inf else verdicts.fails(gap=g)
+        parts[f"x={lbl:g}"] = v
+    return verdicts.conjunction(parts)
 
 
 def relation_matrix(M: WeightMatrix, N: WeightMatrix, kind: str) -> Verdict:
     if kind == "roumieu_preceq":
-        return _forall(
-            zip(M.labels, M.rows),
-            lambda lbl, row: _exists(
-                [(l, r, False) for l, r in zip(N.labels, N.rows)],
-                lambda y: relation_preceq(row, y),
-            ),
-        )
+        return _forall_exists(M, _candidates(N), relation_preceq)
     if kind == "beurling_preceq":
-        return _forall(
-            zip(N.labels, N.rows),
-            lambda lbl, rowN: _exists(
-                [(l, r, False) for l, r in zip(M.labels, M.rows)],
-                lambda x: relation_preceq(x, rowN),
-            ),
-        )
-    if kind == "roumieu_approx":
+        return _forall_exists(N, _candidates(M), lambda y, x: relation_preceq(x, y))
+    if kind in ("roumieu_approx", "beurling_approx"):
+        preceq = kind.replace("approx", "preceq")
         return verdicts.conjunction(
             {
-                "forward": relation_matrix(M, N, "roumieu_preceq"),
-                "backward": relation_matrix(N, M, "roumieu_preceq"),
-            }
-        )
-    if kind == "beurling_approx":
-        return verdicts.conjunction(
-            {
-                "forward": relation_matrix(M, N, "beurling_preceq"),
-                "backward": relation_matrix(N, M, "beurling_preceq"),
+                "forward": relation_matrix(M, N, preceq),
+                "backward": relation_matrix(N, M, preceq),
             }
         )
     if kind == "triangle":
@@ -476,29 +440,22 @@ def _pseudo_mg_grid_ok(
     return bool(np.all(lhs <= rhs + 1e-9))
 
 
+def _pseudo_mg_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
+    """Some H = 2**k on the grid with 2*omega_y(t) <= omega_x(H t) + H."""
+    small, big = associated_function(y), associated_function(x)
+    for k in range(0, 16):
+        H = 2.0 ** k
+        if _pseudo_mg_grid_ok(small, big, H):
+            return verdicts.holds(H=H)
+    return verdicts.inconclusive("no H on grid within resolved band")
+
+
 def check_pseudo_mg(M: WeightMatrix, variant: str = "roumieu") -> Verdict:
     """Associated-function form of the mixed moderate-growth condition,
     cross-validated against the sequence-level verdict."""
-    if variant not in ("roumieu", "beurling"):
+    if variant not in _VARIANTS:
         raise ValueError(variant)
-    ws = {lbl: associated_function(row) for lbl, row in zip(M.labels, M.rows)}
-
-    def per_x(lbl, row):
-        pool = _candidates(M, "up" if variant == "roumieu" else "down")
-
-        def pred(y_row):
-            wy = associated_function(y_row)
-            wx = ws[lbl]
-            small, big = (wy, wx) if variant == "roumieu" else (wx, wy)
-            for k in range(0, 16):
-                H = 2.0 ** k
-                if _pseudo_mg_grid_ok(small, big, H):
-                    return verdicts.holds(H=H)
-            return verdicts.inconclusive("no H on grid within resolved band")
-
-        return _exists(pool, pred)
-
-    omega_side = _forall(zip(M.labels, M.rows), per_x)
+    omega_side = _VARIANTS[variant](M, _pseudo_mg_pair)
     seq_side = check_matrix_condition(M, f"mg_{variant}")
     agree = (
         omega_side.inconclusive
@@ -585,25 +542,20 @@ def check_L_consequences(M: WeightMatrix) -> Verdict:
     parts = {"L": L_verdict}
 
     # (a) omega_{M^y}(2t) = O(omega_{M^x}(t)) with searched y
-    def doubling(lbl, row):
-        wx = associated_function(row)
+    def doubling(x, y):
+        wx, wy = associated_function(x), associated_function(y)
+        s_hi = min(wx.valid_to, wy.valid_to) - math.log(2)
+        if s_hi <= 1.0:
+            return verdicts.inconclusive("no resolved band")
+        s = np.linspace(1.0, s_hi, 128)
+        ratio = wy.phi(s + math.log(2)) / np.maximum(wx.phi(s), 1e-12)
+        r = float(np.max(ratio[wx.phi(s) > 1.0])) if np.any(wx.phi(s) > 1.0) else 1.0
+        cls_ok = relation_omega(wx, wy, "preceq").holds
+        if cls_ok:
+            return verdicts.holds(grid_ratio=r)
+        return verdicts.fails(grid_ratio=r)
 
-        def pred(y_row):
-            wy = associated_function(y_row)
-            s_hi = min(wx.valid_to, wy.valid_to) - math.log(2)
-            if s_hi <= 1.0:
-                return verdicts.inconclusive("no resolved band")
-            s = np.linspace(1.0, s_hi, 128)
-            ratio = wy.phi(s + math.log(2)) / np.maximum(wx.phi(s), 1e-12)
-            r = float(np.max(ratio[wx.phi(s) > 1.0])) if np.any(wx.phi(s) > 1.0) else 1.0
-            cls_ok = relation_omega(wx, wy, "preceq").holds
-            if cls_ok:
-                return verdicts.holds(grid_ratio=r)
-            return verdicts.fails(grid_ratio=r)
-
-        return _exists(_candidates(M, "up"), pred)
-
-    parts["omega_doubling"] = _forall(zip(M.labels, M.rows), doubling)
+    parts["omega_doubling"] = _roumieu(M, doubling)
 
     # (b) mixed-index domination with moderate h and inner steps a, b
     def mixed(lbl, row):
@@ -649,18 +601,15 @@ def check_BR_triangle(M: WeightMatrix) -> Verdict:
     per_row_mg = _forall(
         zip(M.labels, M.rows), lambda lbl, row: check_moderate_growth(row)
     )
-    ws = {lbl: associated_function(row) for lbl, row in zip(M.labels, M.rows)}
-
-    def omega_tri(lbl, row):
-        def pred(y_row):
-            return relation_omega(ws[lbl], associated_function(y_row), "triangle")
-
-        return _exists(_candidates(M, "up"), pred)
-
-    omega_side = _forall(zip(M.labels, M.rows), omega_tri)
+    omega_side = _roumieu(
+        M,
+        lambda x, y: relation_omega(
+            associated_function(x), associated_function(y), "triangle"
+        ),
+    )
     per_row_o1 = _forall(
         zip(M.labels, M.rows),
-        lambda lbl, row: check_omega_conditions(ws[lbl])["omega1"],
+        lambda lbl, row: check_omega_conditions(associated_function(row))["omega1"],
     )
 
     def _impl(hyp, cons):

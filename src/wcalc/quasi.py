@@ -141,6 +141,23 @@ def _first_index_where(pred, start: int, cap: int = 10 ** 18) -> int | None:
     return lo
 
 
+def minorant_root(rows: dict, a, b, p: float) -> float:
+    """Root of the constructed sequence at any index p >= 1.
+
+    rows maps q = 1..Q to the rows the recursion consumed; a and b are its
+    switch indices.  Row q, shifted down by log q, is followed from b_{q-1}
+    to a_q and then held flat until b_q.
+    """
+    Q = len(rows)
+    for q in range(1, Q):
+        lo = b[q - 2] if q >= 2 else 0
+        if lo <= p <= a[q - 1]:
+            return -math.log(q) + rows[q].root(p)
+        if a[q - 1] < p < b[q - 1]:
+            return -math.log(q) + rows[q].root(a[q - 1])
+    return -math.log(Q) + rows[Q].root(p)     # p >= b_{Q-1}
+
+
 def construct_minorant(M: WeightMatrix) -> MinorantTrace:
     """Run the switch-index recursion on rows ordered decreasingly in q.
 
@@ -167,9 +184,6 @@ def construct_minorant(M: WeightMatrix) -> MinorantTrace:
             raise ClassMembershipFailed(f"row 1/{q} is not non-quasianalytic")
         rows[q] = row
 
-    def root(q: int, p: float) -> float:
-        return rows[q].root(p)
-
     a: list[int] = []
     b: list[int] = []
     certs: dict = {}
@@ -183,9 +197,9 @@ def construct_minorant(M: WeightMatrix) -> MinorantTrace:
         )
         if a_q is None:
             raise TruncationExhausted(q, f"no certified a_{q} found")
-        plateau = -math.log(q) + root(q, a_q)
+        plateau = -math.log(q) + rows[q].root(a_q)
         b_q = _first_index_where(
-            lambda X: plateau < -math.log(q + 1) + root(q + 1, X),
+            lambda X: plateau < -math.log(q + 1) + rows[q + 1].root(X),
             a_q + 1,
         )
         if b_q is None:
@@ -199,20 +213,10 @@ def construct_minorant(M: WeightMatrix) -> MinorantTrace:
         }
         b_prev = b_q
 
-    def minorant_root(p: float) -> float:
-        """Root of the constructed sequence at any index >= 1."""
-        for q in range(1, Q):
-            lo = b[q - 2] if q >= 2 else 0
-            if lo <= p <= a[q - 1]:
-                return -math.log(q) + root(q, p)
-            if a[q - 1] < p < b[q - 1]:
-                return -math.log(q) + root(q, a[q - 1])
-        return -math.log(Q) + root(Q, p)     # p >= b_{Q-1}
-
     P = min(r.P for r in rows.values())
     L = np.zeros(P + 1)
     for p in range(1, P + 1):
-        L[p] = p * minorant_root(p)
+        L[p] = p * minorant_root(rows, a, b, p)
     N = LogWeightSequence(tuple(L), None, 0, "constructed-minorant")
 
     total = sum(
@@ -228,16 +232,6 @@ def minorant_checkpoints(trace: MinorantTrace, M: WeightMatrix, n: int = 400):
     Q = trace.q_completed + 1
     rows = {q: M.row(1.0 / q) for q in range(1, Q + 1)}
     a, b = trace.a, trace.b
-
-    def minorant_root(p: float) -> float:
-        for q in range(1, Q):
-            lo = b[q - 2] if q >= 2 else 0
-            if lo <= p <= a[q - 1]:
-                return -math.log(q) + rows[q].root(p)
-            if a[q - 1] < p < b[q - 1]:
-                return -math.log(q) + rows[q].root(a[q - 1])
-        return -math.log(Q) + rows[Q].root(p)
-
     hi = 4.0 * b[-1]
     ps = sorted(
         set(range(1, trace.N.P + 1))
@@ -245,7 +239,8 @@ def minorant_checkpoints(trace: MinorantTrace, M: WeightMatrix, n: int = 400):
         | set(a) | set(b)
         | set(x + 1 for x in a) | set(x + 1 for x in b)
     )
-    return np.array(ps, dtype=float), np.array([minorant_root(p) for p in ps])
+    roots = [minorant_root(rows, a, b, p) for p in ps]
+    return np.array(ps, dtype=float), np.array(roots)
 
 
 def sandwich_construct(

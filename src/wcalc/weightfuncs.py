@@ -256,8 +256,14 @@ def check_omega_conditions(w: WeightFunction) -> dict[str, Verdict]:
             verdicts.holds(exponent=alpha) if alpha < 1.0
             else verdicts.fails(exponent=alpha)
         )
-        H = 2.0 ** math.ceil(1.0 / alpha)
-        out["omega6"] = verdicts.holds(H=H)
+        if math.isinf(1.0 / alpha):
+            raise DomainExceeded(f"growth exponent {alpha!r} has no finite reciprocal")
+        k = math.ceil(1.0 / alpha)
+        try:
+            out["omega6"] = verdicts.holds(H=2.0 ** k)
+        except OverflowError:
+            # H = 2**k is past the float range; record its logarithm
+            out["omega6"] = verdicts.holds(log_H=k * math.log(2))
         out["omega7"] = verdicts.fails(reason_exponent=2 * alpha)
         if alpha < 1.0:
             wit = {}

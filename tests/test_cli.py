@@ -1,6 +1,7 @@
 """Command-line contract: descriptors, exit codes, deterministic reports."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -69,6 +70,14 @@ def test_missing_descriptor_file_is_exit_2(tmp_path, argv):
     ["matrix", "chain", "--gevrey", "2", "--steps", "0"],
     ["matrix", "chain", "--gevrey", "2", "--steps", "nan"],
     ["matrix", "chain", "--gevrey", "2", "--steps", "-1"],
+    ["fourier", "harness", "--gevrey", "2", "--bump-depth", "0"],
+    ["fourier", "harness", "--gevrey", "2", "--bump-depth", "-1"],
+    ["quasi", "construct", "--rows", "1/0:q=1..2"],
+    ["quasi", "construct", "--rows", "1+1/q:q=1..1"],
+    ["quasi", "construct", "--rows", "1+1/q:q=3..1"],
+    ["quasi", "construct", "--rows", "().__class__:q=1..2"],
+    ["quasi", "construct", "--rows", "__import__('os'):q=1..2"],
+    ["quasi", "construct", "--rows", "q.__class__:q=1..2"],
 ])
 def test_out_of_domain_descriptor_value_is_exit_2(argv):
     res = subprocess.run(
@@ -77,6 +86,32 @@ def test_out_of_domain_descriptor_value_is_exit_2(argv):
     assert res.returncode == 2
     assert b"Traceback" not in res.stderr
     assert res.stderr.startswith(b"error: ")
+
+
+def test_tiny_rootpower_exponent_gives_log_witness(tmp_path):
+    # 2**ceil(1/alpha) is past the float range, so H is reported as log_H
+    code, rep = run(["analyze", "--weight", "rootpower:1e-300"], tmp_path)
+    assert code == 0
+    omega6 = rep["weight"]["omega6"]
+    assert omega6["status"] == "holds"
+    assert omega6["witness"]["log_H"] == pytest.approx(1e300 * math.log(2))
+    code, rep = run(["analyze", "--weight", "rootpower:1e-3"], tmp_path)
+    assert rep["weight"]["omega6"]["witness"] == {"H": 2.0 ** 1000}
+
+
+def test_config_records_parsed_argv_and_tolerances(tmp_path):
+    out = str(tmp_path / "r.json")
+    argv = ["analyze", "--seq", "gevrey:2", "--out", out]
+    assert main(argv) == 0
+    config = json.loads((tmp_path / "r.json").read_text())["config"]
+    assert config["argv"] == argv
+    assert sorted(config) == ["argv", "pmax", "tolerances", "version"]
+    assert sorted(config["tolerances"]) == [
+        "LOG_TOL", "SLOPE_TOL", "TAIL_CONSISTENCY_TOL"
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--seq", "gevrey:2", "--tol", "1e-9"])
+    assert exc.value.code == 2
 
 
 def test_precondition_failure_is_exit_3(tmp_path):

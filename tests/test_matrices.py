@@ -8,10 +8,23 @@ import weakref
 import numpy as np
 import pytest
 
-from wcalc.catalogue import gevrey, matrix_from_rows, power_index
+from wcalc import verdicts
+from wcalc.catalogue import (
+    bumpy_prefix,
+    gevrey,
+    matrix_battery,
+    matrix_from_rows,
+    power_index,
+    prefix_only,
+)
 from wcalc.errors import ClassMembershipFailed
 from wcalc.matrices import (
     CONDITION_NAMES,
+    _candidates,
+    _dc_pair,
+    _exists,
+    _forall,
+    _mg_pair,
     MultiIndexChain,
     WeightMatrix,
     build_gevrey_matrix,
@@ -29,7 +42,9 @@ from wcalc.matrices import (
     multi_index_step,
     relation_matrix,
 )
-from wcalc.sequences import LogWeightSequence
+from wcalc.sequences import LogWeightSequence, relation_preceq, relation_triangle
+from wcalc.serialize import dumps_canonical
+from wcalc.tails import FactorialPower, root_gap_limit
 from wcalc.weightfuncs import (
     associated_function,
     make_power_log_weight,
@@ -247,3 +262,179 @@ def test_rows_die_without_garbage_collection():
         assert all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+# -- the condition table against the branches it replaced --------------
+#
+# The reference is the previous branch-per-condition code, verbatim apart
+# from its names.  The table must give the same verdicts byte for byte.
+
+def ref_check_matrix_condition(M: WeightMatrix, condition: str):
+    if condition not in CONDITION_NAMES:
+        raise ValueError(f"unknown condition: {condition}")
+    name = condition
+
+    if name == "dc_roumieu":
+        return _forall(
+            zip(M.labels, M.rows),
+            lambda lbl, row: _exists(_candidates(M, "up"), lambda y: _dc_pair(row, y)),
+        )
+    if name == "dc_beurling":
+        return _forall(
+            zip(M.labels, M.rows),
+            lambda lbl, row: _exists(_candidates(M, "down"), lambda y: _dc_pair(y, row)),
+        )
+    if name == "mg_roumieu":
+        return _forall(
+            zip(M.labels, M.rows),
+            lambda lbl, row: _exists(_candidates(M, "up"), lambda y: _mg_pair(row, y)),
+        )
+    if name == "mg_beurling":
+        # x_1 = x_2 = the larger of any pair suffices since rows are ordered
+        return _forall(
+            zip(M.labels, M.rows),
+            lambda lbl, row: _exists(_candidates(M, "down"), lambda y: _mg_pair(y, row)),
+        )
+    if name in ("L_roumieu", "L_beurling"):
+        up = name == "L_roumieu"
+
+        def absorbs_all_C(row):
+            def pred(y):
+                g = root_gap_limit(*((row.tail, y.tail) if up else (y.tail, row.tail)))
+                if g is None:
+                    return verdicts.inconclusive("no tail")
+                if g == -math.inf:
+                    return verdicts.holds(absorbs="every C")
+                return verdicts.fails(gap_limit=g)
+
+            return _exists(_candidates(M, "up" if up else "down"), pred)
+
+        return _forall(zip(M.labels, M.rows), lambda lbl, row: absorbs_all_C(row))
+    if name in ("strict_roumieu", "strict_beurling"):
+        up = name == "strict_roumieu"
+
+        def strict_pred(row):
+            def pred(y):
+                g = root_gap_limit(*((y.tail, row.tail) if up else (row.tail, y.tail)))
+                if g is None:
+                    return verdicts.inconclusive("no tail")
+                if g == math.inf:
+                    return verdicts.holds(sup="+inf")
+                return verdicts.fails(gap_limit=g)
+
+            return _exists(_candidates(M, "up" if up else "down"), pred)
+
+        return _forall(zip(M.labels, M.rows), lambda lbl, row: strict_pred(row))
+    if name in ("BR_roumieu", "BR_beurling"):
+        up = name == "BR_roumieu"
+
+        def br_pred(row):
+            def pred(y):
+                return (
+                    relation_triangle(row, y) if up else relation_triangle(y, row)
+                )
+
+            return _exists(_candidates(M, "up" if up else "down"), pred)
+
+        return _forall(zip(M.labels, M.rows), lambda lbl, row: br_pred(row))
+
+    # analytic-containment conditions via the root behaviour of m = M/p!
+    def m_root_gap(row):
+        return root_gap_limit(row.tail, FactorialPower(1.0, 1.0))
+
+    if name == "Cw_roumieu":
+        for lbl, row in zip(M.labels, M.rows):
+            g = m_root_gap(row)
+            if g is not None and g > -math.inf:
+                return verdicts.holds(x=lbl, m_root_liminf_log=g)
+        if any(row.tail is None for row in M.rows):
+            return verdicts.inconclusive("rows without tails")
+        return verdicts.fails()
+    if name in ("H", "Cw_beurling"):
+        parts = {}
+        for lbl, row in zip(M.labels, M.rows):
+            g = m_root_gap(row)
+            if g is None:
+                parts[f"x={lbl:g}"] = verdicts.inconclusive("no tail")
+            elif name == "H":
+                parts[f"x={lbl:g}"] = (
+                    verdicts.holds(gap=g) if g > -math.inf else verdicts.fails()
+                )
+            else:
+                parts[f"x={lbl:g}"] = (
+                    verdicts.holds() if g == math.inf else verdicts.fails(gap=g)
+                )
+        return verdicts.conjunction(parts)
+    raise AssertionError(name)
+
+
+def ref_relation_matrix(M: WeightMatrix, N: WeightMatrix, kind: str):
+    if kind == "roumieu_preceq":
+        return _forall(
+            zip(M.labels, M.rows),
+            lambda lbl, row: _exists(
+                [(l, r, False) for l, r in zip(N.labels, N.rows)],
+                lambda y: relation_preceq(row, y),
+            ),
+        )
+    if kind == "beurling_preceq":
+        return _forall(
+            zip(N.labels, N.rows),
+            lambda lbl, rowN: _exists(
+                [(l, r, False) for l, r in zip(M.labels, M.rows)],
+                lambda x: relation_preceq(x, rowN),
+            ),
+        )
+    if kind == "roumieu_approx":
+        return verdicts.conjunction(
+            {
+                "forward": ref_relation_matrix(M, N, "roumieu_preceq"),
+                "backward": ref_relation_matrix(N, M, "roumieu_preceq"),
+            }
+        )
+    if kind == "beurling_approx":
+        return verdicts.conjunction(
+            {
+                "forward": ref_relation_matrix(M, N, "beurling_preceq"),
+                "backward": ref_relation_matrix(N, M, "beurling_preceq"),
+            }
+        )
+    if kind == "triangle":
+        parts = {}
+        for lx, rx in zip(M.labels, M.rows):
+            for ly, ry in zip(N.labels, N.rows):
+                parts[f"{lx:g}<|{ly:g}"] = relation_triangle(rx, ry)
+        return verdicts.conjunction(parts)
+    raise ValueError(f"unknown relation kind: {kind}")
+
+
+def comparison_matrices() -> dict:
+    out = dict(matrix_battery())
+    out["gevrey:0.5,1"] = build_gevrey_matrix((0.5, 1))
+    out["prefix-only"] = matrix_from_rows((prefix_only(1.5), prefix_only(2.5)))
+    out["bumpy"] = matrix_from_rows((gevrey(1.0, 60), bumpy_prefix()), (1.0, 2.0))
+    return out
+
+
+RELATION_KINDS = (
+    "roumieu_preceq", "beurling_preceq", "roumieu_approx", "beurling_approx", "triangle",
+)
+
+
+@pytest.mark.parametrize("name", sorted(comparison_matrices()))
+def test_condition_table_matches_branches(name):
+    M = comparison_matrices()[name]
+    for cond in CONDITION_NAMES:
+        got = dumps_canonical(check_matrix_condition(M, cond).to_json())
+        want = dumps_canonical(ref_check_matrix_condition(M, cond).to_json())
+        assert got == want, cond
+
+
+def test_relation_matrix_matches_branches():
+    mats = comparison_matrices()
+    for a, M in mats.items():
+        for b, N in mats.items():
+            for kind in RELATION_KINDS:
+                got = dumps_canonical(relation_matrix(M, N, kind).to_json())
+                want = dumps_canonical(ref_relation_matrix(M, N, kind).to_json())
+                assert got == want, (a, b, kind)
