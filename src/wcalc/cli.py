@@ -124,22 +124,26 @@ def parse_weight(desc: str) -> WeightFunction:
 def parse_matrix(args, pmax: int) -> WeightMatrix:
     if getattr(args, "gevrey", None):
         try:
-            return build_gevrey_matrix(tuple(_params(args.gevrey)), pmax)
+            M = build_gevrey_matrix(tuple(_params(args.gevrey)), pmax)
         except (TypeError, ValueError) as e:
             raise DescriptorError(str(e)) from None
-    if getattr(args, "matrix", None):
+    elif getattr(args, "matrix", None):
         desc = args.matrix
-        if desc.startswith("file:"):
-            d = _load_json(desc[5:])
-            labels = tuple(float(x) for x in d["labels"])
-            rows = []
-            for lbl in d["labels"]:
-                rd = dict(d["rows"][str(lbl)])
-                fam = rd.pop("family")
-                rows.append(SEQ_FAMILIES[fam](**rd))
-            return WeightMatrix(labels, tuple(rows), None, desc)
-        raise DescriptorError("matrix descriptor must be file:<path>")
-    raise DescriptorError("no matrix given (use --gevrey or --matrix)")
+        if not desc.startswith("file:"):
+            raise DescriptorError("matrix descriptor must be file:<path>")
+        d = _load_json(desc[5:])
+        labels = tuple(float(x) for x in d["labels"])
+        rows = []
+        for lbl in d["labels"]:
+            rd = dict(d["rows"][str(lbl)])
+            fam = rd.pop("family")
+            rows.append(SEQ_FAMILIES[fam](**rd))
+        M = WeightMatrix(labels, tuple(rows), None, desc)
+    else:
+        raise DescriptorError("no matrix given (use --gevrey or --matrix)")
+    if not M.rows:
+        raise DescriptorError("the matrix has no rows")
+    return M
 
 
 def _emit(args, report: dict) -> None:
@@ -169,17 +173,18 @@ def cmd_analyze(args) -> int:
     report: dict = {}
     if args.seq:
         seq = parse_sequence(args.seq, args.pmax)
+        lc = check_log_convex(seq)
         report["sequence"] = {
             "label": seq.label,
             "P": seq.P,
             "normalized": seq.is_normalized(),
-            "lc": check_log_convex(seq).to_json("lc"),
+            "lc": lc.to_json("lc"),
             "LC": check_in_LC(seq).to_json("LC"),
             "mg": check_moderate_growth(seq).to_json("mg"),
             "nq": check_nq(seq).to_json("nq"),
             "beta3": check_beta3(seq).to_json("beta3"),
         }
-        if check_log_convex(seq).holds:
+        if lc.holds:
             report["sequence"]["carleman_consistency"] = (
                 check_carleman_consistency(seq).to_json("carleman")
             )
@@ -387,9 +392,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
+    global _parser
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    if _parser is None:
+        # built on first use, not at import; parse_args returns a fresh
+        # Namespace every call, so one parser serves every report
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     args.argv = argv
     try:
         return args.fn(args)

@@ -13,6 +13,7 @@ numpy's log, exp and power may round differently in the last bit.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -224,15 +225,16 @@ def _mg_prefix_constant(L: np.ndarray) -> tuple[float, int, int]:
 
 def check_moderate_growth(seq: LogWeightSequence) -> Verdict:
     best, j, m = _mg_prefix_constant(seq.L)
-    C = math.exp(best)
     if seq.tail is None:
-        return verdicts.inconclusive("prefix only", prefix_C=C, at=(j, m - j))
+        return verdicts.inconclusive(
+            "prefix only", **verdicts.exp_witness("prefix_C", best), at=(j, m - j)
+        )
     kind = seq.tail.asymptote()[0]
     if kind == "log":
         # L_p = O(p log p) with slowly varying increments keeps the
         # defect (L_{j+k} - L_j - L_k)/(j+k) bounded
-        return verdicts.holds(C=C, at=(j, m - j))
-    return verdicts.fails(divergent_defect=True, prefix_C=C)
+        return verdicts.holds(**verdicts.exp_witness("C", best), at=(j, m - j))
+    return verdicts.fails(divergent_defect=True, **verdicts.exp_witness("prefix_C", best))
 
 
 def _series_converges(asym: tuple) -> bool:
@@ -243,6 +245,13 @@ def _series_converges(asym: tuple) -> bool:
 
 def _mu_partial_sum(seq: LogWeightSequence) -> float:
     return float(np.sum(np.exp(-np.diff(seq.L))))
+
+
+def _mu_remainder(seq: LogWeightSequence) -> float:
+    """sum of 1/mu_p over P < p <= P + 2000 from the tail.  exp and the sum
+    stay scalar and in order, so the float equals the scalar mu_log loop."""
+    mu_log = np.diff(seq.tail.log_values(np.arange(seq.P, seq.P + 2001)))
+    return sum(map(math.exp, (-mu_log).tolist()))
 
 
 def check_nq(seq: LogWeightSequence) -> Verdict:
@@ -257,10 +266,7 @@ def check_nq(seq: LogWeightSequence) -> Verdict:
         return verdicts.holds(sum_low=partial + lo, sum_high=partial + hi)
     # convergence decided by the asymptotic key; extend the sum far enough
     # that the remainder is visibly small, report without a certified bracket
-    ext = sum(
-        math.exp(-seq.tail.mu_log(p)) for p in range(seq.P + 1, seq.P + 2001)
-    )
-    return verdicts.holds(sum_low=partial + ext, certified_bracket=False)
+    return verdicts.holds(sum_low=partial + _mu_remainder(seq), certified_bracket=False)
 
 
 def _root_series_verdict(seq: LogWeightSequence) -> Verdict:
@@ -324,11 +330,29 @@ def _prefix_gaps(M: LogWeightSequence, N: LogWeightSequence) -> np.ndarray:
     return (M.L[1 : P + 1] - N.L[1 : P + 1]) / ps
 
 
+def _sampled_roots(seq: LogWeightSequence, ps: np.ndarray) -> np.ndarray:
+    """seq.root at the integer points ps: stored values up to seq.P, the
+    tail in one log_values call beyond it."""
+    stored = ps <= seq.P
+    logs = np.empty_like(ps)
+    logs[stored] = seq.L[ps[stored].astype(int)]
+    logs[~stored] = seq.tail.log_values(ps[~stored])
+    return logs / ps
+
+
+@functools.lru_cache(maxsize=32)
+def _gap_sample_points(P: int) -> np.ndarray:
+    """About 40 integer points from P + 1 to 1e6, geometrically spaced."""
+    ps = np.unique(np.round(np.geomspace(P + 1, 1e6, 40)))
+    ps.flags.writeable = False
+    return ps
+
+
 def _sampled_gap_sup(M: LogWeightSequence, N: LogWeightSequence) -> float:
     """Root-gap samples beyond the shared prefix (both tails required)."""
-    P = min(M.P, N.P)
-    ps = np.unique(np.round(np.geomspace(P + 1, 1e6, 40)))
-    return max(M.root(p) - N.root(p) for p in ps)
+    ps = _gap_sample_points(min(M.P, N.P))
+    # Python max keeps the scalar loop's first-maximum and nan semantics
+    return max((_sampled_roots(M, ps) - _sampled_roots(N, ps)).tolist())
 
 
 def relation_preceq(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
@@ -341,7 +365,7 @@ def relation_preceq(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
     if g == math.inf:
         return verdicts.fails(gap_limit="+inf")
     sup = max(prefix_sup, g, _sampled_gap_sup(M, N))
-    return verdicts.holds(C1=math.exp(sup), gap_limit=g)
+    return verdicts.holds(**verdicts.exp_witness("C1", sup), gap_limit=g)
 
 
 def relation_triangle(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:

@@ -7,58 +7,105 @@ byte-identical reports.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
 from .sequences import LogWeightSequence
 
 
+_str = json.encoder.encode_basestring_ascii     # json.dumps(s) for a str s
+
+
+def _str_key(item) -> str:
+    return str(item[0])
+
+
 def _float_str(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
     s = format(x, ".17g")
+    if "." in s or "e" in s:
+        return s
+    if "n" in s:                 # nan, inf, -inf are quoted
+        return f'"{s}"'
     # make sure the token parses as a JSON number
-    if "e" not in s and "." not in s and "n" not in s:
-        s += ".0"
-    return s
+    return s + ".0"
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    pad1 = "  " * (indent + 1)
+    out: list[str] = []
+    _encode(obj, indent, out)
+    return "".join(out)
+
+
+def _encode(obj, indent: int, out: list[str]) -> None:
+    """Append the canonical text of obj to out.  The common node types are
+    dispatched on their exact type; subclasses, numpy scalars and to_json
+    objects take the general branches of _encode_other."""
+    t = type(obj)
+    if t is float:
+        out.append(_float_str(obj))
+    elif t is str:
+        out.append(_str(obj))
+    elif t is dict:
+        _encode_dict(obj, indent, out)
+    elif t is list or t is tuple or t is np.ndarray:
+        _encode_list(list(obj), indent, out)
+    else:
+        _encode_other(obj, indent, out)
+
+
+def _encode_dict(obj, indent: int, out: list[str]) -> None:
+    if not obj:
+        out.append("{}")
+        return
+    pad1 = "\n" + "  " * (indent + 1)
+    sep = "{" + pad1
+    for k, v in sorted(obj.items(), key=_str_key):
+        out.append(sep)
+        out.append(_str(str(k)))
+        out.append(": ")
+        if type(v) is float:
+            out.append(_float_str(v))
+        else:
+            _encode(v, indent + 1, out)
+        sep = "," + pad1
+    out.append("\n" + "  " * indent + "}")
+
+
+def _encode_list(seq: list, indent: int, out: list[str]) -> None:
+    if not seq:
+        out.append("[]")
+        return
+    pad1 = "\n" + "  " * (indent + 1)
+    sep = "[" + pad1
+    for v in seq:
+        out.append(sep)
+        if type(v) is float:
+            out.append(_float_str(v))
+        else:
+            _encode(v, indent + 1, out)
+        sep = "," + pad1
+    out.append("\n" + "  " * indent + "]")
+
+
+def _encode_other(obj, indent: int, out: list[str]) -> None:
     if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _float_str(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        body = ",\n".join(
-            f"{pad1}{json.dumps(str(k))}: {dumps_canonical(v, indent + 1)}"
-            for k, v in items
-        )
-        return "{\n" + body + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        body = ",\n".join(
-            f"{pad1}{dumps_canonical(v, indent + 1)}" for v in seq
-        )
-        return "[\n" + body + "\n" + pad + "]"
-    if hasattr(obj, "to_json"):
-        return dumps_canonical(obj.to_json(), indent)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_float_str(float(obj)))
+    elif isinstance(obj, str):
+        out.append(_str(obj))
+    elif isinstance(obj, dict):
+        _encode_dict(obj, indent, out)
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        _encode_list(list(obj), indent, out)
+    elif hasattr(obj, "to_json"):
+        _encode(obj.to_json(), indent, out)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def write_report(path: str | None, report: dict) -> str:

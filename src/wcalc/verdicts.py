@@ -8,6 +8,7 @@ is either Holds, Fails or Inconclusive.  Holds/Fails always carry a witness
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -61,6 +62,15 @@ def fails(**witness: Any) -> Verdict:
 
 def inconclusive(reason: str, **witness: Any) -> Verdict:
     return Verdict(Status.INCONCLUSIVE, witness, reason)
+
+
+def exp_witness(name: str, log_value: float) -> dict[str, float]:
+    """{name: exp(log_value)}, or {"log_" + name: log_value} when the
+    exponential is past the float range."""
+    try:
+        return {name: math.exp(log_value)}
+    except OverflowError:
+        return {"log_" + name: log_value}
 
 
 def conjunction(parts: dict[str, Verdict]) -> Verdict:

@@ -78,6 +78,10 @@ def test_missing_descriptor_file_is_exit_2(tmp_path, argv):
     ["quasi", "construct", "--rows", "().__class__:q=1..2"],
     ["quasi", "construct", "--rows", "__import__('os'):q=1..2"],
     ["quasi", "construct", "--rows", "q.__class__:q=1..2"],
+    ["matrix", "conditions", "--gevrey", ","],
+    ["matrix", "stability", "--gevrey", ","],
+    ["matrix", "chain", "--gevrey", ","],
+    ["fourier", "harness", "--gevrey", ","],
 ])
 def test_out_of_domain_descriptor_value_is_exit_2(argv):
     res = subprocess.run(
@@ -86,6 +90,20 @@ def test_out_of_domain_descriptor_value_is_exit_2(argv):
     assert res.returncode == 2
     assert b"Traceback" not in res.stderr
     assert res.stderr.startswith(b"error: ")
+
+
+def test_file_matrix_without_rows_is_exit_2(tmp_path, capsys):
+    desc = tmp_path / "empty.json"
+    desc.write_text(json.dumps({"labels": [], "rows": {}}))
+    assert main(["matrix", "conditions", "--matrix", f"file:{desc}"]) == 2
+    assert "no rows" in capsys.readouterr().err
+
+
+def test_tiny_rootpower_dossier_reports_log_constants(tmp_path):
+    # exp of the root-gap constant C1 is past the float range
+    code, rep = run(["matrix", "dossier", "--weight", "rootpower:0.001"], tmp_path)
+    assert code == 0
+    assert '"log_C1"' in json.dumps(rep)
 
 
 def test_tiny_rootpower_exponent_gives_log_witness(tmp_path):

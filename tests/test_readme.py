@@ -1,4 +1,5 @@
-"""Every command in the README's CLI block runs and succeeds."""
+"""Every command in the README's CLI block runs and succeeds, and gives the
+same report in a fresh interpreter as in one process that runs them all."""
 
 import os
 import re
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from wcalc import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -18,18 +21,77 @@ def readme_commands():
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("wcalc ")]
 
 
+def _report(argv, cwd, stdout: bytes) -> bytes:
+    """The report a successful command wrote: its --out file, else stdout."""
+    if "--out" in argv:
+        return (Path(cwd) / argv[argv.index("--out") + 1]).read_bytes()
+    return stdout
+
+
+@pytest.fixture(scope="module")
+def fresh_run(tmp_path_factory):
+    """Run a command in a fresh interpreter, once per argv:
+    (completed process, report bytes or None on failure)."""
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    runs = {}
+
+    def run(argv):
+        if tuple(argv) not in runs:
+            cwd = tmp_path_factory.mktemp("fresh")
+            res = subprocess.run(
+                [sys.executable, "-m", "wcalc.cli", *argv],
+                capture_output=True, cwd=cwd, env=env, timeout=300,
+            )
+            report = _report(argv, cwd, res.stdout) if res.returncode == 0 else None
+            runs[tuple(argv)] = (res, report)
+        return runs[tuple(argv)]
+
+    return run
+
+
+@pytest.fixture
+def in_process(tmp_path, monkeypatch, capsys):
+    """Run a command through cli.main in this process; its report bytes."""
+    monkeypatch.chdir(tmp_path)
+
+    def run(argv):
+        capsys.readouterr()
+        assert cli.main(argv) == 0, shlex.join(argv)
+        return _report(argv, tmp_path, capsys.readouterr().out.encode())
+
+    return run
+
+
 def test_readme_commands_found():
     assert readme_commands()
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=shlex.join)
-def test_readme_command_runs(argv, tmp_path):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    res = subprocess.run(
-        [sys.executable, "-m", "wcalc.cli", *argv],
-        capture_output=True, cwd=tmp_path, env=env, timeout=300,
-    )
+def test_readme_command_runs(argv, fresh_run):
+    res, _ = fresh_run(argv)
     assert res.returncode == 0, res.stderr.decode(errors="replace")
     assert b"Traceback" not in res.stderr
+
+
+def test_readme_commands_reenter_one_process(fresh_run, in_process):
+    # forwards, then backwards: no report may depend on what ran before it
+    commands = readme_commands()
+    for argv in commands + commands[::-1]:
+        assert in_process(argv) == fresh_run(argv)[1], shlex.join(argv)
+
+
+def test_parse_errors_and_options_do_not_leak_between_calls(fresh_run, in_process):
+    identity = ["matrix", "chain", "--gevrey", "2", "--steps", "2", "--check-identity"]
+    plain = ["matrix", "chain", "--gevrey", "2", "--steps", "2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--seq", "gevrey:2", "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert in_process(identity) == fresh_run(identity)[1]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["matrix", "no-such-action", "--gevrey", "2"])
+    assert exc.value.code == 2
+    report = in_process(plain)
+    assert report == fresh_run(plain)[1]
+    assert b"integer_step_identity_error" not in report

@@ -313,3 +313,79 @@ def barely_convex(draw):
 def test_min_plus_kernel_matches_loop_near_rounding(L):
     _assert_kernel_matches_loop(L)
     assert _mg_prefix_constant(L) == _loop_mg_prefix_constant(L)
+
+
+# -- array paths against the scalar loops they replaced ------------------
+
+def _gap_sup_loop(M, N):
+    """The scalar root-gap sampler: one LogWeightSequence.root per point."""
+    P = min(M.P, N.P)
+    ps = np.unique(np.round(np.geomspace(P + 1, 1e6, 40)))
+    return max(M.root(p) - N.root(p) for p in ps)
+
+
+def _mu_remainder_loop(seq):
+    """The scalar remainder: one Tail.mu_log per index."""
+    return sum(
+        math.exp(-seq.tail.mu_log(p)) for p in range(seq.P + 1, seq.P + 2001)
+    )
+
+
+def _tailed_rows():
+    from wcalc.catalogue import matrix_battery, sequence_battery
+    from wcalc.matrices import MultiIndexChain, multi_index_step
+
+    rows = {k: s for k, s in sequence_battery().items() if s.tail is not None}
+    for name in ("gevrey-matrix:1,2,3", "omega-matrix:powerlog2",
+                 "omega-matrix:rootpower2"):
+        M = matrix_battery()[name]
+        for l in (0.5, 2.0):
+            chain = multi_index_step(MultiIndexChain(M, (), None), l)
+            for lbl, row in zip(M.labels, chain.current.rows):
+                rows[f"{name};x={lbl:g};l={l:g}"] = row
+        for lbl, row in zip(M.labels, M.rows):
+            rows[f"{name};x={lbl:g}"] = row
+    # stored values that differ from the tail within the consistency
+    # tolerance: a sample at or below P must read the stored value
+    g = gevrey(2.0, 200)
+    rows["gevrey:2;nudged"] = LogWeightSequence(g.L * (1.0 + 1e-10), g.tail, 0, "nudged")
+    assert all(r.tail is not None for r in rows.values())
+    return rows
+
+
+def _same_float(a, b):
+    return repr(float(a)) == repr(float(b))
+
+
+def test_sampled_gap_sup_matches_scalar_loop():
+    from wcalc.sequences import _sampled_gap_sup
+
+    rows = list(_tailed_rows().items())
+    assert len({r.P for _, r in rows}) > 1     # pairs whose two P differ
+    for a, M in rows:
+        for b, N in rows:
+            assert _same_float(_sampled_gap_sup(M, N), _gap_sup_loop(M, N)), (a, b)
+
+
+def test_mu_remainder_matches_scalar_loop():
+    from wcalc.sequences import _mu_remainder
+
+    rows = _tailed_rows()
+    reached = 0
+    for name, seq in rows.items():
+        assert _same_float(_mu_remainder(seq), _mu_remainder_loop(seq)), name
+        v = check_nq(seq)
+        if v.witness.get("certified_bracket") is False:
+            reached += 1
+            partial = float(np.sum(np.exp(-np.diff(seq.L))))
+            assert _same_float(v.witness["sum_low"], partial + _mu_remainder_loop(seq))
+    assert reached     # some rows decide nq through the remainder
+
+
+def test_exp_witness_switches_to_log_past_the_float_range():
+    from wcalc.verdicts import exp_witness
+
+    assert exp_witness("C", 1.0) == {"C": math.exp(1.0)}
+    assert exp_witness("C", 1e4) == {"log_C": 1e4}
+    v = check_moderate_growth(power_index(2.0, 3.0))
+    assert v.fails and v.witness["log_prefix_C"] > 709.0

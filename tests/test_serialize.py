@@ -1,0 +1,121 @@
+"""Canonical JSON: the flat encoder against the recursive one it replaced."""
+
+import json
+import math
+import shlex
+
+import numpy as np
+import pytest
+
+from test_readme import readme_commands
+from wcalc import cli, serialize
+from wcalc.serialize import dumps_canonical
+from wcalc.verdicts import holds
+
+
+def float_text(x: float) -> str:
+    if math.isnan(x):
+        return '"nan"'
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    s = format(x, ".17g")
+    # make sure the token parses as a JSON number
+    if "e" not in s and "." not in s and "n" not in s:
+        s += ".0"
+    return s
+
+
+def dumps_recursive(obj, indent: int = 0) -> str:
+    """The recursive canonical encoder, one call per node."""
+    pad = "  " * indent
+    pad1 = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return float_text(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=True)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
+        body = ",\n".join(
+            f"{pad1}{json.dumps(str(k))}: {dumps_recursive(v, indent + 1)}"
+            for k, v in items
+        )
+        return "{\n" + body + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        body = ",\n".join(f"{pad1}{dumps_recursive(v, indent + 1)}" for v in seq)
+        return "[\n" + body + "\n" + pad + "]"
+    if hasattr(obj, "to_json"):
+        return dumps_recursive(obj.to_json(), indent)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+class _Label(str):
+    pass
+
+
+class _Row(tuple):
+    pass
+
+
+class _Table(dict):
+    pass
+
+
+EDGE_CASES = [
+    None, True, False, 0, -7, 2 ** 70, np.int64(-3), np.int32(5),
+    0.0, -0.0, 1.0, 1e300, -2.5e-310, math.nan, math.inf, -math.inf, 0.1,
+    np.float64(1 / 3), np.float32(0.1), np.float64(math.nan), np.float64(-math.inf),
+    "", "plain", "quote\" back\\slash\nnewline", "café ω \U0001d4c2",
+    _Label("sub"), {}, [], (), np.array([]),
+    {"b": 1, "a": [1.0, (2, 3.5)], 3: None, (1, 2): "tuple key", 1.5: -0.0},
+    {1: "int one", "1": "str one"},   # equal str keys keep insertion order
+    [[], {}, [[]], [{}], ()], (1.0, "x", None, True),
+    np.array([1.0, np.nan, -np.inf]), np.array([[1, 2], [3, 4]]),
+    np.arange(3, dtype=np.int64), _Row((1.0, 2)), _Table(z=1.0, a=[_Label("y")]),
+    holds(C=2.0, at=(1, 2)), {"verdict": holds(x=np.float64(0.5))},
+    [1.0, [2.0, [3.0, [4.0, {"deep": [5.0]}]]]],
+]
+
+
+@pytest.mark.parametrize("obj", EDGE_CASES, ids=repr)
+@pytest.mark.parametrize("indent", [0, 2])
+def test_flat_encoder_matches_recursive(obj, indent):
+    assert dumps_canonical(obj, indent) == dumps_recursive(obj, indent)
+
+
+@pytest.mark.parametrize("obj", [
+    object(), {"k": {1, 2}}, [1.0, b"bytes"], np.array(1.0), np.bool_(True),
+])
+def test_flat_encoder_refuses_what_the_recursive_one_refuses(obj):
+    with pytest.raises(TypeError):
+        dumps_recursive(obj)
+    with pytest.raises(TypeError):
+        dumps_canonical(obj)
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=shlex.join)
+def test_readme_reports_match_recursive_encoder(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    written = []
+    write_report = serialize.write_report
+
+    def capture(path, report):
+        text = write_report(path, report)
+        written.append((report, text))
+        return text
+
+    monkeypatch.setattr(serialize, "write_report", capture)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    [(report, text)] = written
+    assert text == dumps_recursive(report) + "\n"
