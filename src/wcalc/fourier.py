@@ -12,15 +12,32 @@ Trefethen, *Spectral Methods in MATLAB*, SIAM 2000).  So the work is done
 once where it can be, and every seminorm or Fourier-norm probe is arithmetic
 on the results:
 
-* once per function, cached on the SampledFunction and freed with it: the
-  grid, one forward FFT with its frequencies, resolved mask and band-edge
-  flag, and for each order k one inverse FFT, kept only as the table entry
-  (sup over K of |f^(k)|, where it is attained, sup over the grid) or as the
-  refusal's type and message;
+* once per grid (n, dx, x0), in a small bounded cache of read-only arrays
+  shared by every function sampled on it: the abscissae, the angular
+  frequencies in fft order with their argsort, and the grid-offset phases
+  exp(-i xi x0) of compute_spectrum and exp(i xi x0) of bump_builder;
+* once per function, cached on the SampledFunction and freed with it: one
+  forward FFT with its modulus, the indices of the resolved band and the
+  band-edge flag, and for each order k one inverse FFT, kept only as the
+  table entry (sup over K of |f^(k)|, where it is attained, sup over the
+  grid) or as the refusal's type and message.  The derivative multiplier
+  (i xi)^k and the peak test are evaluated on the resolved band only; the
+  other bins are zero before the inverse FFT, as they were when masked;
 * once per (function, row): the associated function of the row's
   log-convex minorant and omega(|xi|) on the spectrum grid (fourier_norm);
 * once per harness call: each row's associated function and each derived
   row sequence_from_weight(omega, l, k_max), shared by the whole battery.
+
+bump_builder builds its spectrum on the bins 0..n/2 and fills the others
+with the conjugate mirror.  This gives the full-grid product bit for bit:
+fftfreq's negative bins are exact negations of the positive ones, sinc and
+cos are even and sin is odd, and numpy multiplies complex by real as by
+(s + 0j), which is what the separate real and imaginary products compute.
+The grid-offset phase is then applied on the full grid as the *left*
+operand, phase * F.  numpy's SIMD complex multiply is not commutative bit
+for bit, and the reference product F * np.exp(1j xi x0) elides its
+temporary, so numpy computes it as exp(...) * F; F * phase changes the
+last bits of every bump whose support is not centred at 0.
 """
 from __future__ import annotations
 
@@ -83,11 +100,33 @@ def support_function(K: CompactBox, t) -> float:
     )
 
 
+class _Grid(NamedTuple):
+    """The read-only arrays of one grid x0 + dx * arange(n)."""
+    xs: np.ndarray           # abscissae
+    xi: np.ndarray           # angular frequency of each bin, fft order
+    order: np.ndarray        # argsort(xi): fft order to increasing xi
+    phase_in: np.ndarray     # exp(-1j xi x0), into the continuous transform
+    phase_out: np.ndarray    # exp(1j xi x0), back onto the grid
+
+
+@functools.lru_cache(maxsize=4)
+def _grid(n: int, dx: float, x0: float) -> _Grid:
+    xi = 2 * np.pi * np.fft.fftfreq(n, d=dx)
+    return _Grid(
+        _frozen(x0 + dx * np.arange(n)),
+        _frozen(xi),
+        _frozen(np.argsort(xi)),
+        _frozen(np.exp(-1j * xi * x0)),
+        _frozen(np.exp(1j * xi * x0)),
+    )
+
+
 class _Transform(NamedTuple):
     """One forward FFT of a function's samples and its resolved band."""
     F: np.ndarray            # unnormalized DFT, fft order
+    absF: np.ndarray         # |F|
     xi: np.ndarray           # angular frequency of each bin, fft order
-    kept: np.ndarray         # bins above the noise floor
+    band: np.ndarray         # increasing indices of the bins above the noise floor
     edge: float              # largest resolved |xi| (nan when nothing is)
     truncated: bool          # the band reaches the grid edge, not the floor
 
@@ -106,8 +145,9 @@ class _Refusal(NamedTuple):
 class SampledFunction:
     """Samples on the grid x0 + dx * arange(n); values become read-only float64.
 
-    The grid, the forward FFT, the derivative-sup table and the Fourier-norm
-    rows are filled on first use and cached on the instance.
+    The forward FFT, the derivative-sup table and the Fourier-norm rows are
+    filled on first use and cached on the instance; the grid's arrays come
+    from the shared per-grid cache.
     """
     x0: float
     dx: float
@@ -136,19 +176,19 @@ class SampledFunction:
     def n(self) -> int:
         return len(self.values)
 
-    @functools.cached_property
+    @property
     def xs(self) -> np.ndarray:
-        return _frozen(self.x0 + self.dx * np.arange(self.n))
+        return _grid(self.n, self.dx, self.x0).xs
 
     @functools.cached_property
     def _transform(self) -> _Transform:
         F = _frozen(np.fft.fft(self.values))
-        xi = _frozen(2 * np.pi * np.fft.fftfreq(self.n, d=self.dx))
-        absF = np.abs(F)
-        kept = _frozen(absF > MASK_REL * np.max(absF))
-        edge = float(np.max(np.abs(xi[kept]))) if np.any(kept) else math.nan
+        xi = _grid(self.n, self.dx, self.x0).xi
+        absF = _frozen(np.abs(F))
+        band = _frozen(np.flatnonzero(absF > MASK_REL * np.max(absF)))
+        edge = float(np.max(np.abs(xi[band]))) if band.size else math.nan
         truncated = edge >= 0.99 * np.max(np.abs(xi))
-        return _Transform(F, xi, kept, edge, bool(truncated))
+        return _Transform(F, absF, xi, band, edge, bool(truncated))
 
     @functools.cached_property
     def _band(self) -> "_Band":
@@ -174,10 +214,10 @@ class SpectralData:
 
 
 def compute_spectrum(f: SampledFunction) -> SpectralData:
-    t = f._transform
+    t, g = f._transform, _grid(f.n, f.dx, f.x0)
     # continuous transform at xi_j needs the grid-offset phase
-    F = f.dx * t.F * np.exp(-1j * t.xi * f.x0)
-    order = np.argsort(t.xi)
+    F = f.dx * t.F * g.phase_in
+    order = g.order
     return SpectralData(
         _frozen(t.xi[order]), _frozen(np.abs(F[order])), 2 * np.pi / (f.n * f.dx)
     )
@@ -192,9 +232,10 @@ def check_parseval(f: SampledFunction, spec: SpectralData) -> float:
 
 def spectral_derivative(f: SampledFunction, k: int) -> np.ndarray:
     """k-th derivative on the grid, refusing orders past the noise floor."""
-    F, xi, kept, edge, truncated = f._transform
+    F, absF, xi, band, edge, truncated = f._transform
+    xi_band = xi[band]
     if k > 0:
-        if not np.any(kept):
+        if not band.size:
             raise DerivativeOrderUnreliable("empty resolved band")
         if truncated:
             # never saw the spectrum reach the floor: the grid derivative
@@ -202,14 +243,16 @@ def spectral_derivative(f: SampledFunction, k: int) -> np.ndarray:
             raise DerivativeOrderUnreliable(
                 f"order {k}: spectrum unresolved at the grid edge"
             )
-        grown = np.where(kept, np.abs(F) * np.abs(xi) ** k, 0.0)
-        peak_xi = abs(xi[int(np.argmax(grown))])
+        grown = absF[band] * np.abs(xi_band) ** k
+        peak_xi = abs(xi_band[int(np.argmax(grown))])
         if peak_xi >= edge * (1 - 1e-9):
             raise DerivativeOrderUnreliable(
                 f"order {k}: integrand peaks at the mask boundary"
             )
-    mult = np.where(kept, (1j * xi) ** k, 0.0)
-    return np.real(np.fft.ifft(mult * F))
+    # masked bins stay zero: the multiplier is evaluated on the band only
+    D = np.zeros(f.n, dtype=complex)
+    D[band] = (1j * xi_band) ** k * F[band]
+    return np.real(np.fft.ifft(D))
 
 
 def _derivative_sup(f: SampledFunction, k: int, K: CompactBox) -> tuple[float, float, float]:
@@ -256,12 +299,6 @@ def seminorm_derivative(
     return SeminormResult(best, bk, bx, tuple(per))
 
 
-def _resolved_band(spec: SpectralData):
-    m = spec.mod_arr
-    floor = MASK_REL * np.max(m) if np.max(m) > 0 else 0.0
-    return m > floor
-
-
 class _Band(NamedTuple):
     """fourier_norm's view of one function's spectrum, whatever the row and h."""
     spec: SpectralData
@@ -274,7 +311,8 @@ class _Band(NamedTuple):
 
 def _spectral_band(spec: SpectralData) -> _Band:
     m = spec.mod_arr
-    kept = _frozen(_resolved_band(spec))
+    floor = MASK_REL * np.max(m) if np.max(m) > 0 else 0.0
+    kept = _frozen(m > floor)
     xi = np.abs(spec.xi_arr)
     if not np.any(kept):                # the zero function
         return _Band(spec, kept, False, math.nan, math.nan, math.nan)
@@ -376,11 +414,12 @@ def check_lemma53_ii(
     Lv = check_matrix_condition(M, "L_roumieu")
     if not Lv.holds:
         raise HypothesisNotCertified("matrix lacks the L condition")
-    spec = compute_spectrum(f)
+    band = f._band
+    spec = band.spec
     m = spec.mod_arr
     if np.max(m) == 0.0:
         return verdicts.holds(trivial=True)
-    kept = _resolved_band(spec) & (spec.xi_arr > 0)
+    kept = band.kept & (spec.xi_arr > 0)
     xi = spec.xi_arr[kept]
     mod = m[kept]
     lamK = f.support.volume
@@ -448,18 +487,30 @@ def bump_builder(
     span = 4.0 * width
     x0 = center - span / 2
     dx = span / n
-    xi = 2 * np.pi * np.fft.fftfreq(n, d=dx)
+    g = _grid(n, dx, x0)
+    # the spectrum is real-symmetric: build it on the bins 0..n//2 and
+    # mirror the rest (exact; see the module docstring)
+    m = n // 2 + 1
+    xi = g.xi[:m]
     # indicator of the core interval
     with np.errstate(divide="ignore", invalid="ignore"):
-        F = np.where(
+        half = np.where(
             xi == 0,
             core_hi - core_lo,
             (np.exp(-1j * xi * core_lo) - np.exp(-1j * xi * core_hi)) / (1j * xi),
         )
+    re, im = half.real.copy(), half.imag.copy()
     for wd in widths:
-        F = F * np.sinc(xi * wd / (2 * np.pi))
-    vals = np.real(np.fft.ifft(F * np.exp(1j * xi * x0))) / dx
-    xs = x0 + dx * np.arange(n)
+        s = np.sinc(xi * wd / (2 * np.pi))
+        re *= s
+        im *= s
+    F = np.empty(n, dtype=complex)
+    F.real[:m], F.imag[:m] = re, im
+    F.real[m:] = re[n - m : 0 : -1]
+    F.imag[m:] = -im[n - m : 0 : -1]
+    # phase on the left: complex multiply is not commutative bit for bit
+    vals = np.real(np.fft.ifft(g.phase_out * F)) / dx
+    xs = g.xs
     vals[(xs < a) | (xs > b)] = 0.0
     vals[np.abs(vals) < 1e-16] = 0.0
     return SampledFunction(x0, dx, vals, K)

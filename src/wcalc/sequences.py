@@ -349,10 +349,15 @@ def _gap_sample_points(P: int) -> np.ndarray:
 
 
 def _sampled_gap_sup(M: LogWeightSequence, N: LogWeightSequence) -> float:
-    """Root-gap samples beyond the shared prefix (both tails required)."""
+    """Root-gap samples beyond the shared prefix (both tails required).
+
+    A tail may overflow far out (RootPowerDualTail for a tiny exponent);
+    such points are left out, since inf - inf is no gap."""
     ps = _gap_sample_points(min(M.P, N.P))
-    # Python max keeps the scalar loop's first-maximum and nan semantics
-    return max((_sampled_roots(M, ps) - _sampled_roots(N, ps)).tolist())
+    rM, rN = _sampled_roots(M, ps), _sampled_roots(N, ps)
+    both = np.isfinite(rM) & np.isfinite(rN)
+    # Python max keeps the scalar loop's first maximum
+    return max((rM[both] - rN[both]).tolist(), default=-math.inf)
 
 
 def relation_preceq(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:

@@ -118,19 +118,23 @@ def write_report(path: str | None, report: dict) -> str:
 
 # -- CSV ----------------------------------------------------------------
 
+def _csv_column(name: str, col) -> list[str]:
+    """The CSV text of one column: an integral p as an int, otherwise
+    17 significant digits."""
+    vals = np.asarray(col).tolist()
+    if name == "p":
+        return [
+            str(int(v)) if float(v).is_integer() else format(v, ".17g")
+            for v in vals
+        ]
+    return [format(v, ".17g") for v in vals]
+
+
 def write_columns_csv(path: str, header: tuple[str, ...], *cols) -> None:
-    arrs = [np.asarray(c) for c in cols]
+    columns = [_csv_column(h, c) for h, c in zip(header, cols)]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*arrs):
-            fh.write(
-                ",".join(
-                    str(int(v)) if float(v).is_integer() and h == "p"
-                    else format(float(v), ".17g")
-                    for h, v in zip(header, row)
-                )
-                + "\n"
-            )
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_sequence_csv(path: str, seq: LogWeightSequence) -> None:

@@ -106,6 +106,34 @@ def test_tiny_rootpower_dossier_reports_log_constants(tmp_path):
     assert '"log_C1"' in json.dumps(rep)
 
 
+def _constants(node, names=("C1", "log_C1")):
+    if isinstance(node, dict):
+        for k, v in node.items():
+            if k in names:
+                yield v
+            yield from _constants(v, names)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _constants(v, names)
+
+
+def test_overflowing_tail_samples_give_finite_root_gap_constants():
+    # the omega-matrix rows' tails overflow far out; the sampled root-gap
+    # sup skips those points instead of reporting C1 = inf (or nan)
+    res = subprocess.run(
+        [sys.executable, "-m", "wcalc.cli", "matrix", "dossier",
+         "--weight", "rootpower:1e-300"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0
+    assert res.stderr == ""
+    values = list(_constants(json.loads(res.stdout)))
+    assert len(values) >= 6
+    for v in values:
+        assert isinstance(v, float) and math.isfinite(v), v
+    assert sum(1 for _ in _constants(json.loads(res.stdout), ("log_C1",))) == 3
+
+
 def test_tiny_rootpower_exponent_gives_log_witness(tmp_path):
     # 2**ceil(1/alpha) is past the float range, so H is reported as log_H
     code, rep = run(["analyze", "--weight", "rootpower:1e-300"], tmp_path)

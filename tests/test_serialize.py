@@ -9,6 +9,7 @@ import pytest
 
 from test_readme import readme_commands
 from wcalc import cli, serialize
+from wcalc.catalogue import gevrey
 from wcalc.serialize import dumps_canonical
 from wcalc.verdicts import holds
 
@@ -119,3 +120,47 @@ def test_readme_reports_match_recursive_encoder(argv, tmp_path, monkeypatch, cap
     capsys.readouterr()
     [(report, text)] = written
     assert text == dumps_recursive(report) + "\n"
+
+
+# -- column-wise CSV against the row loop it replaced ---------------------
+
+def write_columns_csv_rows(path, header, *cols):
+    """The row loop: one float() and format per value."""
+    arrs = [np.asarray(c) for c in cols]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*arrs):
+            fh.write(
+                ",".join(
+                    str(int(v)) if float(v).is_integer() and h == "p"
+                    else format(float(v), ".17g")
+                    for h, v in zip(header, row)
+                )
+                + "\n"
+            )
+
+
+CSV_COLUMNS = {
+    "trace": (("p", "logM"), np.arange(5001), gevrey(2.0, 5000).L),
+    "non-integral p": (
+        ("p", "logM"),
+        np.array([0.0, 0.5, 2.0, -3.0, 1e20, 2.5e-7]),
+        np.array([0.0, -0.0, 1 / 3, 1e300, -2.5e-310, 7.0]),
+    ),
+    "non-finite": (
+        ("p", "x", "y"),
+        np.array([math.nan, math.inf, -math.inf, 4.0]),
+        np.array([math.nan, math.inf, -math.inf, 0.1]),
+        np.array([1, -2, 3, 2 ** 40]),
+    ),
+    "no rows": (("p", "logM"), np.arange(0), np.zeros(0)),
+    "ragged": (("p", "logM"), np.arange(4), np.array([1.5, 2.5, 3.5])),
+}
+
+
+@pytest.mark.parametrize("name", CSV_COLUMNS)
+def test_column_csv_matches_row_loop(name, tmp_path):
+    header, *cols = CSV_COLUMNS[name]
+    serialize.write_columns_csv(str(tmp_path / "cols.csv"), header, *cols)
+    write_columns_csv_rows(str(tmp_path / "rows.csv"), header, *cols)
+    assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
