@@ -72,12 +72,35 @@ def _params(text: str) -> list[float]:
     return out
 
 
-def _load_json(path: str) -> dict:
+def _build(maker, *args, **kwargs):
+    """maker(*args, **kwargs); a value outside its domain is a parse error."""
+    try:
+        return maker(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise DescriptorError(str(e)) from None
+
+
+def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as e:
         raise DescriptorError(str(e)) from None
+    except ValueError as e:                 # not JSON
+        raise DescriptorError(f"{path}: {e}") from None
+
+
+def _sequence_from_json(d, where: str) -> LogWeightSequence:
+    """A sequence from {"family": ..., <family parameters>, "label"?}."""
+    if not isinstance(d, dict):
+        raise DescriptorError(f"{where}: expected a JSON object with a \"family\"")
+    params = dict(d)
+    fam = params.pop("family", None)
+    label = params.pop("label", None)
+    if not isinstance(fam, str) or fam not in SEQ_FAMILIES:
+        raise DescriptorError(f"{where}: unknown family {fam!r}")
+    seq = _build(SEQ_FAMILIES[fam], **params)
+    return seq.with_label(label) if label else seq
 
 
 def parse_sequence(desc: str, pmax: int) -> LogWeightSequence:
@@ -87,23 +110,14 @@ def parse_sequence(desc: str, pmax: int) -> LogWeightSequence:
     head, rest = desc.split(":", 1)
     if head == "file":
         if rest.endswith(".json"):
-            d = _load_json(rest)
-            fam = d.pop("family")
-            label = d.pop("label", None)
-            seq = SEQ_FAMILIES[fam](**d) if fam in SEQ_FAMILIES else None
-            if seq is None:
-                raise DescriptorError(f"unknown family {fam!r}")
-            return seq.with_label(label) if label else seq
+            return _sequence_from_json(_load_json(rest), rest)
         try:
             return serialize.read_sequence_csv(rest)
         except (OSError, ValueError) as e:
             raise DescriptorError(str(e)) from None
     if head not in SEQ_FAMILIES:
         raise DescriptorError(f"unknown sequence family {head!r}")
-    try:
-        return SEQ_FAMILIES[head](*_params(rest), pmax=pmax)
-    except (TypeError, ValueError) as e:
-        raise DescriptorError(str(e)) from None
+    return _build(SEQ_FAMILIES[head], *_params(rest), pmax=pmax)
 
 
 def parse_weight(desc: str) -> WeightFunction:
@@ -115,30 +129,32 @@ def parse_weight(desc: str) -> WeightFunction:
     makers = {"powerlog": make_power_log_weight, "rootpower": make_root_power_weight}
     if head not in makers:
         raise DescriptorError(f"unknown weight family {head!r}")
-    try:
-        return makers[head](*_params(rest))
-    except (TypeError, ValueError) as e:
-        raise DescriptorError(str(e)) from None
+    return _build(makers[head], *_params(rest))
 
 
 def parse_matrix(args, pmax: int) -> WeightMatrix:
     if getattr(args, "gevrey", None):
-        try:
-            M = build_gevrey_matrix(tuple(_params(args.gevrey)), pmax)
-        except (TypeError, ValueError) as e:
-            raise DescriptorError(str(e)) from None
+        M = _build(build_gevrey_matrix, tuple(_params(args.gevrey)), pmax)
     elif getattr(args, "matrix", None):
         desc = args.matrix
         if not desc.startswith("file:"):
             raise DescriptorError("matrix descriptor must be file:<path>")
-        d = _load_json(desc[5:])
-        labels = tuple(float(x) for x in d["labels"])
-        rows = []
-        for lbl in d["labels"]:
-            rd = dict(d["rows"][str(lbl)])
-            fam = rd.pop("family")
-            rows.append(SEQ_FAMILIES[fam](**rd))
-        M = WeightMatrix(labels, tuple(rows), None, desc)
+        path = desc[5:]
+        d = _load_json(path)
+        try:
+            rows = [(float(x), d["rows"][str(x)]) for x in d["labels"]]
+        except (KeyError, TypeError, ValueError) as e:
+            raise DescriptorError(
+                f'{path}: expected {{"labels": [...], "rows": {{...}}}} '
+                f"with a row for every label ({type(e).__name__}: {e})"
+            ) from None
+        M = _build(
+            WeightMatrix,
+            tuple(x for x, _ in rows),
+            tuple(_sequence_from_json(r, f"{path} row {x:g}") for x, r in rows),
+            None,
+            desc,
+        )
     else:
         raise DescriptorError("no matrix given (use --gevrey or --matrix)")
     if not M.rows:

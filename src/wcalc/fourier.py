@@ -14,19 +14,25 @@ on the results:
 
 * once per grid (n, dx, x0), in a small bounded cache of read-only arrays
   shared by every function sampled on it: the abscissae, the angular
-  frequencies in fft order with their argsort, and the grid-offset phases
-  exp(-i xi x0) of compute_spectrum and exp(i xi x0) of bump_builder;
-* once per function, cached on the SampledFunction and freed with it: one
-  forward FFT with its modulus, the indices of the resolved band and the
-  band-edge flag, and for each order k one inverse FFT, kept only as the
-  table entry (sup over K of |f^(k)|, where it is attained, sup over the
-  grid) or as the refusal's type and message.  The derivative multiplier
-  (i xi)^k and the peak test are evaluated on the resolved band only; the
-  other bins are zero before the inverse FFT, as they were when masked;
+  frequencies in fft order and in increasing order with the argsort between
+  them, and the grid-offset phases exp(-i xi x0) of compute_spectrum and
+  exp(i xi x0) of bump_builder;
+* once per function, as the one SpectralData that compute_spectrum builds
+  on first use and keeps on the SampledFunction: one forward FFT and its
+  modulus, the noise-floor mask |F| > MASK_REL max |F| decided once, with
+  the band indices, the band edge and whether the grid truncates the band;
+  the increasing-xi view of the continuous transform that fourier_norm and
+  check_lemma53_ii integrate over; and the exponential fit to the last
+  resolved octave that bounds the tail beyond the band;
+* once per (function, order k): one inverse FFT, kept only as the table
+  entry (sup over K of |f^(k)|, where it is attained, sup over the grid) or
+  as the refusal's type and message.  The derivative multiplier (i xi)^k
+  and the peak test are evaluated on the band only; the other bins are zero
+  before the inverse FFT, as they were when masked;
 * once per (function, row): the associated function of the row's
   log-convex minorant and omega(|xi|) on the spectrum grid (fourier_norm);
-* once per harness call: each row's associated function and each derived
-  row sequence_from_weight(omega, l, k_max), shared by the whole battery.
+* once per harness call: each derived row sequence_from_weight(omega, l,
+  K_MAX), shared by the whole battery.
 
 bump_builder builds its spectrum on the bins 0..n/2 and fills the others
 with the conjugate mirror.  This gives the full-grid product bit for bit:
@@ -62,6 +68,8 @@ from .verdicts import Verdict
 from .weightfuncs import WeightFunction, associated_function, sequence_from_weight
 
 MASK_REL = 1e-13
+GRID_N = 2 ** 14        # samples per grid
+K_MAX = 10              # highest derivative order probed
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -105,6 +113,7 @@ class _Grid(NamedTuple):
     xs: np.ndarray           # abscissae
     xi: np.ndarray           # angular frequency of each bin, fft order
     order: np.ndarray        # argsort(xi): fft order to increasing xi
+    xi_sorted: np.ndarray    # xi[order]
     phase_in: np.ndarray     # exp(-1j xi x0), into the continuous transform
     phase_out: np.ndarray    # exp(1j xi x0), back onto the grid
 
@@ -112,23 +121,15 @@ class _Grid(NamedTuple):
 @functools.lru_cache(maxsize=4)
 def _grid(n: int, dx: float, x0: float) -> _Grid:
     xi = 2 * np.pi * np.fft.fftfreq(n, d=dx)
+    order = np.argsort(xi)
     return _Grid(
         _frozen(x0 + dx * np.arange(n)),
         _frozen(xi),
-        _frozen(np.argsort(xi)),
+        _frozen(order),
+        _frozen(xi[order]),
         _frozen(np.exp(-1j * xi * x0)),
         _frozen(np.exp(1j * xi * x0)),
     )
-
-
-class _Transform(NamedTuple):
-    """One forward FFT of a function's samples and its resolved band."""
-    F: np.ndarray            # unnormalized DFT, fft order
-    absF: np.ndarray         # |F|
-    xi: np.ndarray           # angular frequency of each bin, fft order
-    band: np.ndarray         # increasing indices of the bins above the noise floor
-    edge: float              # largest resolved |xi| (nan when nothing is)
-    truncated: bool          # the band reaches the grid edge, not the floor
 
 
 class _Refusal(NamedTuple):
@@ -145,7 +146,7 @@ class _Refusal(NamedTuple):
 class SampledFunction:
     """Samples on the grid x0 + dx * arange(n); values become read-only float64.
 
-    The forward FFT, the derivative-sup table and the Fourier-norm rows are
+    The spectrum, the derivative-sup table and the Fourier-norm rows are
     filled on first use and cached on the instance; the grid's arrays come
     from the shared per-grid cache.
     """
@@ -153,7 +154,9 @@ class SampledFunction:
     dx: float
     values: np.ndarray
     support: CompactBox
-    # (k, a, b) -> _derivative_sup entry; id(seq) -> _NormRow
+    # compute_spectrum's result; (k, a, b) -> _derivative_sup entry;
+    # id(seq) -> _NormRow
+    _spectrum: "SpectralData | None" = field(default=None, init=False, repr=False)
     _sups: dict = field(default_factory=dict, init=False, repr=False)
     _norm_rows: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -180,72 +183,90 @@ class SampledFunction:
     def xs(self) -> np.ndarray:
         return _grid(self.n, self.dx, self.x0).xs
 
-    @functools.cached_property
-    def _transform(self) -> _Transform:
-        F = _frozen(np.fft.fft(self.values))
-        xi = _grid(self.n, self.dx, self.x0).xi
-        absF = _frozen(np.abs(F))
-        band = _frozen(np.flatnonzero(absF > MASK_REL * np.max(absF)))
-        edge = float(np.max(np.abs(xi[band]))) if band.size else math.nan
-        truncated = edge >= 0.99 * np.max(np.abs(xi))
-        return _Transform(F, absF, xi, band, edge, bool(truncated))
-
-    @functools.cached_property
-    def _band(self) -> "_Band":
-        return _spectral_band(compute_spectrum(self))
-
     def scale(self, c: float) -> "SampledFunction":
         return SampledFunction(self.x0, self.dx, c * self.values, self.support)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    xi: np.ndarray                  # fftshifted, increasing; read-only
-    modulus: np.ndarray             # read-only
-    weight: float                   # uniform quadrature weight d xi
-
-    @property
-    def xi_arr(self) -> np.ndarray:
-        return self.xi
-
-    @property
-    def mod_arr(self) -> np.ndarray:
-        return self.modulus
+    """Everything that one forward FFT tells about a function; read-only."""
+    F: np.ndarray            # unnormalized DFT, fft order
+    absF: np.ndarray         # |F|
+    band: np.ndarray         # increasing indices of the bins above the noise floor
+    edge: float              # largest resolved |xi| (nan when nothing is)
+    truncated: bool          # the band reaches the grid edge, not the floor
+    xi: np.ndarray           # increasing angular frequencies, shared by the grid
+    modulus: np.ndarray      # |continuous transform| at xi
+    weight: float            # uniform quadrature weight d xi
+    kept: np.ndarray         # the band as a mask on xi
+    # exponential decay fitted on the last resolved octave, for the tail
+    # beyond the band (nan when the band is empty or truncated)
+    xi_edge: float           # last resolved positive frequency
+    m_edge: float            # the modulus there
+    c_decay: float           # decay rate per unit xi
 
 
 def compute_spectrum(f: SampledFunction) -> SpectralData:
-    t, g = f._transform, _grid(f.n, f.dx, f.x0)
+    """f's spectrum, built from one forward FFT on first use and kept on f.
+
+    The noise-floor mask |F| > MASK_REL max |F| is decided here once; the
+    derivatives, the weighted norms and the decay test all read it."""
+    if f._spectrum is not None:
+        return f._spectrum
+    g = _grid(f.n, f.dx, f.x0)
+    F = _frozen(np.fft.fft(f.values))
+    absF = _frozen(np.abs(F))
+    mask = absF > MASK_REL * np.max(absF)
+    band = _frozen(np.flatnonzero(mask))
+    edge = float(np.max(np.abs(g.xi[band]))) if band.size else math.nan
+    truncated = bool(edge >= 0.99 * np.max(np.abs(g.xi)))
     # continuous transform at xi_j needs the grid-offset phase
-    F = f.dx * t.F * g.phase_in
-    order = g.order
-    return SpectralData(
-        _frozen(t.xi[order]), _frozen(np.abs(F[order])), 2 * np.pi / (f.n * f.dx)
+    m = _frozen(np.abs((f.dx * F * g.phase_in)[g.order]))
+    kept = _frozen(mask[g.order])
+    xi_edge = m_edge = c_decay = math.nan
+    if band.size and not truncated:
+        # tail beyond the resolved edge: fit exponential decay on the last
+        # resolved octave (fourier_norm bounds the rest by a geometric integral)
+        xi = np.abs(g.xi_sorted)
+        pos = kept & (g.xi_sorted > 0)
+        xi_edge = float(np.max(xi[pos]))
+        oct_sel = pos & (xi >= xi_edge / 2)
+        A = np.vstack([np.ones(np.sum(oct_sel)), xi[oct_sel]]).T
+        coef, *_ = np.linalg.lstsq(A, np.log(m[oct_sel]), rcond=None)
+        m_edge = m[pos][np.argmax(xi[pos])]
+        c_decay = -float(coef[1])
+    spec = SpectralData(
+        F, absF, band, edge, truncated, g.xi_sorted, m, 2 * np.pi / (f.n * f.dx),
+        kept, xi_edge, m_edge, c_decay,
     )
+    object.__setattr__(f, "_spectrum", spec)
+    return spec
 
 
 def check_parseval(f: SampledFunction, spec: SpectralData) -> float:
     """Relative mismatch of the two energy computations."""
     lhs = np.sum(f.values ** 2) * f.dx
-    rhs = np.sum(spec.mod_arr ** 2) * spec.weight / (2 * np.pi)
+    rhs = np.sum(spec.modulus ** 2) * spec.weight / (2 * np.pi)
     return abs(lhs - rhs) / max(lhs, 1e-300)
 
 
 def spectral_derivative(f: SampledFunction, k: int) -> np.ndarray:
     """k-th derivative on the grid, refusing orders past the noise floor."""
-    F, absF, xi, band, edge, truncated = f._transform
-    xi_band = xi[band]
+    s = compute_spectrum(f)
+    band, F = s.band, s.F
+    xi_band = _grid(f.n, f.dx, f.x0).xi[band]
     if k > 0:
         if not band.size:
             raise DerivativeOrderUnreliable("empty resolved band")
-        if truncated:
+        if s.truncated:
             # never saw the spectrum reach the floor: the grid derivative
             # would describe the band-limited interpolant, not the function
             raise DerivativeOrderUnreliable(
                 f"order {k}: spectrum unresolved at the grid edge"
             )
-        grown = absF[band] * np.abs(xi_band) ** k
+        grown = s.absF[band] * np.abs(xi_band) ** k
         peak_xi = abs(xi_band[int(np.argmax(grown))])
-        if peak_xi >= edge * (1 - 1e-9):
+        if peak_xi >= s.edge * (1 - 1e-9):
             raise DerivativeOrderUnreliable(
                 f"order {k}: integrand peaks at the mask boundary"
             )
@@ -266,10 +287,12 @@ def _derivative_sup(f: SampledFunction, k: int, K: CompactBox) -> tuple[float, f
         except DerivativeOrderUnreliable as e:
             entry = _Refusal(type(e), str(e))
         else:
-            sel = (f.xs >= a) & (f.xs <= b)
-            dK = d[sel]
+            # the grid is increasing, so K is one slice of it
+            xs = f.xs
+            lo = int(np.searchsorted(xs, a, "left"))
+            dK = d[lo : np.searchsorted(xs, b, "right")]
             i = int(np.argmax(dK))
-            entry = (float(dK[i]), float(f.xs[sel][i]), float(np.max(d)))
+            entry = (float(dK[i]), float(xs[lo + i]), float(np.max(d)))
         f._sups[key] = entry
     if isinstance(entry, _Refusal):
         raise entry.kind(entry.message)
@@ -299,36 +322,6 @@ def seminorm_derivative(
     return SeminormResult(best, bk, bx, tuple(per))
 
 
-class _Band(NamedTuple):
-    """fourier_norm's view of one function's spectrum, whatever the row and h."""
-    spec: SpectralData
-    kept: np.ndarray         # resolved band of the modulus
-    truncated: bool          # the band ends at the grid, not by decay
-    xi_edge: float           # last resolved positive frequency
-    m_edge: float            # the modulus there
-    c_decay: float           # decay rate per unit xi over the last octave
-
-
-def _spectral_band(spec: SpectralData) -> _Band:
-    m = spec.mod_arr
-    floor = MASK_REL * np.max(m) if np.max(m) > 0 else 0.0
-    kept = _frozen(m > floor)
-    xi = np.abs(spec.xi_arr)
-    if not np.any(kept):                # the zero function
-        return _Band(spec, kept, False, math.nan, math.nan, math.nan)
-    if np.max(xi[kept]) >= 0.99 * np.max(xi):
-        return _Band(spec, kept, True, math.nan, math.nan, math.nan)
-    # tail beyond the resolved edge: fit exponential decay on the last
-    # resolved octave (fourier_norm bounds the rest by a geometric integral)
-    pos = kept & (spec.xi_arr > 0)
-    xi_edge = float(np.max(xi[pos]))
-    oct_sel = pos & (xi >= xi_edge / 2)
-    A = np.vstack([np.ones(np.sum(oct_sel)), xi[oct_sel]]).T
-    coef, *_ = np.linalg.lstsq(A, np.log(m[oct_sel]), rcond=None)
-    m_edge = m[pos][np.argmax(xi[pos])]
-    return _Band(spec, kept, False, xi_edge, m_edge, -float(coef[1]))
-
-
 class _NormRow(NamedTuple):
     """What fourier_norm needs of one (function, row), whatever h is."""
     seq: LogWeightSequence   # keeps id(seq), the cache key, from being reused
@@ -338,15 +331,16 @@ class _NormRow(NamedTuple):
     om_edge: float           # omega at the band edge
 
 
-def _norm_row(f: SampledFunction, seq: LogWeightSequence, band: _Band) -> _NormRow:
+def _norm_row(f: SampledFunction, seq: LogWeightSequence) -> _NormRow:
     row = f._norm_rows.get(id(seq))
     if row is None:
+        spec = compute_spectrum(f)
         w = associated_function(lc_minorant(seq))
-        if band.truncated:
+        if spec.truncated:
             row = _NormRow(seq, w, None, math.nan, math.nan)
         else:
-            xi_edge = band.xi_edge
-            om = _frozen(w.omega(np.maximum(np.abs(band.spec.xi_arr), 1.0)))
+            xi_edge = spec.xi_edge
+            om = _frozen(w.omega(np.maximum(np.abs(spec.xi), 1.0)))
             om_slope = float(
                 (w.omega(xi_edge * 1.01) - w.omega(xi_edge)) / (0.01 * xi_edge)
             )
@@ -359,24 +353,24 @@ def fourier_norm(
     f: SampledFunction, seq: LogWeightSequence, h: float
 ) -> tuple[float, float]:
     """Bracket for int |f^(xi)| exp(h omega(|xi|)) d xi."""
-    band = f._band
-    m = band.spec.mod_arr
+    spec = compute_spectrum(f)
+    m = spec.modulus
     if np.max(m) == 0.0:
         return (0.0, 0.0)
-    row = _norm_row(f, seq, band)
-    if band.truncated:
+    row = _norm_row(f, seq)
+    if spec.truncated:
         # decay was never observed down to the noise floor, so no
         # extrapolation beyond the grid can be certified
         raise TailDominates("resolved band truncated by the grid, not by decay")
-    integrand = np.where(band.kept, m * np.exp(h * row.om), 0.0)
-    inner = float(np.sum(integrand) * band.spec.weight)
-    c_eff = band.c_decay - h * row.om_slope
+    integrand = np.where(spec.kept, m * np.exp(h * row.om), 0.0)
+    inner = float(np.sum(integrand) * spec.weight)
+    c_eff = spec.c_decay - h * row.om_slope
     if c_eff <= 0:
         raise TailDominates(
-            f"decay {band.c_decay:.3g} per unit xi cannot beat weight growth "
+            f"decay {spec.c_decay:.3g} per unit xi cannot beat weight growth "
             f"{h * row.om_slope:.3g} at the band edge"
         )
-    edge_val = float(band.m_edge * math.exp(h * row.om_edge))
+    edge_val = float(spec.m_edge * math.exp(h * row.om_edge))
     tail = 2.0 * edge_val / c_eff          # both signs of xi
     hi = inner + tail
     if tail > 0.1 * hi:
@@ -384,21 +378,19 @@ def fourier_norm(
     return (inner, hi)
 
 
-def check_lemma53_i(
-    f: SampledFunction, seq: LogWeightSequence, h: float, k_max: int = 10
-) -> Verdict:
+def check_lemma53_i(f: SampledFunction, seq: LogWeightSequence, h: float) -> Verdict:
     """Derivative bounds from the weighted spectral integral."""
     hull = lc_minorant(seq)
-    if k_max / h > hull.P:
+    if K_MAX / h > hull.P:
         raise DomainExceeded(
-            f"conjugate needed at {k_max / h:g} but slopes end at {hull.P}"
+            f"conjugate needed at {K_MAX / h:g} but slopes end at {hull.P}"
         )
     lo, hi = fourier_norm(f, seq, h)
     if hi == 0.0:
         return verdicts.holds(trivial=True, C=0.0)
-    w = _norm_row(f, seq, f._band).w
+    w = _norm_row(f, seq).w
     worst = 0.0
-    for k in range(k_max + 1):
+    for k in range(K_MAX + 1):
         _, _, sup = _derivative_sup(f, k, f.support)
         bound = hi / (2 * math.pi) * math.exp(h * w.phi_star(k / h))
         worst = max(worst, sup / bound)
@@ -414,13 +406,12 @@ def check_lemma53_ii(
     Lv = check_matrix_condition(M, "L_roumieu")
     if not Lv.holds:
         raise HypothesisNotCertified("matrix lacks the L condition")
-    band = f._band
-    spec = band.spec
-    m = spec.mod_arr
+    spec = compute_spectrum(f)
+    m = spec.modulus
     if np.max(m) == 0.0:
         return verdicts.holds(trivial=True)
-    kept = band.kept & (spec.xi_arr > 0)
-    xi = spec.xi_arr[kept]
+    kept = spec.kept & (spec.xi > 0)
+    xi = spec.xi[kept]
     mod = m[kept]
     lamK = f.support.volume
     C = None
@@ -458,9 +449,7 @@ def check_lemma53_ii(
 
 # -- synthesis ----------------------------------------------------------
 
-def bump_builder(
-    K: CompactBox, seq: LogWeightSequence, depth: int, n: int = 2 ** 14
-) -> SampledFunction:
+def bump_builder(K: CompactBox, seq: LogWeightSequence, depth: int) -> SampledFunction:
     """Indicator convolved with depth box kernels of widths 1/mu_p.
 
     The construction is done in the frequency domain (product of sinc
@@ -486,6 +475,7 @@ def bump_builder(
     center = 0.5 * (a + b)
     span = 4.0 * width
     x0 = center - span / 2
+    n = GRID_N
     dx = span / n
     g = _grid(n, dx, x0)
     # the spectrum is real-symmetric: build it on the bins 0..n//2 and
@@ -516,40 +506,35 @@ def bump_builder(
     return SampledFunction(x0, dx, vals, K)
 
 
-def standard_bump(n: int = 2 ** 14, halfwidth: float = 1.0) -> SampledFunction:
-    """exp(-1/(1 - (x/w)^2)) on [-w, w], grid spanning four widths."""
-    span = 8.0 * halfwidth
-    x0 = -span / 2
-    dx = span / n
-    xs = x0 + dx * np.arange(n)
-    u = xs / halfwidth
-    vals = np.zeros(n)
-    inside = np.abs(u) < 1.0
-    vals[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-    return SampledFunction(
-        x0, dx, vals, CompactBox(((-halfwidth, halfwidth),))
-    )
+# the two fixed test functions live on [-1, 1], on a grid spanning four widths
+_UNIT = CompactBox(((-1.0, 1.0),))
+_UNIT_X0, _UNIT_DX = -4.0, 8.0 / GRID_N
 
 
-def indicator_control(n: int = 2 ** 14, halfwidth: float = 1.0) -> SampledFunction:
+def standard_bump() -> SampledFunction:
+    """exp(-1/(1 - x^2)) on [-1, 1]."""
+    xs = _grid(GRID_N, _UNIT_DX, _UNIT_X0).xs
+    vals = np.zeros(GRID_N)
+    inside = np.abs(xs) < 1.0
+    vals[inside] = np.exp(-1.0 / (1.0 - xs[inside] ** 2))
+    return SampledFunction(_UNIT_X0, _UNIT_DX, vals, _UNIT)
+
+
+def indicator_control() -> SampledFunction:
     """Sharp indicator; the canonical non-member of every smooth class."""
-    span = 8.0 * halfwidth
-    x0 = -span / 2
-    dx = span / n
-    xs = x0 + dx * np.arange(n)
-    vals = np.where(np.abs(xs) <= halfwidth, 1.0, 0.0)
-    return SampledFunction(
-        x0, dx, vals, CompactBox(((-halfwidth, halfwidth),))
-    )
+    xs = _grid(GRID_N, _UNIT_DX, _UNIT_X0).xs
+    vals = np.where(np.abs(xs) <= 1.0, 1.0, 0.0)
+    return SampledFunction(_UNIT_X0, _UNIT_DX, vals, _UNIT)
 
 
 @functools.lru_cache(maxsize=2)
-def _bump_half_samples(n: int, dps: int):
+def _bump_half_samples(dps: int):
     """(dx, (f(0), f(dx), ..., f(m dx))): the standard bump's nonzero samples
-    at x = j dx >= 0 on the n-point grid over [-2, 2), computed at dps digits.
+    at x = j dx >= 0 on the GRID_N-point grid over [-2, 2), at dps digits.
     """
     import mpmath as mp
 
+    n = GRID_N
     with mp.workdps(dps):
         dx = mp.mpf(4) / n
         fs = []
@@ -561,7 +546,7 @@ def _bump_half_samples(n: int, dps: int):
     return dx, tuple(fs)
 
 
-def reference_spectrum_standard_bump(xis, n: int = 2 ** 14, dps: int = 80):
+def reference_spectrum_standard_bump(xis, dps: int = 80):
     """High-precision |f^| of the standard bump at the given frequencies.
 
     Plain double-precision FFT bottoms out near 1e-16 while the true
@@ -586,11 +571,11 @@ def reference_spectrum_standard_bump(xis, n: int = 2 ** 14, dps: int = 80):
     1e-27.  Rounded to float, the moduli are therefore those of the
     direct complex sum over all n samples unless the exact value lies that
     close to a rounding boundary.  The samples are kept for the two most
-    recent (n, dps).
+    recent precisions.
     """
     import mpmath as mp
 
-    dx, fs = _bump_half_samples(n, dps)
+    dx, fs = _bump_half_samples(dps)
     out = []
     with mp.workdps(dps):
         for xi in xis:
@@ -630,25 +615,25 @@ def _trend_classify(per_order: tuple[float, ...]) -> str:
     return "open"
 
 
-def _derivative_indicator(f, M: WeightMatrix, k_max: int, h_grid) -> str:
+def _derivative_indicator(f, M: WeightMatrix, h_grid) -> str:
     for row in M.rows:
         for h in h_grid:
             try:
-                res = seminorm_derivative(f, row, f.support, h, k_max)
+                res = seminorm_derivative(f, row, f.support, h, K_MAX)
             except DerivativeOrderUnreliable:
                 # failing already at low order with spectral mass at the band
                 # edge means the function is certified non-smooth at grid scale
-                return "negative" if f._band.truncated else "open"
+                return "negative" if compute_spectrum(f).truncated else "open"
             if _trend_classify(res.per_order) == "finite":
                 return "positive"
     return "negative"
 
 
-def _weightfn_indicator(f, M: WeightMatrix, k_max: int, l_grid, derived_row) -> str:
+def _weightfn_indicator(f, M: WeightMatrix, l_grid, derived_row) -> str:
     for i in range(len(M.rows)):
         for l in l_grid:
             try:
-                res = seminorm_derivative(f, derived_row(i, l), f.support, 1.0, k_max)
+                res = seminorm_derivative(f, derived_row(i, l), f.support, 1.0, K_MAX)
             except DerivativeOrderUnreliable:
                 return "negative"
             if _trend_classify(res.per_order) == "finite":
@@ -667,12 +652,7 @@ def _fourier_indicator(f, M: WeightMatrix, h_grid) -> str:
     return "negative"
 
 
-def theorem51_harness(
-    M: WeightMatrix,
-    bump_depth: int = 30,
-    k_max: int = 10,
-    extra_functions: dict | None = None,
-) -> dict:
+def theorem51_harness(M: WeightMatrix, bump_depth: int = 30) -> dict:
     """Battery equality check of the three membership routes."""
     for cond in ("L_roumieu", "mg_roumieu"):
         if not check_matrix_condition(M, cond).holds:
@@ -684,23 +664,16 @@ def theorem51_harness(
 
     # each function is built just before it is probed, so only one
     # function's spectral caches are alive at a time
-    K = CompactBox(((-1.0, 1.0),))
     battery: dict = {}
     for lbl, row in zip(M.labels, M.rows):
-        battery[f"bump:{lbl:g}"] = functools.partial(bump_builder, K, row, bump_depth)
+        battery[f"bump:{lbl:g}"] = functools.partial(bump_builder, _UNIT, row, bump_depth)
     battery["control:indicator"] = indicator_control
-    battery["control:single-mollify"] = functools.partial(bump_builder, K, M.rows[0], 1)
-    if extra_functions:
-        battery.update({name: (lambda f=f: f) for name, f in extra_functions.items()})
+    battery["control:single-mollify"] = functools.partial(bump_builder, _UNIT, M.rows[0], 1)
 
-    # weight rows depend on the matrix only, so every function shares them
-    @functools.cache
-    def omega_row(i: int) -> WeightFunction:
-        return associated_function(M.rows[i])
-
+    # derived rows depend on the matrix only, so every function shares them
     @functools.cache
     def derived_row(i: int, l: float) -> LogWeightSequence:
-        return sequence_from_weight(omega_row(i), l, k_max)
+        return sequence_from_weight(associated_function(M.rows[i]), l, K_MAX)
 
     h_small = (0.02, 0.05, 0.1)
     h_semi = (1.0, 2.0, 4.0, 8.0)
@@ -708,8 +681,8 @@ def theorem51_harness(
     report: dict = {"functions": {}, "disagreements": []}
     for name, build in battery.items():
         f = build()
-        deriv = _derivative_indicator(f, M, k_max, h_semi)
-        weight = _weightfn_indicator(f, M, k_max, l_grid, derived_row)
+        deriv = _derivative_indicator(f, M, h_semi)
+        weight = _weightfn_indicator(f, M, l_grid, derived_row)
         four = _fourier_indicator(f, M, h_small)
         del f
         decided = [v for v in (deriv, weight, four) if v != "open"]

@@ -155,14 +155,14 @@ def _dc_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
     if g is None:
         return verdicts.inconclusive("no tail", prefix_sup=prefix)
     if g == -math.inf:
-        return verdicts.holds(C=math.exp(max(prefix, 0.0)))
+        return verdicts.holds(**verdicts.exp_witness("C", max(prefix, 0.0)))
     if g == math.inf:
         return verdicts.fails(gap_limit="+inf")
     kx, ky = _keys(x, y)
     if kx[0] == "poly" and ky[0] == "poly" and kx[1] > 1.0:
         # shift by one index adds kappa*(gamma+1)*j**(gamma-1), unbounded
         return verdicts.fails(unbounded_shift_defect=True)
-    return verdicts.holds(C=math.exp(max(prefix, g) + 0.1))
+    return verdicts.holds(**verdicts.exp_witness("C", max(prefix, g) + 0.1))
 
 
 def _mg_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
@@ -172,7 +172,7 @@ def _mg_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
     best = float(np.max((x.L[1 : P + 1] - mins[1:]) / np.arange(1, P + 1)))
     g = root_gap_limit(x.tail, y.tail)
     if g is None:
-        return verdicts.inconclusive("no tail", prefix_C=math.exp(best))
+        return verdicts.inconclusive("no tail", **verdicts.exp_witness("prefix_C", best))
     kx, ky = _keys(x, y)
     if kx[0] == "log" and ky[0] == "log":
         ok = kx[1] <= ky[1]
@@ -185,8 +185,8 @@ def _mg_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
     else:
         ok = kx[0] == "log"
     if ok:
-        return verdicts.holds(C=math.exp(max(best, 0.0) + 0.1))
-    return verdicts.fails(prefix_C=math.exp(best), divergent_diagonal=True)
+        return verdicts.holds(**verdicts.exp_witness("C", max(best, 0.0) + 0.1))
+    return verdicts.fails(**verdicts.exp_witness("prefix_C", best), divergent_diagonal=True)
 
 
 def _L_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
@@ -579,7 +579,7 @@ def check_L_consequences(M: WeightMatrix) -> Verdict:
                         D = float(
                             np.max(js * math.log(h) + xa.L[1 : P + 1] - yb.L[1 : P + 1])
                         )
-                        return verdicts.holds(b=b, D=math.exp(max(D, 0.0)))
+                        return verdicts.holds(b=b, **verdicts.exp_witness("D", max(D, 0.0)))
                 return verdicts.fails()
 
             return _exists(_candidates(M, "up"), pred)

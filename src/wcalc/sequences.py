@@ -172,7 +172,7 @@ def check_in_LC(seq: LogWeightSequence) -> Verdict:
         kind, u, v = seq.tail.asymptote()
         if kind == "poly" or u > 0:
             return verdicts.holds(root_growth=(kind, u, v))
-        return verdicts.fails(root_limit=math.exp(v))
+        return verdicts.fails(**verdicts.exp_witness("root_limit", v))
     half = seq.P // 2
     slope = seq.root(seq.P) - seq.root(max(half, 1))
     if slope < 0.1:
@@ -366,7 +366,9 @@ def relation_preceq(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
     prefix_sup = float(gaps.max())
     g = root_gap_limit(M.tail, N.tail)
     if g is None:
-        return verdicts.inconclusive("no tail on one side", prefix_sup=math.exp(prefix_sup))
+        return verdicts.inconclusive(
+            "no tail on one side", **verdicts.exp_witness("prefix_sup", prefix_sup)
+        )
     if g == math.inf:
         return verdicts.fails(gap_limit="+inf")
     sup = max(prefix_sup, g, _sampled_gap_sup(M, N))
@@ -381,7 +383,7 @@ def relation_triangle(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
         return verdicts.inconclusive("no tail on one side", last_gap=float(gaps[-1]))
     if g == -math.inf:
         return verdicts.holds(gap_limit="-inf")
-    return verdicts.fails(ratio_limit=math.exp(g) if g < math.inf else math.inf)
+    return verdicts.fails(**verdicts.exp_witness("ratio_limit", g))
 
 
 def relation_approx(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:

@@ -12,11 +12,12 @@ key for its root sequence p -> log(M_p)/p:
 The key is all that is needed to decide the quotient-series conditions and
 the pairwise root-limit relations exactly.
 
-Tail.log_values(ps) evaluates many indices at once and is bit-identical to
-[log_value(p) for p in ps]: a family's vector hook _log_values computes
-every transcendental (lgamma, log, p**beta) with the scalar math routines
-and lets numpy do only + - * / and linear interpolation, which round the
-same way elementwise as they do on Python floats.
+Each family writes its closed form once, as the vector hook _log_values;
+Tail.log_values(ps) and the scalar Tail.log_value(p) both evaluate it.  A
+hook computes every transcendental (lgamma, log, p**beta) with the scalar
+math routines and lets numpy do only + - * / and linear interpolation,
+which round the same way elementwise as they do on Python floats, so a
+point's value does not depend on the points evaluated with it.
 """
 from __future__ import annotations
 
@@ -40,15 +41,15 @@ class Tail:
     """Closed-form continuation of a log weight sequence."""
 
     def log_value(self, p: float) -> float:
-        raise NotImplementedError
+        return float(self._log_values(np.array([float(p)]))[0])
 
     def log_values(self, ps) -> np.ndarray:
         """log_value at every point of ps, as a float array."""
         return self._log_values(np.atleast_1d(np.asarray(ps, dtype=float)))
 
     def _log_values(self, ps: np.ndarray) -> np.ndarray:
-        # families override this hook, never log_values itself
-        return np.array([self.log_value(p) for p in ps.tolist()], dtype=float)
+        # families override this hook, never log_value(s) itself
+        raise NotImplementedError
 
     def root(self, p: float) -> float:
         return self.log_value(p) / p
@@ -91,9 +92,6 @@ class FactorialPower(Tail):
     def __post_init__(self):
         if self.s < 0 or self.a <= 0:
             raise ValueError("need s >= 0 and a > 0")
-
-    def log_value(self, p: float) -> float:
-        return self.s * math.lgamma(p + 1.0) + p * math.log(self.a)
 
     def _log_values(self, ps: np.ndarray) -> np.ndarray:
         lg = np.fromiter(map(math.lgamma, (ps + 1.0).tolist()), float, ps.size)
@@ -143,9 +141,6 @@ class PowerIndex(Tail):
         if self.kappa <= 0 or self.beta < 1:
             raise ValueError("need kappa > 0 and beta >= 1")
 
-    def log_value(self, p: float) -> float:
-        return self.kappa * p ** self.beta
-
     def _log_values(self, ps: np.ndarray) -> np.ndarray:
         powers = np.fromiter(map(pow, ps.tolist(), [self.beta] * ps.size), float, ps.size)
         return self.kappa * powers
@@ -180,17 +175,6 @@ class SteppedTail(Tail):
         self.parent_log_values = np.asarray(parent_log_values, dtype=float)
         self.parent_tail = parent_tail
         self.l = float(l)
-
-    def _parent_log(self, x: float) -> float:
-        last = len(self.parent_log_values) - 1
-        if x <= last:
-            return float(np.interp(x, np.arange(last + 1), self.parent_log_values))
-        if self.parent_tail is None:
-            raise ValueError("parent prefix exhausted and no parent tail")
-        return self.parent_tail.log_value(x)
-
-    def log_value(self, p: float) -> float:
-        return self._parent_log(self.l * p) / self.l
 
     def _log_values(self, ps: np.ndarray) -> np.ndarray:
         xs = self.l * ps
@@ -240,13 +224,19 @@ class RootPowerDualTail(Tail):
     c: float
     l: float
 
-    def log_value(self, p: float) -> float:
-        x = self.l * p
+    def _log_values(self, ps: np.ndarray) -> np.ndarray:
+        xs = self.l * ps
         th = self.c * self.a
-        if x <= th:
-            return 0.0
-        val = (x / self.a) * math.log(x / th) - x / self.a + self.c
-        return val / self.l
+        out = np.zeros_like(xs)
+        up = ~(xs <= th)
+        x = xs[up]
+        # a tiny exponent a overflows x / a to inf far out; the value is then
+        # inf or nan, as in Python float arithmetic, and numpy stays quiet
+        with np.errstate(over="ignore", invalid="ignore"):
+            logs = np.fromiter(map(math.log, (x / th).tolist()), float, x.size)
+            xa = x / self.a
+            out[up] = (xa * logs - xa + self.c) / self.l
+        return out
 
     def asymptote(self) -> tuple:
         alpha = 1.0 / self.a

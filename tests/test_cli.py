@@ -1,11 +1,17 @@
 """Command-line contract: descriptors, exit codes, deterministic reports."""
 
+import ast
+import contextlib
+import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcalc.cli import main
 from wcalc.serialize import dumps_canonical, read_sequence_csv, write_sequence_csv
@@ -57,8 +63,61 @@ def test_missing_descriptor_file_is_exit_2(tmp_path, argv):
     assert b"missing.json" in res.stderr
 
 
+_MALFORMED = {
+    "not-json.json": "{\"family\": \"gevrey\", ",
+    "unknown-keyword.json": json.dumps({"family": "gevrey", "s": 2.0, "sigma": 1.0}),
+    "list.json": json.dumps([{"family": "gevrey", "s": 2.0}]),
+    "no-family.json": json.dumps({"s": 2.0}),
+    "bad-value.json": json.dumps({"family": "gevrey", "s": "two"}),
+    "unknown-row-family.json": json.dumps(
+        {"labels": [1], "rows": {"1": {"family": "nosuch", "s": 1.0}}}),
+    "no-labels.json": json.dumps({"rows": {"1": {"family": "gevrey", "s": 1.0}}}),
+    "missing-row.json": json.dumps(
+        {"labels": [1, 2], "rows": {"1": {"family": "gevrey", "s": 1.0}}}),
+    "row-list.json": json.dumps({"labels": [1], "rows": [{"family": "gevrey", "s": 1.0}]}),
+    "unordered.json": json.dumps({"labels": [2, 1], "rows": {
+        "1": {"family": "gevrey", "s": 1.0}, "2": {"family": "gevrey", "s": 2.0}}}),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *(["analyze", "--seq", f"file:{{dir}}/{name}"]
+      for name in ("not-json.json", "unknown-keyword.json", "list.json",
+                   "no-family.json", "bad-value.json")),
+    *(["matrix", "conditions", "--matrix", f"file:{{dir}}/{name}"]
+      for name in ("not-json.json", "list.json", "unknown-row-family.json",
+                   "no-labels.json", "missing-row.json", "row-list.json",
+                   "unordered.json")),
+    ["fourier", "harness", "--matrix", "file:{dir}/unknown-keyword.json"],
+], ids=lambda argv: f"{argv[0]}-{argv[-1].rsplit('/', 1)[-1]}")
+def test_malformed_descriptor_file_is_exit_2(tmp_path, argv):
+    for name, text in _MALFORMED.items():
+        (tmp_path / name).write_text(text)
+    res = subprocess.run(
+        [sys.executable, "-m", "wcalc.cli", *(a.format(dir=tmp_path) for a in argv)],
+        capture_output=True,
+    )
+    assert res.returncode == 2
+    assert b"Traceback" not in res.stderr
+    assert res.stderr.startswith(b"error: ")
+
+
+def test_file_descriptors_build_rows_through_one_reader(tmp_path):
+    # a JSON sequence and a JSON matrix row accept the same keys
+    row = {"family": "gevrey", "s": 2.0, "pmax": 100, "label": "two"}
+    (tmp_path / "g2.json").write_text(json.dumps(row))
+    (tmp_path / "m.json").write_text(json.dumps({"labels": [1, 2], "rows": {
+        "1": {"family": "gevrey", "s": 1.0}, "2": row}}))
+    code, rep = run(["analyze", "--seq", f"file:{tmp_path}/g2.json"], tmp_path)
+    assert code == 0
+    assert (rep["sequence"]["label"], rep["sequence"]["P"]) == ("two", 100)
+    code, rep = run(["matrix", "conditions", "--matrix", f"file:{tmp_path}/m.json"], tmp_path)
+    assert code == 0 and rep["L_roumieu"]["status"] in ("holds", "fails", "inconclusive")
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--weight", "powerlog:0.5"],
+    ["analyze", "--seq", "power_index:1,1e300"],
     ["analyze", "--weight", "rootpower:0"],
     ["analyze", "--weight", "powerlog:nan"],
     ["analyze", "--weight", "powerlog:inf"],
@@ -265,3 +324,79 @@ def test_csv_report_format(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "key,value"
     assert any("sequence.nq" in ln for ln in lines)
+
+
+# -- witness constants past the float range -------------------------------
+
+_kappa = st.floats(min_value=0.0, max_value=4.0, exclude_min=True)
+_beta = st.floats(min_value=1.0, max_value=4.0)
+
+
+@given(_kappa, _beta, st.integers(min_value=50, max_value=4000),
+       st.sampled_from(["prefix_only:2", "gevrey:2", "power_index:1,1", "power_index:3,2"]))
+@settings(max_examples=25, deadline=None)
+def test_power_index_reports_never_overflow(kappa, beta, pmax, other):
+    # exp of a log witness constant (2 p^3 at p = 200, say) is past the
+    # float range; the report carries log_<name> instead of raising
+    seq = f"power_index:{kappa!r},{beta!r}"
+    for argv in (["analyze", "--seq", seq],
+                 ["matrix", "dossier", "--seq", seq],
+                 ["matrix", "compare", "--left", seq, "--right", other],
+                 ["matrix", "compare", "--left", other, "--right", seq]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--pmax", str(pmax)])
+        assert code in (0, 3), argv
+
+
+@pytest.mark.parametrize("argv, logged", [
+    (["analyze", "--seq", "power_index:1000,1"], "log_root_limit"),
+    (["matrix", "compare", "--left", "power_index:1000,1", "--right", "power_index:1,1"],
+     "log_ratio_limit"),
+    (["matrix", "compare", "--left", "power_index:2,3", "--right", "prefix_only:2"],
+     "log_prefix_sup"),
+    (["matrix", "compare", "--left", "prefix_only:2", "--right", "power_index:2,3"],
+     "log_prefix_sup"),
+    # the failed pair tests of a search leave no witness in the report
+    (["matrix", "conditions", "--matrix", "file:{rows}"], None),
+    (["matrix", "stability", "--matrix", "file:{rows}"], None),
+])
+def test_overflowing_witnesses_are_reported_in_logs(tmp_path, argv, logged):
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps({"labels": [1, 2], "rows": {
+        "1": {"family": "power_index", "kappa": 1.0, "beta": 3.0},
+        "2": {"family": "power_index", "kappa": 2.0, "beta": 3.0}}}))
+    code, rep = run([a.format(rows=rows) for a in argv], tmp_path)
+    assert code == 0
+    if logged:
+        assert f'"{logged}"' in json.dumps(rep)
+
+
+_VERDICT_CALLS = {"holds", "fails", "inconclusive"}
+
+
+def bare_exp_witnesses(path) -> list[str]:
+    """Sites where a verdict gets a keyword argument math.exp(...): those
+    raise OverflowError past the float range, verdicts.exp_witness does not."""
+    found = []
+    tree = ast.parse(pathlib.Path(path).read_text())
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "verdicts"
+                and node.func.attr in _VERDICT_CALLS):
+            continue
+        for kw in node.keywords:
+            v = kw.value
+            if (isinstance(v, ast.Call) and isinstance(v.func, ast.Attribute)
+                    and isinstance(v.func.value, ast.Name)
+                    and v.func.value.id == "math" and v.func.attr == "exp"):
+                found.append(f"{pathlib.Path(path).name}:{node.lineno} {kw.arg}")
+    return found
+
+
+def test_verdict_witnesses_use_exp_witness():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "wcalc"
+    sources = sorted(src.glob("*.py"))
+    assert len(sources) >= 10
+    assert [site for p in sources for site in bare_exp_witnesses(p)] == []

@@ -64,10 +64,10 @@ def test_spectrum_matches_analytic_transform_of_gaussian_like():
     # indicator transform is a sinc: check at a few frequencies
     f = indicator_control()
     spec = compute_spectrum(f)
-    xi = spec.xi_arr
+    xi = spec.xi
     sel = (np.abs(xi) > 0.1) & (np.abs(xi) < 20.0)
     want = 2.0 * np.sin(np.abs(xi[sel])) / np.abs(xi[sel])
-    assert np.max(np.abs(spec.mod_arr[sel] - np.abs(want))) <= 1e-3
+    assert np.max(np.abs(spec.modulus[sel] - np.abs(want))) <= 1e-3
 
 
 def test_spectral_derivative_linearity_and_homogeneity():
@@ -164,7 +164,7 @@ def test_reference_spectrum_agrees_with_fft_in_resolved_band():
     spec = compute_spectrum(f)
     # compare at exact FFT bin frequencies; the modulus oscillates, so an
     # off-bin comparison would land near transform zeros
-    idx = [int(np.argmin(np.abs(spec.xi_arr - x))) for x in (5.0, 20.0, 60.0)]
+    idx = [int(np.argmin(np.abs(spec.xi - x))) for x in (5.0, 20.0, 60.0)]
     bins = [spec.xi[i] for i in idx]
     ref = reference_spectrum_standard_bump(bins, dps=40)
     for i, r in zip(idx, ref):
@@ -425,7 +425,7 @@ def test_reference_spectrum_bit_identical_to_horner_sum():
 
 def test_reference_spectrum_agrees_with_horner_sum_at_fft_bins():
     spec = compute_spectrum(standard_bump())
-    idx = [int(np.argmin(np.abs(spec.xi_arr - x))) for x in (5.0, 20.0, 60.0)]
+    idx = [int(np.argmin(np.abs(spec.xi - x))) for x in (5.0, 20.0, 60.0)]
     xis = [float(spec.xi[i]) for i in idx] + [0.5]
     got = reference_spectrum_standard_bump(xis, dps=40)
     want = _horner_reference_spectrum(xis, dps=40)
@@ -468,7 +468,7 @@ def test_lemma53_i_conjugates_each_envelope_once(monkeypatch):
     assert len(calls) <= 4
     assert first.witness == second.witness
     # the memoised conjugate gives the uncached values bit for bit
-    w = fourier._norm_row(f, g2, f._band).w
+    w = fourier._norm_row(f, g2).w
     xs = np.arange(11) / 0.1
     cached = np.array([w.phi_star(x) for x in xs])
     uncached = np.asarray(conjugate(w.phi_pl)(xs), dtype=float)
@@ -571,9 +571,44 @@ def test_grid_cache_is_bounded_and_read_only():
     grid = fourier._grid(f.n, f.dx, f.x0)
     # every function on one grid shares its arrays
     assert f.xs is g.xs is grid.xs
-    assert f._transform.xi is g._transform.xi is grid.xi
-    t = f._transform
-    for a in (*grid, t.F, t.absF, t.band, f.values):
+    assert compute_spectrum(f).xi is compute_spectrum(g).xi is grid.xi_sorted
+    t = compute_spectrum(f)
+    for a in (*grid, t.F, t.absF, t.band, t.modulus, t.kept, f.values):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+def _modulus_band(f):
+    """The noise-floor decision taken a second time, on the modulus of the
+    continuous transform in increasing-xi order: (mask, truncated)."""
+    xi, mod = _reference_spectrum(f)
+    kept = mod > MASK_REL * np.max(mod)
+    truncated = bool(kept.any()) and np.max(np.abs(xi[kept])) >= 0.99 * np.max(np.abs(xi))
+    return kept, truncated
+
+
+def _mask_battery():
+    for support in ((-1.0, 1.0), (-0.7, 1.3), (0.1, 0.9), (-3.0, 2.0)):
+        K = CompactBox((support,))
+        for s in GEVREY_ROWS:
+            for depth in (1, 10, 20, 30):
+                yield (support, s, depth), lambda K=K, s=s, depth=depth: \
+                    bump_builder(K, gevrey(s, 200), depth)
+    for build in (standard_bump, indicator_control, _algebraic_decay):
+        yield build.__name__, build
+
+
+def test_one_mask_equals_the_modulus_mask():
+    # the floor decided on |F| in fft order, viewed in increasing xi, is the
+    # floor decided on the continuous transform's modulus |dx F e^{-i xi x0}|
+    truncated_seen = set()
+    for case, build in _mask_battery():
+        f = build()
+        spec = compute_spectrum(f)
+        kept, truncated = _modulus_band(f)
+        assert np.array_equal(spec.kept, kept), case
+        assert spec.truncated == truncated, case
+        assert spec.band.size == np.count_nonzero(kept), case
+        truncated_seen.add(truncated)
+    assert truncated_seen == {False, True}

@@ -2,6 +2,7 @@
 series bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,8 +161,35 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def _scalar_log_value(t, p):
+    """Each family's closed form as scalar Python arithmetic, written
+    independently of the vector hooks."""
+    if isinstance(t, FactorialPower):
+        return t.s * math.lgamma(p + 1.0) + p * math.log(t.a)
+    if isinstance(t, PowerIndex):
+        return t.kappa * p ** t.beta
+    if isinstance(t, SteppedTail):
+        x = t.l * p
+        last = len(t.parent_log_values) - 1
+        if x <= last:
+            parent = float(np.interp(x, np.arange(last + 1), t.parent_log_values))
+        elif t.parent_tail is None:
+            raise ValueError("parent prefix exhausted and no parent tail")
+        else:
+            parent = _scalar_log_value(t.parent_tail, x)
+        return parent / t.l
+    if isinstance(t, RootPowerDualTail):
+        x = t.l * p
+        th = t.c * t.a
+        if x <= th:
+            return 0.0
+        val = (x / t.a) * math.log(x / th) - x / t.a + t.c
+        return val / t.l
+    raise TypeError(type(t).__name__)
+
+
 def _scalar_values(t, ps):
-    return np.array([t.log_value(float(p)) for p in ps])
+    return np.array([_scalar_log_value(t, float(p)) for p in ps])
 
 
 _P = 16000
@@ -214,3 +242,27 @@ def test_every_family_goes_through_base_log_values():
     assert {FactorialPower, PowerIndex, SteppedTail, RootPowerDualTail} <= set(families)
     for cls in families:
         assert "log_values" not in cls.__dict__, cls.__name__
+
+
+def test_each_family_writes_its_closed_form_once():
+    # the scalar log_value is the base class's one-point evaluation of the
+    # family's vector hook, so a family cannot carry a second formula
+    for cls in (FactorialPower, PowerIndex, SteppedTail, RootPowerDualTail):
+        assert "log_value" not in cls.__dict__, cls.__name__
+        assert "_log_values" in cls.__dict__, cls.__name__
+    with pytest.raises(NotImplementedError):
+        Tail().log_value(1.0)
+
+
+def test_root_power_hook_overflows_quietly():
+    # a tiny exponent a overflows x / a far out: inf, then inf - inf = nan,
+    # as the scalar formula gives, and numpy prints no warning
+    t = RootPowerDualTail(1e-300, 1.0, 1.0)
+    ps = np.array([0.0, 10.0, 1e6, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = t.log_values(ps)
+        one = t.log_value(1e6)
+    want = _scalar_values(t, ps)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isinf(got[2]) and np.isnan(got[3]) and one == got[2]
