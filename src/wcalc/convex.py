@@ -16,6 +16,11 @@ Where a sequential loop could change its input (a collinear merge, a dedupe
 of dual abscissae, a hull pop), a vectorised certificate first decides
 whether it would change nothing; only when the certificate declines does
 the loop run, so each rule has one implementation.
+
+A ConvexPL that an operation builds from arrays builds its breakpoints
+tuple only when something reads it: conjugation reads the arrays and the
+two end breakpoints (ConvexPL.breakpoint), so a chain of conjugates and
+envelopes never boxes its P + 1 points into Python tuples.
 """
 from __future__ import annotations
 
@@ -45,15 +50,31 @@ class ConvexPL:
         self._check(bp[:, 0], bp[:, 1])
 
     @classmethod
-    def _from_arrays(cls, breakpoints, xs, vs, left, right) -> "ConvexPL":
-        """Build from breakpoints whose abscissae and values are already the
-        float arrays xs and vs, checked like any other construction."""
+    def _from_arrays(cls, xs, vs, left, right, ends=(None, None)) -> "ConvexPL":
+        """Build from the float arrays xs and vs, checked like any other
+        construction.  The breakpoints tuple is built on first read, from
+        the arrays' floats, with ends = (first, last) standing in for the
+        first and last abscissa where not None."""
         f = object.__new__(cls)
-        object.__setattr__(f, "breakpoints", breakpoints)
         object.__setattr__(f, "left_slope", left)
         object.__setattr__(f, "right_slope", right)
+        object.__setattr__(f, "_ends", ends)
         f._check(xs, vs)
         return f
+
+    def __getattr__(self, name):
+        # only reached while an array-built instance has no tuple yet
+        if name != "breakpoints" or "_ends" not in self.__dict__:
+            raise AttributeError(name)
+        xs = self._xs.tolist()
+        first, last = self._ends
+        if first is not None:
+            xs[0] = first
+        if last is not None:
+            xs[-1] = last
+        bp = tuple(zip(xs, self._vs.tolist()))
+        object.__setattr__(self, "breakpoints", bp)
+        return bp
 
     def _check(self, xs: np.ndarray, vs: np.ndarray) -> None:
         """Validate the breakpoint arrays and keep them on the instance."""
@@ -77,6 +98,20 @@ class ConvexPL:
             object.__setattr__(self, name, arr)
 
     # -- basic geometry -------------------------------------------------
+
+    def breakpoint(self, i: int) -> tuple[float, float]:
+        """breakpoints[i], without building the tuple."""
+        if "breakpoints" in self.__dict__:
+            return self.breakpoints[i]
+        n = self._xs.size
+        j = range(n)[i]
+        first, last = self._ends
+        x = float(self._xs[j])
+        if j == 0 and first is not None:
+            x = first
+        if j == n - 1 and last is not None:
+            x = last
+        return (x, float(self._vs[j]))
 
     def segment_slopes(self) -> list[float]:
         return self._seg.tolist()
@@ -130,10 +165,16 @@ class ConvexPL:
         while hi > lo and math.isfinite(b) and abs(b - slope(keep[hi - 1], keep[hi])) <= tol:
             hi -= 1
         keep = keep[lo:hi + 1]
-        bp = self.breakpoints
-        return ConvexPL._from_arrays(
-            tuple(bp[i] for i in keep), self._xs[keep], self._vs[keep], a, b
+        if "_ends" not in self.__dict__:
+            # built by the constructor: keep the caller's scalars
+            bp = self.breakpoints
+            return ConvexPL(tuple(bp[i] for i in keep), a, b)
+        first, last = self._ends
+        ends = (
+            first if keep[0] == 0 else None,
+            last if keep[-1] == self._xs.size - 1 else None,
         )
+        return ConvexPL._from_arrays(self._xs[keep], self._vs[keep], a, b, ends)
 
     # -- conjugation ----------------------------------------------------
 
@@ -145,7 +186,7 @@ class ConvexPL:
         a wall of f* and vice versa.
         """
         f = self.canonical()
-        bp, xs, vs, seg = f.breakpoints, f._xs, f._vs, f._seg
+        xs, vs, seg = f._xs, f._vs, f._seg
         a, b = f.left_slope, f.right_slope
 
         dx, dv = seg, seg * xs[1:] - vs[1:]
@@ -156,21 +197,20 @@ class ConvexPL:
             dx = np.concatenate((dx, [b]))
             dv = np.concatenate((dv, [b * xs[-1] - vs[-1]]))
 
-        left = bp[0][0] if not math.isfinite(a) else -math.inf
-        right = bp[-1][0] if not math.isfinite(b) else math.inf
+        left = f.breakpoint(0)[0] if not math.isfinite(a) else -math.inf
+        right = f.breakpoint(-1)[0] if not math.isfinite(b) else math.inf
 
         if not dx.size:
             # f finite only on a single point between two walls: f* is the
             # global line x -> x*s0 - v0.
-            s0, v0 = bp[0]
+            s0, v0 = f.breakpoint(0)
             return ConvexPL(((0.0, -v0),), s0, s0)
 
         # dedupe equal abscissae (possible only through rounding)
         if not np.all(dx[1:] - dx[:-1] > SLOPE_TOL):
             keep = _dedupe(dx.tolist())
             dx, dv = dx[keep], dv[keep]
-        dual = tuple(zip(dx.tolist(), dv.tolist()))
-        return ConvexPL._from_arrays(dual, dx, dv, left, right).canonical()
+        return ConvexPL._from_arrays(dx, dv, left, right).canonical()
 
     # -- algebra helpers ------------------------------------------------
 
@@ -274,14 +314,11 @@ def upper_envelope_of_lines(slopes, intercepts) -> ConvexPL:
     hull = lower_hull(
         np.column_stack((m.astype(float), -np.asarray(intercepts, dtype=float)))
     )
-    xs = hull[:, 0].tolist()
-    if xs:
-        # the end abscissae become the envelope's boundary slopes: keep the
-        # caller's scalars there, so integer slopes stay integers
-        xs[0], xs[-1] = slopes[0], slopes[-1]
+    # the end abscissae become the envelope's boundary slopes: keep the
+    # caller's scalars there, so integer slopes stay integers
+    ends = (slopes[0], slopes[-1]) if len(hull) else (None, None)
     support = ConvexPL._from_arrays(
-        tuple(zip(xs, hull[:, 1].tolist())), hull[:, 0], hull[:, 1],
-        -math.inf, math.inf,
+        hull[:, 0], hull[:, 1], -math.inf, math.inf, ends
     )
     return support.conjugate()
 

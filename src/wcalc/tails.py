@@ -18,6 +18,15 @@ hook computes every transcendental (lgamma, log, p**beta) with the scalar
 math routines and lets numpy do only + - * / and linear interpolation,
 which round the same way elementwise as they do on Python floats, so a
 point's value does not depend on the points evaluated with it.
+
+FactorialPower reads log p! at whole p >= 0 from one module-level table,
+_LOG_FACTORIALS[p] = math.lgamma(p + 1.0), shared by every s and a.  It
+starts empty and grows to the largest whole point of a request only when
+the request has at least half as many whole points beyond the table as the
+growth adds, so growing costs at most twice the lgamma calls the request
+would make anyway: rows 0..P fill it, sparse samples far out (root gaps,
+out to 4e6) never do.  Every other point is one scalar math.lgamma call,
+as is every entry, so a value does not depend on where it came from.
 """
 from __future__ import annotations
 
@@ -35,6 +44,34 @@ __all__ = [
     "root_gap_limit",
     "geometric_mean",
 ]
+
+
+# read-only; _log_factorials replaces it with a longer copy to grow it
+_LOG_FACTORIALS = np.empty(0)
+_LOG_FACTORIALS.flags.writeable = False
+
+
+def _log_factorials(ps: np.ndarray) -> np.ndarray:
+    """math.lgamma(p + 1.0) at every point of ps."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    whole = (ps >= 0) & (ps == np.floor(ps))
+    beyond = ps[whole & (ps >= table.size)]
+    if beyond.size and beyond.max() - table.size < 2 * beyond.size:
+        new = np.arange(table.size, int(beyond.max()) + 1) + 1.0
+        table = np.concatenate(
+            (table, np.fromiter(map(math.lgamma, new.tolist()), float, new.size))
+        )
+        table.flags.writeable = False
+        _LOG_FACTORIALS = table
+    inside = whole & (ps < table.size)
+    if inside.all():
+        return table[ps.astype(np.intp)]
+    out = np.empty(ps.size)
+    out[inside] = table[ps[inside].astype(np.intp)]
+    rest = ps[~inside] + 1.0
+    out[~inside] = np.fromiter(map(math.lgamma, rest.tolist()), float, rest.size)
+    return out
 
 
 class Tail:
@@ -94,8 +131,7 @@ class FactorialPower(Tail):
             raise ValueError("need s >= 0 and a > 0")
 
     def _log_values(self, ps: np.ndarray) -> np.ndarray:
-        lg = np.fromiter(map(math.lgamma, (ps + 1.0).tolist()), float, ps.size)
-        return self.s * lg + ps * math.log(self.a)
+        return self.s * _log_factorials(ps) + ps * math.log(self.a)
 
     def asymptote(self) -> tuple:
         # log p!/p = log p - 1 + o(1)
@@ -119,7 +155,16 @@ class FactorialPower(Tail):
         s, a = self.s, self.a
         if s <= 1.0:
             return None
-        return (math.exp(s) / a) * X ** (1.0 - s) / (s - 1.0)
+        try:
+            return (math.exp(s) / a) * X ** (1.0 - s) / (s - 1.0)
+        except OverflowError:
+            # e**s or X**(1 - s) is past the float range: one exp of the
+            # sum of the logs, and inf if the bound itself is past it
+            log_bound = s - math.log(a) + (1.0 - s) * math.log(X) - math.log(s - 1.0)
+            try:
+                return math.exp(log_bound)
+            except OverflowError:
+                return math.inf
 
     def power(self, r: float) -> "FactorialPower":
         return FactorialPower(self.s * r, self.a ** r)

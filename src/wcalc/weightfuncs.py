@@ -135,6 +135,9 @@ def make_root_power_weight(a: float, c: float = 1.0, label: str = "") -> WeightF
     """omega(t) = max(0, c*(t**a - 1))."""
     if a <= 0 or c <= 0:
         raise ValueError("need a > 0 and c > 0")
+    if c * a == 0.0:
+        # the rows' threshold c*a underflows: every row would divide by 0
+        raise ValueError("need c * a > 0 in floating point")
     return WeightFunction(
         ("root_power", float(a), float(c)), None, math.inf,
         label or f"rootpower:{a:g},{c:g}",
@@ -151,7 +154,7 @@ def associated_function(seq: LogWeightSequence) -> WeightFunction:
     cached = seq.__dict__.get("_envelope")
     if cached is None:
         env = upper_envelope_of_lines(np.arange(seq.P + 1), -seq.L)
-        cached = seq.__dict__["_envelope"] = (env, env.breakpoints[-1][0])
+        cached = seq.__dict__["_envelope"] = (env, env.breakpoint(-1)[0])
     env, valid_to = cached
     return WeightFunction(
         ("sequence", seq), env, valid_to,

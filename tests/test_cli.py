@@ -119,6 +119,8 @@ def test_file_descriptors_build_rows_through_one_reader(tmp_path):
     ["analyze", "--weight", "powerlog:0.5"],
     ["analyze", "--seq", "power_index:1,1e300"],
     ["analyze", "--weight", "rootpower:0"],
+    ["analyze", "--weight", "rootpower:1e-300,1e-300"],
+    ["matrix", "dossier", "--weight", "rootpower:1e-300,1e-300"],
     ["analyze", "--weight", "powerlog:nan"],
     ["analyze", "--weight", "powerlog:inf"],
     ["analyze", "--weight", "powerlog:"],
@@ -202,6 +204,20 @@ def test_tiny_rootpower_exponent_gives_log_witness(tmp_path):
     assert omega6["witness"]["log_H"] == pytest.approx(1e300 * math.log(2))
     code, rep = run(["analyze", "--weight", "rootpower:1e-3"], tmp_path)
     assert rep["weight"]["omega6"]["witness"] == {"H": 2.0 ** 1000}
+
+
+@pytest.mark.parametrize("s", ["500", "710", "1e3", "1200", "1e10", "1e300"])
+def test_huge_gevrey_index_gives_log_witnesses(s, tmp_path):
+    # e**s passes the float range from s = 710 on, 2**s from 1024 on:
+    # beta3 then reports log_ratio_limit and the root-series tail bound is
+    # taken in log space; below, the witnesses keep every bit
+    code, rep = run(["analyze", "--seq", f"gevrey:{s}"], tmp_path)
+    assert code == 0
+    u = float(s)
+    ratio = {"log_ratio_limit": u * math.log(2.0)} if u >= 1024 else {"ratio_limit": 2.0 ** u}
+    assert rep["sequence"]["beta3"]["witness"] == {"Q": 2, **ratio}
+    code, rep = run(["quasi", "verdict", "--seq", f"gevrey:{s}"], tmp_path)
+    assert code == 0
 
 
 def test_config_records_parsed_argv_and_tolerances(tmp_path):

@@ -400,3 +400,121 @@ def test_non_convex_points_decline_hull(monkeypatch):
     assert lower_hull(np.array(pts)).tolist() == [[0.0, 0.0], [2.0, 1.0], [3.0, 3.0]]
     assert lower_hull(pts) == [(0.0, 0.0), (2.0, 1.0), (3.0, 3.0)]
     assert loop.calls == 2
+
+
+# -- breakpoint tuples built on first read ------------------------------
+
+def eager_canonical(f, tol=SLOPE_TOL):
+    """The array kernel's canonical as it was when every ConvexPL built its
+    tuple at once: kept entries are the input's own tuple entries."""
+    seg = f._seg
+    a, b = f.left_slope, f.right_slope
+    flat = np.abs(seg[1:] - seg[:-1]) <= tol
+    ends = seg.size and (
+        (math.isfinite(a) and abs(a - seg[0]) <= tol)
+        or (math.isfinite(b) and abs(b - seg[-1]) <= tol)
+    )
+    if not (ends or flat.any()):
+        return f
+    x, v = f._xs.tolist(), f._vs.tolist()
+    keep = convex._merge_collinear(x, v, (np.flatnonzero(flat) + 1).tolist(), tol)
+
+    def slope(i, j):
+        return (v[j] - v[i]) / (x[j] - x[i])
+
+    lo, hi = 0, len(keep) - 1
+    while hi > lo and math.isfinite(a) and abs(a - slope(keep[lo], keep[lo + 1])) <= tol:
+        lo += 1
+    while hi > lo and math.isfinite(b) and abs(b - slope(keep[hi - 1], keep[hi])) <= tol:
+        hi -= 1
+    bp = f.breakpoints
+    return ConvexPL(tuple(bp[i] for i in keep[lo:hi + 1]), a, b)
+
+
+def eager_conjugate(g):
+    f = eager_canonical(g)
+    bp, xs, vs, seg = f.breakpoints, f._xs, f._vs, f._seg
+    a, b = f.left_slope, f.right_slope
+    dx, dv = seg, seg * xs[1:] - vs[1:]
+    if math.isfinite(a):
+        dx = np.concatenate(([a], dx))
+        dv = np.concatenate(([a * xs[0] - vs[0]], dv))
+    if math.isfinite(b):
+        dx = np.concatenate((dx, [b]))
+        dv = np.concatenate((dv, [b * xs[-1] - vs[-1]]))
+    left = bp[0][0] if not math.isfinite(a) else -math.inf
+    right = bp[-1][0] if not math.isfinite(b) else math.inf
+    if not dx.size:
+        s0, v0 = bp[0]
+        return ConvexPL(((0.0, -v0),), s0, s0)
+    if not np.all(dx[1:] - dx[:-1] > SLOPE_TOL):
+        keep = convex._dedupe(dx.tolist())
+        dx, dv = dx[keep], dv[keep]
+    return eager_canonical(ConvexPL(tuple(zip(dx.tolist(), dv.tolist())), left, right))
+
+
+def eager_envelope(slopes, intercepts):
+    m = np.asarray(slopes)
+    hull = lower_hull(
+        np.column_stack((m.astype(float), -np.asarray(intercepts, dtype=float)))
+    )
+    xs = hull[:, 0].tolist()
+    xs[0], xs[-1] = slopes[0], slopes[-1]
+    support = ConvexPL(tuple(zip(xs, hull[:, 1].tolist())), -math.inf, math.inf)
+    return eager_conjugate(support)
+
+
+def typed(points):
+    return [(type(s), bits(s), type(v), bits(v)) for s, v in points]
+
+
+def assert_same_tuple(lazy, eager):
+    """lazy has built no tuple yet; reading it gives eager's, types and all."""
+    assert "breakpoints" not in lazy.__dict__
+    for i in (0, -1, len(eager.breakpoints) // 2):
+        assert typed([lazy.breakpoint(i)]) == typed([eager.breakpoints[i]])
+    assert "breakpoints" not in lazy.__dict__
+    assert lazy == eager
+    assert repr(lazy) == repr(eager)
+    assert typed(lazy.breakpoints) == typed(eager.breakpoints)
+    assert repr(lazy.to_json()) == repr(eager.to_json())
+    assert ConvexPL.from_json(lazy.to_json()) == eager
+
+
+@st.composite
+def matrix_rows(draw):
+    pmax = draw(st.integers(2, 3000))
+    if draw(st.booleans()):
+        seq = catalogue.gevrey(draw(st.floats(0.5, 4.0)), pmax)
+    else:
+        seq = catalogue.power_index(draw(st.floats(0.1, 4.0)), draw(st.floats(1.0, 3.0)), pmax)
+    if draw(st.booleans()):
+        # l = 0.5 rows are piecewise linear: collinear hull points and merges
+        seq = outcome(lambda: sequence_from_weight(associated_function(seq), 0.5, pmax))
+    return seq
+
+
+@given(matrix_rows())
+@settings(max_examples=40, deadline=None)
+def test_tuple_built_on_first_read_matches_eager_kernel(seq):
+    if isinstance(seq, tuple):   # the derived row raised
+        return
+    ps = np.arange(seq.P + 1)
+    got = outcome(lambda: upper_envelope_of_lines(ps, -seq.L))
+    want = outcome(lambda: eager_envelope(ps, -seq.L))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    got_star, want_star = got.conjugate(), eager_conjugate(want)
+    assert_same_tuple(got, want)
+    assert_same_tuple(got_star, want_star)
+    # phi** of the envelope, through canonical of an array-built input
+    assert_same_tuple(got_star.conjugate(), eager_conjugate(want_star))
+
+
+def test_associated_function_builds_no_tuple():
+    w = associated_function(catalogue.gevrey(2.0, 16000))
+    w.phi_star(1.0)
+    assert "breakpoints" not in w.phi_pl.__dict__
+    assert "breakpoints" not in w._star_pl.__dict__
+    assert w.valid_to == w.phi_pl.breakpoints[-1][0]

@@ -95,3 +95,15 @@ def test_parse_errors_and_options_do_not_leak_between_calls(fresh_run, in_proces
     report = in_process(plain)
     assert report == fresh_run(plain)[1]
     assert b"integer_step_identity_error" not in report
+
+
+def test_large_rows_reenter_one_process_with_the_table_warm(fresh_run, in_process):
+    # the first report fills the shared log-factorial table to 16000; the
+    # second reads its rows from it and must not notice
+    from wcalc import tails
+
+    first = ["analyze", "--seq", "gevrey:2", "--pmax", "16000"]
+    second = ["matrix", "conditions", "--gevrey", "1,2,3", "--pmax", "4000"]
+    assert in_process(first) == fresh_run(first)[1]
+    assert tails._LOG_FACTORIALS.size > 16000
+    assert in_process(second) == fresh_run(second)[1]

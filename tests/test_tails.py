@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wcalc import tails
 from wcalc.tails import (
     FactorialPower,
     PowerIndex,
@@ -266,3 +267,51 @@ def test_root_power_hook_overflows_quietly():
     want = _scalar_values(t, ps)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.isinf(got[2]) and np.isnan(got[3]) and one == got[2]
+
+
+# -- the shared log-factorial table --------------------------------------
+
+def _requests():
+    """Point sets a row or a sample asks a FactorialPower for."""
+    contiguous = st.tuples(st.integers(0, 3000), st.integers(0, 3000)).map(
+        lambda r: np.arange(r[0], r[0] + r[1], dtype=float)
+    )
+    sparse = st.lists(st.integers(0, 4_000_000), max_size=40).map(
+        lambda v: np.array(v, dtype=float)
+    )
+    fractional = st.lists(
+        st.floats(0.0, 5000.0).filter(lambda x: x != math.floor(x)), max_size=40
+    ).map(lambda v: np.array(v, dtype=float))
+    mixed = st.tuples(contiguous, sparse, fractional).map(np.concatenate)
+    return st.one_of(contiguous, sparse, fractional, mixed, st.just(np.empty(0)))
+
+
+@given(_s, _a, st.lists(_requests(), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_log_factorial_table_is_bit_identical_cold_and_warm(s, a, requests):
+    saved = tails._LOG_FACTORIALS
+    cold = np.empty(0)
+    cold.flags.writeable = False
+    tails._LOG_FACTORIALS = cold
+    try:
+        t = FactorialPower(s, a)
+        for ps in requests:
+            before = tails._LOG_FACTORIALS.size
+            assert _same_bits(t.log_values(ps), _scalar_values(t, ps))
+            # growth never costs more than twice the request's own points
+            assert tails._LOG_FACTORIALS.size - before <= 2 * ps.size
+        table = tails._LOG_FACTORIALS
+        assert not table.flags.writeable
+        assert _same_bits(table, [math.lgamma(p + 1.0) for p in range(table.size)])
+    finally:
+        tails._LOG_FACTORIALS = saved
+
+
+def test_sparse_huge_points_do_not_grow_the_table():
+    FactorialPower(2.0).log_values(np.arange(0, 101))
+    size = tails._LOG_FACTORIALS.size
+    assert size >= 101
+    t = FactorialPower(1.5, 2.0)
+    for ps in ([1e6], [size + 10.0, 4e6], [1e300]):
+        assert _same_bits(t.log_values(ps), _scalar_values(t, ps))
+        assert tails._LOG_FACTORIALS.size == size
