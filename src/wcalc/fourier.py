@@ -24,11 +24,14 @@ on the results:
   the increasing-xi view of the continuous transform that fourier_norm and
   check_lemma53_ii integrate over; and the exponential fit to the last
   resolved octave that bounds the tail beyond the band;
-* once per (function, order k): one inverse FFT, kept only as the table
-  entry (sup over K of |f^(k)|, where it is attained, sup over the grid) or
-  as the refusal's type and message.  The derivative multiplier (i xi)^k
-  and the peak test are evaluated on the band only; the other bins are zero
-  before the inverse FFT, as they were when masked;
+* once per (function, box K): the derivative-sup table for every order
+  k <= K_MAX, each entry the sup over K of |f^(k)|, where it is attained
+  and the sup over the grid, or the refusal's message.  The band-only
+  peak test refuses orders first; the accepted ones share one batched
+  inverse FFT of a (orders, n) array, whose rows numpy transforms bit for
+  bit as it would one at a time.  The derivative multiplier (i xi)^k is
+  evaluated on the band only; the other bins are zero before the inverse
+  FFT, as they were when masked;
 * once per (function, row): the associated function of the row's
   log-convex minorant and omega(|xi|) on the spectrum grid (fourier_norm);
 * once per harness call: each derived row sequence_from_weight(omega, l,
@@ -135,10 +138,9 @@ def _grid(n: int, dx: float, x0: float) -> _Grid:
 class _Refusal(NamedTuple):
     """A derivative order refused once, raised again on every lookup.
 
-    Only the type and message are kept: an exception object would pin its
-    traceback's frames and arrays for as long as the function lives.
+    Only the message is kept: an exception object would pin its traceback's
+    frames and arrays for as long as the function lives.
     """
-    kind: type
     message: str
 
 
@@ -250,52 +252,84 @@ def check_parseval(f: SampledFunction, spec: SpectralData) -> float:
     return abs(lhs - rhs) / max(lhs, 1e-300)
 
 
-def spectral_derivative(f: SampledFunction, k: int) -> np.ndarray:
-    """k-th derivative on the grid, refusing orders past the noise floor."""
+def _refusal(f: SampledFunction, k: int) -> str | None:
+    """Why order k of f is past the noise floor, or None when it is not.
+
+    Band-only and cheap: the inverse FFT is never needed to decide."""
+    if k == 0:
+        return None
     s = compute_spectrum(f)
-    band, F = s.band, s.F
-    xi_band = _grid(f.n, f.dx, f.x0).xi[band]
-    if k > 0:
-        if not band.size:
-            raise DerivativeOrderUnreliable("empty resolved band")
-        if s.truncated:
-            # never saw the spectrum reach the floor: the grid derivative
-            # would describe the band-limited interpolant, not the function
-            raise DerivativeOrderUnreliable(
-                f"order {k}: spectrum unresolved at the grid edge"
-            )
-        grown = s.absF[band] * np.abs(xi_band) ** k
-        peak_xi = abs(xi_band[int(np.argmax(grown))])
-        if peak_xi >= s.edge * (1 - 1e-9):
-            raise DerivativeOrderUnreliable(
-                f"order {k}: integrand peaks at the mask boundary"
-            )
+    if not s.band.size:
+        return "empty resolved band"
+    if s.truncated:
+        # never saw the spectrum reach the floor: the grid derivative
+        # would describe the band-limited interpolant, not the function
+        return f"order {k}: spectrum unresolved at the grid edge"
+    xi_band = _grid(f.n, f.dx, f.x0).xi[s.band]
+    grown = s.absF[s.band] * np.abs(xi_band) ** k
+    if abs(xi_band[int(np.argmax(grown))]) >= s.edge * (1 - 1e-9):
+        return f"order {k}: integrand peaks at the mask boundary"
+    return None
+
+
+def spectral_derivative(f: SampledFunction, k) -> np.ndarray:
+    """k-th derivative on the grid, refusing orders past the noise floor.
+
+    k may also be a tuple of orders that _refusal has already passed, as
+    _derivative_sup does; the result then has one row per order, all from
+    one batched inverse FFT of a (len(k), n) array.  numpy transforms each
+    row of it exactly as the one-row ifft, bit for bit.
+    """
+    single = np.ndim(k) == 0
+    if single and (why := _refusal(f, k)) is not None:
+        raise DerivativeOrderUnreliable(why)
+    orders = (k,) if single else tuple(k)
+    s = compute_spectrum(f)
+    band = s.band
+    ixi = 1j * _grid(f.n, f.dx, f.x0).xi[band]
+    F = s.F[band]
     # masked bins stay zero: the multiplier is evaluated on the band only
-    D = np.zeros(f.n, dtype=complex)
-    D[band] = (1j * xi_band) ** k * F[band]
-    return np.real(np.fft.ifft(D))
+    D = np.zeros((len(orders), f.n), dtype=complex)
+    for row, j in zip(D, orders):
+        row[band] = ixi ** j * F
+    np.fft.ifft(D, axis=-1, out=D)
+    return D[0].real if single else D.real
 
 
 def _derivative_sup(f: SampledFunction, k: int, K: CompactBox) -> tuple[float, float, float]:
-    """(sup over K of |f^(k)|, its x, sup over the grid), tabled on f."""
+    """(sup over K of |f^(k)|, its x, sup over the grid), tabled on f.
+
+    The first lookup on K fills the table for every order up to
+    max(k, K_MAX): refused orders are tabled as their refusal, the others
+    come from one batched spectral_derivative.  The refusal test is
+    monotone in k (an edge bin that maximises |F||xi|^k also maximises
+    |F||xi|^(k+1)), so the batch holds the orders a per-order loop would
+    have transformed, and no more.
+    """
     (a, b), = K.intervals
-    key = (k, a, b)
-    entry = f._sups.get(key)
-    if entry is None:
-        try:
-            d = np.abs(spectral_derivative(f, k))
-        except DerivativeOrderUnreliable as e:
-            entry = _Refusal(type(e), str(e))
-        else:
+    if (k, a, b) not in f._sups:
+        accepted = []
+        for j in range(max(k, K_MAX) + 1):
+            if (j, a, b) in f._sups:
+                continue
+            why = _refusal(f, j)
+            if why is None:
+                accepted.append(j)
+            else:
+                f._sups[(j, a, b)] = _Refusal(why)
+        if accepted:
+            d = spectral_derivative(f, tuple(accepted))
+            np.abs(d, out=d)
             # the grid is increasing, so K is one slice of it
             xs = f.xs
             lo = int(np.searchsorted(xs, a, "left"))
-            dK = d[lo : np.searchsorted(xs, b, "right")]
-            i = int(np.argmax(dK))
-            entry = (float(dK[i]), float(xs[lo + i]), float(np.max(d)))
-        f._sups[key] = entry
+            hi = int(np.searchsorted(xs, b, "right"))
+            for j, row in zip(accepted, d):
+                i = lo + int(np.argmax(row[lo:hi]))
+                f._sups[(j, a, b)] = (float(row[i]), float(xs[i]), float(np.max(row)))
+    entry = f._sups[(k, a, b)]
     if isinstance(entry, _Refusal):
-        raise entry.kind(entry.message)
+        raise DerivativeOrderUnreliable(entry.message)
     return entry
 
 
@@ -528,13 +562,14 @@ def indicator_control() -> SampledFunction:
 
 
 @functools.lru_cache(maxsize=2)
-def _bump_half_samples(dps: int):
-    """(dx, (f(0), f(dx), ..., f(m dx))): the standard bump's nonzero samples
-    at x = j dx >= 0 on the GRID_N-point grid over [-2, 2), at dps digits.
+def _bump_half_samples(dps: int) -> tuple[int, tuple[int, ...]]:
+    """(S, samples): the standard bump's nonzero samples f(j dx), x = j dx
+    >= 0 on the GRID_N-point grid over [-2, 2), computed at dps digits and
+    kept as the integers round(f(j dx) 2^S), S = 3.33 dps + 64 bits.
     """
     import mpmath as mp
 
-    n = GRID_N
+    n, S = GRID_N, int(3.33 * dps) + 64
     with mp.workdps(dps):
         dx = mp.mpf(4) / n
         fs = []
@@ -542,8 +577,8 @@ def _bump_half_samples(dps: int):
             x = dx * j
             if abs(x) >= 1:
                 break
-            fs.append(mp.e ** (-1 / (1 - x * x)))
-    return dx, tuple(fs)
+            fs.append(int(mp.nint(mp.ldexp(mp.e ** (-1 / (1 - x * x)), S))))
+    return S, tuple(fs)
 
 
 def reference_spectrum_standard_bump(xis, dps: int = 80):
@@ -563,29 +598,41 @@ def reference_spectrum_standard_bump(xis, dps: int = 80):
         |f^(xi)| = |dx (f_0 + 2 sum_{j=1}^{m} f_j cos(j xi dx))|,
 
     f_j = f(j dx), m = 4095 nonzero terms at n = 2^14.  It is evaluated by
-    Clenshaw's recurrence (MTAC 9, 1955) in real arithmetic at dps digits:
-    b_j = f_j + 2 cos(t) b_{j+1} - b_{j+2}, sum = b_1 cos(t) - b_2, t = xi dx.
-    Its forward error is about (m+1)^2 10^-dps sum |f_j| as t -> 0: with
-    sum |f_j| = 909 that is 1.5e-70 at dps = 80, against
-    |f_0 + 2 sum| >= 3.4e-43 at these frequencies, a relative error near
-    1e-27.  Rounded to float, the moduli are therefore those of the
-    direct complex sum over all n samples unless the exact value lies that
-    close to a rounding boundary.  The samples are kept for the two most
+    Clenshaw's recurrence (MTAC 9, 1955), b_j = f_j + 2 cos(t) b_{j+1} -
+    b_{j+2}, sum = b_1 cos(t) - b_2, t = xi dx, in fixed point: every
+    quantity is an integer multiple of 2^-S, S = 3.33 dps + 64 bits, and
+    each product is floored back onto that grid.  Only the samples and
+    cos(t) come from mpmath, at dps digits.
+
+    Forward error.  Each of the m steps adds one floor (at most 2^-S) and
+    the sample's rounding (2^-S / 2); cos(t), rounded at dps digits and
+    then onto the 2^-S grid, makes the recurrence run at a frequency t'
+    with |cos t' - cos t| <= 10^-dps.  A unit error at step j reaches the
+    sum multiplied by a Chebyshev U_j(cos t), |U_j| <= m + 1, so the floors
+    cost at most 1.5 (m+1)^2 2^-S = 2.5e7 2^-330, about 1e-92 at dps = 80;
+    the samples' own error, 10^-dps relative, and the shift to t' cost
+    about m^2 10^-dps sum |f_j| = 1.5e-70 with sum |f_j| = 909.
+    Against |f_0 + 2 sum| >= 3.4e-43 at these frequencies that is a relative
+    error near 1e-27.  Rounded to float, the moduli are therefore those of
+    the direct complex sum over all n samples unless the exact value lies
+    that close to a rounding boundary.  dx = 2^-12 is a power of two, so
+    the last scaling is exact.  The samples are kept for the two most
     recent precisions.
     """
     import mpmath as mp
 
-    dx, fs = _bump_half_samples(dps)
+    S, fs = _bump_half_samples(dps)
+    dx = 4.0 / GRID_N
     out = []
     with mp.workdps(dps):
         for xi in xis:
-            c = mp.cos(mp.mpf(xi) * dx)
+            c = int(mp.nint(mp.ldexp(mp.cos(mp.mpf(xi) * dx), S)))
             c2 = 2 * c
-            b1 = b2 = mp.mpf(0)
+            b1 = b2 = 0
             for fj in reversed(fs[1:]):
-                b1, b2 = fj + c2 * b1 - b2, b1
-            s = b1 * c - b2
-            out.append(float(mp.fabs(dx * (fs[0] + 2 * s))))
+                b1, b2 = fj + ((c2 * b1) >> S) - b2, b1
+            total = fs[0] + 2 * (((b1 * c) >> S) - b2)
+            out.append(math.ldexp(float(abs(total)), -S) * dx)
     return np.array(out)
 
 

@@ -308,10 +308,7 @@ def check_beta3(seq: LogWeightSequence, Q_max: int = 8) -> Verdict:
         if kind == "poly":
             return verdicts.holds(Q=2, ratio_limit=math.inf)
         if u > 0:
-            try:
-                return verdicts.holds(Q=2, ratio_limit=2.0 ** u)
-            except OverflowError:
-                return verdicts.holds(Q=2, log_ratio_limit=u * math.log(2.0))
+            return verdicts.holds(Q=2, **verdicts.pow2_witness("ratio_limit", u))
         return verdicts.fails(ratio_limit=1.0)
     mu = np.exp(np.diff(seq.L))
     for Q in range(2, Q_max + 1):

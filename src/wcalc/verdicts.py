@@ -73,6 +73,16 @@ def exp_witness(name: str, log_value: float) -> dict[str, float]:
         return {"log_" + name: log_value}
 
 
+def pow2_witness(name: str, x: float) -> dict[str, float]:
+    """{name: 2.0 ** x}, or {"log_" + name: x log 2} when the power is past
+    the float range.  2.0 ** x is not exp(x log 2) in the last bits, so
+    the two helpers are kept apart."""
+    try:
+        return {name: 2.0 ** x}
+    except OverflowError:
+        return {"log_" + name: x * math.log(2.0)}
+
+
 def conjunction(parts: dict[str, Verdict]) -> Verdict:
     """Combine named sub-verdicts: Fails dominates, then Inconclusive.
     The sub-verdicts ride along in the witness so runs can be replayed."""

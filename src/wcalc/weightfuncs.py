@@ -249,7 +249,7 @@ def check_omega_conditions(w: WeightFunction) -> dict[str, Verdict]:
     kind, expo = cls
     if kind == "power":
         alpha = expo
-        out["omega1"] = verdicts.holds(C=2.0 ** alpha)
+        out["omega1"] = verdicts.holds(**verdicts.pow2_witness("C", alpha))
         out["omega2"] = (
             verdicts.holds(exponent=alpha) if alpha <= 1.0
             else verdicts.fails(exponent=alpha)
@@ -262,11 +262,7 @@ def check_omega_conditions(w: WeightFunction) -> dict[str, Verdict]:
         if math.isinf(1.0 / alpha):
             raise DomainExceeded(f"growth exponent {alpha!r} has no finite reciprocal")
         k = math.ceil(1.0 / alpha)
-        try:
-            out["omega6"] = verdicts.holds(H=2.0 ** k)
-        except OverflowError:
-            # H = 2**k is past the float range; record its logarithm
-            out["omega6"] = verdicts.holds(log_H=k * math.log(2))
+        out["omega6"] = verdicts.holds(**verdicts.pow2_witness("H", k))
         out["omega7"] = verdicts.fails(reason_exponent=2 * alpha)
         if alpha < 1.0:
             wit = {}
@@ -286,7 +282,7 @@ def check_omega_conditions(w: WeightFunction) -> dict[str, Verdict]:
         out["omega6"] = verdicts.fails(
             reason="additive shift of log t cannot double (log t)^sigma"
         )
-        out["omega7"] = verdicts.holds(C=2.0 ** math.ceil(sigma), H=1.0)
+        out["omega7"] = verdicts.holds(**verdicts.pow2_witness("C", math.ceil(sigma)), H=1.0)
         out["omega_nq"] = verdicts.holds(sigma=sigma)
     return out
 

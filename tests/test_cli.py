@@ -206,6 +206,21 @@ def test_tiny_rootpower_exponent_gives_log_witness(tmp_path):
     assert rep["weight"]["omega6"]["witness"] == {"H": 2.0 ** 1000}
 
 
+@pytest.mark.parametrize("family, condition", [
+    ("rootpower", "omega1"), ("powerlog", "omega7"),
+])
+def test_huge_weight_exponent_gives_log_witness(family, condition, tmp_path):
+    # C = 2**alpha (omega1) or 2**ceil(sigma) (omega7) is past the float
+    # range from 1024 on; below, C keeps every bit of the power
+    for x in ("1023", "1024", "2000", "1e300"):
+        code, rep = run(["analyze", "--weight", f"{family}:{x}"], tmp_path)
+        assert code == 0, x
+        u = float(x)
+        want = {"log_C": u * math.log(2.0)} if u >= 1024 else {"C": 2.0 ** u}
+        witness = rep["weight"][condition]["witness"]
+        assert {k: v for k, v in witness.items() if "C" in k} == want, x
+
+
 @pytest.mark.parametrize("s", ["500", "710", "1e3", "1200", "1e10", "1e300"])
 def test_huge_gevrey_index_gives_log_witnesses(s, tmp_path):
     # e**s passes the float range from s = 710 on, 2**s from 1024 on:
@@ -391,9 +406,20 @@ def test_overflowing_witnesses_are_reported_in_logs(tmp_path, argv, logged):
 _VERDICT_CALLS = {"holds", "fails", "inconclusive"}
 
 
+def _overflowing_witness(v) -> bool:
+    """math.exp(...) or a power of two such as 2.0 ** x."""
+    if (isinstance(v, ast.Call) and isinstance(v.func, ast.Attribute)
+            and isinstance(v.func.value, ast.Name)
+            and v.func.value.id == "math" and v.func.attr == "exp"):
+        return True
+    return (isinstance(v, ast.BinOp) and isinstance(v.op, ast.Pow)
+            and isinstance(v.left, ast.Constant) and v.left.value == 2)
+
+
 def bare_exp_witnesses(path) -> list[str]:
-    """Sites where a verdict gets a keyword argument math.exp(...): those
-    raise OverflowError past the float range, verdicts.exp_witness does not."""
+    """Sites where a verdict gets a keyword argument math.exp(...) or
+    2.0 ** x: those raise OverflowError past the float range,
+    verdicts.exp_witness and verdicts.pow2_witness do not."""
     found = []
     tree = ast.parse(pathlib.Path(path).read_text())
     for node in ast.walk(tree):
@@ -403,12 +429,20 @@ def bare_exp_witnesses(path) -> list[str]:
                 and node.func.attr in _VERDICT_CALLS):
             continue
         for kw in node.keywords:
-            v = kw.value
-            if (isinstance(v, ast.Call) and isinstance(v.func, ast.Attribute)
-                    and isinstance(v.func.value, ast.Name)
-                    and v.func.value.id == "math" and v.func.attr == "exp"):
+            if _overflowing_witness(kw.value):
                 found.append(f"{pathlib.Path(path).name}:{node.lineno} {kw.arg}")
     return found
+
+
+def test_bare_witness_check_flags_powers_of_two(tmp_path):
+    src = tmp_path / "sites.py"
+    src.write_text(
+        "a = verdicts.holds(C=2.0 ** alpha)\n"
+        "b = verdicts.fails(r=math.exp(x), H=1.0)\n"
+        "c = verdicts.holds(C=2 ** math.ceil(s), H=1.0)\n"
+        "d = verdicts.holds(**verdicts.pow2_witness('C', alpha), L=2.0 * x)\n"
+    )
+    assert bare_exp_witnesses(src) == ["sites.py:1 C", "sites.py:2 r", "sites.py:3 C"]
 
 
 def test_verdict_witnesses_use_exp_witness():

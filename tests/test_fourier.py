@@ -3,10 +3,14 @@
 import math
 import tracemalloc
 
+import functools
+
 import mpmath as mp
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcalc.errors import (
     DerivativeOrderUnreliable,
@@ -19,6 +23,7 @@ from wcalc import fourier
 from wcalc.catalogue import gevrey
 from wcalc.convex import ConvexPL
 from wcalc.fourier import (
+    K_MAX,
     MASK_REL,
     CompactBox,
     SampledFunction,
@@ -363,10 +368,11 @@ def test_harness_fft_count(monkeypatch):
     G = build_gevrey_matrix((1.0, 1.5, 2.0, 2.5, 3.0), 200)
     count = _FFTCounter(monkeypatch)
     assert theorem51_harness(G)["status"] == "holds"
-    # one forward FFT per battery function (5 bumps, 2 controls) and at most
-    # one inverse per function and order k <= k_max = 10
+    # one forward FFT per battery function (5 bumps, 2 controls); one
+    # batched inverse per function fills its whole derivative table, and
+    # each of the 6 built bumps takes one more
     assert count.forward <= 7
-    assert count.inverse <= 7 * 11
+    assert count.inverse <= 13
 
 
 def test_lemma53_i_fft_count(monkeypatch):
@@ -374,7 +380,7 @@ def test_lemma53_i_fft_count(monkeypatch):
     count = _FFTCounter(monkeypatch)
     assert check_lemma53_i(f, gevrey(2.0, 1200), 0.1).holds
     assert count.forward <= 1
-    assert count.inverse <= 11
+    assert count.inverse <= 1
 
 
 def test_harness_memory_peak():
@@ -449,6 +455,35 @@ def test_reference_spectrum_cache_is_keyed_on_precision():
         got = reference_spectrum_standard_bump(xis, dps=dps)
         assert got.tobytes() == want[dps].tobytes(), dps
     assert fourier._bump_half_samples.cache_info().hits == 1
+
+
+@functools.cache
+def _mp_half_samples(dps):
+    with mp.workdps(dps):
+        dx = mp.mpf(4) / 2 ** 14
+        return dx, [mp.e ** (-1 / (1 - (dx * j) ** 2)) for j in range(2 ** 12)]
+
+
+def _mp_clenshaw_reference_spectrum(xis, dps=80):
+    """The half-grid Clenshaw cosine sum in mpmath arithmetic throughout."""
+    dx, fs = _mp_half_samples(dps)
+    out = []
+    with mp.workdps(dps):
+        for xi in xis:
+            c = mp.cos(mp.mpf(xi) * dx)
+            c2 = 2 * c
+            b1 = b2 = mp.mpf(0)
+            for fj in reversed(fs[1:]):
+                b1, b2 = fj + c2 * b1 - b2, b1
+            out.append(float(mp.fabs(dx * (fs[0] + 2 * (b1 * c - b2)))))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(min_value=1e2, max_value=1e4))
+def test_fixed_point_reference_equals_mpmath_clenshaw(xi):
+    got = reference_spectrum_standard_bump([xi], dps=80)
+    assert float(got[0]).hex() == _mp_clenshaw_reference_spectrum([xi])[0].hex()
 
 
 def test_lemma53_i_conjugates_each_envelope_once(monkeypatch):
@@ -612,3 +647,64 @@ def test_one_mask_equals_the_modulus_mask():
         assert spec.band.size == np.count_nonzero(kept), case
         truncated_seen.add(truncated)
     assert truncated_seen == {False, True}
+
+
+# -- the derivative table from one batched inverse FFT ---------------------
+
+def _reference_sup(f, k, K):
+    """One _derivative_sup entry from the per-order 1-D reference, as
+    float.hex strings, or the refusal's (type, message)."""
+    try:
+        d = np.abs(_reference_derivative(f, k))
+    except DerivativeOrderUnreliable as e:
+        return (type(e), str(e))
+    (a, b), = K.intervals
+    sel = (f.xs >= a) & (f.xs <= b)
+    i = int(np.argmax(d[sel]))
+    return tuple(float(v).hex() for v in (d[sel][i], f.xs[sel][i], np.max(d)))
+
+
+def _table_sup(f, k, K):
+    try:
+        return tuple(v.hex() for v in fourier._derivative_sup(f, k, K))
+    except DerivativeOrderUnreliable as e:
+        return (type(e), str(e))
+
+
+def test_batched_table_is_bit_identical():
+    refused_seen = set()
+    for case, build in _mask_battery():
+        f = build()
+        boxes = [f.support]
+        if case == "standard_bump":
+            boxes.append(CompactBox(((-0.5, 0.25),)))
+        for K in boxes:
+            for k in range(K_MAX + 1):
+                want = _reference_sup(f, k, K)
+                assert _table_sup(f, k, K) == want, (case, K, k)
+                refused_seen.add(isinstance(want[0], type))
+        # the first lookup filled every order 0..K_MAX
+        (a, b), = f.support.intervals
+        assert sorted(k for k, *box in f._sups if box == [a, b]) == list(range(K_MAX + 1))
+    assert refused_seen == {False, True}
+
+
+def test_table_past_k_max_is_filled_on_first_lookup(monkeypatch):
+    f = standard_bump()
+    want = [_reference_sup(f, k, f.support) for k in range(K_MAX + 3)]
+    count = _FFTCounter(monkeypatch)
+    assert _table_sup(f, K_MAX + 2, f.support) == want[-1]
+    assert [_table_sup(f, k, f.support) for k in range(K_MAX + 3)] == want
+    assert (count.forward, count.inverse) == (1, 1)
+
+
+def test_batch_rows_do_not_depend_on_their_position():
+    f = standard_bump()
+    want = {k: _reference_derivative(f, k).tobytes() for k in range(K_MAX + 1)}
+    for length in range(1, K_MAX + 2):
+        for start in (0, 3, 7):
+            orders = tuple((start + i) % (K_MAX + 1) for i in range(length))
+            rows = spectral_derivative(f, orders)
+            assert rows.shape == (length, f.n)
+            for k, row in zip(orders, rows):
+                assert row.tobytes() == want[k], (orders, k)
