@@ -14,7 +14,6 @@ from .sequences import (
     check_log_convex,
     check_moderate_growth,
     check_nq,
-    derive_quotients,
     increasing_root_minorant,
     lc_minorant,
     relation_approx,
@@ -71,7 +70,6 @@ __all__ = [
     "class_nq_verdict",
     "comparison_report",
     "construct_minorant",
-    "derive_quotients",
     "increasing_root_minorant",
     "lc_minorant",
     "lower_hull",

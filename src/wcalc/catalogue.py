@@ -10,12 +10,8 @@ import numpy as np
 
 from .matrices import WeightMatrix, build_gevrey_matrix, build_omega_matrix
 from .sequences import LogWeightSequence
-from .tails import FactorialPower, PowerIndex
-from .weightfuncs import (
-    WeightFunction,
-    make_power_log_weight,
-    make_root_power_weight,
-)
+from .tails import PowerIndex
+from .weightfuncs import make_power_log_weight, make_root_power_weight
 
 
 def gevrey(s: float, pmax: int = 200) -> LogWeightSequence:
@@ -78,15 +74,6 @@ def sequence_battery(pmax: int = 200) -> dict[str, LogWeightSequence]:
     fams["prefix_only:2"] = prefix_only(2.0)
     fams["bumpy_prefix"] = bumpy_prefix()
     return fams
-
-
-def weight_battery() -> dict[str, WeightFunction]:
-    out: dict[str, WeightFunction] = {}
-    for sigma in (1.5, 2.0, 3.0):
-        out[f"powerlog:{sigma:g}"] = make_power_log_weight(sigma)
-    for a in (1.0, 2.0):
-        out[f"rootpower:{a:g}"] = make_root_power_weight(a)
-    return out
 
 
 def matrix_from_rows(seqs, labels=None) -> WeightMatrix:

@@ -28,7 +28,6 @@ from .matrices import (
     comparison_report,
     integer_step_identity_error,
     multi_index_step,
-    relation_matrix,
 )
 from .quasi import class_nq_verdict, construct_minorant
 from .sequences import (

@@ -214,13 +214,6 @@ class ConvexPL:
 
     # -- algebra helpers ------------------------------------------------
 
-    def scaled(self, c: float) -> "ConvexPL":
-        """Return g with g(s) = c * f(s / c) for c > 0 (slopes preserved)."""
-        if c <= 0:
-            raise ValueError("scale must be positive")
-        bp = tuple((s * c, v * c) for s, v in self.breakpoints)
-        return ConvexPL(bp, self.left_slope, self.right_slope)
-
     def is_close(self, other: "ConvexPL", tol: float = 1e-12) -> bool:
         f, g = self.canonical(), other.canonical()
         if len(f.breakpoints) != len(g.breakpoints):

@@ -18,9 +18,10 @@ on the results:
   them, and the grid-offset phases exp(-i xi x0) of compute_spectrum and
   exp(i xi x0) of bump_builder;
 * once per function, as the one SpectralData that compute_spectrum builds
-  on first use and keeps on the SampledFunction: one forward FFT and its
-  modulus, the noise-floor mask |F| > MASK_REL max |F| decided once, with
-  the band indices, the band edge and whether the grid truncates the band;
+  on first use and keeps on the SampledFunction: one forward FFT, the
+  noise-floor mask |F| > MASK_REL max |F| decided once, with the band
+  indices, |F| and |xi| on a resolved band (the refusal test of every order
+  reads them), the band edge and whether the grid truncates the band;
   the increasing-xi view of the continuous transform that fourier_norm and
   check_lemma53_ii integrate over; and the exponential fit to the last
   resolved octave that bounds the tail beyond the band;
@@ -90,25 +91,11 @@ class CompactBox:
                 raise ValueError("need finite a < b per axis")
 
     @property
-    def r(self) -> int:
-        return len(self.intervals)
-
-    @property
     def volume(self) -> float:
         out = 1.0
         for a, b in self.intervals:
             out *= b - a
         return out
-
-
-def support_function(K: CompactBox, t) -> float:
-    """H_K(t) = sup over the box of the inner product with t."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if t.size != K.r:
-        raise ValueError("direction dimension mismatch")
-    return float(
-        sum(max(a * ti, b * ti) for (a, b), ti in zip(K.intervals, t))
-    )
 
 
 class _Grid(NamedTuple):
@@ -185,16 +172,14 @@ class SampledFunction:
     def xs(self) -> np.ndarray:
         return _grid(self.n, self.dx, self.x0).xs
 
-    def scale(self, c: float) -> "SampledFunction":
-        return SampledFunction(self.x0, self.dx, c * self.values, self.support)
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
     """Everything that one forward FFT tells about a function; read-only."""
     F: np.ndarray            # unnormalized DFT, fft order
-    absF: np.ndarray         # |F|
     band: np.ndarray         # increasing indices of the bins above the noise floor
+    band_absF: np.ndarray    # |F| on the band (empty when truncated)
+    band_absxi: np.ndarray   # |xi| on the band (empty when truncated)
     edge: float              # largest resolved |xi| (nan when nothing is)
     truncated: bool          # the band reaches the grid edge, not the floor
     xi: np.ndarray           # increasing angular frequencies, shared by the grid
@@ -217,11 +202,18 @@ def compute_spectrum(f: SampledFunction) -> SpectralData:
         return f._spectrum
     g = _grid(f.n, f.dx, f.x0)
     F = _frozen(np.fft.fft(f.values))
-    absF = _frozen(np.abs(F))
+    absF = np.abs(F)
     mask = absF > MASK_REL * np.max(absF)
     band = _frozen(np.flatnonzero(mask))
-    edge = float(np.max(np.abs(g.xi[band]))) if band.size else math.nan
+    band_absxi = np.abs(g.xi[band])
+    edge = float(np.max(band_absxi)) if band.size else math.nan
     truncated = bool(edge >= 0.99 * np.max(np.abs(g.xi)))
+    if truncated:
+        # _refusal refuses a truncated band before it reads these, and such
+        # a band may span the grid
+        band_absF = band_absxi = _frozen(np.empty(0))
+    else:
+        band_absF, band_absxi = _frozen(absF[band]), _frozen(band_absxi)
     # continuous transform at xi_j needs the grid-offset phase
     m = _frozen(np.abs((f.dx * F * g.phase_in)[g.order]))
     kept = _frozen(mask[g.order])
@@ -238,18 +230,11 @@ def compute_spectrum(f: SampledFunction) -> SpectralData:
         m_edge = m[pos][np.argmax(xi[pos])]
         c_decay = -float(coef[1])
     spec = SpectralData(
-        F, absF, band, edge, truncated, g.xi_sorted, m, 2 * np.pi / (f.n * f.dx),
-        kept, xi_edge, m_edge, c_decay,
+        F, band, band_absF, band_absxi, edge, truncated, g.xi_sorted, m,
+        2 * np.pi / (f.n * f.dx), kept, xi_edge, m_edge, c_decay,
     )
     object.__setattr__(f, "_spectrum", spec)
     return spec
-
-
-def check_parseval(f: SampledFunction, spec: SpectralData) -> float:
-    """Relative mismatch of the two energy computations."""
-    lhs = np.sum(f.values ** 2) * f.dx
-    rhs = np.sum(spec.modulus ** 2) * spec.weight / (2 * np.pi)
-    return abs(lhs - rhs) / max(lhs, 1e-300)
 
 
 def _refusal(f: SampledFunction, k: int) -> str | None:
@@ -265,9 +250,8 @@ def _refusal(f: SampledFunction, k: int) -> str | None:
         # never saw the spectrum reach the floor: the grid derivative
         # would describe the band-limited interpolant, not the function
         return f"order {k}: spectrum unresolved at the grid edge"
-    xi_band = _grid(f.n, f.dx, f.x0).xi[s.band]
-    grown = s.absF[s.band] * np.abs(xi_band) ** k
-    if abs(xi_band[int(np.argmax(grown))]) >= s.edge * (1 - 1e-9):
+    grown = s.band_absF * s.band_absxi ** k
+    if s.band_absxi[int(np.argmax(grown))] >= s.edge * (1 - 1e-9):
         return f"order {k}: integrand peaks at the mask boundary"
     return None
 
@@ -419,7 +403,7 @@ def check_lemma53_i(f: SampledFunction, seq: LogWeightSequence, h: float) -> Ver
         raise DomainExceeded(
             f"conjugate needed at {K_MAX / h:g} but slopes end at {hull.P}"
         )
-    lo, hi = fourier_norm(f, seq, h)
+    _, hi = fourier_norm(f, seq, h)
     if hi == 0.0:
         return verdicts.holds(trivial=True, C=0.0)
     w = _norm_row(f, seq).w

@@ -20,7 +20,6 @@ from .sequences import (
     LogWeightSequence,
     check_beta3,
     check_in_LC,
-    check_log_convex,
     check_moderate_growth,
     lc_minorant,
     min_plus_self,
@@ -356,7 +355,7 @@ def multi_index_step(chain: MultiIndexChain, l: float) -> MultiIndexChain:
     """Apply the row transform M -> (j -> exp((1/l) phi*_{omega_M}(l j)))."""
     cur = chain.current
     new_rows = []
-    for lbl, row in zip(cur.labels, cur.rows):
+    for row in cur.rows:
         w = associated_function(row)
         pmax = min(row.P, int(math.floor(row.P / l)))
         if pmax < 2:
@@ -649,14 +648,9 @@ def comparison_report(obj) -> dict:
         for l in l_set:
             pmax = int(min(obj.P, obj.P // max(l, 1.0)))
             rows[l] = sequence_from_weight(w, l, max(pmax, 2))
+        dev = float(np.max(np.abs(rows[1.0].L - obj.L[: rows[1.0].P + 1])))
         V["reconstruction"] = (
-            verdicts.holds(
-                max_log_dev=float(
-                    np.max(np.abs(rows[1.0].L - obj.L[: rows[1.0].P + 1]))
-                )
-            )
-            if float(np.max(np.abs(rows[1.0].L - obj.L[: rows[1.0].P + 1]))) <= 1e-9
-            else verdicts.fails()
+            verdicts.holds(max_log_dev=dev) if dev <= 1e-9 else verdicts.fails()
         )
         for l in l_set:
             V[f"approx:l={l:g}"] = relation_approx(obj, rows[l])

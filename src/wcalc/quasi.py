@@ -32,7 +32,7 @@ from .sequences import (
     relation_triangle,
     _root_series_verdict,
 )
-from .tails import geometric_mean, root_gap_limit
+from .tails import geometric_mean
 from .verdicts import Verdict
 
 
@@ -64,7 +64,6 @@ def matrix_nq_verdict(M: WeightMatrix, variant: str) -> Verdict:
         f"x={lbl:g}": class_nq_verdict(row)
         for lbl, row in zip(M.labels, M.rows)
     }
-    statuses = [v.status for v in per_row.values()]
     if variant == "roumieu":
         if any(v.holds for v in per_row.values()):
             x0 = next(k for k, v in per_row.items() if v.holds)

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import verdicts
 from .convex import lower_hull
-from .errors import NotLogConvex, NotNormalized
+from .errors import NotLogConvex
 from .tails import FactorialPower, Tail, root_gap_limit
 from .verdicts import Verdict
 
@@ -84,10 +84,6 @@ class LogWeightSequence:
             FactorialPower(s, a), pmax, label or f"factorial_power:{s:g},{a:g}"
         )
 
-    @staticmethod
-    def from_values(values, label: str = "") -> "LogWeightSequence":
-        return LogWeightSequence(tuple(float(v) for v in values), None, 0, label)
-
     # -- accessors ------------------------------------------------------
 
     @property
@@ -128,19 +124,6 @@ class LogWeightSequence:
         else:
             out["log_values"] = list(self.log_values)
         return out
-
-
-@dataclass(frozen=True)
-class DerivedQuotients:
-    mu: tuple[float, ...]       # mu_0 = 1, mu_p = M_p / M_{p-1}
-    m_log: tuple[float, ...]    # log m_p = log(M_p / p!)
-
-
-def derive_quotients(seq: LogWeightSequence) -> DerivedQuotients:
-    L = seq.L
-    mu = np.exp(np.diff(L))
-    m_log = L - np.array([math.lgamma(p + 1) for p in range(seq.P + 1)])
-    return DerivedQuotients((1.0, *map(float, mu)), tuple(map(float, m_log)))
 
 
 # -- growth conditions --------------------------------------------------

@@ -111,10 +111,6 @@ class Tail:
         """Certified upper bound for sum_{p > X} exp(-root(p)), or None."""
         return None
 
-    def power(self, r: float) -> "Tail":
-        """Tail of p -> M_p**r."""
-        raise NotImplementedError
-
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -166,9 +162,6 @@ class FactorialPower(Tail):
             except OverflowError:
                 return math.inf
 
-    def power(self, r: float) -> "FactorialPower":
-        return FactorialPower(self.s * r, self.a ** r)
-
     def to_json(self) -> dict:
         if self.a == 1.0:
             return {"family": "gevrey", "s": self.s}
@@ -197,9 +190,6 @@ class PowerIndex(Tail):
 
     def is_log_convex(self) -> bool:
         return True
-
-    def power(self, r: float) -> "PowerIndex":
-        return PowerIndex(self.kappa * r, self.beta)
 
     def to_json(self) -> dict:
         return {"family": "power_index", "kappa": self.kappa, "beta": self.beta}
@@ -244,10 +234,6 @@ class SteppedTail(Tail):
     def is_log_convex(self) -> bool:
         return True
 
-    def power(self, r: float) -> "Tail":
-        base = None if self.parent_tail is None else self.parent_tail.power(r)
-        return SteppedTail(self.parent_log_values * r, base, self.l)
-
     def to_json(self) -> dict:
         return {
             "family": "stepped",
@@ -290,9 +276,6 @@ class RootPowerDualTail(Tail):
 
     def is_log_convex(self) -> bool:
         return True
-
-    def power(self, r: float) -> "Tail":
-        raise NotImplementedError("no closed form for powers of this family")
 
     def to_json(self) -> dict:
         return {"family": "root_power_dual", "a": self.a, "c": self.c, "l": self.l}

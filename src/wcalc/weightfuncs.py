@@ -162,19 +162,6 @@ def associated_function(seq: LogWeightSequence) -> WeightFunction:
     )
 
 
-def crossing_index_eval(seq: LogWeightSequence, t) -> np.ndarray:
-    """Evaluate omega_M via the quotient-crossing index (log-convex input).
-
-    omega_M(t) = p_t*log t - L_{p_t} where mu_{p_t} <= t < mu_{p_t + 1};
-    the hull quotients are used so non-convex input is regularized first.
-    """
-    hull = lc_minorant(seq)
-    mu_log = np.diff(hull.L)
-    s = np.log(np.maximum(np.asarray(t, dtype=float), 1.0))
-    p_t = np.searchsorted(mu_log, s, side="right")
-    return p_t * s - hull.L[p_t]
-
-
 def sequence_from_weight(
     w: WeightFunction, l: float, pmax: int, label: str = ""
 ) -> LogWeightSequence:

@@ -106,13 +106,6 @@ def test_evaluation_and_slopes():
     assert np.allclose(f(xs), [0.0, 1.0, 4.0])
 
 
-def test_scaled():
-    f = make_pl((0.0, 2.0), (1.0,))
-    g = f.scaled(2.0)
-    # g(s) = 2 f(s/2): breakpoints stretch, values double
-    assert g(4.0) == pytest.approx(2.0 * f(2.0))
-
-
 def test_envelope_of_lines():
     # max(0, s, 2s - 1) has kinks at 0 and 1
     env = upper_envelope_of_lines([0.0, 1.0, 2.0], [0.0, 0.0, -1.0])

@@ -1,0 +1,99 @@
+"""Static checks over src/wcalc: every top-level definition is reached by
+something that runs, and every import is used.
+
+"Reached" is by name: a definition counts as reached when its name is
+loaded or read as an attribute outside its own body in src/wcalc (the
+package's __init__.py re-exports, so it reaches nothing), in demos/, in
+perfbench/, or in the acceptance gate tests/test_acceptance.py.
+perfbench/tracing.py wraps functions by their names as strings, so string
+constants count there too.  Unit tests do not count: a definition that
+only its own tests call serves no report.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wcalc"
+
+# Definitions that nothing runs yet, kept for the caller that ROADMAP.md
+# gives them.  A name leaves this table as soon as it is reached.
+AWAITING_CALLER = {
+    "check_L_consequences": "item 12: matrix conditions report",
+    "check_BR_triangle": "item 12: matrix conditions report",
+    "check_lemma_assofunc": "item 12: analyze --seq report",
+    "check_relation_comparison": "item 12: matrix compare report",
+    "sandwich_construct": "items 11 and 12: non-quasianalyticity verdict",
+    "small_terms_diagnostic": "items 11 and 12: non-quasianalyticity verdict",
+    "check_lemma53_ii": "items 11 and 12: Fourier report",
+    "tail_from_json": "item 5: wcalc replay",
+}
+
+
+def _modules():
+    return {p: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+
+def _names(tree, strings=False) -> set[str]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def _unreached(modules) -> dict[str, str]:
+    """Unreached top-level definitions: name -> "module.py:line"."""
+    outside = _names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    for p in sorted((ROOT / "demos").rglob("*.py")):
+        outside |= _names(ast.parse(p.read_text()))
+    for p in sorted((ROOT / "perfbench").rglob("*.py")):
+        outside |= _names(ast.parse(p.read_text()), strings=True)
+    # every top-level statement of src/wcalc with the names it reads
+    stmts = [(p, node, _names(node)) for p, tree in modules.items()
+             if p.name != "__init__.py" for node in tree.body]
+    out = {}
+    for path, d, _ in stmts:
+        if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if d.name in outside:
+            continue
+        if any(d.name in names for _, s, names in stmts if s is not d):
+            continue
+        out[d.name] = f"{path.name}:{d.lineno}"
+    return out
+
+
+def test_every_definition_is_reached():
+    unreached = _unreached(_modules())
+    stray = {k: v for k, v in unreached.items() if k not in AWAITING_CALLER}
+    assert not stray, f"reached by nothing that runs; delete them: {stray}"
+    # the table shrinks as callers arrive
+    stale = set(AWAITING_CALLER) - set(unreached)
+    assert not stale, f"reached now, or gone; drop from AWAITING_CALLER: {sorted(stale)}"
+
+
+def _unused_imports(path, tree) -> list[str]:
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                bound.setdefault(a.asname or a.name.split(".")[0], node.lineno)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+
+
+def test_no_unused_imports():
+    unused = [u for p, t in _modules().items() for u in _unused_imports(p, t)]
+    assert not unused, f"imported and never used: {unused}"

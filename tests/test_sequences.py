@@ -24,7 +24,6 @@ from wcalc.sequences import (
     check_log_convex,
     check_moderate_growth,
     check_nq,
-    derive_quotients,
     increasing_root_minorant,
     lc_minorant,
     lc_minorant_oracle,
@@ -211,14 +210,6 @@ def test_relation_reflexive():
 
 # -- bookkeeping ---------------------------------------------------------
 
-def test_quotients():
-    g = LogWeightSequence.gevrey(1.0, 20)
-    q = derive_quotients(g)
-    assert q.mu[0] == pytest.approx(1.0)
-    assert q.mu[5] == pytest.approx(5.0)   # mu_p = p for p!
-    assert q.m_log[5] == pytest.approx(0.0)
-
-
 def test_tail_consistency_enforced():
     from wcalc.tails import FactorialPower
 
@@ -287,7 +278,7 @@ def test_min_plus_kernel_diagonal_path_matches_loop(seq):
 @pytest.mark.parametrize("seq", [
     perturbed_gevrey(2.0, amplitude=2.0, pmax=400),
     bumpy_prefix(),
-    LogWeightSequence.from_values(0.75 * np.arange(300), "linear"),
+    LogWeightSequence(0.75 * np.arange(300), None, 0, "linear"),
     power_index(1.0, 1.0, 300),
 ], ids=lambda s: s.label)
 def test_min_plus_kernel_falls_back_to_loop(seq):

@@ -137,13 +137,6 @@ def test_geometric_mean_unavailable_across_families():
     assert geometric_mean(FactorialPower(2.0), PowerIndex(1.0, 2.0)) is None
 
 
-def test_power_round_trip():
-    t = FactorialPower(2.0, 3.0).power(0.5)
-    assert t.log_value(6.0) == pytest.approx(
-        0.5 * FactorialPower(2.0, 3.0).log_value(6.0)
-    )
-
-
 def test_json_round_trip():
     for t in (
         FactorialPower(2.0),
