@@ -161,7 +161,8 @@ def parse_matrix(args, pmax: int) -> WeightMatrix:
     return M
 
 
-def _emit(args, report: dict) -> None:
+def _emit(args, report: dict, **tolerances: float) -> None:
+    """Write the report with its config; tolerances are the command's own."""
     report["config"] = {
         "argv": args.argv,
         "version": __version__,
@@ -170,6 +171,7 @@ def _emit(args, report: dict) -> None:
             "LOG_TOL": sequences.LOG_TOL,
             "TAIL_CONSISTENCY_TOL": sequences.TAIL_CONSISTENCY_TOL,
             "SLOPE_TOL": convex.SLOPE_TOL,
+            **tolerances,
         },
     }
     if getattr(args, "format", "json") == "csv":
@@ -351,11 +353,11 @@ def cmd_quasi(args) -> int:
 def cmd_fourier(args) -> int:
     if args.bump_depth < 1:
         raise DescriptorError(f"--bump-depth {args.bump_depth}: a bump needs depth >= 1")
-    from .fourier import theorem51_harness
+    from .fourier import MASK_REL, theorem51_harness
 
     M = parse_matrix(args, args.pmax)
     report = theorem51_harness(M, bump_depth=args.bump_depth)
-    _emit(args, report)
+    _emit(args, report, MASK_REL=MASK_REL)
     return 0
 
 

@@ -28,15 +28,27 @@ on the results:
 * once per (function, box K): the derivative-sup table for every order
   k <= K_MAX, each entry the sup over K of |f^(k)|, where it is attained
   and the sup over the grid, or the refusal's message.  The band-only
-  peak test refuses orders first; the accepted ones share one batched
-  inverse FFT of a (orders, n) array, whose rows numpy transforms bit for
-  bit as it would one at a time.  The derivative multiplier (i xi)^k is
-  evaluated on the band only; the other bins are zero before the inverse
-  FFT, as they were when masked;
+  peak test refuses orders first.  A reader of orders 0..k raises the
+  lowest refused one before it reads any sup, so the accepted orders are
+  transformed only when one of them is read: all of them then share one
+  batched inverse FFT of a (orders, n) array, whose rows numpy transforms
+  bit for bit as it would one at a time.  The derivative multiplier
+  (i xi)^k is evaluated on the band only; the other bins are zero before
+  the inverse FFT, as they were when masked;
 * once per (function, row): the associated function of the row's
   log-convex minorant and omega(|xi|) on the spectrum grid (fourier_norm);
 * once per harness call: each derived row sequence_from_weight(omega, l,
-  K_MAX), shared by the whole battery.
+  K_MAX), shared by the whole battery;
+* once per process, for each distinct bump: bump_builder reads only the
+  box and log M_0..log M_depth of its row, and a bounded cache keyed on
+  exactly these (never on the row object, which every CLI call builds
+  afresh) keeps the bump's grid, its read-only samples on the support and
+  its derivative-sup table.  Every call still returns a new
+  SampledFunction, whose spectrum and Fourier-norm rows are its own and
+  die with it; its sup table is the cached one, since its samples and
+  grid are the same.  A harness over Gevrey rows meets few distinct
+  bumps: every row with log M_0 = log M_1 = 0 gives the same depth-1
+  control.
 
 bump_builder builds its spectrum on the bins 0..n/2 and fills the others
 with the conjugate mirror.  This gives the full-grid product bit for bit:
@@ -137,14 +149,15 @@ class SampledFunction:
 
     The spectrum, the derivative-sup table and the Fourier-norm rows are
     filled on first use and cached on the instance; the grid's arrays come
-    from the shared per-grid cache.
+    from the shared per-grid cache, and a bump_builder function shares its
+    sup table with every other copy of the same bump.
     """
     x0: float
     dx: float
     values: np.ndarray
     support: CompactBox
-    # compute_spectrum's result; (k, a, b) -> _derivative_sup entry;
-    # id(seq) -> _NormRow
+    # compute_spectrum's result; (k, a, b) -> _derivative_sup entry, a
+    # _Refusal or None while pending; id(seq) -> _NormRow
     _spectrum: "SpectralData | None" = field(default=None, init=False, repr=False)
     _sups: dict = field(default_factory=dict, init=False, repr=False)
     _norm_rows: dict = field(default_factory=dict, init=False, repr=False)
@@ -280,38 +293,65 @@ def spectral_derivative(f: SampledFunction, k) -> np.ndarray:
     return D[0].real if single else D.real
 
 
+def _table_orders(f: SampledFunction, k: int, K: CompactBox) -> tuple[float, float]:
+    """Enter every order up to max(k, K_MAX) of f on K in its sup table.
+
+    Band-only: each order is tabled as its refusal, or as None, the sup
+    still to be computed.  Orders are entered from 0 up, so the box's top
+    order being present means all are.  Returns K's ends (a, b).
+    """
+    (a, b), = K.intervals
+    top = max(k, K_MAX)
+    if (top, a, b) not in f._sups:
+        for j in range(top + 1):
+            if (j, a, b) not in f._sups:
+                why = _refusal(f, j)
+                f._sups[(j, a, b)] = None if why is None else _Refusal(why)
+    return a, b
+
+
+def _first_refusal(f: SampledFunction, k_max: int, K: CompactBox) -> str | None:
+    """The refusal of the lowest refused order k <= k_max of f on K, if any.
+
+    Readers of a whole range of orders raise it before reading any sup, so
+    no inverse FFT runs for orders whose sups would be discarded."""
+    a, b = _table_orders(f, k_max, K)
+    for k in range(k_max + 1):
+        entry = f._sups[(k, a, b)]
+        if isinstance(entry, _Refusal):
+            return entry.message
+    return None
+
+
 def _derivative_sup(f: SampledFunction, k: int, K: CompactBox) -> tuple[float, float, float]:
     """(sup over K of |f^(k)|, its x, sup over the grid), tabled on f.
 
-    The first lookup on K fills the table for every order up to
-    max(k, K_MAX): refused orders are tabled as their refusal, the others
-    come from one batched spectral_derivative.  The refusal test is
-    monotone in k (an edge bin that maximises |F||xi|^k also maximises
-    |F||xi|^(k+1)), so the batch holds the orders a per-order loop would
-    have transformed, and no more.
+    The first lookup on K tables every order up to max(k, K_MAX) as its
+    refusal or as pending.  The first read of an accepted order computes
+    every pending order of K from one batched spectral_derivative.  The
+    refusal test is monotone in k (an edge bin that maximises |F||xi|^k
+    also maximises |F||xi|^(k+1)), so the batch holds the orders a
+    per-order loop would have transformed, and no more.
     """
-    (a, b), = K.intervals
-    if (k, a, b) not in f._sups:
-        accepted = []
-        for j in range(max(k, K_MAX) + 1):
-            if (j, a, b) in f._sups:
-                continue
-            why = _refusal(f, j)
-            if why is None:
-                accepted.append(j)
-            else:
-                f._sups[(j, a, b)] = _Refusal(why)
-        if accepted:
-            d = spectral_derivative(f, tuple(accepted))
-            np.abs(d, out=d)
-            # the grid is increasing, so K is one slice of it
-            xs = f.xs
-            lo = int(np.searchsorted(xs, a, "left"))
-            hi = int(np.searchsorted(xs, b, "right"))
-            for j, row in zip(accepted, d):
-                i = lo + int(np.argmax(row[lo:hi]))
-                f._sups[(j, a, b)] = (float(row[i]), float(xs[i]), float(np.max(row)))
+    a, b = _table_orders(f, k, K)
     entry = f._sups[(k, a, b)]
+    if entry is None:
+        pending = []
+        j = 0
+        while (j, a, b) in f._sups:
+            if f._sups[(j, a, b)] is None:
+                pending.append(j)
+            j += 1
+        d = spectral_derivative(f, tuple(pending))
+        np.abs(d, out=d)
+        # the grid is increasing, so K is one slice of it
+        xs = f.xs
+        lo = int(np.searchsorted(xs, a, "left"))
+        hi = int(np.searchsorted(xs, b, "right"))
+        for j, row in zip(pending, d):
+            i = lo + int(np.argmax(row[lo:hi]))
+            f._sups[(j, a, b)] = (float(row[i]), float(xs[i]), float(np.max(row)))
+        entry = f._sups[(k, a, b)]
     if isinstance(entry, _Refusal):
         raise DerivativeOrderUnreliable(entry.message)
     return entry
@@ -328,6 +368,8 @@ class SeminormResult:
 def seminorm_derivative(
     f: SampledFunction, seq: LogWeightSequence, K: CompactBox, h: float, k_max: int
 ) -> SeminormResult:
+    if (why := _first_refusal(f, k_max, K)) is not None:
+        raise DerivativeOrderUnreliable(why)
     (a, _), = K.intervals
     best, bk, bx = -math.inf, 0, a
     per = []
@@ -344,25 +386,23 @@ class _NormRow(NamedTuple):
     """What fourier_norm needs of one (function, row), whatever h is."""
     seq: LogWeightSequence   # keeps id(seq), the cache key, from being reused
     w: WeightFunction
-    om: np.ndarray | None    # omega(max(|xi|, 1)) on the spectrum grid
+    om: np.ndarray           # omega(max(|xi|, 1)) on the spectrum grid
     om_slope: float          # slope of omega just past the band edge
     om_edge: float           # omega at the band edge
 
 
 def _norm_row(f: SampledFunction, seq: LogWeightSequence) -> _NormRow:
+    """fourier_norm's row data; the band must not be truncated."""
     row = f._norm_rows.get(id(seq))
     if row is None:
         spec = compute_spectrum(f)
         w = associated_function(lc_minorant(seq))
-        if spec.truncated:
-            row = _NormRow(seq, w, None, math.nan, math.nan)
-        else:
-            xi_edge = spec.xi_edge
-            om = _frozen(w.omega(np.maximum(np.abs(spec.xi), 1.0)))
-            om_slope = float(
-                (w.omega(xi_edge * 1.01) - w.omega(xi_edge)) / (0.01 * xi_edge)
-            )
-            row = _NormRow(seq, w, om, om_slope, w.omega(xi_edge))
+        xi_edge = spec.xi_edge
+        om = _frozen(w.omega(np.maximum(np.abs(spec.xi), 1.0)))
+        om_slope = float(
+            (w.omega(xi_edge * 1.01) - w.omega(xi_edge)) / (0.01 * xi_edge)
+        )
+        row = _NormRow(seq, w, om, om_slope, w.omega(xi_edge))
         f._norm_rows[id(seq)] = row
     return row
 
@@ -375,11 +415,11 @@ def fourier_norm(
     m = spec.modulus
     if np.max(m) == 0.0:
         return (0.0, 0.0)
-    row = _norm_row(f, seq)
     if spec.truncated:
         # decay was never observed down to the noise floor, so no
         # extrapolation beyond the grid can be certified
         raise TailDominates("resolved band truncated by the grid, not by decay")
+    row = _norm_row(f, seq)
     integrand = np.where(spec.kept, m * np.exp(h * row.om), 0.0)
     inner = float(np.sum(integrand) * spec.weight)
     c_eff = spec.c_decay - h * row.om_slope
@@ -406,6 +446,8 @@ def check_lemma53_i(f: SampledFunction, seq: LogWeightSequence, h: float) -> Ver
     _, hi = fourier_norm(f, seq, h)
     if hi == 0.0:
         return verdicts.holds(trivial=True, C=0.0)
+    if (why := _first_refusal(f, K_MAX, f.support)) is not None:
+        raise DerivativeOrderUnreliable(why)
     w = _norm_row(f, seq).w
     worst = 0.0
     for k in range(K_MAX + 1):
@@ -467,16 +509,22 @@ def check_lemma53_ii(
 
 # -- synthesis ----------------------------------------------------------
 
-def bump_builder(K: CompactBox, seq: LogWeightSequence, depth: int) -> SampledFunction:
-    """Indicator convolved with depth box kernels of widths 1/mu_p.
+class _Bump(NamedTuple):
+    """One synthesised bump: its grid, its samples on the support, and the
+    derivative-sup table that every SampledFunction built from it shares."""
+    x0: float
+    dx: float
+    lo: int                  # grid index of the first sample on the support
+    samples: np.ndarray      # read-only values at lo, lo + 1, ...
+    sups: dict               # SampledFunction._sups of every copy
 
-    The construction is done in the frequency domain (product of sinc
-    factors) on a grid spanning four times the support, then transformed
-    back; this keeps |f^{(k)}| <= 2^k mu_1...mu_k for k <= depth.
-    """
-    (a, b), = K.intervals
+
+@functools.lru_cache(maxsize=32)
+def _bump(intervals: tuple[tuple[float, float], ...], logs: tuple[float, ...]) -> _Bump:
+    """bump_builder's synthesis from what it reads of the row: log M_0..log M_depth."""
+    (a, b), = intervals
     width = b - a
-    mus = [math.exp(seq.log_at(p) - seq.log_at(p - 1)) for p in range(1, depth + 1)]
+    mus = [math.exp(logs[p] - logs[p - 1]) for p in range(1, len(logs))]
     # widths 1/(h mu_p), with the dilation h the smallest power of two that
     # fits the budget; |f^(k)| <= (2h)^k mu_1...mu_k stays in the same class
     h = 1.0
@@ -518,10 +566,29 @@ def bump_builder(K: CompactBox, seq: LogWeightSequence, depth: int) -> SampledFu
     F.imag[m:] = -im[n - m : 0 : -1]
     # phase on the left: complex multiply is not commutative bit for bit
     vals = np.real(np.fft.ifft(g.phase_out * F)) / dx
-    xs = g.xs
-    vals[(xs < a) | (xs > b)] = 0.0
     vals[np.abs(vals) < 1e-16] = 0.0
-    return SampledFunction(x0, dx, vals, K)
+    # the grid is increasing, so the support is one slice of it
+    lo = int(np.searchsorted(g.xs, a, "left"))
+    hi = int(np.searchsorted(g.xs, b, "right"))
+    return _Bump(x0, dx, lo, _frozen(vals[lo:hi].copy()), {})
+
+
+def bump_builder(K: CompactBox, seq: LogWeightSequence, depth: int) -> SampledFunction:
+    """Indicator convolved with depth box kernels of widths 1/mu_p.
+
+    The construction is done in the frequency domain (product of sinc
+    factors) on a grid spanning four times the support, then transformed
+    back; this keeps |f^{(k)}| <= 2^k mu_1...mu_k for k <= depth.  Each
+    distinct (K, log M_0..log M_depth) is synthesised once per process;
+    every call returns a new function with its own spectrum.
+    """
+    bump = _bump(K.intervals, tuple(seq.log_at(p) for p in range(depth + 1)))
+    vals = np.zeros(GRID_N)
+    vals[bump.lo : bump.lo + bump.samples.size] = bump.samples
+    f = SampledFunction(bump.x0, bump.dx, vals, K)
+    # same samples on the same grid, so the same sups
+    object.__setattr__(f, "_sups", bump.sups)
+    return f
 
 
 # the two fixed test functions live on [-1, 1], on a grid spanning four widths

@@ -250,6 +250,16 @@ def test_config_records_parsed_argv_and_tolerances(tmp_path):
     assert exc.value.code == 2
 
 
+def test_fourier_config_records_mask_rel(tmp_path):
+    from wcalc.fourier import MASK_REL
+
+    code, rep = run(["fourier", "harness", "--gevrey", "1,2", "--bump-depth", "10"], tmp_path)
+    assert code == 0
+    tolerances = rep["config"]["tolerances"]
+    assert sorted(tolerances) == ["LOG_TOL", "MASK_REL", "SLOPE_TOL", "TAIL_CONSISTENCY_TOL"]
+    assert tolerances["MASK_REL"] == MASK_REL
+
+
 def test_precondition_failure_is_exit_3(tmp_path):
     # a p! row carries no certified tail bound, so construction must refuse
     code = main(

@@ -709,3 +709,89 @@ def test_batch_rows_do_not_depend_on_their_position():
             assert rows.shape == (length, f.n)
             for k, row in zip(orders, rows):
                 assert row.tobytes() == want[k], (orders, k)
+
+
+# -- refusals before transforms, and one synthesis per distinct bump -------
+
+def test_refusal_is_raised_before_any_inverse_fft(monkeypatch):
+    # a reader of orders 0..k raises the lowest refused one before it reads
+    # a sup, so the sups it would discard are never transformed
+    f, g = _algebraic_decay(), indicator_control()
+    row = gevrey(2.0, 200)
+    want = _reference_sup(g, 0, g.support)
+    count = _FFTCounter(monkeypatch)
+    with pytest.raises(DerivativeOrderUnreliable) as exc:
+        check_lemma53_i(f, row, 0.1)
+    assert str(exc.value) == "order 9: integrand peaks at the mask boundary"
+    with pytest.raises(DerivativeOrderUnreliable) as exc:
+        seminorm_derivative(g, row, g.support, 1.0, K_MAX)
+    assert str(exc.value) == "order 1: spectrum unresolved at the grid edge"
+    assert (count.forward, count.inverse) == (2, 0)
+    # the first read of an accepted order transforms all of them at once
+    assert seminorm_derivative(f, row, f.support, 1.0, 8).attained_k == 8
+    assert _table_sup(g, 0, g.support) == want
+    assert count.inverse == 2
+
+
+def test_truncated_band_builds_no_norm_row():
+    f = indicator_control()
+    assert compute_spectrum(f).truncated
+    with pytest.raises(TailDominates):
+        fourier_norm(f, gevrey(2.0, 200), 0.1)
+    assert f._norm_rows == {}
+
+
+def test_bump_memo_hit_equals_fresh_synthesis():
+    for case, build in _mask_battery():
+        if not isinstance(case, tuple):
+            continue
+        support, s, depth = case
+        K = CompactBox((support,))
+        first = build()
+        hits = fourier._bump.cache_info().hits
+        # a new row object with the same values hits the same entry
+        hit = bump_builder(K, gevrey(s, 200), depth)
+        assert fourier._bump.cache_info().hits == hits + 1, case
+        assert hit is not first and hit._sups is first._sups
+        fresh = _reference_bump(K, gevrey(s, 200), depth)
+        assert (hit.x0, hit.dx) == (fresh.x0, fresh.dx)
+        assert hit.values.tobytes() == fresh.values.tobytes(), case
+        for k in range(K_MAX + 1):
+            assert _table_sup(hit, k, K) == _table_sup(fresh, k, K), (case, k)
+        assert _table_seminorm(hit, gevrey(s, 200), 1.0, K_MAX) == \
+            _table_seminorm(fresh, gevrey(s, 200), 1.0, K_MAX), case
+    # every Gevrey row has log M_0 = log M_1 = 0: one depth-1 control
+    K = CompactBox(((-1.0, 1.0),))
+    assert bump_builder(K, gevrey(1.0, 200), 1)._sups is \
+        bump_builder(K, gevrey(3.0, 200), 1)._sups
+
+
+def test_bump_memo_is_bounded_and_read_only():
+    info = fourier._bump.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 32
+    K, row = CompactBox(((-0.7, 1.3),)), gevrey(2.0, 200)
+    f = bump_builder(K, row, 10)
+    entry = fourier._bump(K.intervals, tuple(row.log_at(p) for p in range(11)))
+    # the samples on the support, a quarter of the grid
+    assert entry.samples.size <= f.n // 4 + 1
+    assert f.values[entry.lo : entry.lo + entry.samples.size].tobytes() == \
+        entry.samples.tobytes()
+    assert not np.any(np.delete(f.values, np.arange(entry.lo, entry.lo + entry.samples.size)))
+    for a in (entry.samples, f.values):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_second_harness_reuses_every_bump(monkeypatch):
+    G = build_gevrey_matrix(GEVREY_ROWS, 200)
+    first = theorem51_harness(G)
+    count = _FFTCounter(monkeypatch)
+    # one forward FFT per battery function (5 bumps, 2 controls), since
+    # spectra are per call, and no inverse: every bump and its sup table
+    # come from the memo, and the indicator refuses order 1
+    assert theorem51_harness(G) == first
+    assert (count.forward, count.inverse) == (7, 0)
+    # rows built afresh, as every CLI call builds them, hit the same entries
+    assert theorem51_harness(build_gevrey_matrix(GEVREY_ROWS, 200)) == first
+    assert (count.forward, count.inverse) == (14, 0)
