@@ -22,9 +22,14 @@ on the results:
   noise-floor mask |F| > MASK_REL max |F| decided once, with the band
   indices, |F| and |xi| on a resolved band (the refusal test of every order
   reads them), the band edge and whether the grid truncates the band;
-  the increasing-xi view of the continuous transform that fourier_norm and
-  check_lemma53_ii integrate over; and the exponential fit to the last
-  resolved octave that bounds the tail beyond the band;
+  the increasing-xi view of the continuous transform; and the exponential
+  fit to the last resolved octave that bounds the tail beyond the band;
+* once per function, the spectral record that fourier_norm, its norm rows,
+  check_lemma53_ii and the harness's derivative side read instead: whether
+  the transform is zero and whether the band is truncated, the band as a
+  mask on increasing xi with the modulus on it alone, the quadrature weight
+  and the tail fit.  It is band-sized (a truncated band keeps no arrays), so
+  it can outlive the SpectralData it is taken from;
 * once per (function, box K): the derivative-sup table for every order
   k <= K_MAX, each entry the sup over K of |f^(k)|, where it is attained
   and the sup over the grid, or the refusal's message.  The band-only
@@ -36,19 +41,24 @@ on the results:
   (i xi)^k is evaluated on the band only; the other bins are zero before
   the inverse FFT, as they were when masked;
 * once per (function, row): the associated function of the row's
-  log-convex minorant and omega(|xi|) on the spectrum grid (fourier_norm);
+  log-convex minorant and omega(|xi|) on the band (fourier_norm);
 * once per harness call: each derived row sequence_from_weight(omega, l,
   K_MAX), shared by the whole battery;
-* once per process, for each distinct bump: bump_builder reads only the
-  box and log M_0..log M_depth of its row, and a bounded cache keyed on
-  exactly these (never on the row object, which every CLI call builds
-  afresh) keeps the bump's grid, its read-only samples on the support and
-  its derivative-sup table.  Every call still returns a new
-  SampledFunction, whose spectrum and Fourier-norm rows are its own and
-  die with it; its sup table is the cached one, since its samples and
-  grid are the same.  A harness over Gevrey rows meets few distinct
-  bumps: every row with log M_0 = log M_1 = 0 gives the same depth-1
-  control.
+* once per process, for each distinct bump and for each of the two fixed
+  test functions, its memo: the derivative-sup table and the spectral
+  record, filled by the first copy that reads them.  bump_builder reads
+  only the box and log M_0..log M_depth of its row, and a bounded cache
+  keyed on exactly these (never on the row object, which every CLI call
+  builds afresh) keeps the bump's grid, its read-only samples on the
+  support and its memo.  standard_bump and indicator_control compute their
+  samples by the same code on the same grid at every call, and a cache
+  keyed on their names keeps their memos.  Every call still returns a new
+  SampledFunction with its own Fourier-norm rows, and with its own
+  SpectralData if a reader asks for one (an order still pending in the sup
+  table, say), recomputed from the same samples bit for bit; a copy whose
+  memo is full needs no transform at all.  A harness over Gevrey rows
+  meets few distinct bumps: every row with log M_0 = log M_1 = 0 gives the
+  same depth-1 control.
 
 bump_builder builds its spectrum on the bins 0..n/2 and fills the others
 with the conjugate mirror.  This gives the full-grid product bit for bit:
@@ -143,23 +153,34 @@ class _Refusal(NamedTuple):
     message: str
 
 
+class _Memo:
+    """What every copy of one function shares: its derivative-sup table,
+    (k, a, b) -> _derivative_sup entry, a _Refusal or None while pending,
+    and its _SpectralRecord once read."""
+    __slots__ = ("sups", "record")
+
+    def __init__(self):
+        self.sups: dict = {}
+        self.record: _SpectralRecord | None = None
+
+
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
     """Samples on the grid x0 + dx * arange(n); values become read-only float64.
 
-    The spectrum, the derivative-sup table and the Fourier-norm rows are
-    filled on first use and cached on the instance; the grid's arrays come
-    from the shared per-grid cache, and a bump_builder function shares its
-    sup table with every other copy of the same bump.
+    The spectrum, the derivative-sup table, the spectral record and the
+    Fourier-norm rows are filled on first use and cached on the instance;
+    the grid's arrays come from the shared per-grid cache, and a function
+    from bump_builder, standard_bump or indicator_control shares its memo
+    (sup table and spectral record) with every other copy of itself.
     """
     x0: float
     dx: float
     values: np.ndarray
     support: CompactBox
-    # compute_spectrum's result; (k, a, b) -> _derivative_sup entry, a
-    # _Refusal or None while pending; id(seq) -> _NormRow
+    # compute_spectrum's result; the shared memo; id(seq) -> _NormRow
     _spectrum: "SpectralData | None" = field(default=None, init=False, repr=False)
-    _sups: dict = field(default_factory=dict, init=False, repr=False)
+    _memo: _Memo = field(default_factory=_Memo, init=False, repr=False)
     _norm_rows: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -250,6 +271,40 @@ def compute_spectrum(f: SampledFunction) -> SpectralData:
     return spec
 
 
+class _SpectralRecord(NamedTuple):
+    """What the Fourier-norm readers take from a SpectralData; read-only.
+
+    Band-sized, so that it can be kept in a function's memo for the life of
+    the process: a truncated band keeps no arrays, since every reader
+    refuses it first, and a resolved one keeps the modulus on the band only.
+    """
+    zero: bool                   # the transform is identically zero
+    truncated: bool              # the band reaches the grid edge, not the floor
+    kept: np.ndarray | None      # the band as a mask on increasing xi
+    modulus: np.ndarray | None   # |continuous transform| on kept, in order
+    weight: float                # uniform quadrature weight d xi
+    xi_edge: float               # the tail fit of SpectralData
+    m_edge: float
+    c_decay: float
+
+
+def _spectral_record(f: SampledFunction) -> _SpectralRecord:
+    """f's spectral record, taken from compute_spectrum on first use and kept
+    in f's memo, where every copy of f reads it without a transform."""
+    rec = f._memo.record
+    if rec is None:
+        s = compute_spectrum(f)
+        kept = modulus = None
+        if not s.truncated:
+            kept, modulus = s.kept, _frozen(s.modulus[s.kept])
+        rec = _SpectralRecord(
+            bool(np.max(s.modulus) == 0.0), s.truncated, kept, modulus,
+            s.weight, s.xi_edge, s.m_edge, s.c_decay,
+        )
+        f._memo.record = rec
+    return rec
+
+
 def _refusal(f: SampledFunction, k: int) -> str | None:
     """Why order k of f is past the noise floor, or None when it is not.
 
@@ -302,11 +357,12 @@ def _table_orders(f: SampledFunction, k: int, K: CompactBox) -> tuple[float, flo
     """
     (a, b), = K.intervals
     top = max(k, K_MAX)
-    if (top, a, b) not in f._sups:
+    sups = f._memo.sups
+    if (top, a, b) not in sups:
         for j in range(top + 1):
-            if (j, a, b) not in f._sups:
+            if (j, a, b) not in sups:
                 why = _refusal(f, j)
-                f._sups[(j, a, b)] = None if why is None else _Refusal(why)
+                sups[(j, a, b)] = None if why is None else _Refusal(why)
     return a, b
 
 
@@ -317,7 +373,7 @@ def _first_refusal(f: SampledFunction, k_max: int, K: CompactBox) -> str | None:
     no inverse FFT runs for orders whose sups would be discarded."""
     a, b = _table_orders(f, k_max, K)
     for k in range(k_max + 1):
-        entry = f._sups[(k, a, b)]
+        entry = f._memo.sups[(k, a, b)]
         if isinstance(entry, _Refusal):
             return entry.message
     return None
@@ -334,12 +390,13 @@ def _derivative_sup(f: SampledFunction, k: int, K: CompactBox) -> tuple[float, f
     per-order loop would have transformed, and no more.
     """
     a, b = _table_orders(f, k, K)
-    entry = f._sups[(k, a, b)]
+    sups = f._memo.sups
+    entry = sups[(k, a, b)]
     if entry is None:
         pending = []
         j = 0
-        while (j, a, b) in f._sups:
-            if f._sups[(j, a, b)] is None:
+        while (j, a, b) in sups:
+            if sups[(j, a, b)] is None:
                 pending.append(j)
             j += 1
         d = spectral_derivative(f, tuple(pending))
@@ -350,8 +407,8 @@ def _derivative_sup(f: SampledFunction, k: int, K: CompactBox) -> tuple[float, f
         hi = int(np.searchsorted(xs, b, "right"))
         for j, row in zip(pending, d):
             i = lo + int(np.argmax(row[lo:hi]))
-            f._sups[(j, a, b)] = (float(row[i]), float(xs[i]), float(np.max(row)))
-        entry = f._sups[(k, a, b)]
+            sups[(j, a, b)] = (float(row[i]), float(xs[i]), float(np.max(row)))
+        entry = sups[(k, a, b)]
     if isinstance(entry, _Refusal):
         raise DerivativeOrderUnreliable(entry.message)
     return entry
@@ -386,7 +443,7 @@ class _NormRow(NamedTuple):
     """What fourier_norm needs of one (function, row), whatever h is."""
     seq: LogWeightSequence   # keeps id(seq), the cache key, from being reused
     w: WeightFunction
-    om: np.ndarray           # omega(max(|xi|, 1)) on the spectrum grid
+    om: np.ndarray           # omega(max(|xi|, 1)) on the band, increasing xi
     om_slope: float          # slope of omega just past the band edge
     om_edge: float           # omega at the band edge
 
@@ -395,10 +452,11 @@ def _norm_row(f: SampledFunction, seq: LogWeightSequence) -> _NormRow:
     """fourier_norm's row data; the band must not be truncated."""
     row = f._norm_rows.get(id(seq))
     if row is None:
-        spec = compute_spectrum(f)
+        rec = _spectral_record(f)
         w = associated_function(lc_minorant(seq))
-        xi_edge = spec.xi_edge
-        om = _frozen(w.omega(np.maximum(np.abs(spec.xi), 1.0)))
+        xi_edge = rec.xi_edge
+        xi = _grid(f.n, f.dx, f.x0).xi_sorted[rec.kept]
+        om = _frozen(w.omega(np.maximum(np.abs(xi), 1.0)))
         om_slope = float(
             (w.omega(xi_edge * 1.01) - w.omega(xi_edge)) / (0.01 * xi_edge)
         )
@@ -411,24 +469,26 @@ def fourier_norm(
     f: SampledFunction, seq: LogWeightSequence, h: float
 ) -> tuple[float, float]:
     """Bracket for int |f^(xi)| exp(h omega(|xi|)) d xi."""
-    spec = compute_spectrum(f)
-    m = spec.modulus
-    if np.max(m) == 0.0:
+    rec = _spectral_record(f)
+    if rec.zero:
         return (0.0, 0.0)
-    if spec.truncated:
+    if rec.truncated:
         # decay was never observed down to the noise floor, so no
         # extrapolation beyond the grid can be certified
         raise TailDominates("resolved band truncated by the grid, not by decay")
     row = _norm_row(f, seq)
-    integrand = np.where(spec.kept, m * np.exp(h * row.om), 0.0)
-    inner = float(np.sum(integrand) * spec.weight)
-    c_eff = spec.c_decay - h * row.om_slope
+    c_eff = rec.c_decay - h * row.om_slope
     if c_eff <= 0:
         raise TailDominates(
-            f"decay {spec.c_decay:.3g} per unit xi cannot beat weight growth "
+            f"decay {rec.c_decay:.3g} per unit xi cannot beat weight growth "
             f"{h * row.om_slope:.3g} at the band edge"
         )
-    edge_val = float(spec.m_edge * math.exp(h * row.om_edge))
+    # numpy's pairwise sum groups the terms by position, so the band is
+    # summed in place on a zero grid, as the integrand over the whole grid
+    integrand = np.zeros(f.n)
+    integrand[rec.kept] = rec.modulus * np.exp(h * row.om)
+    inner = float(np.sum(integrand) * rec.weight)
+    edge_val = float(rec.m_edge * math.exp(h * row.om_edge))
     tail = 2.0 * edge_val / c_eff          # both signs of xi
     hi = inner + tail
     if tail > 0.1 * hi:
@@ -466,13 +526,9 @@ def check_lemma53_ii(
     Lv = check_matrix_condition(M, "L_roumieu")
     if not Lv.holds:
         raise HypothesisNotCertified("matrix lacks the L condition")
-    spec = compute_spectrum(f)
-    m = spec.modulus
-    if np.max(m) == 0.0:
+    rec = _spectral_record(f)
+    if rec.zero:
         return verdicts.holds(trivial=True)
-    kept = spec.kept & (spec.xi > 0)
-    xi = spec.xi[kept]
-    mod = m[kept]
     lamK = f.support.volume
     C = None
     x_used = None
@@ -487,6 +543,10 @@ def check_lemma53_ii(
         # no row admits a finite weighted integral: the function decays too
         # slowly for this matrix, so the claimed bound fails for every row
         return verdicts.fails(reason="no finite premise integral on any row")
+    # a row gave a bracket, so the band is resolved
+    xi = _grid(f.n, f.dx, f.x0).xi_sorted[rec.kept]
+    pos = xi > 0
+    xi, mod = xi[pos], rec.modulus[pos]
     all_unbounded = True
     for lbl, row in zip(M.labels, M.rows):
         w = associated_function(row)
@@ -511,12 +571,12 @@ def check_lemma53_ii(
 
 class _Bump(NamedTuple):
     """One synthesised bump: its grid, its samples on the support, and the
-    derivative-sup table that every SampledFunction built from it shares."""
+    memo that every SampledFunction built from it shares."""
     x0: float
     dx: float
     lo: int                  # grid index of the first sample on the support
     samples: np.ndarray      # read-only values at lo, lo + 1, ...
-    sups: dict               # SampledFunction._sups of every copy
+    memo: _Memo
 
 
 @functools.lru_cache(maxsize=32)
@@ -570,7 +630,7 @@ def _bump(intervals: tuple[tuple[float, float], ...], logs: tuple[float, ...]) -
     # the grid is increasing, so the support is one slice of it
     lo = int(np.searchsorted(g.xs, a, "left"))
     hi = int(np.searchsorted(g.xs, b, "right"))
-    return _Bump(x0, dx, lo, _frozen(vals[lo:hi].copy()), {})
+    return _Bump(x0, dx, lo, _frozen(vals[lo:hi].copy()), _Memo())
 
 
 def bump_builder(K: CompactBox, seq: LogWeightSequence, depth: int) -> SampledFunction:
@@ -580,14 +640,14 @@ def bump_builder(K: CompactBox, seq: LogWeightSequence, depth: int) -> SampledFu
     factors) on a grid spanning four times the support, then transformed
     back; this keeps |f^{(k)}| <= 2^k mu_1...mu_k for k <= depth.  Each
     distinct (K, log M_0..log M_depth) is synthesised once per process;
-    every call returns a new function with its own spectrum.
+    every call returns a new function sharing its memo.
     """
     bump = _bump(K.intervals, tuple(seq.log_at(p) for p in range(depth + 1)))
     vals = np.zeros(GRID_N)
     vals[bump.lo : bump.lo + bump.samples.size] = bump.samples
     f = SampledFunction(bump.x0, bump.dx, vals, K)
-    # same samples on the same grid, so the same sups
-    object.__setattr__(f, "_sups", bump.sups)
+    # same samples on the same grid, so the same sups and spectral record
+    object.__setattr__(f, "_memo", bump.memo)
     return f
 
 
@@ -596,20 +656,31 @@ _UNIT = CompactBox(((-1.0, 1.0),))
 _UNIT_X0, _UNIT_DX = -4.0, 8.0 / GRID_N
 
 
+@functools.lru_cache(maxsize=2)
+def _unit_memo(name: str) -> _Memo:
+    """The memo that every copy of the fixed test function name shares:
+    each copy's samples come from the same code on the same grid."""
+    return _Memo()
+
+
 def standard_bump() -> SampledFunction:
     """exp(-1/(1 - x^2)) on [-1, 1]."""
     xs = _grid(GRID_N, _UNIT_DX, _UNIT_X0).xs
     vals = np.zeros(GRID_N)
     inside = np.abs(xs) < 1.0
     vals[inside] = np.exp(-1.0 / (1.0 - xs[inside] ** 2))
-    return SampledFunction(_UNIT_X0, _UNIT_DX, vals, _UNIT)
+    f = SampledFunction(_UNIT_X0, _UNIT_DX, vals, _UNIT)
+    object.__setattr__(f, "_memo", _unit_memo("standard_bump"))
+    return f
 
 
 def indicator_control() -> SampledFunction:
     """Sharp indicator; the canonical non-member of every smooth class."""
     xs = _grid(GRID_N, _UNIT_DX, _UNIT_X0).xs
     vals = np.where(np.abs(xs) <= 1.0, 1.0, 0.0)
-    return SampledFunction(_UNIT_X0, _UNIT_DX, vals, _UNIT)
+    f = SampledFunction(_UNIT_X0, _UNIT_DX, vals, _UNIT)
+    object.__setattr__(f, "_memo", _unit_memo("indicator_control"))
+    return f
 
 
 @functools.lru_cache(maxsize=2)
@@ -721,7 +792,7 @@ def _derivative_indicator(f, M: WeightMatrix, h_grid) -> str:
             except DerivativeOrderUnreliable:
                 # failing already at low order with spectral mass at the band
                 # edge means the function is certified non-smooth at grid scale
-                return "negative" if compute_spectrum(f).truncated else "open"
+                return "negative" if _spectral_record(f).truncated else "open"
             if _trend_classify(res.per_order) == "finite":
                 return "positive"
     return "negative"

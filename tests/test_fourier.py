@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import functools
 
@@ -19,7 +20,7 @@ from wcalc.errors import (
     TailDominates,
     WidthBudgetExceeded,
 )
-from wcalc import fourier
+from wcalc import fourier, verdicts
 from wcalc.catalogue import gevrey
 from wcalc.convex import ConvexPL
 from wcalc.fourier import (
@@ -41,7 +42,8 @@ from wcalc.fourier import (
     theorem51_harness,
 )
 from wcalc.matrices import build_gevrey_matrix
-from wcalc.sequences import LogWeightSequence
+from wcalc.sequences import LogWeightSequence, lc_minorant
+from wcalc.weightfuncs import associated_function
 
 
 def test_support_function_box():
@@ -686,7 +688,7 @@ def test_batched_table_is_bit_identical():
                 refused_seen.add(isinstance(want[0], type))
         # the first lookup filled every order 0..K_MAX
         (a, b), = f.support.intervals
-        assert sorted(k for k, *box in f._sups if box == [a, b]) == list(range(K_MAX + 1))
+        assert sorted(k for k, *box in f._memo.sups if box == [a, b]) == list(range(K_MAX + 1))
     assert refused_seen == {False, True}
 
 
@@ -715,7 +717,9 @@ def test_batch_rows_do_not_depend_on_their_position():
 
 def test_refusal_is_raised_before_any_inverse_fft(monkeypatch):
     # a reader of orders 0..k raises the lowest refused one before it reads
-    # a sup, so the sups it would discard are never transformed
+    # a sup, so the sups it would discard are never transformed; the memo
+    # is cleared so that the indicator's table is filled here
+    fourier._unit_memo.cache_clear()
     f, g = _algebraic_decay(), indicator_control()
     row = gevrey(2.0, 200)
     want = _reference_sup(g, 0, g.support)
@@ -752,7 +756,7 @@ def test_bump_memo_hit_equals_fresh_synthesis():
         # a new row object with the same values hits the same entry
         hit = bump_builder(K, gevrey(s, 200), depth)
         assert fourier._bump.cache_info().hits == hits + 1, case
-        assert hit is not first and hit._sups is first._sups
+        assert hit is not first and hit._memo is first._memo
         fresh = _reference_bump(K, gevrey(s, 200), depth)
         assert (hit.x0, hit.dx) == (fresh.x0, fresh.dx)
         assert hit.values.tobytes() == fresh.values.tobytes(), case
@@ -762,8 +766,8 @@ def test_bump_memo_hit_equals_fresh_synthesis():
             _table_seminorm(fresh, gevrey(s, 200), 1.0, K_MAX), case
     # every Gevrey row has log M_0 = log M_1 = 0: one depth-1 control
     K = CompactBox(((-1.0, 1.0),))
-    assert bump_builder(K, gevrey(1.0, 200), 1)._sups is \
-        bump_builder(K, gevrey(3.0, 200), 1)._sups
+    assert bump_builder(K, gevrey(1.0, 200), 1)._memo is \
+        bump_builder(K, gevrey(3.0, 200), 1)._memo
 
 
 def test_bump_memo_is_bounded_and_read_only():
@@ -787,11 +791,181 @@ def test_second_harness_reuses_every_bump(monkeypatch):
     G = build_gevrey_matrix(GEVREY_ROWS, 200)
     first = theorem51_harness(G)
     count = _FFTCounter(monkeypatch)
-    # one forward FFT per battery function (5 bumps, 2 controls), since
-    # spectra are per call, and no inverse: every bump and its sup table
-    # come from the memo, and the indicator refuses order 1
+    # no transform at all: every battery function (5 bumps, 2 controls)
+    # finds its sup table and spectral record in the memo, and the
+    # indicator refuses order 1
     assert theorem51_harness(G) == first
-    assert (count.forward, count.inverse) == (7, 0)
+    assert (count.forward, count.inverse) == (0, 0)
     # rows built afresh, as every CLI call builds them, hit the same entries
     assert theorem51_harness(build_gevrey_matrix(GEVREY_ROWS, 200)) == first
-    assert (count.forward, count.inverse) == (14, 0)
+    assert (count.forward, count.inverse) == (0, 0)
+
+
+# -- the band-sized spectral record against the full-grid readers ----------
+
+def _reference_fourier_norm(f, seq, h):
+    """fourier_norm over the whole grid, as before the spectral record:
+    the bracket as float.hex strings, or the refusal's (type, message)."""
+    spec = compute_spectrum(f)
+    m = spec.modulus
+    if np.max(m) == 0.0:
+        return ((0.0).hex(), (0.0).hex())
+    if spec.truncated:
+        return (TailDominates, "resolved band truncated by the grid, not by decay")
+    w = associated_function(lc_minorant(seq))
+    om = w.omega(np.maximum(np.abs(spec.xi), 1.0))
+    xi_edge = spec.xi_edge
+    om_slope = float((w.omega(xi_edge * 1.01) - w.omega(xi_edge)) / (0.01 * xi_edge))
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = np.where(spec.kept, m * np.exp(h * om), 0.0)
+    inner = float(np.sum(integrand) * spec.weight)
+    c_eff = spec.c_decay - h * om_slope
+    if c_eff <= 0:
+        return (TailDominates,
+                f"decay {spec.c_decay:.3g} per unit xi cannot beat weight growth "
+                f"{h * om_slope:.3g} at the band edge")
+    edge_val = float(spec.m_edge * math.exp(h * w.omega(xi_edge)))
+    tail = 2.0 * edge_val / c_eff
+    hi = inner + tail
+    if tail > 0.1 * hi:
+        return (TailDominates, "tail bound exceeds 10% of the bracket")
+    return (inner.hex(), hi.hex())
+
+
+def _record_fourier_norm(f, seq, h):
+    try:
+        return tuple(v.hex() for v in fourier_norm(f, seq, h))
+    except TailDominates as e:
+        return (type(e), str(e))
+
+
+def _reference_lemma53_ii(f, M, h):
+    """check_lemma53_ii over the whole grid, as before the spectral record."""
+    spec = compute_spectrum(f)
+    m = spec.modulus
+    if np.max(m) == 0.0:
+        return verdicts.holds(trivial=True)
+    kept = spec.kept & (spec.xi > 0)
+    xi, mod = spec.xi[kept], m[kept]
+    C = x_used = None
+    for lbl, row in zip(M.labels, M.rows):
+        bracket = _reference_fourier_norm(f, row, h)
+        if isinstance(bracket[0], str):
+            C, x_used = float.fromhex(bracket[1]), lbl
+            break
+    if C is None:
+        return verdicts.fails(reason="no finite premise integral on any row")
+    all_unbounded = True
+    for lbl, row in zip(M.labels, M.rows):
+        om = associated_function(row).omega(np.maximum(xi, 1.0))
+        for kpow in range(16):
+            Lc = 2.0 ** kpow
+            needed = np.log(mod) + (h / Lc) * om
+            i = int(np.argmax(needed))
+            if xi[i] < 0.9 * xi[-1]:
+                all_unbounded = False
+                D = math.exp(float(needed[i])) / (f.support.volume * C / (2 * math.pi))
+                if D <= 2.0 ** 20:
+                    return verdicts.holds(x=x_used, y=lbl, L=Lc, D=max(D, 1.0))
+    if all_unbounded:
+        return verdicts.fails(reason="required constant climbs at every row/L")
+    return verdicts.inconclusive("no witness on the constant grid")
+
+
+def test_fourier_norm_record_is_bit_identical_to_full_grid():
+    rows = [gevrey(s, 200) for s in (1.0, 2.0, 3.0)]
+    seen = set()
+    for case, build in _mask_battery():
+        want = {(i, h): _reference_fourier_norm(build(), row, h)
+                for i, row in enumerate(rows) for h in (0.02, 0.05, 0.1, 1.0)}
+        # twice: the record is filled by the first copy and read by the second
+        for f in (build(), build()):
+            for (i, h), w in want.items():
+                assert _record_fourier_norm(f, rows[i], h) == w, (case, i, h)
+                seen.add(w[1].split()[0] if w[0] is TailDominates else "bracket")
+    # brackets and all three refusals
+    assert seen == {"bracket", "resolved", "decay", "tail"}
+
+
+def test_lemma53_ii_record_is_bit_identical_to_full_grid():
+    M = build_gevrey_matrix((1.0, 2.0), 200)
+    seen = set()
+    for case, build in _mask_battery():
+        for h in (0.05, 0.1):
+            want = _reference_lemma53_ii(build(), M, h)
+            assert repr(check_lemma53_ii(build(), M, h)) == repr(want), (case, h)
+            seen.add(want.status.value)
+    assert seen == {"holds", "fails"}
+
+
+def test_tail_refusal_comes_before_the_integrand():
+    # at h = 1 the integrand overflows; the decay test, which reads only the
+    # tail fit and the norm row, refuses first
+    for s in (0.5, 1.0):
+        for depth in (10, 30):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(TailDominates, match="cannot beat weight growth"):
+                    fourier_norm(bump_builder(fourier._UNIT, gevrey(s, 200), depth),
+                                 gevrey(s, 200), 1.0)
+
+
+def _fresh_standard_bump():
+    """standard_bump built from scratch, with a memo of its own."""
+    xs = -4.0 + 8.0 / 2 ** 14 * np.arange(2 ** 14)
+    vals = np.zeros(2 ** 14)
+    inside = np.abs(xs) < 1.0
+    vals[inside] = np.exp(-1.0 / (1.0 - xs[inside] ** 2))
+    return SampledFunction(-4.0, 8.0 / 2 ** 14, vals, CompactBox(((-1.0, 1.0),)))
+
+
+def _fresh_indicator():
+    xs = -4.0 + 8.0 / 2 ** 14 * np.arange(2 ** 14)
+    vals = np.where(np.abs(xs) <= 1.0, 1.0, 0.0)
+    return SampledFunction(-4.0, 8.0 / 2 ** 14, vals, CompactBox(((-1.0, 1.0),)))
+
+
+@pytest.mark.parametrize("build, fresh_build", [
+    (standard_bump, _fresh_standard_bump), (indicator_control, _fresh_indicator)])
+def test_fixed_function_memo_hit_equals_fresh_build(monkeypatch, build, fresh_build):
+    first, hit, fresh = build(), build(), fresh_build()
+    assert hit is not first and hit._memo is first._memo
+    assert (hit.x0, hit.dx, hit.support) == (fresh.x0, fresh.dx, fresh.support)
+    assert hit.values.tobytes() == fresh.values.tobytes()
+    rows = [gevrey(s, 1200) for s in (1.5, 2.0)]
+    want = (
+        [_table_sup(fresh, k, fresh.support) for k in range(K_MAX + 1)],
+        [_table_seminorm(fresh, row, h, K_MAX) for row in rows for h in H_SEMI],
+        [_record_fourier_norm(fresh, row, h) for row in rows for h in H_SMALL],
+    )
+    for f in (first, hit, build()):
+        got = (
+            [_table_sup(f, k, f.support) for k in range(K_MAX + 1)],
+            [_table_seminorm(f, row, h, K_MAX) for row in rows for h in H_SEMI],
+            [_record_fourier_norm(f, row, h) for row in rows for h in H_SMALL],
+        )
+        assert got == want
+    # once the memo is full, a new copy reads it without a transform
+    count = _FFTCounter(monkeypatch)
+    f = build()
+    assert [_table_sup(f, k, f.support) for k in range(K_MAX + 1)] == want[0]
+    assert [_record_fourier_norm(f, row, h) for row in rows for h in H_SMALL] == want[2]
+    assert (count.forward, count.inverse) == (0, 0)
+
+
+def test_spectral_record_is_band_sized_and_read_only():
+    truncated_seen = set()
+    for case, build in _mask_battery():
+        rec = fourier._spectral_record(build())
+        arrays = [v for v in rec if isinstance(v, np.ndarray)]
+        if rec.truncated:
+            # such a band may span the grid, and every reader refuses it first
+            assert arrays == [], case
+        else:
+            # the modulus on the band, and one mask over the grid
+            assert sum(a.nbytes for a in arrays) <= \
+                8 * np.count_nonzero(rec.kept) + 16 * 2 ** 10, case
+            for a in arrays:
+                assert not a.flags.writeable
+        truncated_seen.add(rec.truncated)
+    assert truncated_seen == {False, True}
