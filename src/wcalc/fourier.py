@@ -10,66 +10,53 @@ Spectral derivatives depend on neither the weight row nor h; only the
 normalization exp(-k log h - L_k) does (spectral differentiation as in
 Trefethen, *Spectral Methods in MATLAB*, SIAM 2000).  So the work is done
 once where it can be, and every seminorm or Fourier-norm probe is arithmetic
-on the results:
+on the results.  Three caches keep it:
 
-* once per grid (n, dx, x0), in a small bounded cache of read-only arrays
-  shared by every function sampled on it: the abscissae, the angular
-  frequencies in fft order and in increasing order with the argsort between
-  them, and the grid-offset phases exp(-i xi x0) of compute_spectrum and
-  exp(i xi x0) of bump_builder;
-* once per function, as the one SpectralData that compute_spectrum builds
-  on first use and keeps on the SampledFunction: one forward FFT, the
-  noise-floor mask |F| > MASK_REL max |F| decided once, with the band
-  indices, |F| and |xi| on a resolved band (the refusal test of every order
-  reads them), the band edge and whether the grid truncates the band;
-  the increasing-xi view of the continuous transform; and the exponential
-  fit to the last resolved octave that bounds the tail beyond the band;
-* once per function, the spectral record that fourier_norm, its norm rows,
-  check_lemma53_ii and the harness's derivative side read instead: whether
-  the transform is zero and whether the band is truncated, the band as a
-  mask on increasing xi with the modulus on it alone, the quadrature weight
-  and the tail fit.  It is band-sized (a truncated band keeps no arrays), so
-  it can outlive the SpectralData it is taken from;
-* once per (function, box K): the derivative-sup table for every order
-  k <= K_MAX, each entry the sup over K of |f^(k)|, where it is attained
-  and the sup over the grid, or the refusal's message.  The band-only
-  peak test refuses orders first.  A reader of orders 0..k raises the
-  lowest refused one before it reads any sup, so the accepted orders are
-  transformed only when one of them is read: all of them then share one
-  batched inverse FFT of a (orders, n) array, whose rows numpy transforms
-  bit for bit as it would one at a time.  The derivative multiplier
-  (i xi)^k is evaluated on the band only; the other bins are zero before
-  the inverse FFT, as they were when masked;
-* once per (function, row): the associated function of the row's
-  log-convex minorant and omega(|xi|) on the band (fourier_norm);
-* once per harness call: each derived row sequence_from_weight(omega, l,
-  K_MAX), shared by the whole battery;
-* once per process, for each distinct bump and for each of the two fixed
-  test functions, its memo: the derivative-sup table and the spectral
-  record, filled by the first copy that reads them.  bump_builder reads
-  only the box and log M_0..log M_depth of its row, and a bounded cache
-  keyed on exactly these (never on the row object, which every CLI call
-  builds afresh) keeps the bump's grid, its read-only samples on the
-  support and its memo.  standard_bump and indicator_control compute their
-  samples by the same code on the same grid at every call, and a cache
-  keyed on their names keeps their memos.  Every call still returns a new
-  SampledFunction with its own Fourier-norm rows, and with its own
-  SpectralData if a reader asks for one (an order still pending in the sup
-  table, say), recomputed from the same samples bit for bit; a copy whose
-  memo is full needs no transform at all.  A harness over Gevrey rows
-  meets few distinct bumps: every row with log M_0 = log M_1 = 0 gives the
-  same depth-1 control.
+* _grid, a small bounded cache of the read-only arrays of one grid
+  (n, dx, x0), shared by every function sampled on it: the abscissae, the
+  angular frequencies in fft order and in increasing order with the
+  argsort between them, and the grid-offset phases exp(-i xi x0) and
+  exp(i xi x0);
+* _spectrum, the SpectralData that compute_spectrum builds on first use
+  from one forward FFT and keeps on the SampledFunction: the noise-floor
+  mask |F| > MASK_REL max |F| decided once, with the band, |F| and |xi| on
+  it, its edge and whether the grid truncates it; the increasing-xi view
+  of the continuous transform; and the exponential fit to the last
+  resolved octave that bounds the tail beyond the band.  It keeps the
+  full-grid F, so it dies with its function;
+* the memo.  Every function carries its construction: a Bump record, the
+  name of a fixed test function, or None when it was built directly.  One
+  bounded process-wide cache keyed on the construction holds what every
+  copy shares (a function built directly has a memo of its own):
+  - the samples on the support, synthesised once per process;
+  - the spectral record: whether the transform is zero and whether the
+    band is truncated, the band as a mask on increasing xi with the
+    modulus on it alone, the quadrature weight and the tail fit.  It is
+    band-sized (a truncated band keeps no arrays);
+  - the derivative-sup table: for each box K and order k <= K_MAX the sup
+    over K of |f^(k)|, where it is attained and the sup over the grid, or
+    the refusal's message.  The band-only peak test refuses orders first,
+    and a reader of orders 0..k raises the lowest refused one before it
+    reads any sup.  The accepted orders then share one batched inverse FFT
+    of a (orders, n) array, whose rows numpy transforms bit for bit as it
+    would one at a time, with the multiplier (i xi)^k on the band only;
+  - the Fourier-norm rows, keyed on the row's content: the associated
+    function of its log-convex minorant and omega(|xi|) on the band.
+  A copy whose memo is full needs no transform at all.  A harness over
+  Gevrey rows meets few distinct bumps: every row with log M_0 = log M_1 =
+  0 gives the same depth-1 control.  Each harness call also shares its
+  derived rows sequence_from_weight(omega, l, K_MAX) across its battery.
 
-bump_builder builds its spectrum on the bins 0..n/2 and fills the others
-with the conjugate mirror.  This gives the full-grid product bit for bit:
-fftfreq's negative bins are exact negations of the positive ones, sinc and
-cos are even and sin is odd, and numpy multiplies complex by real as by
-(s + 0j), which is what the separate real and imaginary products compute.
-The grid-offset phase is then applied on the full grid as the *left*
-operand, phase * F.  numpy's SIMD complex multiply is not commutative bit
-for bit, and the reference product F * np.exp(1j xi x0) elides its
-temporary, so numpy computes it as exp(...) * F; F * phase changes the
-last bits of every bump whose support is not centred at 0.
+A bump is synthesised from its spectrum on the bins 0..n/2, the others
+filled with the conjugate mirror.  This gives the full-grid product bit
+for bit: fftfreq's negative bins are exact negations of the positive
+ones, sinc and cos are even and sin is odd, and numpy multiplies complex
+by real as by (s + 0j), which is what the separate real and imaginary
+products compute.  The grid-offset phase is then applied on the full grid
+as the *left* operand, phase * F.  numpy's SIMD complex multiply is not
+commutative bit for bit, and the reference product F * np.exp(1j xi x0)
+elides its temporary, so numpy computes it as exp(...) * F; F * phase
+changes the last bits of every bump whose support is not centred at 0.
 """
 from __future__ import annotations
 
@@ -154,34 +141,38 @@ class _Refusal(NamedTuple):
 
 
 class _Memo:
-    """What every copy of one function shares: its derivative-sup table,
-    (k, a, b) -> _derivative_sup entry, a _Refusal or None while pending,
-    and its _SpectralRecord once read."""
-    __slots__ = ("sups", "record")
+    """What every copy of one function shares: its samples from index lo
+    on of the grid x0 + dx * arange(GRID_N) (None for a function built
+    directly); its derivative-sup table, (k, a, b) -> _derivative_sup
+    entry, a _Refusal or None while pending; its _SpectralRecord once
+    read; and its Fourier-norm rows, row -> _NormRow."""
+    __slots__ = ("x0", "dx", "lo", "samples", "sups", "record", "rows")
 
-    def __init__(self):
+    def __init__(self, x0=math.nan, dx=math.nan, lo=0, samples=None):
+        self.x0, self.dx, self.lo, self.samples = x0, dx, lo, samples
         self.sups: dict = {}
         self.record: _SpectralRecord | None = None
+        self.rows: dict = {}
 
 
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
     """Samples on the grid x0 + dx * arange(n); values become read-only float64.
 
-    The spectrum, the derivative-sup table, the spectral record and the
-    Fourier-norm rows are filled on first use and cached on the instance;
-    the grid's arrays come from the shared per-grid cache, and a function
-    from bump_builder, standard_bump or indicator_control shares its memo
-    (sup table and spectral record) with every other copy of itself.
+    construction is how the builders made the values: a Bump, or the name
+    of a fixed test function.  Every function with one construction shares
+    its memo (see _memo_of); a function built directly has construction
+    None and a memo of its own.  The spectrum is built on first use and
+    kept on the instance, and the grid's arrays come from the shared
+    per-grid cache.
     """
     x0: float
     dx: float
     values: np.ndarray
     support: CompactBox
-    # compute_spectrum's result; the shared memo; id(seq) -> _NormRow
+    construction: Bump | str | None = None
     _spectrum: "SpectralData | None" = field(default=None, init=False, repr=False)
-    _memo: _Memo = field(default_factory=_Memo, init=False, repr=False)
-    _norm_rows: dict = field(default_factory=dict, init=False, repr=False)
+    _memo: _Memo = field(init=False, repr=False)
 
     def __post_init__(self):
         v = _frozen(np.array(self.values, dtype=np.float64))
@@ -197,6 +188,8 @@ class SampledFunction:
         vmax = np.max(np.abs(v)) or 1.0
         if np.any(np.abs(v[outside]) > 1e-14 * vmax):
             raise ValueError("values do not vanish outside the declared support")
+        c = self.construction
+        object.__setattr__(self, "_memo", _Memo() if c is None else _memo_of(c))
 
     @property
     def n(self) -> int:
@@ -441,7 +434,6 @@ def seminorm_derivative(
 
 class _NormRow(NamedTuple):
     """What fourier_norm needs of one (function, row), whatever h is."""
-    seq: LogWeightSequence   # keeps id(seq), the cache key, from being reused
     w: WeightFunction
     om: np.ndarray           # omega(max(|xi|, 1)) on the band, increasing xi
     om_slope: float          # slope of omega just past the band edge
@@ -449,8 +441,10 @@ class _NormRow(NamedTuple):
 
 
 def _norm_row(f: SampledFunction, seq: LogWeightSequence) -> _NormRow:
-    """fourier_norm's row data; the band must not be truncated."""
-    row = f._norm_rows.get(id(seq))
+    """fourier_norm's row data, kept in f's memo under the row itself: a
+    frozen LogWeightSequence, equal to every row with the same content.
+    The band must not be truncated."""
+    row = f._memo.rows.get(seq)
     if row is None:
         rec = _spectral_record(f)
         w = associated_function(lc_minorant(seq))
@@ -460,8 +454,7 @@ def _norm_row(f: SampledFunction, seq: LogWeightSequence) -> _NormRow:
         om_slope = float(
             (w.omega(xi_edge * 1.01) - w.omega(xi_edge)) / (0.01 * xi_edge)
         )
-        row = _NormRow(seq, w, om, om_slope, w.omega(xi_edge))
-        f._norm_rows[id(seq)] = row
+        row = f._memo.rows[seq] = _NormRow(w, om, om_slope, w.omega(xi_edge))
     return row
 
 
@@ -569,118 +562,119 @@ def check_lemma53_ii(
 
 # -- synthesis ----------------------------------------------------------
 
-class _Bump(NamedTuple):
-    """One synthesised bump: its grid, its samples on the support, and the
-    memo that every SampledFunction built from it shares."""
-    x0: float
-    dx: float
-    lo: int                  # grid index of the first sample on the support
-    samples: np.ndarray      # read-only values at lo, lo + 1, ...
-    memo: _Memo
+class Bump(NamedTuple):
+    """How bump_builder built a function: the indicator of core convolved
+    with box kernels of the given widths, on the box."""
+    box: tuple[tuple[float, float], ...]
+    logs: tuple[float, ...]          # log M_0..log M_depth of the row
+    h: float                         # the dilation
+    widths: tuple[float, ...]        # 1/(h mu_p), p = 1..depth
+    core: tuple[float, float]        # the interval convolved
+
+
+# the two fixed test functions live on [-1, 1]
+_UNIT = CompactBox(((-1.0, 1.0),))
 
 
 @functools.lru_cache(maxsize=32)
-def _bump(intervals: tuple[tuple[float, float], ...], logs: tuple[float, ...]) -> _Bump:
-    """bump_builder's synthesis from what it reads of the row: log M_0..log M_depth."""
-    (a, b), = intervals
+def _memo_of(c: Bump | str) -> _Memo:
+    """The memo that every function built as c shares, holding its samples.
+
+    They are computed once per process, on the grid spanning four times
+    the box: x0 = centre - 2 width, dx = 4 width / GRID_N.
+    """
+    (a, b), = c.box if isinstance(c, Bump) else _UNIT.intervals
+    span = 4.0 * (b - a)
+    x0, dx = 0.5 * (a + b) - span / 2, span / GRID_N
+    g = _grid(GRID_N, dx, x0)
+    if c == "standard_bump":
+        vals = np.zeros(GRID_N)
+        inside = np.abs(g.xs) < 1.0
+        vals[inside] = np.exp(-1.0 / (1.0 - g.xs[inside] ** 2))
+    elif c == "indicator_control":
+        vals = np.where(np.abs(g.xs) <= 1.0, 1.0, 0.0)
+    else:
+        # the spectrum is real-symmetric: build it on the bins 0..n//2 and
+        # mirror the rest (exact; see the module docstring)
+        n, m = GRID_N, GRID_N // 2 + 1
+        xi = g.xi[:m]
+        core_lo, core_hi = c.core
+        # indicator of the core interval
+        with np.errstate(divide="ignore", invalid="ignore"):
+            half = np.where(
+                xi == 0,
+                core_hi - core_lo,
+                (np.exp(-1j * xi * core_lo) - np.exp(-1j * xi * core_hi)) / (1j * xi),
+            )
+        re, im = half.real.copy(), half.imag.copy()
+        for wd in c.widths:
+            s = np.sinc(xi * wd / (2 * np.pi))
+            re *= s
+            im *= s
+        F = np.empty(n, dtype=complex)
+        F.real[:m], F.imag[:m] = re, im
+        F.real[m:] = re[n - m : 0 : -1]
+        F.imag[m:] = -im[n - m : 0 : -1]
+        # phase on the left: complex multiply is not commutative bit for bit
+        vals = np.real(np.fft.ifft(g.phase_out * F)) / dx
+        vals[np.abs(vals) < 1e-16] = 0.0
+    # the grid is increasing, so the support is one slice of it
+    lo = int(np.searchsorted(g.xs, a, "left"))
+    hi = int(np.searchsorted(g.xs, b, "right"))
+    return _Memo(x0, dx, lo, _frozen(vals[lo:hi].copy()))
+
+
+def _sampled(c: Bump | str, K: CompactBox) -> SampledFunction:
+    """A new function built as c on K, from the samples in its memo."""
+    m = _memo_of(c)
+    vals = np.zeros(GRID_N)
+    vals[m.lo : m.lo + m.samples.size] = m.samples
+    return SampledFunction(m.x0, m.dx, vals, K, c)
+
+
+def bump_builder(K: CompactBox, seq: LogWeightSequence, depth: int) -> SampledFunction:
+    """The indicator of a core interval convolved with depth box kernels
+    of widths 1/(h mu_p).
+
+    The dilation h is the smallest power of two that fits the widths into
+    a quarter of the box; |f^{(k)}| <= (2h)^k mu_1...mu_k for k <= depth
+    then keeps f in the class of the row.  h, the widths and the core are
+    read from f.construction.  The construction is done in the frequency
+    domain (product of sinc factors) on a grid spanning four times the
+    support, then transformed back, once per process for each distinct
+    construction.
+    """
+    (a, b), = K.intervals
     width = b - a
-    mus = [math.exp(logs[p] - logs[p - 1]) for p in range(1, len(logs))]
-    # widths 1/(h mu_p), with the dilation h the smallest power of two that
-    # fits the budget; |f^(k)| <= (2h)^k mu_1...mu_k stays in the same class
+    logs = tuple(seq.log_at(p) for p in range(depth + 1))
+    try:
+        mus = [math.exp(logs[p] - logs[p - 1]) for p in range(1, depth + 1)]
+    except OverflowError:
+        # 1/mu_p is below every float, let alone the grid step
+        raise WidthBudgetExceeded(
+            f"mollifier width 1/mu_p underflows: log mu_p reaches {max(np.diff(logs)):.3g}"
+        ) from None
     h = 1.0
     while h <= 2.0 ** 20 and sum(1.0 / (h * mu) for mu in mus) >= width / 4:
         h *= 2.0
-    widths = [1.0 / (h * mu) for mu in mus]
+    widths = tuple(1.0 / (h * mu) for mu in mus)
     if sum(widths) >= width / 2:
         raise WidthBudgetExceeded(
             f"mollifier widths {sum(widths):.3g} exceed half the box {width / 2:.3g}"
         )
     margin = 0.05 * width
-    core_lo = a + sum(widths) / 2 + margin
-    core_hi = b - sum(widths) / 2 - margin
-    center = 0.5 * (a + b)
-    span = 4.0 * width
-    x0 = center - span / 2
-    n = GRID_N
-    dx = span / n
-    g = _grid(n, dx, x0)
-    # the spectrum is real-symmetric: build it on the bins 0..n//2 and
-    # mirror the rest (exact; see the module docstring)
-    m = n // 2 + 1
-    xi = g.xi[:m]
-    # indicator of the core interval
-    with np.errstate(divide="ignore", invalid="ignore"):
-        half = np.where(
-            xi == 0,
-            core_hi - core_lo,
-            (np.exp(-1j * xi * core_lo) - np.exp(-1j * xi * core_hi)) / (1j * xi),
-        )
-    re, im = half.real.copy(), half.imag.copy()
-    for wd in widths:
-        s = np.sinc(xi * wd / (2 * np.pi))
-        re *= s
-        im *= s
-    F = np.empty(n, dtype=complex)
-    F.real[:m], F.imag[:m] = re, im
-    F.real[m:] = re[n - m : 0 : -1]
-    F.imag[m:] = -im[n - m : 0 : -1]
-    # phase on the left: complex multiply is not commutative bit for bit
-    vals = np.real(np.fft.ifft(g.phase_out * F)) / dx
-    vals[np.abs(vals) < 1e-16] = 0.0
-    # the grid is increasing, so the support is one slice of it
-    lo = int(np.searchsorted(g.xs, a, "left"))
-    hi = int(np.searchsorted(g.xs, b, "right"))
-    return _Bump(x0, dx, lo, _frozen(vals[lo:hi].copy()), _Memo())
-
-
-def bump_builder(K: CompactBox, seq: LogWeightSequence, depth: int) -> SampledFunction:
-    """Indicator convolved with depth box kernels of widths 1/mu_p.
-
-    The construction is done in the frequency domain (product of sinc
-    factors) on a grid spanning four times the support, then transformed
-    back; this keeps |f^{(k)}| <= 2^k mu_1...mu_k for k <= depth.  Each
-    distinct (K, log M_0..log M_depth) is synthesised once per process;
-    every call returns a new function sharing its memo.
-    """
-    bump = _bump(K.intervals, tuple(seq.log_at(p) for p in range(depth + 1)))
-    vals = np.zeros(GRID_N)
-    vals[bump.lo : bump.lo + bump.samples.size] = bump.samples
-    f = SampledFunction(bump.x0, bump.dx, vals, K)
-    # same samples on the same grid, so the same sups and spectral record
-    object.__setattr__(f, "_memo", bump.memo)
-    return f
-
-
-# the two fixed test functions live on [-1, 1], on a grid spanning four widths
-_UNIT = CompactBox(((-1.0, 1.0),))
-_UNIT_X0, _UNIT_DX = -4.0, 8.0 / GRID_N
-
-
-@functools.lru_cache(maxsize=2)
-def _unit_memo(name: str) -> _Memo:
-    """The memo that every copy of the fixed test function name shares:
-    each copy's samples come from the same code on the same grid."""
-    return _Memo()
+    core = (a + sum(widths) / 2 + margin, b - sum(widths) / 2 - margin)
+    return _sampled(Bump(K.intervals, logs, h, widths, core), K)
 
 
 def standard_bump() -> SampledFunction:
     """exp(-1/(1 - x^2)) on [-1, 1]."""
-    xs = _grid(GRID_N, _UNIT_DX, _UNIT_X0).xs
-    vals = np.zeros(GRID_N)
-    inside = np.abs(xs) < 1.0
-    vals[inside] = np.exp(-1.0 / (1.0 - xs[inside] ** 2))
-    f = SampledFunction(_UNIT_X0, _UNIT_DX, vals, _UNIT)
-    object.__setattr__(f, "_memo", _unit_memo("standard_bump"))
-    return f
+    return _sampled("standard_bump", _UNIT)
 
 
 def indicator_control() -> SampledFunction:
     """Sharp indicator; the canonical non-member of every smooth class."""
-    xs = _grid(GRID_N, _UNIT_DX, _UNIT_X0).xs
-    vals = np.where(np.abs(xs) <= 1.0, 1.0, 0.0)
-    f = SampledFunction(_UNIT_X0, _UNIT_DX, vals, _UNIT)
-    object.__setattr__(f, "_memo", _unit_memo("indicator_control"))
-    return f
+    return _sampled("indicator_control", _UNIT)
 
 
 @functools.lru_cache(maxsize=2)

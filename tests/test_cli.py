@@ -269,6 +269,18 @@ def test_precondition_failure_is_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("gevrey", ["300", "709", "1000", "1e10", "1e300", "1,300"])
+def test_unresolvable_bump_width_is_exit_3(gevrey):
+    # log mu_p passes the float range: the mollifier width 1/mu_p underflows
+    res = subprocess.run(
+        [sys.executable, "-m", "wcalc.cli", "fourier", "harness", "--gevrey", gevrey],
+        capture_output=True,
+    )
+    assert res.returncode == 3
+    assert res.stderr.startswith(b"precondition failure: WidthBudgetExceeded")
+    assert b"Traceback" not in res.stderr
+
+
 def test_not_convex_refusal_is_exit_3_and_short():
     # rounding in the derived l = 0.5 row trips the conjugate's slope check
     res = subprocess.run(

@@ -719,7 +719,7 @@ def test_refusal_is_raised_before_any_inverse_fft(monkeypatch):
     # a reader of orders 0..k raises the lowest refused one before it reads
     # a sup, so the sups it would discard are never transformed; the memo
     # is cleared so that the indicator's table is filled here
-    fourier._unit_memo.cache_clear()
+    fourier._memo_of.cache_clear()
     f, g = _algebraic_decay(), indicator_control()
     row = gevrey(2.0, 200)
     want = _reference_sup(g, 0, g.support)
@@ -742,7 +742,7 @@ def test_truncated_band_builds_no_norm_row():
     assert compute_spectrum(f).truncated
     with pytest.raises(TailDominates):
         fourier_norm(f, gevrey(2.0, 200), 0.1)
-    assert f._norm_rows == {}
+    assert f._memo.rows == {}
 
 
 def test_bump_memo_hit_equals_fresh_synthesis():
@@ -752,11 +752,12 @@ def test_bump_memo_hit_equals_fresh_synthesis():
         support, s, depth = case
         K = CompactBox((support,))
         first = build()
-        hits = fourier._bump.cache_info().hits
-        # a new row object with the same values hits the same entry
+        misses = fourier._memo_of.cache_info().misses
+        # a new row object with the same values finds the same entry
         hit = bump_builder(K, gevrey(s, 200), depth)
-        assert fourier._bump.cache_info().hits == hits + 1, case
+        assert fourier._memo_of.cache_info().misses == misses, case
         assert hit is not first and hit._memo is first._memo
+        assert hit.construction == first.construction
         fresh = _reference_bump(K, gevrey(s, 200), depth)
         assert (hit.x0, hit.dx) == (fresh.x0, fresh.dx)
         assert hit.values.tobytes() == fresh.values.tobytes(), case
@@ -771,11 +772,12 @@ def test_bump_memo_hit_equals_fresh_synthesis():
 
 
 def test_bump_memo_is_bounded_and_read_only():
-    info = fourier._bump.cache_info()
+    info = fourier._memo_of.cache_info()
     assert info.maxsize is not None and info.maxsize <= 32
     K, row = CompactBox(((-0.7, 1.3),)), gevrey(2.0, 200)
     f = bump_builder(K, row, 10)
-    entry = fourier._bump(K.intervals, tuple(row.log_at(p) for p in range(11)))
+    entry = fourier._memo_of(f.construction)
+    assert entry is f._memo
     # the samples on the support, a quarter of the grid
     assert entry.samples.size <= f.n // 4 + 1
     assert f.values[entry.lo : entry.lo + entry.samples.size].tobytes() == \
@@ -787,18 +789,56 @@ def test_bump_memo_is_bounded_and_read_only():
             a[0] = 0
 
 
+def test_bump_record_is_its_construction():
+    resolved = 0
+    for case, build in _mask_battery():
+        if not isinstance(case, tuple):
+            continue
+        support, s, depth = case
+        f = build()
+        c = f.construction
+        width = support[1] - support[0]
+        assert c.box == (support,) and c.logs == tuple(gevrey(s, 200).log_at(p)
+                                                       for p in range(depth + 1))
+        mus = [math.exp(c.logs[p] - c.logs[p - 1]) for p in range(1, depth + 1)]
+        # h is the smallest power of two with sum 1/(h mu_p) < width/4
+        assert c.h == 2.0 ** round(math.log2(c.h)) >= 1.0, case
+        assert sum(1.0 / (c.h * mu) for mu in mus) < width / 4, case
+        assert c.h == 1.0 or sum(1.0 / (c.h / 2 * mu) for mu in mus) >= width / 4, case
+        assert c.widths == tuple(1.0 / (c.h * mu) for mu in mus)
+        # the spectrum is the core's indicator times one sinc per width
+        rec = fourier._spectral_record(f)
+        if rec.truncated:
+            continue
+        xi = compute_spectrum(f).xi[rec.kept]
+        lo, hi = c.core
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.where(xi == 0, hi - lo, np.abs(2 * np.sin(xi * (hi - lo) / 2) / xi))
+        for w in c.widths:
+            want = want * np.abs(np.sinc(xi * w / (2 * np.pi)))
+        err = np.max(np.abs(want - rec.modulus))
+        assert err <= 1e-12 * np.max(rec.modulus), (case, err)
+        resolved += 1
+    assert resolved >= 40
+
+
 def test_second_harness_reuses_every_bump(monkeypatch):
     G = build_gevrey_matrix(GEVREY_ROWS, 200)
     first = theorem51_harness(G)
     count = _FFTCounter(monkeypatch)
+    minorants = []
+    monkeypatch.setattr(fourier, "lc_minorant",
+                        lambda seq: minorants.append(seq) or lc_minorant(seq))
     # no transform at all: every battery function (5 bumps, 2 controls)
     # finds its sup table and spectral record in the memo, and the
     # indicator refuses order 1
     assert theorem51_harness(G) == first
     assert (count.forward, count.inverse) == (0, 0)
-    # rows built afresh, as every CLI call builds them, hit the same entries
+    # rows built afresh, as every CLI call builds them, hit the same
+    # entries and, being equal by content, the same norm rows
     assert theorem51_harness(build_gevrey_matrix(GEVREY_ROWS, 200)) == first
     assert (count.forward, count.inverse) == (0, 0)
+    assert minorants == []
 
 
 # -- the band-sized spectral record against the full-grid readers ----------
@@ -923,6 +963,16 @@ def _fresh_indicator():
     xs = -4.0 + 8.0 / 2 ** 14 * np.arange(2 ** 14)
     vals = np.where(np.abs(xs) <= 1.0, 1.0, 0.0)
     return SampledFunction(-4.0, 8.0 / 2 ** 14, vals, CompactBox(((-1.0, 1.0),)))
+
+
+def test_direct_build_has_a_memo_of_its_own():
+    f, g, fixed = _fresh_standard_bump(), _fresh_standard_bump(), standard_bump()
+    assert f.construction is g.construction is None
+    assert fixed.construction == "standard_bump"
+    assert f._memo is not g._memo
+    assert f._memo is not fixed._memo and g._memo is not fixed._memo
+    fourier_norm(f, gevrey(2.0, 1200), 0.1)
+    assert len(f._memo.rows) == 1 and g._memo.rows == {}
 
 
 @pytest.mark.parametrize("build, fresh_build", [
