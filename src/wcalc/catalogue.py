@@ -42,15 +42,13 @@ def perturbed_gevrey(
     L = np.array(base.L)
     ps = np.arange(3, 10)
     L[ps] += amplitude * np.sin(np.pi * (ps - 3) / 6.0)
-    return LogWeightSequence(
-        tuple(L), base.tail, 10, f"perturbed-gevrey({s:g})"
-    )
+    return LogWeightSequence(L, base.tail, 10, f"perturbed-gevrey({s:g})")
 
 
 def prefix_only(s: float, pmax: int = 60) -> LogWeightSequence:
     """A finite stretch of Gevrey values with no symbolic continuation."""
     base = LogWeightSequence.gevrey(s, pmax)
-    return LogWeightSequence(base.log_values, None, 0, f"prefix-gevrey({s:g})")
+    return LogWeightSequence(base.L, None, 0, f"prefix-gevrey({s:g})")
 
 
 def bumpy_prefix(pmax: int = 60) -> LogWeightSequence:
@@ -58,7 +56,7 @@ def bumpy_prefix(pmax: int = 60) -> LogWeightSequence:
     base = LogWeightSequence.gevrey(2.0, pmax)
     L = np.array(base.L)
     L[4::7] += 0.5
-    return LogWeightSequence(tuple(L), None, 0, "bumpy-prefix")
+    return LogWeightSequence(L, None, 0, "bumpy-prefix")
 
 
 def sequence_battery(pmax: int = 200) -> dict[str, LogWeightSequence]:

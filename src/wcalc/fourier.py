@@ -44,8 +44,10 @@ on the results.  Three caches keep it:
     function of its log-convex minorant and omega(|xi|) on the band.
   A copy whose memo is full needs no transform at all.  A harness over
   Gevrey rows meets few distinct bumps: every row with log M_0 = log M_1 =
-  0 gives the same depth-1 control.  Each harness call also shares its
-  derived rows sequence_from_weight(omega, l, K_MAX) across its battery.
+  0 gives the same depth-1 control.  The derived rows
+  sequence_from_weight(omega, l, K_MAX) are kept on the matrix rows
+  themselves, so every function of a harness, and every later harness over
+  the same memoised rows, shares them.
 
 A bump is synthesised from its spectrum on the bins 0..n/2, the others
 filled with the conjugate mirror.  This gives the full-grid product bit
@@ -833,8 +835,6 @@ def theorem51_harness(M: WeightMatrix, bump_depth: int = 30) -> dict:
     battery["control:indicator"] = indicator_control
     battery["control:single-mollify"] = functools.partial(bump_builder, _UNIT, M.rows[0], 1)
 
-    # derived rows depend on the matrix only, so every function shares them
-    @functools.cache
     def derived_row(i: int, l: float) -> LogWeightSequence:
         return sequence_from_weight(associated_function(M.rows[i]), l, K_MAX)
 

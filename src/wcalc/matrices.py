@@ -385,21 +385,20 @@ def integer_step_identity_error(chain: MultiIndexChain) -> float:
     """max |L^{x;l}_j - L^x_{jl}/l| over rows and jl within range.
 
     Only meaningful when all steps are integers and base rows log-convex.
+    The products j*l and the maximum are exact as in the scalar loop over
+    j, and since l > 0 the loop's stop at the first jl > P is a prefix.
     """
+    l = 1.0
+    for s in chain.steps:
+        l *= s
     err = 0.0
     for base_row, cur_row in zip(chain.base.rows, chain.current.rows):
-        l = 1.0
-        for s in chain.steps:
-            l *= s
         hull = lc_minorant(base_row)
-        for j in range(cur_row.P + 1):
-            jl = j * l
-            if jl > hull.P:
-                break
-            want = hull.L[int(round(jl))] / l if float(jl).is_integer() else None
-            if want is None:
-                continue
-            err = max(err, abs(cur_row.L[j] - want))
+        jl = np.arange(cur_row.P + 1) * l
+        keep = (jl <= hull.P) & (jl == np.floor(jl))
+        if keep.any():
+            want = hull.L[jl[keep].astype(np.intp)] / l
+            err = max(err, float(np.max(np.abs(cur_row.L[keep] - want))))
     return err
 
 
@@ -418,7 +417,7 @@ def min_convolution_omega_gap(seq: LogWeightSequence, n: int = 256) -> float:
     wN = associated_function(lc_minorant(N))
     half = associated_function(
         lc_minorant(
-            LogWeightSequence(tuple(seq.L[: seq.P // 2 + 1]), None, 0, "")
+            LogWeightSequence(seq.L[: seq.P // 2 + 1], None, 0, "")
         )
     )
     s_hi = half.valid_to

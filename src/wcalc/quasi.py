@@ -216,7 +216,7 @@ def construct_minorant(M: WeightMatrix) -> MinorantTrace:
     L = np.zeros(P + 1)
     for p in range(1, P + 1):
         L[p] = p * minorant_root(rows, a, b, p)
-    N = LogWeightSequence(tuple(L), None, 0, "constructed-minorant")
+    N = LogWeightSequence(L, None, 0, "constructed-minorant")
 
     total = sum(
         (q + 1) * certs[f"q={q}"]["tail_bound_at_a"] for q in range(1, Q)
@@ -265,10 +265,9 @@ def sandwich_construct(
     q_vals = 0.5 * (upper_of_lower + lower_of_upper)
     q_tail = geometric_mean(n_rows[-1].tail, m_rows[0].tail)
     if q_tail is None:
-        interpolant = LogWeightSequence(tuple(q_vals), None, 0, "interpolant")
+        interpolant = LogWeightSequence(q_vals, None, 0, "interpolant")
     else:
-        vals = q_tail.log_values(np.arange(P + 1))
-        interpolant = LogWeightSequence(tuple(vals), q_tail, 0, "interpolant")
+        interpolant = LogWeightSequence.from_tail(q_tail, P, "interpolant")
 
     candidates = []
     try:
@@ -277,7 +276,7 @@ def sandwich_construct(
         PP = min(P, p_hull.P)
         merged = np.maximum(p_hull.L[: PP + 1], interpolant.L[: PP + 1])
         candidates.append(
-            lc_minorant(LogWeightSequence(tuple(merged), None, 0, "merged"))
+            lc_minorant(LogWeightSequence(merged, None, 0, "merged"))
         )
     except (TruncationExhausted, TailNotCertified, ValueError):
         pass

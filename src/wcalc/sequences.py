@@ -6,6 +6,26 @@ asymptotic (non-quasianalyticity, moderate growth, root divergence, ...)
 are decided exactly when the sequence carries a symbolic tail and reported
 Inconclusive otherwise.
 
+A row keeps its values once, as one read-only float64 array (a tuple of
+the same values took four times its bytes).  Rows compare and hash by
+content, so equal rows built apart are interchangeable keys.
+
+Every row built from a closed-form tail goes through
+LogWeightSequence.from_tail, behind one process-wide lru_cache of the 64
+most recently requested (tail, pmax, label, tail_from).  The key holds the
+type and repr of each of the tail's fields as well: FactorialPower(2, 1.0)
+equals FactorialPower(2.0, 1.0) but prints "s": 2, so a shared row would
+make a report depend on what the process built before it.
+
+A row also keeps what is computed from it alone and read again: its
+envelope (weightfuncs.associated_function), its 16 most recently built
+derived rows j -> exp((1/l) phi*(l j)) (weightfuncs.sequence_from_weight)
+and its moderate-growth prefix constant.  These live as long as the row,
+so the memo's 64 entries bound them.  Nothing a row keeps refers back to
+it: lc_minorant returns a convex row itself, so the hull is never kept,
+and a row in a reference cycle would outlive its last user until the
+garbage collector ran.
+
 Array code here is bit-identical to the scalar loops it stands for: numpy
 does only + - * /, comparisons and reductions (min, max, argmin) on the
 stored values, and transcendentals go through the math module, because
@@ -13,6 +33,7 @@ numpy's log, exp and power may round differently in the last bit.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -29,32 +50,35 @@ LOG_TOL = 1e-12
 TAIL_CONSISTENCY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogWeightSequence:
     """A weight sequence truncated at index P, stored as log values.
 
     tail, when present, is a closed-form rule valid for p >= tail_from and
     must agree with the stored prefix on [tail_from, P].  A non-zero
     tail_from admits finitely perturbed members of a symbolic family.
-    log_values may be passed as any flat sequence of floats (an array is
-    cheapest); it is stored as a tuple, and L holds the same values as a
-    read-only array.
+    log_values may be passed as any flat sequence of floats; it is kept
+    once, as a read-only float64 array, which L returns too.  Two rows are
+    equal when their values (as numbers, so -0.0 == 0.0), tails, tail_from
+    and labels are; the hash is computed once, on first use.  Rows of
+    from_tail are shared through the row memo, and every row keeps its
+    envelope, derived rows and moderate-growth constant, none of which
+    refers back to it (see the module docstring).
     """
 
-    log_values: tuple[float, ...]
+    log_values: np.ndarray
     tail: Tail | None = None
     tail_from: int = 0
     label: str = ""
 
     def __post_init__(self):
         L = np.array(self.log_values, dtype=float)
-        if L.size < 3:
-            raise ValueError("need at least indices p = 0, 1, 2")
+        if L.ndim != 1 or L.size < 3:
+            raise ValueError("need a flat sequence with at least indices p = 0, 1, 2")
         if not np.all(np.isfinite(L)):
             raise ValueError("log values must be finite")
         L.flags.writeable = False
-        object.__setattr__(self, "_L", L)
-        object.__setattr__(self, "log_values", tuple(L.tolist()))
+        object.__setattr__(self, "log_values", L)
         if self.tail is not None:
             lo = max(self.tail_from, 0)
             ps = np.arange(lo, L.size)
@@ -65,12 +89,34 @@ class LogWeightSequence:
                     f"tail disagrees with stored prefix (rel err {err:.3g})"
                 )
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.label == other.label
+            and self.tail_from == other.tail_from
+            and self.tail == other.tail
+            and np.array_equal(self.L, other.L)
+        )
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            # + 0.0 turns -0.0 into 0.0, which it equals
+            h = self.__dict__["_hash"] = hash(
+                ((self.L + 0.0).tobytes(), self.tail, self.tail_from, self.label)
+            )
+        return h
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_tail(tail: Tail, pmax: int, label: str = "", tail_from: int = 0) -> "LogWeightSequence":
-        vals = tail.log_values(np.arange(pmax + 1))
-        return LogWeightSequence(vals, tail, tail_from, label)
+        """The row of tail at p = 0..pmax, shared with every equal request
+        while it stays in the memo (see the module docstring)."""
+        return _row_from_tail(_typed_tail(tail), pmax, label, tail_from)
 
     @staticmethod
     def gevrey(s: float, pmax: int = 200, label: str = "") -> "LogWeightSequence":
@@ -88,17 +134,17 @@ class LogWeightSequence:
 
     @property
     def P(self) -> int:
-        return len(self.log_values) - 1
+        return self.log_values.size - 1
 
     @property
     def L(self) -> np.ndarray:
         """The stored log values as a read-only float array."""
-        return self._L
+        return self.log_values
 
     def log_at(self, p: float) -> float:
         """log M_p, using the symbolic tail beyond the stored prefix."""
         if p <= self.P and float(p).is_integer():
-            return self.log_values[int(p)]
+            return float(self.L[int(p)])
         if self.tail is None:
             raise IndexError(f"p={p} beyond prefix and no tail")
         return self.tail.log_value(p)
@@ -110,7 +156,8 @@ class LogWeightSequence:
         return self.log_at(p) / p
 
     def is_normalized(self, tol: float = LOG_TOL) -> bool:
-        return abs(self.log_values[0]) <= tol and self.log_values[1] >= -tol
+        L0, L1 = self.L[:2].tolist()
+        return abs(L0) <= tol and L1 >= -tol
 
     def with_label(self, label: str) -> "LogWeightSequence":
         return replace(self, label=label)
@@ -122,8 +169,24 @@ class LogWeightSequence:
             if self.tail_from:
                 out["tail_from"] = self.tail_from
         else:
-            out["log_values"] = list(self.log_values)
+            out["log_values"] = self.L.tolist()
         return out
+
+
+def _typed_tail(tail: Tail) -> tuple:
+    """tail with the type and repr of each of its fields: equal tails whose
+    fields differ in type (2 and 2.0) or sign of zero print differently."""
+    fields = dataclasses.fields(tail) if dataclasses.is_dataclass(tail) else ()
+    return (tail, type(tail), tuple(
+        (type(v), repr(v)) for v in (getattr(tail, f.name) for f in fields)
+    ))
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _row_from_tail(typed_tail: tuple, pmax: int, label: str, tail_from: int) -> LogWeightSequence:
+    tail = typed_tail[0]
+    vals = tail.log_values(np.arange(pmax + 1))
+    return LogWeightSequence(vals, tail, tail_from, label)
 
 
 # -- growth conditions --------------------------------------------------
@@ -147,7 +210,8 @@ def check_log_convex(seq: LogWeightSequence) -> Verdict:
 
 def check_in_LC(seq: LogWeightSequence) -> Verdict:
     if not seq.is_normalized():
-        return verdicts.fails(L0=seq.log_values[0], L1=seq.log_values[1])
+        L0, L1 = seq.L[:2].tolist()
+        return verdicts.fails(L0=L0, L1=L1)
     lc = check_log_convex(seq)
     if lc.fails:
         return verdicts.fails(**lc.witness)
@@ -207,7 +271,10 @@ def _mg_prefix_constant(L: np.ndarray) -> tuple[float, int, int]:
 
 
 def check_moderate_growth(seq: LogWeightSequence) -> Verdict:
-    best, j, m = _mg_prefix_constant(seq.L)
+    cached = seq.__dict__.get("_mg")
+    if cached is None:
+        cached = seq.__dict__["_mg"] = _mg_prefix_constant(seq.L)
+    best, j, m = cached
     if seq.tail is None:
         return verdicts.inconclusive(
             "prefix only", **verdicts.exp_witness("prefix_C", best), at=(j, m - j)
@@ -407,7 +474,7 @@ def increasing_root_minorant(seq: LogWeightSequence) -> LogWeightSequence:
             probe = min(probe, v)
         suffix = np.minimum(suffix, probe)
     out = np.concatenate(([0.0], suffix * np.arange(1, P + 1)))
-    out[0] = seq.log_values[0] if abs(seq.log_values[0]) <= LOG_TOL else 0.0
+    out[0] = seq.L[0] if abs(seq.L[0]) <= LOG_TOL else 0.0
     if np.max(np.abs(out - seq.L)) <= LOG_TOL:
         return seq
     # only a finite stretch changed; the symbolic continuation still applies

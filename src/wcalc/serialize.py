@@ -158,7 +158,7 @@ def read_sequence_csv(path: str) -> LogWeightSequence:
             vals.append(float(b))
     if ps != list(range(len(ps))):
         raise ValueError("indices must be 0,1,2,... without gaps")
-    return LogWeightSequence(tuple(vals), None, 0, path)
+    return LogWeightSequence(vals, None, 0, path)
 
 
 def flatten_report(report: dict, prefix: str = "") -> list[tuple[str, str]]:

@@ -165,33 +165,42 @@ def associated_function(seq: LogWeightSequence) -> WeightFunction:
 def sequence_from_weight(
     w: WeightFunction, l: float, pmax: int, label: str = ""
 ) -> LogWeightSequence:
-    """The matrix row  j -> exp((1/l) * phi*(l*j))."""
+    """The matrix row  j -> exp((1/l) * phi*(l*j)).
+
+    A closed-form row comes from the row memo of LogWeightSequence.from_tail.
+    A row derived from a sequence is kept on that sequence, keyed on
+    (l, pmax, label), next to its envelope; it never refers back to it.
+    A sequence keeps its 16 most recently built derived rows."""
     if l <= 0:
         raise ValueError("parameter l must be positive")
     kind = w.source[0]
-    js = np.arange(pmax + 1)
+    label = label or f"{w.label};l={l:g}"
     if kind == "power_log":
         sigma = w.source[1]
         beta = sigma / (sigma - 1.0)
         tail = PowerIndex((sigma - 1.0) * l ** (beta - 1.0) * sigma ** (-beta), beta)
-        vals = tail.log_values(js)
-    elif kind == "root_power":
+        return LogWeightSequence.from_tail(tail, pmax, label)
+    if kind == "root_power":
         a, c = w.source[1], w.source[2]
-        tail = RootPowerDualTail(a, c, l)
-        vals = tail.log_values(js)
-    else:
-        seq: LogWeightSequence = w.source[1]
+        return LogWeightSequence.from_tail(RootPowerDualTail(a, c, l), pmax, label)
+    seq: LogWeightSequence = w.source[1]
+    # the hull lc_minorant(seq) has the same indices 0..P as seq
+    if l * pmax > seq.P + 1e-9:
+        raise DomainExceeded(
+            f"need slope {l * pmax:g} but representation ends at {seq.P}"
+        )
+    derived = seq.__dict__.setdefault("_derived", {})
+    row = derived.get((l, pmax, label))
+    if row is None:
         hull = lc_minorant(seq)
-        max_slope = hull.P
-        if l * pmax > max_slope + 1e-9:
-            raise DomainExceeded(
-                f"need slope {l * pmax:g} but representation ends at {max_slope}"
-            )
         stepped = SteppedTail(hull.L, hull.tail, l)
-        vals = stepped.log_values(js)
+        vals = stepped.log_values(np.arange(pmax + 1))
         # a prefix-only parent gives no certified asymptote for the row
         tail = stepped if hull.tail is not None else None
-    return LogWeightSequence(vals, tail, 0, label or f"{w.label};l={l:g}")
+        if len(derived) == 16:
+            del derived[next(iter(derived))]
+        row = derived[(l, pmax, label)] = LogWeightSequence(vals, tail, 0, label)
+    return row
 
 
 # -- condition battery --------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from wcalc.cli import main
 from wcalc.serialize import dumps_canonical, read_sequence_csv, write_sequence_csv
-from wcalc.sequences import LogWeightSequence
+from wcalc.sequences import LogWeightSequence, _row_from_tail
 
 
 def run(args, tmp_path, name="out.json"):
@@ -341,6 +341,24 @@ def test_determinism_byte_identical(tmp_path):
     first = out.read_bytes()
     main(["analyze", "--seq", "gevrey:2", "--out", str(out)])
     assert out.read_bytes() == first
+
+
+def test_report_does_not_depend_on_rows_built_before(tmp_path):
+    # the descriptor builds FactorialPower(2, 1.0) and prints "s": 2; the
+    # equal FactorialPower(2.0, 1.0) of gevrey:2 prints "s": 2.0
+    desc = tmp_path / "g.json"
+    desc.write_text('{"family": "gevrey", "s": 2}')
+    out = tmp_path / "r.json"
+    argv = ["matrix", "dossier", "--seq", f"file:{desc}", "--out", str(out)]
+    res = subprocess.run([sys.executable, "-m", "wcalc.cli", *argv], capture_output=True)
+    assert res.returncode == 0
+    fresh = out.read_bytes()
+    assert type(json.loads(fresh)["input"]["s"]) is int
+    _row_from_tail.cache_clear()
+    other = str(tmp_path / "other.json")
+    for before in ([], ["--pmax", "200"]):
+        assert main(["matrix", "dossier", "--seq", "gevrey:2", *before, "--out", other]) == 0
+        assert main(argv) == 0 and out.read_bytes() == fresh
 
 
 def test_console_script_installed():

@@ -42,13 +42,21 @@ from wcalc.matrices import (
     multi_index_step,
     relation_matrix,
 )
-from wcalc.sequences import LogWeightSequence, relation_preceq, relation_triangle
+from wcalc.sequences import (
+    LogWeightSequence,
+    _row_from_tail,
+    check_moderate_growth,
+    lc_minorant,
+    relation_preceq,
+    relation_triangle,
+)
 from wcalc.serialize import dumps_canonical
 from wcalc.tails import FactorialPower, root_gap_limit
 from wcalc.weightfuncs import (
     associated_function,
     make_power_log_weight,
     make_root_power_weight,
+    sequence_from_weight,
 )
 
 
@@ -118,6 +126,43 @@ def test_integer_step_identity():
         for l in (2.0, 3.0):
             chain = multi_index_step(MultiIndexChain(base), l)
             assert integer_step_identity_error(chain) <= 1e-9, (s, l)
+
+
+def ref_integer_step_identity_error(chain):
+    # the scalar loop the array code replaced, verbatim
+    err = 0.0
+    for base_row, cur_row in zip(chain.base.rows, chain.current.rows):
+        l = 1.0
+        for s in chain.steps:
+            l *= s
+        hull = lc_minorant(base_row)
+        for j in range(cur_row.P + 1):
+            jl = j * l
+            if jl > hull.P:
+                break
+            want = hull.L[int(round(jl))] / l if float(jl).is_integer() else None
+            if want is None:
+                continue
+            err = max(err, abs(cur_row.L[j] - want))
+    return err
+
+
+def test_identity_error_is_bit_identical_to_the_loop():
+    base = matrix_from_rows((gevrey(1.0, 300), bumpy_prefix(), gevrey(3.0, 300)), (1.0, 2.0, 3.0))
+    for steps in ((2.0,), (3.0,), (2.0, 2.0), (1.5, 2.0), (0.5,), (2.5,), (0.3, 3.0)):
+        chain = MultiIndexChain(base)
+        for l in steps:
+            chain = multi_index_step(chain, l)
+        # a current matrix off the identity gives non-zero errors to compare
+        bent = MultiIndexChain(base, chain.steps, WeightMatrix(
+            base.labels,
+            tuple(LogWeightSequence(r.L + 1e-3 * np.sin(np.arange(r.P + 1)), None, 0, "")
+                  for r in chain.current.rows),
+        ))
+        for c in (chain, bent):
+            assert float.hex(integer_step_identity_error(c)) == float.hex(
+                float(ref_integer_step_identity_error(c))
+            ), steps
 
 
 def test_chain_omega_stability():
@@ -250,7 +295,9 @@ def test_extended_rows_built_once_per_matrix():
 
 
 def test_rows_die_without_garbage_collection():
-    # cached envelopes must not tie a row to its WeightFunction in a cycle
+    # what a row keeps (envelope, derived rows, moderate-growth constant)
+    # must not tie it to its WeightFunction or to itself in a cycle: once
+    # the row memo lets go, reference counting alone frees every row
     gc.disable()
     try:
         M = build_gevrey_matrix((1.0, 2.0), pmax=4000)
@@ -258,7 +305,14 @@ def test_rows_die_without_garbage_collection():
         ws = [associated_function(r) for r in M.rows]
         refs = [weakref.ref(r) for r in M.rows]
         refs.append(weakref.ref(M.row(2 * M.labels[-1] + 1)))
-        del M, v, ws
+        convex = gevrey(1.5, 2000)
+        assert lc_minorant(convex) is convex
+        check_moderate_growth(convex)
+        derived = sequence_from_weight(associated_function(convex), 0.5, 2000)
+        assert sequence_from_weight(associated_function(convex), 0.5, 2000) is derived
+        refs += [weakref.ref(convex), weakref.ref(derived)]
+        del M, v, ws, convex, derived
+        _row_from_tail.cache_clear()
         assert all(r() is None for r in refs)
     finally:
         gc.enable()

@@ -33,6 +33,7 @@ from wcalc.sequences import (
     relation_triangle,
 )
 from wcalc.sequences import _diagonal_minimum, _mg_prefix_constant
+from wcalc.tails import FactorialPower, PowerIndex
 
 
 @st.composite
@@ -99,7 +100,62 @@ def test_increasing_root_worked_example():
 def test_lc_fixed_point_on_convex_input():
     g = LogWeightSequence.gevrey(2.0, 100)
     h = lc_minorant(g)
-    assert h.log_values == g.log_values and h.tail == g.tail
+    assert np.array_equal(h.log_values, g.log_values) and h.tail == g.tail
+
+
+@st.composite
+def tail_rows(draw):
+    """(tail, pmax, label) of a gevrey, factorial_power or power_index row."""
+    pmax = draw(st.integers(2, 16000))
+    fam = draw(st.sampled_from(("gevrey", "factorial_power", "power_index")))
+    if fam == "gevrey":
+        s = draw(st.floats(0.5, 4.0))
+        return FactorialPower(s, 1.0), pmax, f"gevrey:{s:g}"
+    if fam == "factorial_power":
+        s, a = draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 3.0))
+        return FactorialPower(s, a), pmax, f"factorial_power:{s:g},{a:g}"
+    k, b = draw(st.floats(0.1, 4.0)), draw(st.floats(1.0, 3.0))
+    return PowerIndex(k, b), pmax, f"power_index({k:g},{b:g})"
+
+
+@given(tail_rows())
+@settings(max_examples=40, deadline=None)
+def test_rows_compare_by_content_and_come_from_one_memo(case):
+    tail, pmax, label = case
+    row = LogWeightSequence.from_tail(tail, pmax, label)
+    assert LogWeightSequence.from_tail(tail, pmax, label) is row
+    fresh = LogWeightSequence(tail.log_values(np.arange(pmax + 1)), tail, 0, label)
+    assert fresh is not row and fresh == row and hash(fresh) == hash(row)
+    assert fresh.to_json() == row.to_json()
+    assert not row.L.flags.writeable and row.log_values is row.L
+    with pytest.raises(ValueError):
+        row.L[0] = 1.0
+    # L_0 = 0.0 in all three families; -0.0 equals it, so hashes alike
+    neg = np.array(row.L)
+    neg[0] = -0.0
+    for t in (tail, None):
+        a = LogWeightSequence(neg, t, 0, label)
+        b = LogWeightSequence(row.L, t, 0, label)
+        assert math.copysign(1.0, a.L[0]) == -1.0
+        assert a == b and hash(a) == hash(b)
+    assert row != row.with_label(label + "'")
+
+
+def test_row_memo_keys_on_field_types():
+    # FactorialPower(2, 1.0) == FactorialPower(2.0, 1.0), but they print
+    # "s": 2 and "s": 2.0, so each gets its own row
+    whole = LogWeightSequence.from_tail(FactorialPower(2, 1.0), 50, "g")
+    real = LogWeightSequence.from_tail(FactorialPower(2.0, 1.0), 50, "g")
+    assert whole is not real and whole == real
+    assert type(whole.to_json()["s"]) is int and type(real.to_json()["s"]) is float
+
+
+def test_scalar_readers_return_python_types():
+    row = LogWeightSequence((0.5, 1.0, 3.0), None, 0, "raised")
+    assert type(row.log_at(1)) is float and type(row.is_normalized()) is bool
+    wit = check_in_LC(row).witness
+    assert type(wit["L0"]) is float and type(wit["L1"]) is float
+    assert all(type(v) is float for v in row.to_json()["log_values"])
 
 
 def test_perturbed_family_keeps_tail_after_regularization():
