@@ -40,8 +40,9 @@ on the results.  Three caches keep it:
     reads any sup.  The accepted orders then share one batched inverse FFT
     of a (orders, n) array, whose rows numpy transforms bit for bit as it
     would one at a time, with the multiplier (i xi)^k on the band only;
-  - the Fourier-norm rows, keyed on the row's content: the associated
-    function of its log-convex minorant and omega(|xi|) on the band.
+  - the 16 most recently built Fourier-norm rows, keyed on the row's
+    content: the associated function of its log-convex minorant and
+    omega(|xi|) on the band.
   A copy whose memo is full needs no transform at all.  A harness over
   Gevrey rows meets few distinct bumps: every row with log M_0 = log M_1 =
   0 gives the same depth-1 control.  The derived rows
@@ -147,7 +148,7 @@ class _Memo:
     on of the grid x0 + dx * arange(GRID_N) (None for a function built
     directly); its derivative-sup table, (k, a, b) -> _derivative_sup
     entry, a _Refusal or None while pending; its _SpectralRecord once
-    read; and its Fourier-norm rows, row -> _NormRow."""
+    read; and its 16 most recently built Fourier-norm rows, row -> _NormRow."""
     __slots__ = ("x0", "dx", "lo", "samples", "sups", "record", "rows")
 
     def __init__(self, x0=math.nan, dx=math.nan, lo=0, samples=None):
@@ -445,7 +446,8 @@ class _NormRow(NamedTuple):
 def _norm_row(f: SampledFunction, seq: LogWeightSequence) -> _NormRow:
     """fourier_norm's row data, kept in f's memo under the row itself: a
     frozen LogWeightSequence, equal to every row with the same content.
-    The band must not be truncated."""
+    The memo keeps 16 rows and drops the oldest first.  The band must not
+    be truncated."""
     row = f._memo.rows.get(seq)
     if row is None:
         rec = _spectral_record(f)
@@ -456,6 +458,8 @@ def _norm_row(f: SampledFunction, seq: LogWeightSequence) -> _NormRow:
         om_slope = float(
             (w.omega(xi_edge * 1.01) - w.omega(xi_edge)) / (0.01 * xi_edge)
         )
+        if len(f._memo.rows) == 16:
+            del f._memo.rows[next(iter(f._memo.rows))]
         row = f._memo.rows[seq] = _NormRow(w, om, om_slope, w.omega(xi_edge))
     return row
 

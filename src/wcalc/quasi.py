@@ -157,6 +157,29 @@ def minorant_root(rows: dict, a, b, p: float) -> float:
     return -math.log(Q) + rows[Q].root(p)     # p >= b_{Q-1}
 
 
+def _minorant_prefix(rows: dict, a, b, P: int) -> np.ndarray:
+    """p * minorant_root(rows, a, b, p) for p = 1..P, and 0 at p = 0, as
+    one array expression per piece of the recursion; + - * / round as the
+    scalar loop's Python floats do, so the values are bit-identical."""
+    Q = len(rows)
+    ps = np.arange(P + 1)
+    L = np.zeros(P + 1)
+
+    def follow(q, lo, hi):        # lo <= p < hi on row q
+        s = slice(max(lo, 1), min(hi, P + 1))
+        L[s] = ps[s] * (-math.log(q) + rows[q].L[s] / ps[s])
+
+    lo = 0
+    for q in range(1, Q):
+        a_q, b_q = a[q - 1], b[q - 1]
+        follow(q, lo, a_q + 1)
+        s = slice(a_q + 1, min(b_q, P + 1))     # a_q < p < b_q, held flat
+        L[s] = ps[s] * (-math.log(q) + rows[q].root(a_q))
+        lo = b_q
+    follow(Q, lo, P + 1)
+    return L
+
+
 def construct_minorant(M: WeightMatrix) -> MinorantTrace:
     """Run the switch-index recursion on rows ordered decreasingly in q.
 
@@ -213,10 +236,7 @@ def construct_minorant(M: WeightMatrix) -> MinorantTrace:
         b_prev = b_q
 
     P = min(r.P for r in rows.values())
-    L = np.zeros(P + 1)
-    for p in range(1, P + 1):
-        L[p] = p * minorant_root(rows, a, b, p)
-    N = LogWeightSequence(L, None, 0, "constructed-minorant")
+    N = LogWeightSequence(_minorant_prefix(rows, a, b, P), None, 0, "constructed-minorant")
 
     total = sum(
         (q + 1) * certs[f"q={q}"]["tail_bound_at_a"] for q in range(1, Q)

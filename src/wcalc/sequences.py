@@ -19,12 +19,15 @@ make a report depend on what the process built before it.
 
 A row also keeps what is computed from it alone and read again: its
 envelope (weightfuncs.associated_function), its 16 most recently built
-derived rows j -> exp((1/l) phi*(l j)) (weightfuncs.sequence_from_weight)
-and its moderate-growth prefix constant.  These live as long as the row,
-so the memo's 64 entries bound them.  Nothing a row keeps refers back to
-it: lc_minorant returns a convex row itself, so the hull is never kept,
-and a row in a reference cycle would outlive its last user until the
-garbage collector ran.
+derived rows j -> exp((1/l) phi*(l j)) (weightfuncs.sequence_from_weight),
+its moderate-growth prefix constant, its root-gap samples for the last 8
+values of P = min(M.P, N.P) at which relation_preceq compared it with
+another row, and whether it is its own log-convex minorant.  These live
+as long as the row, so the memo's 64 entries bound them.  Nothing a row
+keeps refers back to it, and a row in a reference cycle would outlive its
+last user until the garbage collector ran: the samples are bare float
+arrays, and lc_minorant keeps a boolean rather than the hull, which for a
+convex row is the row itself.
 
 Array code here is bit-identical to the scalar loops it stands for: numpy
 does only + - * /, comparisons and reductions (min, max, argmin) on the
@@ -62,8 +65,9 @@ class LogWeightSequence:
     equal when their values (as numbers, so -0.0 == 0.0), tails, tail_from
     and labels are; the hash is computed once, on first use.  Rows of
     from_tail are shared through the row memo, and every row keeps its
-    envelope, derived rows and moderate-growth constant, none of which
-    refers back to it (see the module docstring).
+    envelope, derived rows, moderate-growth constant, root-gap samples and
+    log-convexity flag, none of which refers back to it (see the module
+    docstring).
     """
 
     log_values: np.ndarray
@@ -392,10 +396,26 @@ def _sampled_roots(seq: LogWeightSequence, ps: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _gap_sample_points(P: int) -> np.ndarray:
-    """About 40 integer points from P + 1 to 1e6, geometrically spaced."""
+    """About 40 integer points from P + 1 to 1e6, geometrically spaced.
+    For P >= 1e6 they run down from P + 1 to 1e6, so all but P + 1 fall
+    inside the prefix."""
     ps = np.unique(np.round(np.geomspace(P + 1, 1e6, 40)))
     ps.flags.writeable = False
     return ps
+
+
+def _gap_samples(seq: LogWeightSequence, P: int) -> np.ndarray:
+    """seq's roots at _gap_sample_points(P), read-only, kept on seq for
+    its 8 most recently sampled P."""
+    kept = seq.__dict__.setdefault("_gap_samples", {})
+    roots = kept.get(P)
+    if roots is None:
+        roots = _sampled_roots(seq, _gap_sample_points(P))
+        roots.flags.writeable = False
+        if len(kept) == 8:
+            del kept[next(iter(kept))]
+        kept[P] = roots
+    return roots
 
 
 def _sampled_gap_sup(M: LogWeightSequence, N: LogWeightSequence) -> float:
@@ -403,8 +423,8 @@ def _sampled_gap_sup(M: LogWeightSequence, N: LogWeightSequence) -> float:
 
     A tail may overflow far out (RootPowerDualTail for a tiny exponent);
     such points are left out, since inf - inf is no gap."""
-    ps = _gap_sample_points(min(M.P, N.P))
-    rM, rN = _sampled_roots(M, ps), _sampled_roots(N, ps)
+    P = min(M.P, N.P)
+    rM, rN = _gap_samples(M, P), _gap_samples(N, P)
     both = np.isfinite(rM) & np.isfinite(rN)
     # Python max keeps the scalar loop's first maximum
     return max((rM[both] - rN[both]).tolist(), default=-math.inf)
@@ -445,12 +465,18 @@ def relation_approx(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
 # -- regularizations ----------------------------------------------------
 
 def lc_minorant(seq: LogWeightSequence) -> LogWeightSequence:
-    """Log-convex minorant: lower convex hull of the points (p, L_p)."""
+    """Log-convex minorant: lower convex hull of the points (p, L_p).
+
+    A row that is its own minorant is marked so, and returned at once from
+    then on."""
+    if seq.__dict__.get("_lc_fixed"):
+        return seq
     ps = np.arange(seq.P + 1)
     hull = lower_hull(np.column_stack((ps.astype(float), seq.L)))
     out = np.interp(ps, hull[:, 0], hull[:, 1])
     if np.max(np.abs(out - seq.L)) <= LOG_TOL:
         # the very instance, so what callers cached on it stays shared
+        seq.__dict__["_lc_fixed"] = True
         return seq
     tail = seq.tail if (seq.tail is not None and seq.tail.is_log_convex()) else None
     return LogWeightSequence(

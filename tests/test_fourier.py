@@ -1019,3 +1019,15 @@ def test_spectral_record_is_band_sized_and_read_only():
                 assert not a.flags.writeable
         truncated_seen.add(rec.truncated)
     assert truncated_seen == {False, True}
+
+
+def test_norm_rows_keep_the_sixteen_latest():
+    f = _fresh_standard_bump()
+    rows = [gevrey(1.5 + 0.1 * i, 1200) for i in range(20)]
+    first = fourier_norm(f, rows[0], 0.1)
+    for row in rows:
+        fourier_norm(f, row, 0.1)
+    assert list(f._memo.rows) == rows[-16:]
+    again = fourier_norm(f, rows[0], 0.1)
+    assert [x.hex() for x in again] == [x.hex() for x in first]
+    assert list(f._memo.rows) == rows[-15:] + rows[:1]

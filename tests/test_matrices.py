@@ -47,6 +47,7 @@ from wcalc.sequences import (
     _row_from_tail,
     check_moderate_growth,
     lc_minorant,
+    relation_approx,
     relation_preceq,
     relation_triangle,
 )
@@ -295,8 +296,9 @@ def test_extended_rows_built_once_per_matrix():
 
 
 def test_rows_die_without_garbage_collection():
-    # what a row keeps (envelope, derived rows, moderate-growth constant)
-    # must not tie it to its WeightFunction or to itself in a cycle: once
+    # what a row keeps (envelope, derived rows, moderate-growth constant,
+    # root-gap samples, lc flag) must not tie it to its WeightFunction or
+    # to itself in a cycle: once
     # the row memo lets go, reference counting alone frees every row
     gc.disable()
     try:
@@ -311,7 +313,11 @@ def test_rows_die_without_garbage_collection():
         derived = sequence_from_weight(associated_function(convex), 0.5, 2000)
         assert sequence_from_weight(associated_function(convex), 0.5, 2000) is derived
         refs += [weakref.ref(convex), weakref.ref(derived)]
-        del M, v, ws, convex, derived
+        # root-gap samples and the lc flag are kept on the rows too
+        approx = [relation_approx(M.rows[0], M.rows[1]), relation_approx(convex, M.rows[0])]
+        assert all("_gap_samples" in r.__dict__ for r in (*M.rows[:2], convex))
+        assert convex.__dict__["_lc_fixed"]
+        del M, v, ws, convex, derived, approx
         _row_from_tail.cache_clear()
         assert all(r() is None for r in refs)
     finally:

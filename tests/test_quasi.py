@@ -22,6 +22,7 @@ from wcalc.quasi import (
     construct_minorant,
     matrix_nq_verdict,
     minorant_checkpoints,
+    minorant_root,
     sandwich_construct,
     small_terms_diagnostic,
 )
@@ -124,6 +125,26 @@ def test_minorant_prefix_is_below_smallest_row(four_row_trace):
     N = trace.N
     ps = np.arange(1, N.P + 1)
     assert np.all(N.L[1:] / ps <= np.array([small.root(p) for p in ps]) + 1e-12)
+
+
+@pytest.mark.parametrize("pmax", (200, 2000, 5000))
+@pytest.mark.parametrize("Q", (2, 3, 4))
+@pytest.mark.parametrize("pattern", ("1+1/q", "1+2/q", "1.5+1/q"))
+def test_minorant_prefix_is_bit_identical_to_the_loop(pattern, Q, pmax):
+    # between them the patterns put every piece of the recursion inside
+    # the prefix: row q followed, the plateau, and the last row from b_{Q-1}
+    exponent = {"1+1/q": lambda q: 1 + 1 / q, "1+2/q": lambda q: 1 + 2 / q,
+                "1.5+1/q": lambda q: 1.5 + 1 / q}[pattern]
+    qs = range(Q, 0, -1)
+    M = matrix_from_rows(tuple(gevrey(exponent(q), pmax) for q in qs),
+                         tuple(1.0 / q for q in qs))
+    trace = construct_minorant(M)
+    rows = {q: M.row(1.0 / q) for q in range(1, Q + 1)}
+    # the scalar loop the prefix was computed by, kept as the reference
+    want = np.zeros(pmax + 1)
+    for p in range(1, pmax + 1):
+        want[p] = p * minorant_root(rows, trace.a, trace.b, p)
+    assert np.array_equal(trace.N.L.view(np.uint64), want.view(np.uint64))
 
 
 def test_minorant_requires_certified_tails():

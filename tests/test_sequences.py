@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wcalc import sequences
 from wcalc.catalogue import (
     bumpy_prefix,
     factorial_power,
@@ -32,7 +33,12 @@ from wcalc.sequences import (
     relation_preceq,
     relation_triangle,
 )
-from wcalc.sequences import _diagonal_minimum, _mg_prefix_constant
+from wcalc.sequences import (
+    _diagonal_minimum,
+    _gap_sample_points,
+    _mg_prefix_constant,
+    _sampled_roots,
+)
 from wcalc.tails import FactorialPower, PowerIndex
 
 
@@ -101,6 +107,26 @@ def test_lc_fixed_point_on_convex_input():
     g = LogWeightSequence.gevrey(2.0, 100)
     h = lc_minorant(g)
     assert np.array_equal(h.log_values, g.log_values) and h.tail == g.tail
+
+
+def test_lc_fixed_point_is_kept_as_a_flag(monkeypatch):
+    calls = []
+    hull = sequences.lower_hull
+
+    def counted(points):
+        calls.append(len(points))
+        return hull(points)
+
+    monkeypatch.setattr(sequences, "lower_hull", counted)
+    convex = LogWeightSequence(gevrey(2.0, 300).L, None, 0, "convex")
+    assert lc_minorant(convex) is convex and len(calls) == 1
+    assert lc_minorant(convex) is convex and len(calls) == 1
+    # a row that is not its own minorant gets its hull on every call
+    bumpy = bumpy_prefix()
+    first, second = lc_minorant(bumpy), lc_minorant(bumpy)
+    assert len(calls) == 3 and "_lc_fixed" not in bumpy.__dict__
+    assert first is not bumpy and not np.array_equal(first.L, bumpy.L)
+    assert np.array_equal(first.L, second.L) and check_log_convex(first).holds
 
 
 @st.composite
@@ -262,6 +288,43 @@ def test_relation_reflexive():
     g = LogWeightSequence.gevrey(1.5, 100)
     assert relation_preceq(g, g).holds
     assert relation_approx(g, g).holds
+
+
+def _relation_reports(M, N):
+    return repr((relation_preceq(M, N).to_json(), relation_approx(M, N).to_json()))
+
+
+@given(tail_rows(), tail_rows())
+@settings(max_examples=40, deadline=None)
+def test_root_gap_samples_leave_reports_unchanged(m, n):
+    M, N = (LogWeightSequence.from_tail(*case) for case in (m, n))
+    for row in (M, N):
+        row.__dict__.pop("_gap_samples", None)
+    cold = _relation_reports(M, N)
+    assert _relation_reports(M, N) == cold
+    # rows built outside the row memo start with no samples
+    fresh = [LogWeightSequence(t.log_values(np.arange(p + 1)), t, 0, label)
+             for t, p, label in (m, n)]
+    assert _relation_reports(*fresh) == cold
+    P = min(M.P, N.P)
+    for row in (M, N, *fresh):
+        kept = row.__dict__.get("_gap_samples", {})
+        assert len(kept) <= 8 and not any(a.flags.writeable for a in kept.values())
+        if P in kept:
+            want = _sampled_roots(row, _gap_sample_points(P))
+            assert kept[P].tobytes() == want.tobytes()
+
+
+def test_root_gap_samples_keep_the_eight_latest_prefix_lengths():
+    g = LogWeightSequence(gevrey(2.0, 3000).L, FactorialPower(2.0, 1.0), 0, "g")
+    lengths = list(range(100, 1300, 100))
+    first = relation_preceq(gevrey(1.5, lengths[0]), g).to_json()
+    for P in lengths:
+        relation_preceq(gevrey(1.5, P), g)
+    kept = g.__dict__["_gap_samples"]
+    assert list(kept) == lengths[-8:]
+    assert repr(relation_preceq(gevrey(1.5, lengths[0]), g).to_json()) == repr(first)
+    assert list(kept) == lengths[-7:] + lengths[:1]
 
 
 # -- bookkeeping ---------------------------------------------------------
