@@ -26,6 +26,7 @@ from .sequences import (
     relation_approx,
     relation_preceq,
     relation_triangle,
+    row_serial,
 )
 from .tails import FactorialPower, root_gap_limit
 from .verdicts import Verdict
@@ -439,13 +440,28 @@ def _pseudo_mg_grid_ok(
 
 
 def _pseudo_mg_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
-    """Some H = 2**k on the grid with 2*omega_y(t) <= omega_x(H t) + H."""
-    small, big = associated_function(y), associated_function(x)
-    for k in range(0, 16):
-        H = 2.0 ** k
-        if _pseudo_mg_grid_ok(small, big, H):
-            return verdicts.holds(H=H)
-    return verdicts.inconclusive("no H on grid within resolved band")
+    """Some H = 2**k on the grid with 2*omega_y(t) <= omega_x(H t) + H.
+
+    x keeps the first such H (None if there is none) for its 32 most
+    recently checked y, keyed on row_serial(y), and drops the oldest
+    first."""
+    kept = x.__dict__.setdefault("_pseudo_mg", {})
+    key = row_serial(y)
+    if key in kept:
+        H = kept[key]
+    else:
+        small, big = associated_function(y), associated_function(x)
+        H = None
+        for k in range(0, 16):
+            if _pseudo_mg_grid_ok(small, big, 2.0 ** k):
+                H = 2.0 ** k
+                break
+        if len(kept) == 32:
+            del kept[next(iter(kept))]
+        kept[key] = H
+    if H is None:
+        return verdicts.inconclusive("no H on grid within resolved band")
+    return verdicts.holds(H=H)
 
 
 def check_pseudo_mg(M: WeightMatrix, variant: str = "roumieu") -> Verdict:

@@ -22,12 +22,15 @@ envelope (weightfuncs.associated_function), its 16 most recently built
 derived rows j -> exp((1/l) phi*(l j)) (weightfuncs.sequence_from_weight),
 its moderate-growth prefix constant, its root-gap samples for the last 8
 values of P = min(M.P, N.P) at which relation_preceq compared it with
-another row, and whether it is its own log-convex minorant.  These live
-as long as the row, so the memo's 64 entries bound them.  Nothing a row
-keeps refers back to it, and a row in a reference cycle would outlive its
-last user until the garbage collector ran: the samples are bare float
-arrays, and lc_minorant keeps a boolean rather than the hull, which for a
-convex row is the row itself.
+another row, whether it is its own log-convex minorant, and the first
+pseudo-moderate-growth constant H found against each of the 32 rows it
+was last checked against (matrices.check_pseudo_mg).  These live as long
+as the row, so the memo's 64 entries bound them.  Nothing a row keeps
+refers back to it or to another row, and a row in a reference cycle would
+outlive its last user until the garbage collector ran: the samples are
+bare float arrays, lc_minorant keeps a boolean rather than the hull,
+which for a convex row is the row itself, and the constants are keyed on
+the other row's row_serial, not on the row.
 
 Array code here is bit-identical to the scalar loops it stands for: numpy
 does only + - * /, comparisons and reductions (min, max, argmin) on the
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -65,9 +69,9 @@ class LogWeightSequence:
     equal when their values (as numbers, so -0.0 == 0.0), tails, tail_from
     and labels are; the hash is computed once, on first use.  Rows of
     from_tail are shared through the row memo, and every row keeps its
-    envelope, derived rows, moderate-growth constant, root-gap samples and
-    log-convexity flag, none of which refers back to it (see the module
-    docstring).
+    envelope, derived rows, moderate-growth constant, root-gap samples,
+    log-convexity flag and pseudo-moderate-growth constants, none of which
+    refers back to it (see the module docstring).
     """
 
     log_values: np.ndarray
@@ -191,6 +195,19 @@ def _row_from_tail(typed_tail: tuple, pmax: int, label: str, tail_from: int) -> 
     tail = typed_tail[0]
     vals = tail.log_values(np.arange(pmax + 1))
     return LogWeightSequence(vals, tail, tail_from, label)
+
+
+_serials = itertools.count()
+
+
+def row_serial(seq: LogWeightSequence) -> int:
+    """A number given to seq on first use and to no other row of the
+    process: what one row keeps about a check against another is keyed on
+    it, so that it holds no reference to the other row."""
+    n = seq.__dict__.get("_serial")
+    if n is None:
+        n = seq.__dict__["_serial"] = next(_serials)
+    return n
 
 
 # -- growth conditions --------------------------------------------------

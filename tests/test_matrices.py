@@ -20,11 +20,14 @@ from wcalc.catalogue import (
 from wcalc.errors import ClassMembershipFailed
 from wcalc.matrices import (
     CONDITION_NAMES,
+    _VARIANTS,
     _candidates,
     _dc_pair,
     _exists,
     _forall,
     _mg_pair,
+    _pseudo_mg_grid_ok,
+    _pseudo_mg_pair,
     MultiIndexChain,
     WeightMatrix,
     build_gevrey_matrix,
@@ -50,6 +53,7 @@ from wcalc.sequences import (
     relation_approx,
     relation_preceq,
     relation_triangle,
+    row_serial,
 )
 from wcalc.serialize import dumps_canonical
 from wcalc.tails import FactorialPower, root_gap_limit
@@ -226,6 +230,59 @@ def test_pseudo_mg_beurling_variant():
     assert check_pseudo_mg(G, "beurling").holds
 
 
+def ref_pseudo_mg_pair(x, y):
+    # the search as it ran before rows kept its result: every grid check
+    small, big = associated_function(y), associated_function(x)
+    for k in range(0, 16):
+        H = 2.0 ** k
+        if _pseudo_mg_grid_ok(small, big, H):
+            return verdicts.holds(H=H)
+    return verdicts.inconclusive("no H on grid within resolved band")
+
+
+def _fresh_rows(M):
+    # equal rows built apart, outside the row memo, with nothing kept yet
+    rows = tuple(LogWeightSequence(r.L, r.tail, r.tail_from, r.label) for r in M.rows)
+    return WeightMatrix(M.labels, rows, M.extender, M.label)
+
+
+@pytest.mark.parametrize("variant", ["roumieu", "beurling"])
+def test_pseudo_mg_constants_kept_on_rows_leave_verdicts_unchanged(variant):
+    matrices = [
+        *matrix_battery().values(),
+        build_gevrey_matrix((1.0, 2.0, 3.0), 1000),
+        build_gevrey_matrix((1.5, 2.5), 4000),
+        build_omega_matrix(make_power_log_weight(2.0), (1.0, 2.0), 200),
+    ]
+    for M in matrices:
+        want = _VARIANTS[variant](_fresh_rows(M), ref_pseudo_mg_pair).to_json()
+        cold = _VARIANTS[variant](M, _pseudo_mg_pair).to_json()
+        warm = _VARIANTS[variant](M, _pseudo_mg_pair).to_json()
+        fresh = _VARIANTS[variant](_fresh_rows(M), _pseudo_mg_pair).to_json()
+        assert dumps_canonical(cold) == dumps_canonical(want), M.label
+        assert dumps_canonical(warm) == dumps_canonical(want), M.label
+        assert dumps_canonical(fresh) == dumps_canonical(want), M.label
+        full = [dumps_canonical(check_pseudo_mg(M, variant).to_json()) for _ in range(2)]
+        assert full[0] == full[1]
+
+
+def test_pseudo_mg_constants_keep_the_32_latest_rows():
+    x = LogWeightSequence(gevrey(1.0, 400).L, FactorialPower(1.0, 1.0), 0, "x")
+    ys = [gevrey(1.0 + i / 20, 400) for i in range(1, 41)]
+    first = _pseudo_mg_pair(x, ys[0]).to_json()
+    for y in ys:
+        _pseudo_mg_pair(x, y)
+    kept = x.__dict__["_pseudo_mg"]
+    # keyed on serials, so x holds no reference to any y
+    assert list(kept) == [row_serial(y) for y in ys[-32:]]
+    assert all(type(H) in (float, type(None)) for H in kept.values())
+    assert repr(_pseudo_mg_pair(x, ys[0]).to_json()) == repr(first)
+    assert list(kept) == [row_serial(y) for y in ys[-31:] + ys[:1]]
+    # equal rows built apart have serials of their own
+    twin = LogWeightSequence(x.L, x.tail, x.tail_from, x.label)
+    assert twin == x and row_serial(twin) != row_serial(x) == row_serial(x)
+
+
 # -- structural consequences ---------------------------------------------
 
 def test_L_consequences_gevrey():
@@ -297,8 +354,8 @@ def test_extended_rows_built_once_per_matrix():
 
 def test_rows_die_without_garbage_collection():
     # what a row keeps (envelope, derived rows, moderate-growth constant,
-    # root-gap samples, lc flag) must not tie it to its WeightFunction or
-    # to itself in a cycle: once
+    # root-gap samples, lc flag, pseudo-mg constants) must not tie it to
+    # its WeightFunction, to another row or to itself in a cycle: once
     # the row memo lets go, reference counting alone frees every row
     gc.disable()
     try:
@@ -317,6 +374,8 @@ def test_rows_die_without_garbage_collection():
         approx = [relation_approx(M.rows[0], M.rows[1]), relation_approx(convex, M.rows[0])]
         assert all("_gap_samples" in r.__dict__ for r in (*M.rows[:2], convex))
         assert convex.__dict__["_lc_fixed"]
+        # and so are the pseudo-mg constants of check_pseudo_mg(M)
+        assert all(r.__dict__["_pseudo_mg"] for r in M.rows)
         del M, v, ws, convex, derived, approx
         _row_from_tail.cache_clear()
         assert all(r() is None for r in refs)
