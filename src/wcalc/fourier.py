@@ -10,7 +10,10 @@ Spectral derivatives depend on neither the weight row nor h; only the
 normalization exp(-k log h - L_k) does (spectral differentiation as in
 Trefethen, *Spectral Methods in MATLAB*, SIAM 2000).  So the work is done
 once where it can be, and every seminorm or Fourier-norm probe is arithmetic
-on the results.  Three caches keep it:
+on the results: a seminorm triggers the sup table's batch once, then reads
+each order's sup from the table and log M_0..log M_k as one slice of the
+row's stored prefix (log_at only past it), with log h taken once.  Three
+caches keep it:
 
 * _grid, a small bounded cache of the read-only arrays of one grid
   (n, dx, x0), shared by every function sampled on it: the abscissae, the
@@ -79,7 +82,7 @@ from .errors import (
     WidthBudgetExceeded,
 )
 from .matrices import WeightMatrix, check_matrix_condition
-from .sequences import LogWeightSequence, lc_minorant
+from .sequences import LogWeightSequence, keep, lc_minorant
 from .verdicts import Verdict
 from .weightfuncs import WeightFunction, associated_function, sequence_from_weight
 
@@ -418,17 +421,30 @@ class SeminormResult:
     per_order: tuple[float, ...]    # sup_K |f^{(k)}| / (h^k M_k) for each k
 
 
+def _log_prefix(seq: LogWeightSequence, k: int) -> list[float]:
+    """log M_0..log M_k as floats: the stored prefix, then seq.log_at
+    beyond it, which reads the tail or raises IndexError."""
+    logs = seq.L[: k + 1].tolist()
+    logs += [seq.log_at(p) for p in range(len(logs), k + 1)]
+    return logs
+
+
 def seminorm_derivative(
     f: SampledFunction, seq: LogWeightSequence, K: CompactBox, h: float, k_max: int
 ) -> SeminormResult:
     if (why := _first_refusal(f, k_max, K)) is not None:
         raise DerivativeOrderUnreliable(why)
-    (a, _), = K.intervals
+    # no order up to k_max is refused, so this fills all of them
+    _derivative_sup(f, k_max, K)
+    (a, b), = K.intervals
+    sups = f._memo.sups
+    logs = _log_prefix(seq, k_max)
+    lh = math.log(h)
     best, bk, bx = -math.inf, 0, a
     per = []
     for k in range(k_max + 1):
-        sup, x, _ = _derivative_sup(f, k, K)
-        val = sup * math.exp(-k * math.log(h) - seq.log_at(k))
+        sup, x, _ = sups[(k, a, b)]
+        val = sup * math.exp(-k * lh - logs[k])
         per.append(val)
         if val > best:
             best, bk, bx = val, k, x
@@ -448,8 +464,8 @@ def _norm_row(f: SampledFunction, seq: LogWeightSequence) -> _NormRow:
     frozen LogWeightSequence, equal to every row with the same content.
     The memo keeps 16 rows and drops the oldest first.  The band must not
     be truncated."""
-    row = f._memo.rows.get(seq)
-    if row is None:
+
+    def build():
         rec = _spectral_record(f)
         w = associated_function(lc_minorant(seq))
         xi_edge = rec.xi_edge
@@ -458,10 +474,9 @@ def _norm_row(f: SampledFunction, seq: LogWeightSequence) -> _NormRow:
         om_slope = float(
             (w.omega(xi_edge * 1.01) - w.omega(xi_edge)) / (0.01 * xi_edge)
         )
-        if len(f._memo.rows) == 16:
-            del f._memo.rows[next(iter(f._memo.rows))]
-        row = f._memo.rows[seq] = _NormRow(w, om, om_slope, w.omega(xi_edge))
-    return row
+        return _NormRow(w, om, om_slope, w.omega(xi_edge))
+
+    return keep(f._memo.rows, seq, 16, build)
 
 
 def fourier_norm(
@@ -652,7 +667,7 @@ def bump_builder(K: CompactBox, seq: LogWeightSequence, depth: int) -> SampledFu
     """
     (a, b), = K.intervals
     width = b - a
-    logs = tuple(seq.log_at(p) for p in range(depth + 1))
+    logs = tuple(_log_prefix(seq, depth))
     try:
         mus = [math.exp(logs[p] - logs[p - 1]) for p in range(1, depth + 1)]
     except OverflowError:
@@ -770,16 +785,23 @@ def decay_exponent_fit(xis, moduli) -> float:
 # -- the three-way membership harness -----------------------------------
 
 def _trend_classify(per_order: tuple[float, ...]) -> str:
-    """decided 'finite' / 'growing' / 'open' from the normalized sups."""
-    a = np.asarray(per_order)
-    if len(a) < 4:
+    """decided 'finite' / 'growing' / 'open' from the normalized sups.
+
+    Python floats compare and subtract as numpy's float64 does, and
+    max(t, 1e-300) keeps a NaN t as np.maximum does; only the head's max
+    needs care, since np.max is NaN when any term is and Python's max
+    depends on where the NaN sits."""
+    n = len(per_order)
+    if n < 4:
         return "open"
-    tail = a[len(a) // 2 :]
-    if np.all(np.diff(tail) <= 1e-12 * np.maximum(tail[:-1], 1e-300)):
+    tail = per_order[n // 2 :]
+    steps = [v - u for u, v in zip(tail, tail[1:])]
+    if all(d <= 1e-12 * max(u, 1e-300) for d, u in zip(steps, tail)):
         return "finite"
-    if tail[-1] > 4.0 * tail[0] and np.all(np.diff(tail) > 0):
+    if tail[-1] > 4.0 * tail[0] and all(d > 0 for d in steps):
         return "growing"
-    if a[-1] <= np.max(a[: len(a) // 2]):
+    head = per_order[: n // 2]
+    if not any(map(math.isnan, head)) and per_order[-1] <= max(head):
         return "finite"
     return "open"
 

@@ -21,6 +21,7 @@ from .sequences import (
     check_beta3,
     check_in_LC,
     check_moderate_growth,
+    keep,
     lc_minorant,
     min_plus_self,
     relation_approx,
@@ -166,10 +167,17 @@ def _dc_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
 
 
 def _mg_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
-    """Is sup_{j,k} (L^x_{j+k} - L^y_j - L^y_k)/(j+k) finite?"""
+    """Is sup_{j,k} (L^x_{j+k} - L^y_j - L^y_k)/(j+k) finite?
+
+    x keeps the prefix sup for its 32 most recently checked (y, P), keyed
+    on row_serial(y), and drops the oldest first."""
     P = min(x.P, y.P)
-    mins, _ = min_plus_self(y.L[: P + 1])
-    best = float(np.max((x.L[1 : P + 1] - mins[1:]) / np.arange(1, P + 1)))
+
+    def prefix_sup():
+        mins, _ = min_plus_self(y.L[: P + 1])
+        return float(np.max((x.L[1 : P + 1] - mins[1:]) / np.arange(1, P + 1)))
+
+    best = keep(x.__dict__.setdefault("_mg_pair", {}), (row_serial(y), P), 32, prefix_sup)
     g = root_gap_limit(x.tail, y.tail)
     if g is None:
         return verdicts.inconclusive("no tail", **verdicts.exp_witness("prefix_C", best))
@@ -396,10 +404,10 @@ def integer_step_identity_error(chain: MultiIndexChain) -> float:
     for base_row, cur_row in zip(chain.base.rows, chain.current.rows):
         hull = lc_minorant(base_row)
         jl = np.arange(cur_row.P + 1) * l
-        keep = (jl <= hull.P) & (jl == np.floor(jl))
-        if keep.any():
-            want = hull.L[jl[keep].astype(np.intp)] / l
-            err = max(err, float(np.max(np.abs(cur_row.L[keep] - want))))
+        on_grid = (jl <= hull.P) & (jl == np.floor(jl))
+        if on_grid.any():
+            want = hull.L[jl[on_grid].astype(np.intp)] / l
+            err = max(err, float(np.max(np.abs(cur_row.L[on_grid] - want))))
     return err
 
 
@@ -445,20 +453,15 @@ def _pseudo_mg_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
     x keeps the first such H (None if there is none) for its 32 most
     recently checked y, keyed on row_serial(y), and drops the oldest
     first."""
-    kept = x.__dict__.setdefault("_pseudo_mg", {})
-    key = row_serial(y)
-    if key in kept:
-        H = kept[key]
-    else:
+
+    def first_H():
         small, big = associated_function(y), associated_function(x)
-        H = None
         for k in range(0, 16):
             if _pseudo_mg_grid_ok(small, big, 2.0 ** k):
-                H = 2.0 ** k
-                break
-        if len(kept) == 32:
-            del kept[next(iter(kept))]
-        kept[key] = H
+                return 2.0 ** k
+        return None
+
+    H = keep(x.__dict__.setdefault("_pseudo_mg", {}), row_serial(y), 32, first_H)
     if H is None:
         return verdicts.inconclusive("no H on grid within resolved band")
     return verdicts.holds(H=H)

@@ -36,22 +36,35 @@ from .tails import geometric_mean
 from .verdicts import Verdict
 
 
+def _route_json(v: Verdict) -> dict:
+    """v.to_json() on a copy of v's witness, whose values are numbers and
+    flags, so that no report shares a mutable dict with the kept route."""
+    return Verdict(v.status, dict(v.witness), v.reason).to_json()
+
+
 def class_nq_verdict(seq: LogWeightSequence) -> Verdict:
     """Non-quasianalyticity of the generated class, via both equivalent
     routes: the quotient series of the log-convex minorant, and the root
-    series of the increasing-root minorant."""
-    via_hull = check_nq(lc_minorant(seq))
-    via_roots = _root_series_verdict(increasing_root_minorant(seq))
-    if via_hull.status is not via_roots.status:
-        if not (via_hull.inconclusive or via_roots.inconclusive):
-            raise RoutesDisagree(
-                f"{seq.label}: hull route {via_hull.status.value}, "
-                f"root route {via_roots.status.value}"
-            )
+    series of the increasing-root minorant.
+
+    The two route verdicts are computed once and kept on seq, unless they
+    disagree; each call builds a new Verdict from them."""
+    routes = seq.__dict__.get("_nq_routes")
+    if routes is None:
+        via_hull = check_nq(lc_minorant(seq))
+        via_roots = _root_series_verdict(increasing_root_minorant(seq))
+        if via_hull.status is not via_roots.status:
+            if not (via_hull.inconclusive or via_roots.inconclusive):
+                raise RoutesDisagree(
+                    f"{seq.label}: hull route {via_hull.status.value}, "
+                    f"root route {via_roots.status.value}"
+                )
+        routes = seq.__dict__["_nq_routes"] = (via_hull, via_roots)
+    via_hull, via_roots = routes
     decided = via_hull if not via_hull.inconclusive else via_roots
     return verdicts.Verdict(
         decided.status,
-        {"hull_route": via_hull.to_json(), "root_route": via_roots.to_json()},
+        {"hull_route": _route_json(via_hull), "root_route": _route_json(via_roots)},
         decided.reason,
     )
 

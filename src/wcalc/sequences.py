@@ -22,15 +22,22 @@ envelope (weightfuncs.associated_function), its 16 most recently built
 derived rows j -> exp((1/l) phi*(l j)) (weightfuncs.sequence_from_weight),
 its moderate-growth prefix constant, its root-gap samples for the last 8
 values of P = min(M.P, N.P) at which relation_preceq compared it with
-another row, whether it is its own log-convex minorant, and the first
-pseudo-moderate-growth constant H found against each of the 32 rows it
-was last checked against (matrices.check_pseudo_mg).  These live as long
-as the row, so the memo's 64 entries bound them.  Nothing a row keeps
-refers back to it or to another row, and a row in a reference cycle would
-outlive its last user until the garbage collector ran: the samples are
-bare float arrays, lc_minorant keeps a boolean rather than the hull,
-which for a convex row is the row itself, and the constants are keyed on
-the other row's row_serial, not on the row.
+another row, whether it is its own log-convex minorant, the hull and root
+route verdicts of its non-quasianalyticity (quasi.class_nq_verdict, kept
+only when the routes do not disagree), the first pseudo-moderate-growth
+constant H found against each of the 32 rows it was last checked against
+(matrices.check_pseudo_mg), and the mixed moderate-growth prefix sup
+against each of the 32 (row, P) it was last checked against
+(matrices.check_matrix_condition).  keep() holds each bounded set and
+drops the oldest entry first.  These live as long as the row, so the
+memo's 64 entries bound them.  Nothing a row keeps refers back to it or to
+another row, and a row in a reference cycle would outlive its last user
+until the garbage collector ran: the samples are bare float arrays,
+lc_minorant keeps a boolean rather than the hull, which for a convex row
+is the row itself, the route verdicts hold numbers and flags, and the
+constants and sups are keyed on the other row's row_serial, not on the
+row.  A verdict built from kept routes gets witness dicts of its own, so
+no report shares a mutable dict with a later one.
 
 Array code here is bit-identical to the scalar loops it stands for: numpy
 does only + - * /, comparisons and reductions (min, max, argmin) on the
@@ -70,8 +77,9 @@ class LogWeightSequence:
     and labels are; the hash is computed once, on first use.  Rows of
     from_tail are shared through the row memo, and every row keeps its
     envelope, derived rows, moderate-growth constant, root-gap samples,
-    log-convexity flag and pseudo-moderate-growth constants, none of which
-    refers back to it (see the module docstring).
+    log-convexity flag, NQ route verdicts, pseudo-moderate-growth constants
+    and mixed moderate-growth prefix sups, none of which refers back to it
+    (see the module docstring).
     """
 
     log_values: np.ndarray
@@ -195,6 +203,21 @@ def _row_from_tail(typed_tail: tuple, pmax: int, label: str, tail_from: int) -> 
     tail = typed_tail[0]
     vals = tail.log_values(np.arange(pmax + 1))
     return LogWeightSequence(vals, tail, tail_from, label)
+
+
+def keep(d: dict, key, limit: int, build):
+    """d[key], built by build() on a miss and entered in d, which holds
+    its limit most recently built entries and drops the oldest first.  A
+    build that raises enters nothing."""
+    try:
+        return d[key]
+    except KeyError:
+        pass
+    value = build()
+    if len(d) == limit:
+        del d[next(iter(d))]
+    d[key] = value
+    return value
 
 
 _serials = itertools.count()
@@ -424,15 +447,13 @@ def _gap_sample_points(P: int) -> np.ndarray:
 def _gap_samples(seq: LogWeightSequence, P: int) -> np.ndarray:
     """seq's roots at _gap_sample_points(P), read-only, kept on seq for
     its 8 most recently sampled P."""
-    kept = seq.__dict__.setdefault("_gap_samples", {})
-    roots = kept.get(P)
-    if roots is None:
+
+    def build():
         roots = _sampled_roots(seq, _gap_sample_points(P))
         roots.flags.writeable = False
-        if len(kept) == 8:
-            del kept[next(iter(kept))]
-        kept[P] = roots
-    return roots
+        return roots
+
+    return keep(seq.__dict__.setdefault("_gap_samples", {}), P, 8, build)
 
 
 def _sampled_gap_sup(M: LogWeightSequence, N: LogWeightSequence) -> float:

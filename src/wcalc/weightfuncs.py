@@ -26,6 +26,7 @@ from .sequences import (
     LogWeightSequence,
     check_in_LC,
     check_moderate_growth,
+    keep,
     lc_minorant,
     relation_preceq,
 )
@@ -189,18 +190,16 @@ def sequence_from_weight(
         raise DomainExceeded(
             f"need slope {l * pmax:g} but representation ends at {seq.P}"
         )
-    derived = seq.__dict__.setdefault("_derived", {})
-    row = derived.get((l, pmax, label))
-    if row is None:
+
+    def build():
         hull = lc_minorant(seq)
         stepped = SteppedTail(hull.L, hull.tail, l)
         vals = stepped.log_values(np.arange(pmax + 1))
         # a prefix-only parent gives no certified asymptote for the row
         tail = stepped if hull.tail is not None else None
-        if len(derived) == 16:
-            del derived[next(iter(derived))]
-        row = derived[(l, pmax, label)] = LogWeightSequence(vals, tail, 0, label)
-    return row
+        return LogWeightSequence(vals, tail, 0, label)
+
+    return keep(seq.__dict__.setdefault("_derived", {}), (l, pmax, label), 16, build)
 
 
 # -- condition battery --------------------------------------------------

@@ -1,5 +1,6 @@
 """Spectra, spectral derivatives, weighted norms and the membership harness."""
 
+import collections
 import math
 import tracemalloc
 import warnings
@@ -20,7 +21,7 @@ from wcalc.errors import (
     TailDominates,
     WidthBudgetExceeded,
 )
-from wcalc import fourier, verdicts
+from wcalc import fourier, matrices, quasi, verdicts
 from wcalc.catalogue import gevrey
 from wcalc.convex import ConvexPL
 from wcalc.fourier import (
@@ -839,6 +840,76 @@ def test_second_harness_reuses_every_bump(monkeypatch):
     assert theorem51_harness(build_gevrey_matrix(GEVREY_ROWS, 200)) == first
     assert (count.forward, count.inverse) == (0, 0)
     assert minorants == []
+
+
+def test_warm_harness_keeps_its_per_row_work(monkeypatch):
+    first = theorem51_harness(build_gevrey_matrix(GEVREY_ROWS, 200))
+    count = _FFTCounter(monkeypatch)
+    calls = collections.Counter()
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(quasi, "increasing_root_minorant")
+    counted(quasi, "check_nq")
+    counted(matrices, "min_plus_self")
+    counted(LogWeightSequence, "log_at")
+    # rows built afresh hit the NQ routes and mg prefix sups kept on the
+    # memoised rows, and seminorms and bumps read the rows' prefixes
+    assert theorem51_harness(build_gevrey_matrix(GEVREY_ROWS, 200)) == first
+    assert (count.forward, count.inverse) == (0, 0)
+    assert calls == {}
+
+
+def _ref_trend_classify(per_order):
+    # the classifier on a numpy array, as before it read Python floats
+    a = np.asarray(per_order)
+    if len(a) < 4:
+        return "open"
+    tail = a[len(a) // 2 :]
+    if np.all(np.diff(tail) <= 1e-12 * np.maximum(tail[:-1], 1e-300)):
+        return "finite"
+    if tail[-1] > 4.0 * tail[0] and np.all(np.diff(tail) > 0):
+        return "growing"
+    if a[-1] <= np.max(a[: len(a) // 2]):
+        return "finite"
+    return "open"
+
+
+# few distinct values, so that ties and monotone runs are common
+_TREND_VALUES = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e-12,
+    1.0, 1.0 + 2.0 ** -52, 4.0, 5.0, 1e308, math.inf, -math.inf, math.nan,
+])
+_TREND_TUPLES = st.one_of(
+    st.lists(_TREND_VALUES, max_size=12),
+    st.lists(st.one_of(_TREND_VALUES, st.floats()), max_size=12),
+    st.lists(st.floats(0.0, 10.0), max_size=12).map(sorted),
+    st.lists(st.floats(0.0, 10.0), max_size=12).map(lambda v: sorted(v, reverse=True)),
+).map(tuple)
+
+
+@given(_TREND_TUPLES)
+@settings(max_examples=600, deadline=None)
+def test_trend_classify_equals_the_array_version(per_order):
+    with np.errstate(all="ignore"):
+        want = _ref_trend_classify(per_order)
+    assert fourier._trend_classify(per_order) == want
+
+
+def test_trend_classify_nan_anywhere_in_the_head():
+    # np.max is NaN when any term is; Python's max depends on where it sits
+    for i in range(5):
+        per = [1.0, 0.5, 0.25, 0.125, 4.0, 2.0, 1.5, 1.0, 3.0, 2.0]
+        per[i] = math.nan
+        with np.errstate(all="ignore"):
+            assert fourier._trend_classify(tuple(per)) == _ref_trend_classify(per) == "open"
 
 
 # -- the band-sized spectral record against the full-grid readers ----------

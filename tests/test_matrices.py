@@ -1,5 +1,6 @@
 """Weight matrices: quantified conditions, chains, stability, dossiers."""
 
+import copy
 import dataclasses
 import gc
 import math
@@ -50,11 +51,13 @@ from wcalc.sequences import (
     _row_from_tail,
     check_moderate_growth,
     lc_minorant,
+    min_plus_self,
     relation_approx,
     relation_preceq,
     relation_triangle,
     row_serial,
 )
+from wcalc.quasi import class_nq_verdict, matrix_nq_verdict
 from wcalc.serialize import dumps_canonical
 from wcalc.tails import FactorialPower, root_gap_limit
 from wcalc.weightfuncs import (
@@ -283,6 +286,90 @@ def test_pseudo_mg_constants_keep_the_32_latest_rows():
     assert twin == x and row_serial(twin) != row_serial(x) == row_serial(x)
 
 
+def ref_mg_pair(x, y):
+    # the pair test as it ran before rows kept the prefix sup
+    P = min(x.P, y.P)
+    mins, _ = min_plus_self(y.L[: P + 1])
+    best = float(np.max((x.L[1 : P + 1] - mins[1:]) / np.arange(1, P + 1)))
+    g = root_gap_limit(x.tail, y.tail)
+    if g is None:
+        return verdicts.inconclusive("no tail", **verdicts.exp_witness("prefix_C", best))
+    kx, ky = x.tail.asymptote(), y.tail.asymptote()
+    if kx[0] == "log" and ky[0] == "log":
+        ok = kx[1] <= ky[1]
+    elif kx[0] == "poly" and ky[0] == "poly":
+        if kx[1] != ky[1]:
+            ok = kx[1] < ky[1]
+        else:
+            ok = ky[2] >= 2.0 ** kx[1] * kx[2] * (1 - 1e-12)
+    else:
+        ok = kx[0] == "log"
+    if ok:
+        return verdicts.holds(**verdicts.exp_witness("C", max(best, 0.0) + 0.1))
+    return verdicts.fails(**verdicts.exp_witness("prefix_C", best), divergent_diagonal=True)
+
+
+@pytest.mark.parametrize("variant", ["roumieu", "beurling"])
+def test_mg_prefix_sups_kept_on_rows_leave_verdicts_unchanged(variant):
+    matrices = [
+        *matrix_battery().values(),
+        build_gevrey_matrix((1.0, 2.0, 3.0), 1000),
+        build_gevrey_matrix((1.5, 2.5), 4000),
+        build_omega_matrix(make_power_log_weight(2.0), (1.0, 2.0), 200),
+    ]
+    for M in matrices:
+        want = dumps_canonical(_VARIANTS[variant](_fresh_rows(M), ref_mg_pair).to_json())
+        fresh = _fresh_rows(M)
+        for N in (M, M, fresh, fresh):      # cold, then warm, on both
+            got = _VARIANTS[variant](N, _mg_pair).to_json()
+            assert dumps_canonical(got) == want, M.label
+        condition = f"mg_{variant}"
+        full = [dumps_canonical(check_matrix_condition(M, condition).to_json()) for _ in range(2)]
+        assert full[0] == full[1]
+
+
+def test_mg_prefix_sups_keep_the_32_latest_rows(monkeypatch):
+    x = LogWeightSequence(gevrey(1.0, 400).L, FactorialPower(1.0, 1.0), 0, "x")
+    ys = [gevrey(1.0 + i / 20, 400 - (i % 3)) for i in range(1, 41)]
+    first = _mg_pair(x, ys[0]).to_json()
+    for y in ys:
+        _mg_pair(x, y)
+    kept = x.__dict__["_mg_pair"]
+    # keyed on serials and prefix lengths, so x holds no reference to any y
+    assert list(kept) == [(row_serial(y), y.P) for y in ys[-32:]]
+    assert all(type(best) is float for best in kept.values())
+    calls = []
+    monkeypatch.setattr("wcalc.matrices.min_plus_self",
+                        lambda L: calls.append(L.size) or min_plus_self(L))
+    assert repr(_mg_pair(x, ys[0]).to_json()) == repr(first) and calls == [400]
+    assert list(kept) == [(row_serial(y), y.P) for y in ys[-31:] + ys[:1]]
+    _mg_pair(x, ys[-1])
+    assert calls == [400]
+
+
+def _scribble(obj):
+    """Clear every dict and list reachable from obj, innermost first."""
+    if isinstance(obj, (dict, list)):
+        for v in list(obj.values() if isinstance(obj, dict) else obj):
+            _scribble(v)
+        obj.clear()
+
+
+def test_kept_results_do_not_leak_into_later_reports():
+    M = build_gevrey_matrix((1.0, 2.0), pmax=300)
+    checks = (
+        lambda: class_nq_verdict(M.rows[0]),
+        lambda: check_matrix_condition(M, "mg_roumieu"),
+        lambda: matrix_nq_verdict(M, "roumieu"),
+        lambda: check_pseudo_mg(M),
+    )
+    for check in checks:
+        v = check()
+        want = copy.deepcopy(v.to_json())
+        _scribble(v.witness)
+        assert check().to_json() == want
+
+
 # -- structural consequences ---------------------------------------------
 
 def test_L_consequences_gevrey():
@@ -354,7 +441,8 @@ def test_extended_rows_built_once_per_matrix():
 
 def test_rows_die_without_garbage_collection():
     # what a row keeps (envelope, derived rows, moderate-growth constant,
-    # root-gap samples, lc flag, pseudo-mg constants) must not tie it to
+    # root-gap samples, lc flag, pseudo-mg constants, mg prefix sups, NQ
+    # route verdicts) must not tie it to
     # its WeightFunction, to another row or to itself in a cycle: once
     # the row memo lets go, reference counting alone frees every row
     gc.disable()
@@ -376,7 +464,12 @@ def test_rows_die_without_garbage_collection():
         assert convex.__dict__["_lc_fixed"]
         # and so are the pseudo-mg constants of check_pseudo_mg(M)
         assert all(r.__dict__["_pseudo_mg"] for r in M.rows)
-        del M, v, ws, convex, derived, approx
+        # the mg prefix sups and the NQ routes of the hypothesis gates
+        mg = check_matrix_condition(M, "mg_roumieu")
+        nq = matrix_nq_verdict(M, "roumieu")
+        assert all(r.__dict__["_mg_pair"] for r in M.rows)
+        assert all("_nq_routes" in r.__dict__ for r in M.rows)
+        del M, v, ws, convex, derived, approx, mg, nq
         _row_from_tail.cache_clear()
         assert all(r() is None for r in refs)
     finally:

@@ -1,9 +1,12 @@
 """Quasianalyticity verdicts and the constructive minorant."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
+
+from wcalc import quasi, verdicts
 
 from wcalc.catalogue import (
     gevrey,
@@ -14,6 +17,7 @@ from wcalc.catalogue import (
 from wcalc.errors import (
     ClassMembershipFailed,
     InterpolantUnverified,
+    RoutesDisagree,
     TailNotCertified,
 )
 from wcalc.matrices import WeightMatrix
@@ -26,7 +30,16 @@ from wcalc.quasi import (
     sandwich_construct,
     small_terms_diagnostic,
 )
-from wcalc.sequences import check_log_convex, check_nq, relation_triangle
+from wcalc.sequences import (
+    LogWeightSequence,
+    _root_series_verdict,
+    check_log_convex,
+    check_nq,
+    increasing_root_minorant,
+    lc_minorant,
+    relation_triangle,
+)
+from wcalc.serialize import dumps_canonical
 
 
 # -- route agreement -----------------------------------------------------
@@ -49,6 +62,56 @@ def test_route_verdict_on_non_convex_input():
     # regularizations differ but must agree on the class verdict
     v = class_nq_verdict(perturbed_gevrey(2.0))
     assert v.holds
+
+
+def ref_class_nq_verdict(seq):
+    # both routes computed on every call, as before rows kept them
+    via_hull = check_nq(lc_minorant(seq))
+    via_roots = _root_series_verdict(increasing_root_minorant(seq))
+    if via_hull.status is not via_roots.status:
+        if not (via_hull.inconclusive or via_roots.inconclusive):
+            raise RoutesDisagree(seq.label)
+    decided = via_hull if not via_hull.inconclusive else via_roots
+    return verdicts.Verdict(
+        decided.status,
+        {"hull_route": via_hull.to_json(), "root_route": via_roots.to_json()},
+        decided.reason,
+    )
+
+
+def _fresh(seq):
+    # an equal row built apart, outside the row memo, with nothing kept yet
+    return LogWeightSequence(seq.L, seq.tail, seq.tail_from, seq.label)
+
+
+def test_nq_routes_kept_on_rows_leave_verdicts_unchanged():
+    for name, seq in sequence_battery().items():
+        want = dumps_canonical(ref_class_nq_verdict(_fresh(seq)).to_json())
+        row = _fresh(seq)
+        for _ in range(2):       # cold, then from the kept routes
+            assert dumps_canonical(class_nq_verdict(row).to_json()) == want, name
+        assert "_nq_routes" in row.__dict__
+
+
+def test_nq_verdicts_share_no_dict_with_the_kept_routes():
+    row = _fresh(gevrey(2.0))
+    v = class_nq_verdict(row)
+    want = copy.deepcopy(v.to_json())
+    v.witness["hull_route"]["witness"]["sum_low"] = -1.0
+    v.witness["root_route"]["witness"].clear()
+    v.witness.clear()
+    assert class_nq_verdict(row).to_json() == want
+
+
+def test_routes_that_disagree_are_not_kept(monkeypatch):
+    row = _fresh(gevrey(2.0))
+    monkeypatch.setattr(quasi, "check_nq", lambda seq: verdicts.fails(divergent=True))
+    for _ in range(2):
+        with pytest.raises(RoutesDisagree):
+            class_nq_verdict(row)
+    assert "_nq_routes" not in row.__dict__
+    monkeypatch.undo()
+    assert class_nq_verdict(row).holds and "_nq_routes" in row.__dict__
 
 
 def test_matrix_nq_quantifiers():

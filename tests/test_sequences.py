@@ -36,6 +36,7 @@ from wcalc.sequences import (
 from wcalc.sequences import (
     _diagonal_minimum,
     _gap_sample_points,
+    keep,
     _mg_prefix_constant,
     _sampled_roots,
 )
@@ -127,6 +128,29 @@ def test_lc_fixed_point_is_kept_as_a_flag(monkeypatch):
     assert len(calls) == 3 and "_lc_fixed" not in bumpy.__dict__
     assert first is not bumpy and not np.array_equal(first.L, bumpy.L)
     assert np.array_equal(first.L, second.L) and check_log_convex(first).holds
+
+
+def test_keep_holds_the_latest_built_entries():
+    d, built = {}, []
+
+    def build(k):
+        built.append(k)
+        return None if k % 2 else k      # None is a value like any other
+
+    for k in range(6):
+        assert keep(d, k, 4, lambda: build(k)) == (None if k % 2 else k)
+    assert list(d) == [2, 3, 4, 5] and built == list(range(6))
+    # a hit builds nothing and does not refresh the entry
+    assert keep(d, 3, 4, lambda: build(-1)) is None and built == list(range(6))
+    keep(d, 6, 4, lambda: build(6))
+    assert list(d) == [3, 4, 5, 6]
+
+    def refuse():
+        raise ValueError("no value")
+
+    with pytest.raises(ValueError):
+        keep(d, 7, 4, refuse)
+    assert list(d) == [3, 4, 5, 6]
 
 
 @st.composite
