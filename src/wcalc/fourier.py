@@ -12,7 +12,7 @@ Trefethen, *Spectral Methods in MATLAB*, SIAM 2000).  So the work is done
 once where it can be, and every seminorm or Fourier-norm probe is arithmetic
 on the results: a seminorm triggers the sup table's batch once, then reads
 each order's sup from the table and log M_0..log M_k as one slice of the
-row's stored prefix (log_at only past it), with log h taken once.  Three
+row's stored prefix (log_at only past it), with log h taken once.  Two
 caches keep it:
 
 * _grid, a small bounded cache of the read-only arrays of one grid
@@ -20,29 +20,26 @@ caches keep it:
   angular frequencies in fft order and in increasing order with the
   argsort between them, and the grid-offset phases exp(-i xi x0) and
   exp(i xi x0);
-* _spectrum, the SpectralData that compute_spectrum builds on first use
-  from one forward FFT and keeps on the SampledFunction: the noise-floor
-  mask |F| > MASK_REL max |F| decided once, with the band, |F| and |xi| on
-  it, its edge and whether the grid truncates it; the increasing-xi view
-  of the continuous transform; and the exponential fit to the last
-  resolved octave that bounds the tail beyond the band.  It keeps the
-  full-grid F, so it dies with its function;
 * the memo.  Every function carries its construction: a Bump record, the
   name of a fixed test function, or None when it was built directly.  One
   bounded process-wide cache keyed on the construction holds what every
   copy shares (a function built directly has a memo of its own):
   - the samples on the support, synthesised once per process;
-  - the spectral record: whether the transform is zero and whether the
-    band is truncated, the band as a mask on increasing xi with the
-    modulus on it alone, the quadrature weight and the tail fit.  It is
-    band-sized (a truncated band keeps no arrays);
-  - the derivative-sup table: for each box K and order k <= K_MAX the sup
-    over K of |f^(k)|, where it is attained and the sup over the grid, or
-    the refusal's message.  The band-only peak test refuses orders first,
-    and a reader of orders 0..k raises the lowest refused one before it
-    reads any sup.  The accepted orders then share one batched inverse FFT
-    of a (orders, n) array, whose rows numpy transforms bit for bit as it
-    would one at a time, with the multiplier (i xi)^k on the band only;
+  - the Spectrum that compute_spectrum builds on first use: the
+    noise-floor mask |F| > MASK_REL max |F| decided once, its edge,
+    whether the transform is zero and whether the grid truncates the
+    band, the band on increasing xi with the continuous transform's
+    modulus on it alone, the quadrature weight, and the exponential fit
+    to the last resolved octave that bounds the tail beyond the band.  It
+    is band-sized (a truncated band keeps its mask alone);
+  - the derivative-sup table: for each box K, one entry per order k <=
+    K_MAX, the sup over K of |f^(k)|, where it is attained and the sup
+    over the grid, or the refusal's message.  The band-only peak test
+    refuses a whole range of orders first, and a reader of orders 0..k
+    raises the lowest refused one before it reads any sup.  The accepted
+    orders then share one batched inverse FFT of a (orders, n) array,
+    whose rows numpy transforms bit for bit as it would one at a time,
+    with the multiplier (i xi)^k on the band only;
   - the 16 most recently built Fourier-norm rows, keyed on the row's
     content: the associated function of its log-convex minorant and
     omega(|xi|) on the band.
@@ -52,6 +49,11 @@ caches keep it:
   sequence_from_weight(omega, l, K_MAX) are kept on the matrix rows
   themselves, so every function of a harness, and every later harness over
   the same memoised rows, shares them.
+
+Beside them each function keeps its own forward transform, read-only, from
+one FFT on first use; it dies with the function.  Only the first pass over
+a construction reads it: to build the Spectrum, to run the peak test on
+orders not yet tabled, and to take the batched derivative.
 
 A bump is synthesised from its spectrum on the bins 0..n/2, the others
 filled with the conjugate mirror.  This gives the full-grid product bit
@@ -149,15 +151,16 @@ class _Refusal(NamedTuple):
 class _Memo:
     """What every copy of one function shares: its samples from index lo
     on of the grid x0 + dx * arange(GRID_N) (None for a function built
-    directly); its derivative-sup table, (k, a, b) -> _derivative_sup
-    entry, a _Refusal or None while pending; its _SpectralRecord once
-    read; and its 16 most recently built Fourier-norm rows, row -> _NormRow."""
-    __slots__ = ("x0", "dx", "lo", "samples", "sups", "record", "rows")
+    directly); its Spectrum once read; its derivative-sup table, (a, b) ->
+    one entry per order k, a _derivative_sup entry, a _Refusal or None
+    while pending; and its 16 most recently built Fourier-norm rows,
+    row -> _NormRow."""
+    __slots__ = ("x0", "dx", "lo", "samples", "spectrum", "sups", "rows")
 
     def __init__(self, x0=math.nan, dx=math.nan, lo=0, samples=None):
         self.x0, self.dx, self.lo, self.samples = x0, dx, lo, samples
+        self.spectrum: Spectrum | None = None
         self.sups: dict = {}
-        self.record: _SpectralRecord | None = None
         self.rows: dict = {}
 
 
@@ -168,16 +171,15 @@ class SampledFunction:
     construction is how the builders made the values: a Bump, or the name
     of a fixed test function.  Every function with one construction shares
     its memo (see _memo_of); a function built directly has construction
-    None and a memo of its own.  The spectrum is built on first use and
-    kept on the instance, and the grid's arrays come from the shared
-    per-grid cache.
+    None and a memo of its own.  The forward transform is taken on first
+    use and kept on the instance, and the grid's arrays come from the
+    shared per-grid cache.
     """
     x0: float
     dx: float
     values: np.ndarray
     support: CompactBox
     construction: Bump | str | None = None
-    _spectrum: "SpectralData | None" = field(default=None, init=False, repr=False)
     _memo: _Memo = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -205,53 +207,56 @@ class SampledFunction:
     def xs(self) -> np.ndarray:
         return _grid(self.n, self.dx, self.x0).xs
 
+    @functools.cached_property
+    def _transform(self) -> np.ndarray:
+        """The unnormalized DFT in fft order, read-only."""
+        return _frozen(np.fft.fft(self.values))
 
-@dataclass(frozen=True, eq=False)
-class SpectralData:
-    """Everything that one forward FFT tells about a function; read-only."""
-    F: np.ndarray            # unnormalized DFT, fft order
-    band: np.ndarray         # increasing indices of the bins above the noise floor
-    band_absF: np.ndarray    # |F| on the band (empty when truncated)
-    band_absxi: np.ndarray   # |xi| on the band (empty when truncated)
-    edge: float              # largest resolved |xi| (nan when nothing is)
-    truncated: bool          # the band reaches the grid edge, not the floor
-    xi: np.ndarray           # increasing angular frequencies, shared by the grid
-    modulus: np.ndarray      # |continuous transform| at xi
-    weight: float            # uniform quadrature weight d xi
-    kept: np.ndarray         # the band as a mask on xi
+
+class Spectrum(NamedTuple):
+    """What one forward FFT tells about a function, band-sized; read-only.
+
+    A truncated band keeps its mask alone: every reader refuses it first,
+    and such a band may span the grid.
+    """
+    zero: bool                   # the transform is identically zero
+    truncated: bool              # the band reaches the grid edge, not the floor
+    band: np.ndarray             # the bins above the noise floor, a mask in fft order
+    edge: float                  # largest resolved |xi| (nan when nothing is)
+    kept: np.ndarray | None      # the band as a mask on increasing xi
+    modulus: np.ndarray | None   # |continuous transform| on kept, in order
+    weight: float                # uniform quadrature weight d xi
     # exponential decay fitted on the last resolved octave, for the tail
     # beyond the band (nan when the band is empty or truncated)
-    xi_edge: float           # last resolved positive frequency
-    m_edge: float            # the modulus there
-    c_decay: float           # decay rate per unit xi
+    xi_edge: float               # last resolved positive frequency
+    m_edge: float                # the modulus there
+    c_decay: float               # decay rate per unit xi
 
 
-def compute_spectrum(f: SampledFunction) -> SpectralData:
-    """f's spectrum, built from one forward FFT on first use and kept on f.
+def compute_spectrum(f: SampledFunction) -> Spectrum:
+    """f's Spectrum, built from one forward FFT on first use and kept in
+    f's memo, where every copy of f reads it without a transform.
 
     The noise-floor mask |F| > MASK_REL max |F| is decided here once; the
     derivatives, the weighted norms and the decay test all read it."""
-    if f._spectrum is not None:
-        return f._spectrum
+    s = f._memo.spectrum
+    if s is not None:
+        return s
     g = _grid(f.n, f.dx, f.x0)
-    F = _frozen(np.fft.fft(f.values))
+    F = f._transform
     absF = np.abs(F)
-    mask = absF > MASK_REL * np.max(absF)
-    band = _frozen(np.flatnonzero(mask))
-    band_absxi = np.abs(g.xi[band])
-    edge = float(np.max(band_absxi)) if band.size else math.nan
+    band = _frozen(absF > MASK_REL * np.max(absF))
+    absxi = np.abs(g.xi[band])
+    edge = float(np.max(absxi)) if absxi.size else math.nan
     truncated = bool(edge >= 0.99 * np.max(np.abs(g.xi)))
-    if truncated:
-        # _refusal refuses a truncated band before it reads these, and such
-        # a band may span the grid
-        band_absF = band_absxi = _frozen(np.empty(0))
-    else:
-        band_absF, band_absxi = _frozen(absF[band]), _frozen(band_absxi)
     # continuous transform at xi_j needs the grid-offset phase
-    m = _frozen(np.abs((f.dx * F * g.phase_in)[g.order]))
-    kept = _frozen(mask[g.order])
+    m = np.abs((f.dx * F * g.phase_in)[g.order])
+    kept = modulus = None
     xi_edge = m_edge = c_decay = math.nan
-    if band.size and not truncated:
+    if not truncated:
+        kept = _frozen(band[g.order])
+        modulus = _frozen(m[kept])
+    if absxi.size and not truncated:
         # tail beyond the resolved edge: fit exponential decay on the last
         # resolved octave (fourier_norm bounds the rest by a geometric integral)
         xi = np.abs(g.xi_sorted)
@@ -262,83 +267,54 @@ def compute_spectrum(f: SampledFunction) -> SpectralData:
         coef, *_ = np.linalg.lstsq(A, np.log(m[oct_sel]), rcond=None)
         m_edge = m[pos][np.argmax(xi[pos])]
         c_decay = -float(coef[1])
-    spec = SpectralData(
-        F, band, band_absF, band_absxi, edge, truncated, g.xi_sorted, m,
-        2 * np.pi / (f.n * f.dx), kept, xi_edge, m_edge, c_decay,
+    s = f._memo.spectrum = Spectrum(
+        bool(np.max(m) == 0.0), truncated, band, edge, kept, modulus,
+        2 * np.pi / (f.n * f.dx), xi_edge, m_edge, c_decay,
     )
-    object.__setattr__(f, "_spectrum", spec)
-    return spec
+    return s
 
 
-class _SpectralRecord(NamedTuple):
-    """What the Fourier-norm readers take from a SpectralData; read-only.
+def _refusals(f: SampledFunction, lo: int, hi: int) -> list[_Refusal | None]:
+    """Why each order lo..hi-1 of f is past the noise floor, None for an
+    order that is not.
 
-    Band-sized, so that it can be kept in a function's memo for the life of
-    the process: a truncated band keeps no arrays, since every reader
-    refuses it first, and a resolved one keeps the modulus on the band only.
-    """
-    zero: bool                   # the transform is identically zero
-    truncated: bool              # the band reaches the grid edge, not the floor
-    kept: np.ndarray | None      # the band as a mask on increasing xi
-    modulus: np.ndarray | None   # |continuous transform| on kept, in order
-    weight: float                # uniform quadrature weight d xi
-    xi_edge: float               # the tail fit of SpectralData
-    m_edge: float
-    c_decay: float
-
-
-def _spectral_record(f: SampledFunction) -> _SpectralRecord:
-    """f's spectral record, taken from compute_spectrum on first use and kept
-    in f's memo, where every copy of f reads it without a transform."""
-    rec = f._memo.record
-    if rec is None:
-        s = compute_spectrum(f)
-        kept = modulus = None
-        if not s.truncated:
-            kept, modulus = s.kept, _frozen(s.modulus[s.kept])
-        rec = _SpectralRecord(
-            bool(np.max(s.modulus) == 0.0), s.truncated, kept, modulus,
-            s.weight, s.xi_edge, s.m_edge, s.c_decay,
-        )
-        f._memo.record = rec
-    return rec
-
-
-def _refusal(f: SampledFunction, k: int) -> str | None:
-    """Why order k of f is past the noise floor, or None when it is not.
-
-    Band-only and cheap: the inverse FFT is never needed to decide."""
-    if k == 0:
-        return None
+    Band-only and cheap: the inverse FFT is never needed to decide, and
+    |F| and |xi| on the band are read once for the whole range.  A range
+    with no order past 0 reads nothing."""
+    orders = range(lo, hi)
+    if not any(orders):
+        return [None] * len(orders)
     s = compute_spectrum(f)
-    if not s.band.size:
-        return "empty resolved band"
-    if s.truncated:
+    if math.isnan(s.edge):
+        refused, why = orders, "empty resolved band"
+    elif s.truncated:
         # never saw the spectrum reach the floor: the grid derivative
         # would describe the band-limited interpolant, not the function
-        return f"order {k}: spectrum unresolved at the grid edge"
-    grown = s.band_absF * s.band_absxi ** k
-    if s.band_absxi[int(np.argmax(grown))] >= s.edge * (1 - 1e-9):
-        return f"order {k}: integrand peaks at the mask boundary"
-    return None
+        refused, why = orders, "order {k}: spectrum unresolved at the grid edge"
+    else:
+        absF = np.abs(f._transform[s.band])
+        absxi = np.abs(_grid(f.n, f.dx, f.x0).xi[s.band])
+        refused = [k for k in orders if k and
+                   absxi[int(np.argmax(absF * absxi ** k))] >= s.edge * (1 - 1e-9)]
+        why = "order {k}: integrand peaks at the mask boundary"
+    return [_Refusal(why.format(k=k)) if k and k in refused else None for k in orders]
 
 
 def spectral_derivative(f: SampledFunction, k) -> np.ndarray:
     """k-th derivative on the grid, refusing orders past the noise floor.
 
-    k may also be a tuple of orders that _refusal has already passed, as
+    k may also be a tuple of orders that _refusals has already passed, as
     _derivative_sup does; the result then has one row per order, all from
     one batched inverse FFT of a (len(k), n) array.  numpy transforms each
     row of it exactly as the one-row ifft, bit for bit.
     """
     single = np.ndim(k) == 0
-    if single and (why := _refusal(f, k)) is not None:
-        raise DerivativeOrderUnreliable(why)
+    if single and (why := _refusals(f, k, k + 1)[0]) is not None:
+        raise DerivativeOrderUnreliable(why.message)
     orders = (k,) if single else tuple(k)
-    s = compute_spectrum(f)
-    band = s.band
+    band = compute_spectrum(f).band
     ixi = 1j * _grid(f.n, f.dx, f.x0).xi[band]
-    F = s.F[band]
+    F = f._transform[band]
     # masked bins stay zero: the multiplier is evaluated on the band only
     D = np.zeros((len(orders), f.n), dtype=complex)
     for row, j in zip(D, orders):
@@ -347,22 +323,15 @@ def spectral_derivative(f: SampledFunction, k) -> np.ndarray:
     return D[0].real if single else D.real
 
 
-def _table_orders(f: SampledFunction, k: int, K: CompactBox) -> tuple[float, float]:
-    """Enter every order up to max(k, K_MAX) of f on K in its sup table.
+def _sup_table(f: SampledFunction, k: int, K: CompactBox) -> list:
+    """f's sup table on K, holding every order up to at least max(k, K_MAX).
 
-    Band-only: each order is tabled as its refusal, or as None, the sup
-    still to be computed.  Orders are entered from 0 up, so the box's top
-    order being present means all are.  Returns K's ends (a, b).
-    """
+    Orders are entered from 0 up, band-only: each as its refusal, or as
+    None, the sup still to be computed."""
     (a, b), = K.intervals
-    top = max(k, K_MAX)
-    sups = f._memo.sups
-    if (top, a, b) not in sups:
-        for j in range(top + 1):
-            if (j, a, b) not in sups:
-                why = _refusal(f, j)
-                sups[(j, a, b)] = None if why is None else _Refusal(why)
-    return a, b
+    table = f._memo.sups.setdefault((a, b), [])
+    table += _refusals(f, len(table), max(k, K_MAX) + 1)
+    return table
 
 
 def _first_refusal(f: SampledFunction, k_max: int, K: CompactBox) -> str | None:
@@ -370,9 +339,7 @@ def _first_refusal(f: SampledFunction, k_max: int, K: CompactBox) -> str | None:
 
     Readers of a whole range of orders raise it before reading any sup, so
     no inverse FFT runs for orders whose sups would be discarded."""
-    a, b = _table_orders(f, k_max, K)
-    for k in range(k_max + 1):
-        entry = f._memo.sups[(k, a, b)]
+    for entry in _sup_table(f, k_max, K)[: k_max + 1]:
         if isinstance(entry, _Refusal):
             return entry.message
     return None
@@ -388,29 +355,22 @@ def _derivative_sup(f: SampledFunction, k: int, K: CompactBox) -> tuple[float, f
     also maximises |F||xi|^(k+1)), so the batch holds the orders a
     per-order loop would have transformed, and no more.
     """
-    a, b = _table_orders(f, k, K)
-    sups = f._memo.sups
-    entry = sups[(k, a, b)]
-    if entry is None:
-        pending = []
-        j = 0
-        while (j, a, b) in sups:
-            if sups[(j, a, b)] is None:
-                pending.append(j)
-            j += 1
+    table = _sup_table(f, k, K)
+    if table[k] is None:
+        pending = [j for j, entry in enumerate(table) if entry is None]
         d = spectral_derivative(f, tuple(pending))
         np.abs(d, out=d)
         # the grid is increasing, so K is one slice of it
+        (a, b), = K.intervals
         xs = f.xs
         lo = int(np.searchsorted(xs, a, "left"))
         hi = int(np.searchsorted(xs, b, "right"))
         for j, row in zip(pending, d):
             i = lo + int(np.argmax(row[lo:hi]))
-            sups[(j, a, b)] = (float(row[i]), float(xs[i]), float(np.max(row)))
-        entry = sups[(k, a, b)]
-    if isinstance(entry, _Refusal):
-        raise DerivativeOrderUnreliable(entry.message)
-    return entry
+            table[j] = (float(row[i]), float(xs[i]), float(np.max(row)))
+    if isinstance(table[k], _Refusal):
+        raise DerivativeOrderUnreliable(table[k].message)
+    return table[k]
 
 
 @dataclass(frozen=True)
@@ -437,13 +397,13 @@ def seminorm_derivative(
     # no order up to k_max is refused, so this fills all of them
     _derivative_sup(f, k_max, K)
     (a, b), = K.intervals
-    sups = f._memo.sups
+    table = f._memo.sups[(a, b)]
     logs = _log_prefix(seq, k_max)
     lh = math.log(h)
     best, bk, bx = -math.inf, 0, a
     per = []
     for k in range(k_max + 1):
-        sup, x, _ = sups[(k, a, b)]
+        sup, x, _ = table[k]
         val = sup * math.exp(-k * lh - logs[k])
         per.append(val)
         if val > best:
@@ -466,10 +426,10 @@ def _norm_row(f: SampledFunction, seq: LogWeightSequence) -> _NormRow:
     be truncated."""
 
     def build():
-        rec = _spectral_record(f)
+        spec = compute_spectrum(f)
         w = associated_function(lc_minorant(seq))
-        xi_edge = rec.xi_edge
-        xi = _grid(f.n, f.dx, f.x0).xi_sorted[rec.kept]
+        xi_edge = spec.xi_edge
+        xi = _grid(f.n, f.dx, f.x0).xi_sorted[spec.kept]
         om = _frozen(w.omega(np.maximum(np.abs(xi), 1.0)))
         om_slope = float(
             (w.omega(xi_edge * 1.01) - w.omega(xi_edge)) / (0.01 * xi_edge)
@@ -483,26 +443,26 @@ def fourier_norm(
     f: SampledFunction, seq: LogWeightSequence, h: float
 ) -> tuple[float, float]:
     """Bracket for int |f^(xi)| exp(h omega(|xi|)) d xi."""
-    rec = _spectral_record(f)
-    if rec.zero:
+    spec = compute_spectrum(f)
+    if spec.zero:
         return (0.0, 0.0)
-    if rec.truncated:
+    if spec.truncated:
         # decay was never observed down to the noise floor, so no
         # extrapolation beyond the grid can be certified
         raise TailDominates("resolved band truncated by the grid, not by decay")
     row = _norm_row(f, seq)
-    c_eff = rec.c_decay - h * row.om_slope
+    c_eff = spec.c_decay - h * row.om_slope
     if c_eff <= 0:
         raise TailDominates(
-            f"decay {rec.c_decay:.3g} per unit xi cannot beat weight growth "
+            f"decay {spec.c_decay:.3g} per unit xi cannot beat weight growth "
             f"{h * row.om_slope:.3g} at the band edge"
         )
     # numpy's pairwise sum groups the terms by position, so the band is
     # summed in place on a zero grid, as the integrand over the whole grid
     integrand = np.zeros(f.n)
-    integrand[rec.kept] = rec.modulus * np.exp(h * row.om)
-    inner = float(np.sum(integrand) * rec.weight)
-    edge_val = float(rec.m_edge * math.exp(h * row.om_edge))
+    integrand[spec.kept] = spec.modulus * np.exp(h * row.om)
+    inner = float(np.sum(integrand) * spec.weight)
+    edge_val = float(spec.m_edge * math.exp(h * row.om_edge))
     tail = 2.0 * edge_val / c_eff          # both signs of xi
     hi = inner + tail
     if tail > 0.1 * hi:
@@ -540,8 +500,8 @@ def check_lemma53_ii(
     Lv = check_matrix_condition(M, "L_roumieu")
     if not Lv.holds:
         raise HypothesisNotCertified("matrix lacks the L condition")
-    rec = _spectral_record(f)
-    if rec.zero:
+    spec = compute_spectrum(f)
+    if spec.zero:
         return verdicts.holds(trivial=True)
     lamK = f.support.volume
     C = None
@@ -558,9 +518,9 @@ def check_lemma53_ii(
         # slowly for this matrix, so the claimed bound fails for every row
         return verdicts.fails(reason="no finite premise integral on any row")
     # a row gave a bracket, so the band is resolved
-    xi = _grid(f.n, f.dx, f.x0).xi_sorted[rec.kept]
+    xi = _grid(f.n, f.dx, f.x0).xi_sorted[spec.kept]
     pos = xi > 0
-    xi, mod = xi[pos], rec.modulus[pos]
+    xi, mod = xi[pos], spec.modulus[pos]
     all_unbounded = True
     for lbl, row in zip(M.labels, M.rows):
         w = associated_function(row)
@@ -814,7 +774,7 @@ def _derivative_indicator(f, M: WeightMatrix, h_grid) -> str:
             except DerivativeOrderUnreliable:
                 # failing already at low order with spectral mass at the band
                 # edge means the function is certified non-smooth at grid scale
-                return "negative" if _spectral_record(f).truncated else "open"
+                return "negative" if compute_spectrum(f).truncated else "open"
             if _trend_classify(res.per_order) == "finite":
                 return "positive"
     return "negative"

@@ -36,12 +36,6 @@ from .tails import geometric_mean
 from .verdicts import Verdict
 
 
-def _route_json(v: Verdict) -> dict:
-    """v.to_json() on a copy of v's witness, whose values are numbers and
-    flags, so that no report shares a mutable dict with the kept route."""
-    return Verdict(v.status, dict(v.witness), v.reason).to_json()
-
-
 def class_nq_verdict(seq: LogWeightSequence) -> Verdict:
     """Non-quasianalyticity of the generated class, via both equivalent
     routes: the quotient series of the log-convex minorant, and the root
@@ -64,7 +58,7 @@ def class_nq_verdict(seq: LogWeightSequence) -> Verdict:
     decided = via_hull if not via_hull.inconclusive else via_roots
     return verdicts.Verdict(
         decided.status,
-        {"hull_route": _route_json(via_hull), "root_route": _route_json(via_roots)},
+        {"hull_route": via_hull.to_json(), "root_route": via_roots.to_json()},
         decided.reason,
     )
 

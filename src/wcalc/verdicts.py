@@ -46,7 +46,8 @@ class Verdict:
             out["condition"] = condition
         out["status"] = self.status.value
         if self.witness:
-            out["witness"] = self.witness
+            # a copy, so that no report shares a mutable dict with a kept verdict
+            out["witness"] = dict(self.witness)
         if self.reason:
             out["reason"] = self.reason
         return out

@@ -3,6 +3,7 @@
 import collections
 import math
 import tracemalloc
+import types
 import warnings
 
 import functools
@@ -68,13 +69,12 @@ def test_parseval():
 
 
 def test_spectrum_matches_analytic_transform_of_gaussian_like():
-    # indicator transform is a sinc: check at a few frequencies
-    f = indicator_control()
-    spec = compute_spectrum(f)
-    xi = spec.xi
+    # indicator transform is a sinc: check at a few frequencies.  Its band
+    # is truncated, so its Spectrum keeps no modulus; the reference does
+    xi, mod = _reference_spectrum(indicator_control())
     sel = (np.abs(xi) > 0.1) & (np.abs(xi) < 20.0)
     want = 2.0 * np.sin(np.abs(xi[sel])) / np.abs(xi[sel])
-    assert np.max(np.abs(spec.modulus[sel] - np.abs(want))) <= 1e-3
+    assert np.max(np.abs(mod[sel] - np.abs(want))) <= 1e-3
 
 
 def test_spectral_derivative_linearity_and_homogeneity():
@@ -170,10 +170,11 @@ def test_decay_oracle_and_exponent_fit():
 def test_reference_spectrum_agrees_with_fft_in_resolved_band():
     f = standard_bump()
     spec = compute_spectrum(f)
+    xi = _band_xi(f)
     # compare at exact FFT bin frequencies; the modulus oscillates, so an
     # off-bin comparison would land near transform zeros
-    idx = [int(np.argmin(np.abs(spec.xi - x))) for x in (5.0, 20.0, 60.0)]
-    bins = [spec.xi[i] for i in idx]
+    idx = [int(np.argmin(np.abs(xi - x))) for x in (5.0, 20.0, 60.0)]
+    bins = [xi[i] for i in idx]
     ref = reference_spectrum_standard_bump(bins, dps=40)
     for i, r in zip(idx, ref):
         assert spec.modulus[i] == pytest.approx(r, rel=1e-6, abs=1e-12)
@@ -433,9 +434,9 @@ def test_reference_spectrum_bit_identical_to_horner_sum():
 
 
 def test_reference_spectrum_agrees_with_horner_sum_at_fft_bins():
-    spec = compute_spectrum(standard_bump())
-    idx = [int(np.argmin(np.abs(spec.xi - x))) for x in (5.0, 20.0, 60.0)]
-    xis = [float(spec.xi[i]) for i in idx] + [0.5]
+    xi = _band_xi(standard_bump())
+    idx = [int(np.argmin(np.abs(xi - x))) for x in (5.0, 20.0, 60.0)]
+    xis = [float(xi[i]) for i in idx] + [0.5]
     got = reference_spectrum_standard_bump(xis, dps=40)
     want = _horner_reference_spectrum(xis, dps=40)
     # far below one ulp: the floats must coincide
@@ -552,11 +553,58 @@ def _reference_bump(K, seq, depth, n=2 ** 14):
 
 
 def _reference_spectrum(f):
-    """compute_spectrum from a fresh FFT, phase and argsort."""
+    """compute_spectrum from a fresh FFT, phase and argsort: the increasing
+    angular frequencies and the continuous transform's modulus at them."""
     xi = 2 * np.pi * np.fft.fftfreq(f.n, d=f.dx)
     F = f.dx * np.fft.fft(np.asarray(f.values)) * np.exp(-1j * xi * f.x0)
     order = np.argsort(xi)
     return xi[order], np.abs(F[order])
+
+
+def _band_xi(f):
+    """The increasing angular frequencies on f's resolved band."""
+    return fourier._grid(f.n, f.dx, f.x0).xi_sorted[compute_spectrum(f).kept]
+
+
+def _assert_modulus_is_the_reference(f, ref):
+    """f's grid and its Spectrum's modulus are the reference's, bit for bit
+    (a truncated band keeps no modulus)."""
+    xi, mod = _reference_spectrum(ref)
+    assert fourier._grid(f.n, f.dx, f.x0).xi_sorted.tobytes() == xi.tobytes()
+    spec = compute_spectrum(f)
+    if not spec.truncated:
+        assert spec.modulus.tobytes() == mod[spec.kept].tobytes()
+
+
+def _parent_spectrum(f):
+    """compute_spectrum as it was when each function kept a full-grid
+    spectrum of its own, from a fresh FFT: the fields that the Fourier-norm
+    readers took from it, with the band as indices in fft order."""
+    g = fourier._grid(f.n, f.dx, f.x0)
+    F = np.fft.fft(f.values)
+    absF = np.abs(F)
+    mask = absF > MASK_REL * np.max(absF)
+    band = np.flatnonzero(mask)
+    band_absxi = np.abs(g.xi[band])
+    edge = float(np.max(band_absxi)) if band.size else math.nan
+    truncated = bool(edge >= 0.99 * np.max(np.abs(g.xi)))
+    m = np.abs((f.dx * F * g.phase_in)[g.order])
+    kept = mask[g.order]
+    xi_edge = m_edge = c_decay = math.nan
+    if band.size and not truncated:
+        xi = np.abs(g.xi_sorted)
+        pos = kept & (g.xi_sorted > 0)
+        xi_edge = float(np.max(xi[pos]))
+        oct_sel = pos & (xi >= xi_edge / 2)
+        A = np.vstack([np.ones(np.sum(oct_sel)), xi[oct_sel]]).T
+        coef, *_ = np.linalg.lstsq(A, np.log(m[oct_sel]), rcond=None)
+        m_edge = m[pos][np.argmax(xi[pos])]
+        c_decay = -float(coef[1])
+    return types.SimpleNamespace(
+        band=band, edge=edge, truncated=truncated, xi=g.xi_sorted, modulus=m,
+        weight=2 * np.pi / (f.n * f.dx), kept=kept,
+        xi_edge=xi_edge, m_edge=m_edge, c_decay=c_decay,
+    )
 
 
 def _derivative_or_refusal(derivative, f, k):
@@ -581,10 +629,7 @@ def test_half_spectrum_bump_is_bit_identical(support):
             got = bump_builder(K, row, depth)
             assert (got.x0, got.dx) == (want.x0, want.dx)
             assert got.values.tobytes() == want.values.tobytes(), (s, depth)
-            spec = compute_spectrum(got)
-            xi, mod = _reference_spectrum(want)
-            assert spec.xi.tobytes() == xi.tobytes()
-            assert spec.modulus.tobytes() == mod.tobytes(), (s, depth)
+            _assert_modulus_is_the_reference(got, want)
             for k in range(11):
                 assert _derivative_or_refusal(spectral_derivative, got, k) == \
                     _derivative_or_refusal(_reference_derivative, want, k), (s, depth, k)
@@ -593,10 +638,7 @@ def test_half_spectrum_bump_is_bit_identical(support):
 @pytest.mark.parametrize("build", [standard_bump, indicator_control, _algebraic_decay])
 def test_band_derivative_is_bit_identical(build):
     f = build()
-    xi, mod = _reference_spectrum(f)
-    spec = compute_spectrum(f)
-    assert spec.xi.tobytes() == xi.tobytes()
-    assert spec.modulus.tobytes() == mod.tobytes()
+    _assert_modulus_is_the_reference(f, f)
     for k in range(11):
         assert _derivative_or_refusal(spectral_derivative, f, k) == \
             _derivative_or_refusal(_reference_derivative, f, k), k
@@ -609,10 +651,9 @@ def test_grid_cache_is_bounded_and_read_only():
     grid = fourier._grid(f.n, f.dx, f.x0)
     # every function on one grid shares its arrays
     assert f.xs is g.xs is grid.xs
-    assert compute_spectrum(f).xi is compute_spectrum(g).xi is grid.xi_sorted
+    assert fourier._grid(g.n, g.dx, g.x0) is grid
     t = compute_spectrum(f)
-    for a in (*grid, t.F, t.band, t.band_absF, t.band_absxi, t.modulus, t.kept,
-              f.values):
+    for a in (*grid, f._transform, t.band, t.modulus, t.kept, f.values):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
@@ -646,9 +687,10 @@ def test_one_mask_equals_the_modulus_mask():
         f = build()
         spec = compute_spectrum(f)
         kept, truncated = _modulus_band(f)
-        assert np.array_equal(spec.kept, kept), case
+        order = fourier._grid(f.n, f.dx, f.x0).order
+        assert np.array_equal(spec.band[order], kept), case
         assert spec.truncated == truncated, case
-        assert spec.band.size == np.count_nonzero(kept), case
+        assert np.count_nonzero(spec.band) == np.count_nonzero(kept), case
         truncated_seen.add(truncated)
     assert truncated_seen == {False, True}
 
@@ -689,7 +731,7 @@ def test_batched_table_is_bit_identical():
                 refused_seen.add(isinstance(want[0], type))
         # the first lookup filled every order 0..K_MAX
         (a, b), = f.support.intervals
-        assert sorted(k for k, *box in f._memo.sups if box == [a, b]) == list(range(K_MAX + 1))
+        assert len(f._memo.sups[(a, b)]) == K_MAX + 1
     assert refused_seen == {False, True}
 
 
@@ -808,17 +850,17 @@ def test_bump_record_is_its_construction():
         assert c.h == 1.0 or sum(1.0 / (c.h / 2 * mu) for mu in mus) >= width / 4, case
         assert c.widths == tuple(1.0 / (c.h * mu) for mu in mus)
         # the spectrum is the core's indicator times one sinc per width
-        rec = fourier._spectral_record(f)
-        if rec.truncated:
+        spec = compute_spectrum(f)
+        if spec.truncated:
             continue
-        xi = compute_spectrum(f).xi[rec.kept]
+        xi = _band_xi(f)
         lo, hi = c.core
         with np.errstate(divide="ignore", invalid="ignore"):
             want = np.where(xi == 0, hi - lo, np.abs(2 * np.sin(xi * (hi - lo) / 2) / xi))
         for w in c.widths:
             want = want * np.abs(np.sinc(xi * w / (2 * np.pi)))
-        err = np.max(np.abs(want - rec.modulus))
-        assert err <= 1e-12 * np.max(rec.modulus), (case, err)
+        err = np.max(np.abs(want - spec.modulus))
+        assert err <= 1e-12 * np.max(spec.modulus), (case, err)
         resolved += 1
     assert resolved >= 40
 
@@ -917,7 +959,7 @@ def test_trend_classify_nan_anywhere_in_the_head():
 def _reference_fourier_norm(f, seq, h):
     """fourier_norm over the whole grid, as before the spectral record:
     the bracket as float.hex strings, or the refusal's (type, message)."""
-    spec = compute_spectrum(f)
+    spec = _parent_spectrum(f)
     m = spec.modulus
     if np.max(m) == 0.0:
         return ((0.0).hex(), (0.0).hex())
@@ -952,7 +994,7 @@ def _record_fourier_norm(f, seq, h):
 
 def _reference_lemma53_ii(f, M, h):
     """check_lemma53_ii over the whole grid, as before the spectral record."""
-    spec = compute_spectrum(f)
+    spec = _parent_spectrum(f)
     m = spec.modulus
     if np.max(m) == 0.0:
         return verdicts.holds(trivial=True)
@@ -1077,19 +1119,70 @@ def test_fixed_function_memo_hit_equals_fresh_build(monkeypatch, build, fresh_bu
 def test_spectral_record_is_band_sized_and_read_only():
     truncated_seen = set()
     for case, build in _mask_battery():
-        rec = fourier._spectral_record(build())
-        arrays = [v for v in rec if isinstance(v, np.ndarray)]
-        if rec.truncated:
-            # such a band may span the grid, and every reader refuses it first
-            assert arrays == [], case
+        spec = compute_spectrum(build())
+        arrays = [v for v in spec if isinstance(v, np.ndarray)]
+        if spec.truncated:
+            # such a band may span the grid, and every reader refuses it
+            # first: the mask alone is kept
+            assert [a is spec.band for a in arrays] == [True], case
+            assert spec.band.nbytes == 2 ** 14, case
         else:
-            # the modulus on the band, and one mask over the grid
+            # the modulus on the band, and two masks over the grid: the band
+            # in fft order and on increasing xi
             assert sum(a.nbytes for a in arrays) <= \
-                8 * np.count_nonzero(rec.kept) + 16 * 2 ** 10, case
-            for a in arrays:
-                assert not a.flags.writeable
-        truncated_seen.add(rec.truncated)
+                8 * np.count_nonzero(spec.kept) + 2 * 2 ** 14, case
+        for a in arrays:
+            assert not a.flags.writeable
+        truncated_seen.add(spec.truncated)
     assert truncated_seen == {False, True}
+
+
+def test_spectrum_equals_the_parent_computation():
+    truncated_seen = set()
+    for case, build in _mask_battery():
+        f = build()
+        spec, want = compute_spectrum(f), _parent_spectrum(f)
+        assert np.flatnonzero(spec.band).tobytes() == want.band.tobytes(), case
+        assert (spec.zero, spec.truncated) == (bool(np.max(want.modulus) == 0.0),
+                                               want.truncated), case
+        got_floats = [spec.edge, spec.weight, spec.xi_edge, spec.m_edge, spec.c_decay]
+        want_floats = [want.edge, want.weight, want.xi_edge, want.m_edge, want.c_decay]
+        assert [float(v).hex() for v in got_floats] == \
+            [float(v).hex() for v in want_floats], case
+        if spec.truncated:
+            assert spec.kept is spec.modulus is None, case
+        else:
+            assert spec.kept.tobytes() == want.kept.tobytes(), case
+            assert spec.modulus.tobytes() == want.modulus[want.kept].tobytes(), case
+        truncated_seen.add(spec.truncated)
+    assert truncated_seen == {False, True}
+
+
+def test_one_spectrum_per_construction(monkeypatch):
+    K, row = CompactBox(((-0.7, 1.3),)), gevrey(2.0, 200)
+    first, copy = bump_builder(K, row, 10), bump_builder(K, row, 10)
+    spec = compute_spectrum(first)
+    assert compute_spectrum(copy) is spec
+    with pytest.raises(AttributeError):
+        spec.zero = True
+    for a in (spec.band, spec.kept, spec.modulus):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    # a function built directly gets its own
+    f, g = _fresh_standard_bump(), _fresh_standard_bump()
+    assert compute_spectrum(f) is not compute_spectrum(g)
+    assert compute_spectrum(f) is not compute_spectrum(standard_bump())
+    # a warm copy whose table is full never takes a transform
+    for k in range(K_MAX + 1):
+        _table_sup(first, k, K)
+    count = _FFTCounter(monkeypatch)
+    warm = bump_builder(K, row, 10)
+    assert [_table_sup(warm, k, K) for k in range(K_MAX + 1)] == \
+        [_table_sup(first, k, K) for k in range(K_MAX + 1)]
+    seminorm_derivative(warm, row, K, 1.0, K_MAX)
+    assert compute_spectrum(warm) is spec
+    assert (count.forward, count.inverse) == (0, 0)
+    assert "_transform" not in vars(warm)
 
 
 def test_norm_rows_keep_the_sixteen_latest():

@@ -1,5 +1,5 @@
-"""Static checks over src/wcalc: every top-level definition is reached by
-something that runs, and every import is used.
+"""Static checks over src/wcalc: every top-level definition and every
+method is reached by something that runs, and every import is used.
 
 "Reached" is by name: a definition counts as reached when its name is
 loaded or read as an attribute outside its own body in src/wcalc (the
@@ -7,7 +7,8 @@ package's __init__.py re-exports, so it reaches nothing), in demos/, in
 perfbench/, or in the acceptance gate tests/test_acceptance.py.
 perfbench/tracing.py wraps functions by their names as strings, so string
 constants count there too.  Unit tests do not count: a definition that
-only its own tests call serves no report.
+only its own tests call serves no report.  Dunder methods are called by
+the language, not by name, so they count as reached.
 """
 
 import ast
@@ -27,6 +28,7 @@ AWAITING_CALLER = {
     "small_terms_diagnostic": "items 11 and 12: non-quasianalyticity verdict",
     "check_lemma53_ii": "items 11 and 12: Fourier report",
     "tail_from_json": "item 5: wcalc replay",
+    "ConvexPL.from_json": "item 5: wcalc replay",
 }
 
 
@@ -47,7 +49,8 @@ def _names(tree, strings=False) -> set[str]:
 
 
 def _unreached(modules) -> dict[str, str]:
-    """Unreached top-level definitions: name -> "module.py:line"."""
+    """Unreached top-level definitions, name -> "module.py:line", and
+    unreached methods, "Class.name" -> "module.py:line"."""
     outside = _names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
     for p in sorted((ROOT / "demos").rglob("*.py")):
         outside |= _names(ast.parse(p.read_text()))
@@ -65,6 +68,22 @@ def _unreached(modules) -> dict[str, str]:
         if any(d.name in names for _, s, names in stmts if s is not d):
             continue
         out[d.name] = f"{path.name}:{d.lineno}"
+    for path, c, _ in stmts:
+        if not isinstance(c, ast.ClassDef):
+            continue
+        members = [(m, _names(m)) for m in c.body]
+        for m, _ in members:
+            if not isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if m.name.startswith("__") and m.name.endswith("__"):
+                continue
+            if m.name in outside:
+                continue
+            if any(m.name in names for _, s, names in stmts if s is not c):
+                continue
+            if any(m.name in names for n, names in members if n is not m):
+                continue
+            out[f"{c.name}.{m.name}"] = f"{path.name}:{m.lineno}"
     return out
 
 
