@@ -75,8 +75,10 @@ def _build(maker, *args, **kwargs):
     """maker(*args, **kwargs); a value outside its domain is a parse error."""
     try:
         return maker(*args, **kwargs)
-    except (TypeError, ValueError, OverflowError) as e:
+    except (TypeError, ValueError) as e:
         raise DescriptorError(str(e)) from None
+    except OverflowError:
+        raise DescriptorError(f"{maker.__name__}: a parameter is out of float range") from None
 
 
 def _load_json(path: str):

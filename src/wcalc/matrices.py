@@ -21,7 +21,7 @@ from .sequences import (
     check_beta3,
     check_in_LC,
     check_moderate_growth,
-    keep,
+    kept,
     lc_minorant,
     min_plus_self,
     relation_approx,
@@ -169,15 +169,14 @@ def _dc_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
 def _mg_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
     """Is sup_{j,k} (L^x_{j+k} - L^y_j - L^y_k)/(j+k) finite?
 
-    x keeps the prefix sup for its 32 most recently checked (y, P), keyed
-    on row_serial(y), and drops the oldest first."""
+    x keeps the prefix sup per (y, P), keyed on row_serial(y)."""
     P = min(x.P, y.P)
 
     def prefix_sup():
         mins, _ = min_plus_self(y.L[: P + 1])
         return float(np.max((x.L[1 : P + 1] - mins[1:]) / np.arange(1, P + 1)))
 
-    best = keep(x.__dict__.setdefault("_mg_pair", {}), (row_serial(y), P), 32, prefix_sup)
+    best = kept(x, "_mg_pair", prefix_sup, (row_serial(y), P))
     g = root_gap_limit(x.tail, y.tail)
     if g is None:
         return verdicts.inconclusive("no tail", **verdicts.exp_witness("prefix_C", best))
@@ -450,9 +449,8 @@ def _pseudo_mg_grid_ok(
 def _pseudo_mg_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
     """Some H = 2**k on the grid with 2*omega_y(t) <= omega_x(H t) + H.
 
-    x keeps the first such H (None if there is none) for its 32 most
-    recently checked y, keyed on row_serial(y), and drops the oldest
-    first."""
+    x keeps the first such H (None if there is none) per y, keyed on
+    row_serial(y)."""
 
     def first_H():
         small, big = associated_function(y), associated_function(x)
@@ -461,7 +459,7 @@ def _pseudo_mg_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
                 return 2.0 ** k
         return None
 
-    H = keep(x.__dict__.setdefault("_pseudo_mg", {}), row_serial(y), 32, first_H)
+    H = kept(x, "_pseudo_mg", first_H, row_serial(y))
     if H is None:
         return verdicts.inconclusive("no H on grid within resolved band")
     return verdicts.holds(H=H)

@@ -28,6 +28,7 @@ from .sequences import (
     check_log_convex,
     check_nq,
     increasing_root_minorant,
+    kept,
     lc_minorant,
     relation_triangle,
     _root_series_verdict,
@@ -43,8 +44,8 @@ def class_nq_verdict(seq: LogWeightSequence) -> Verdict:
 
     The two route verdicts are computed once and kept on seq, unless they
     disagree; each call builds a new Verdict from them."""
-    routes = seq.__dict__.get("_nq_routes")
-    if routes is None:
+
+    def routes():
         via_hull = check_nq(lc_minorant(seq))
         via_roots = _root_series_verdict(increasing_root_minorant(seq))
         if via_hull.status is not via_roots.status:
@@ -53,8 +54,9 @@ def class_nq_verdict(seq: LogWeightSequence) -> Verdict:
                     f"{seq.label}: hull route {via_hull.status.value}, "
                     f"root route {via_roots.status.value}"
                 )
-        routes = seq.__dict__["_nq_routes"] = (via_hull, via_roots)
-    via_hull, via_roots = routes
+        return via_hull, via_roots
+
+    via_hull, via_roots = kept(seq, "_nq_routes", routes)
     decided = via_hull if not via_hull.inconclusive else via_roots
     return verdicts.Verdict(
         decided.status,

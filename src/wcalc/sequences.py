@@ -17,27 +17,14 @@ type and repr of each of the tail's fields as well: FactorialPower(2, 1.0)
 equals FactorialPower(2.0, 1.0) but prints "s": 2, so a shared row would
 make a report depend on what the process built before it.
 
-A row also keeps what is computed from it alone and read again: its
-envelope (weightfuncs.associated_function), its 16 most recently built
-derived rows j -> exp((1/l) phi*(l j)) (weightfuncs.sequence_from_weight),
-its moderate-growth prefix constant, its root-gap samples for the last 8
-values of P = min(M.P, N.P) at which relation_preceq compared it with
-another row, whether it is its own log-convex minorant, the hull and root
-route verdicts of its non-quasianalyticity (quasi.class_nq_verdict, kept
-only when the routes do not disagree), the first pseudo-moderate-growth
-constant H found against each of the 32 rows it was last checked against
-(matrices.check_pseudo_mg), and the mixed moderate-growth prefix sup
-against each of the 32 (row, P) it was last checked against
-(matrices.check_matrix_condition).  keep() holds each bounded set and
-drops the oldest entry first.  These live as long as the row, so the
-memo's 64 entries bound them.  Nothing a row keeps refers back to it or to
-another row, and a row in a reference cycle would outlive its last user
-until the garbage collector ran: the samples are bare float arrays,
-lc_minorant keeps a boolean rather than the hull, which for a convex row
-is the row itself, the route verdicts hold numbers and flags, and the
-constants and sups are keyed on the other row's row_serial, not on the
-row.  A verdict built from kept routes gets witness dicts of its own, so
-no report shares a mutable dict with a later one.
+A row also keeps what is computed from it alone and read again.  KEPT
+names each such value with its bound, what it holds and who reads it, and
+kept() is the one way to it.  What a row keeps lives as long as the row,
+so the memo's 64 entries bound it.  Nothing a row keeps refers back to it
+or to a row it was checked against, since a row in a reference cycle would
+outlive its last user until the garbage collector ran: the derived rows
+and the minorant it keeps are rows of their own, and what it keeps about a
+check against another row is keyed on that row's row_serial.
 
 Array code here is bit-identical to the scalar loops it stands for: numpy
 does only + - * /, comparisons and reductions (min, max, argmin) on the
@@ -74,12 +61,9 @@ class LogWeightSequence:
     log_values may be passed as any flat sequence of floats; it is kept
     once, as a read-only float64 array, which L returns too.  Two rows are
     equal when their values (as numbers, so -0.0 == 0.0), tails, tail_from
-    and labels are; the hash is computed once, on first use.  Rows of
-    from_tail are shared through the row memo, and every row keeps its
-    envelope, derived rows, moderate-growth constant, root-gap samples,
-    log-convexity flag, NQ route verdicts, pseudo-moderate-growth constants
-    and mixed moderate-growth prefix sups, none of which refers back to it
-    (see the module docstring).
+    and labels are.  Rows of from_tail are shared through the row memo, and
+    every row keeps what KEPT names, none of which refers back to it (see
+    the module docstring).
     """
 
     log_values: np.ndarray
@@ -118,13 +102,8 @@ class LogWeightSequence:
         )
 
     def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            # + 0.0 turns -0.0 into 0.0, which it equals
-            h = self.__dict__["_hash"] = hash(
-                ((self.L + 0.0).tobytes(), self.tail, self.tail_from, self.label)
-            )
-        return h
+        # + 0.0 turns -0.0 into 0.0, which it equals
+        return hash(((self.L + 0.0).tobytes(), self.tail, self.tail_from, self.label))
 
     # -- constructors ---------------------------------------------------
 
@@ -209,15 +188,38 @@ def keep(d: dict, key, limit: int, build):
     """d[key], built by build() on a miss and entered in d, which holds
     its limit most recently built entries and drops the oldest first.  A
     build that raises enters nothing."""
-    try:
-        return d[key]
-    except KeyError:
-        pass
-    value = build()
-    if len(d) == limit:
-        del d[next(iter(d))]
-    d[key] = value
-    return value
+    if key not in d:
+        d[key] = build()
+        if len(d) > limit:
+            del d[next(iter(d))]
+    return d[key]
+
+
+# What a row keeps, by its name in the row's __dict__: the bound (how many
+# of the most recently built entries it holds, by key; a single value is
+# one entry under the key None), what it holds, and who reads it.
+KEPT = {
+    "_serial": 1,        # row_serial: this row's number in the process
+    "_mg": 1,            # check_moderate_growth: prefix constant C and its (j, j + k)
+    "_lc_minorant": 1,   # lc_minorant: the minorant row, None when it is the row itself
+    "_gap_samples": 8,   # relation_preceq: roots at _gap_sample_points(P), by P
+    "_envelope": 1,      # weightfuncs.associated_function: envelope, valid_to
+    "_derived": 16,      # weightfuncs.sequence_from_weight: rows by (l, pmax, label)
+    "_nq_routes": 1,     # quasi.class_nq_verdict: hull and root route verdicts
+    "_pseudo_mg": 32,    # matrices.check_pseudo_mg: first H (or None), by row_serial(y)
+    "_mg_pair": 32,      # matrices.check_matrix_condition: mg prefix sups, by (row_serial(y), P)
+}
+
+
+def kept(seq: LogWeightSequence, name: str, build, key=None):
+    """What seq keeps as the KEPT entry name under key, built by build()
+    on a miss through keep().  A build that raises keeps nothing, not even
+    an empty table under name."""
+    table = seq.__dict__.get(name) or {}
+    if key not in table:
+        keep(table, key, KEPT[name], build)
+        seq.__dict__[name] = table
+    return table[key]
 
 
 _serials = itertools.count()
@@ -227,10 +229,7 @@ def row_serial(seq: LogWeightSequence) -> int:
     """A number given to seq on first use and to no other row of the
     process: what one row keeps about a check against another is keyed on
     it, so that it holds no reference to the other row."""
-    n = seq.__dict__.get("_serial")
-    if n is None:
-        n = seq.__dict__["_serial"] = next(_serials)
-    return n
+    return kept(seq, "_serial", lambda: next(_serials))
 
 
 # -- growth conditions --------------------------------------------------
@@ -315,10 +314,7 @@ def _mg_prefix_constant(L: np.ndarray) -> tuple[float, int, int]:
 
 
 def check_moderate_growth(seq: LogWeightSequence) -> Verdict:
-    cached = seq.__dict__.get("_mg")
-    if cached is None:
-        cached = seq.__dict__["_mg"] = _mg_prefix_constant(seq.L)
-    best, j, m = cached
+    best, j, m = kept(seq, "_mg", lambda: _mg_prefix_constant(seq.L))
     if seq.tail is None:
         return verdicts.inconclusive(
             "prefix only", **verdicts.exp_witness("prefix_C", best), at=(j, m - j)
@@ -337,10 +333,6 @@ def _series_converges(asym: tuple) -> bool:
     return kind == "poly" or u > 1.0
 
 
-def _mu_partial_sum(seq: LogWeightSequence) -> float:
-    return float(np.sum(np.exp(-np.diff(seq.L))))
-
-
 def _mu_remainder(seq: LogWeightSequence) -> float:
     """sum of 1/mu_p over P < p <= P + 2000 from the tail.  exp and the sum
     stay scalar and in order, so the float equals the scalar mu_log loop."""
@@ -349,7 +341,9 @@ def _mu_remainder(seq: LogWeightSequence) -> float:
 
 
 def check_nq(seq: LogWeightSequence) -> Verdict:
-    partial = _mu_partial_sum(seq)
+    # a steep fall in L (a huge dent) overflows its 1/mu_p; the sum is inf
+    with np.errstate(over="ignore"):
+        partial = float(np.sum(np.exp(-np.diff(seq.L))))
     if seq.tail is None:
         return verdicts.inconclusive("prefix only", partial_sum=partial)
     if not _series_converges(seq.tail.asymptote()):
@@ -425,13 +419,15 @@ def _prefix_gaps(M: LogWeightSequence, N: LogWeightSequence) -> np.ndarray:
 
 
 def _sampled_roots(seq: LogWeightSequence, ps: np.ndarray) -> np.ndarray:
-    """seq.root at the integer points ps: stored values up to seq.P, the
-    tail in one log_values call beyond it."""
+    """seq.root at the integer points ps, read-only: stored values up to
+    seq.P, the tail in one log_values call beyond it."""
     stored = ps <= seq.P
     logs = np.empty_like(ps)
     logs[stored] = seq.L[ps[stored].astype(int)]
     logs[~stored] = seq.tail.log_values(ps[~stored])
-    return logs / ps
+    logs /= ps
+    logs.flags.writeable = False
+    return logs
 
 
 @functools.lru_cache(maxsize=32)
@@ -445,15 +441,8 @@ def _gap_sample_points(P: int) -> np.ndarray:
 
 
 def _gap_samples(seq: LogWeightSequence, P: int) -> np.ndarray:
-    """seq's roots at _gap_sample_points(P), read-only, kept on seq for
-    its 8 most recently sampled P."""
-
-    def build():
-        roots = _sampled_roots(seq, _gap_sample_points(P))
-        roots.flags.writeable = False
-        return roots
-
-    return keep(seq.__dict__.setdefault("_gap_samples", {}), P, 8, build)
+    """seq's roots at _gap_sample_points(P), kept on seq."""
+    return kept(seq, "_gap_samples", lambda: _sampled_roots(seq, _gap_sample_points(P)), P)
 
 
 def _sampled_gap_sup(M: LogWeightSequence, N: LogWeightSequence) -> float:
@@ -505,24 +494,24 @@ def relation_approx(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
 def lc_minorant(seq: LogWeightSequence) -> LogWeightSequence:
     """Log-convex minorant: lower convex hull of the points (p, L_p).
 
-    A row that is its own minorant is marked so, and returned at once from
-    then on."""
-    if seq.__dict__.get("_lc_fixed"):
-        return seq
-    ps = np.arange(seq.P + 1)
-    hull = lower_hull(np.column_stack((ps.astype(float), seq.L)))
-    out = np.interp(ps, hull[:, 0], hull[:, 1])
-    if np.max(np.abs(out - seq.L)) <= LOG_TOL:
-        # the very instance, so what callers cached on it stays shared
-        seq.__dict__["_lc_fixed"] = True
-        return seq
-    tail = seq.tail if (seq.tail is not None and seq.tail.is_log_convex()) else None
-    return LogWeightSequence(
-        out,
-        tail,
-        seq.P if tail is not None else 0,
-        f"lc({seq.label})" if seq.label else "",
-    )
+    seq keeps it, or None when seq is its own minorant: then seq itself is
+    returned, so what callers cached on it stays shared."""
+
+    def minorant():
+        ps = np.arange(seq.P + 1)
+        hull = lower_hull(np.column_stack((ps.astype(float), seq.L)))
+        out = np.interp(ps, hull[:, 0], hull[:, 1])
+        if np.max(np.abs(out - seq.L)) <= LOG_TOL:
+            return None
+        tail = seq.tail if (seq.tail is not None and seq.tail.is_log_convex()) else None
+        return LogWeightSequence(
+            out,
+            tail,
+            seq.P if tail is not None else 0,
+            f"lc({seq.label})" if seq.label else "",
+        )
+
+    return kept(seq, "_lc_minorant", minorant) or seq
 
 
 def increasing_root_minorant(seq: LogWeightSequence) -> LogWeightSequence:
@@ -543,11 +532,11 @@ def increasing_root_minorant(seq: LogWeightSequence) -> LogWeightSequence:
         return seq
     # only a finite stretch changed; the symbolic continuation still applies
     # from P on whenever the final stored value survived
-    keep = seq.tail is not None and abs(out[-1] - seq.L[-1]) <= LOG_TOL
+    tail_holds = seq.tail is not None and abs(out[-1] - seq.L[-1]) <= LOG_TOL
     return LogWeightSequence(
         out,
-        seq.tail if keep else None,
-        P if keep else 0,
+        seq.tail if tail_holds else None,
+        P if tail_holds else 0,
         f"I({seq.label})" if seq.label else "",
     )
 

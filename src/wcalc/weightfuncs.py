@@ -26,7 +26,7 @@ from .sequences import (
     LogWeightSequence,
     check_in_LC,
     check_moderate_growth,
-    keep,
+    kept,
     lc_minorant,
     relation_preceq,
 )
@@ -149,14 +149,15 @@ def associated_function(seq: LogWeightSequence) -> WeightFunction:
     """omega_M(t) = sup_p log(t^p / M_p) as an exact envelope in s = log t."""
     if not seq.is_normalized():
         raise NotNormalized(seq.label or "input sequence")
+
+    def build():
+        env = upper_envelope_of_lines(np.arange(seq.P + 1), -seq.L)
+        return env, env.breakpoint(-1)[0]
+
     # The envelope is kept on the sequence, never the WeightFunction: its
     # source points back at seq, and that cycle would keep every row alive
     # until the garbage collector runs.
-    cached = seq.__dict__.get("_envelope")
-    if cached is None:
-        env = upper_envelope_of_lines(np.arange(seq.P + 1), -seq.L)
-        cached = seq.__dict__["_envelope"] = (env, env.breakpoint(-1)[0])
-    env, valid_to = cached
+    env, valid_to = kept(seq, "_envelope", build)
     return WeightFunction(
         ("sequence", seq), env, valid_to,
         f"omega({seq.label})" if seq.label else "",
@@ -170,8 +171,7 @@ def sequence_from_weight(
 
     A closed-form row comes from the row memo of LogWeightSequence.from_tail.
     A row derived from a sequence is kept on that sequence, keyed on
-    (l, pmax, label), next to its envelope; it never refers back to it.
-    A sequence keeps its 16 most recently built derived rows."""
+    (l, pmax, label), next to its envelope; it never refers back to it."""
     if l <= 0:
         raise ValueError("parameter l must be positive")
     kind = w.source[0]
@@ -199,7 +199,7 @@ def sequence_from_weight(
         tail = stepped if hull.tail is not None else None
         return LogWeightSequence(vals, tail, 0, label)
 
-    return keep(seq.__dict__.setdefault("_derived", {}), (l, pmax, label), 16, build)
+    return kept(seq, "_derived", build, (l, pmax, label))
 
 
 # -- condition battery --------------------------------------------------

@@ -151,6 +151,18 @@ def test_out_of_domain_descriptor_value_is_exit_2(argv):
     assert res.returncode == 2
     assert b"Traceback" not in res.stderr
     assert res.stderr.startswith(b"error: ")
+    # an OverflowError names the family, not its errno
+    assert b"Numerical result out of range" not in res.stderr
+
+
+def test_overflowing_dent_is_exit_0_without_a_warning():
+    res = subprocess.run(
+        [sys.executable, "-m", "wcalc.cli", "analyze", "--seq", "perturbed_gevrey:2,1e300"],
+        capture_output=True,
+    )
+    assert res.returncode == 0
+    assert b"Warning" not in res.stderr
+    assert json.loads(res.stdout)["sequence"]["label"]
 
 
 def test_file_matrix_without_rows_is_exit_2(tmp_path, capsys):

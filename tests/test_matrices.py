@@ -440,11 +440,11 @@ def test_extended_rows_built_once_per_matrix():
 
 
 def test_rows_die_without_garbage_collection():
-    # what a row keeps (envelope, derived rows, moderate-growth constant,
-    # root-gap samples, lc flag, pseudo-mg constants, mg prefix sups, NQ
-    # route verdicts) must not tie it to
-    # its WeightFunction, to another row or to itself in a cycle: once
-    # the row memo lets go, reference counting alone frees every row
+    # what a row keeps (sequences.KEPT: envelope, derived rows,
+    # moderate-growth constant, log-convex minorant, root-gap samples,
+    # pseudo-mg constants, mg prefix sups, NQ route verdicts) must not tie
+    # it to its WeightFunction, to another row or to itself in a cycle:
+    # once the row memo lets go, reference counting alone frees every row
     gc.disable()
     try:
         M = build_gevrey_matrix((1.0, 2.0), pmax=4000)
@@ -457,11 +457,15 @@ def test_rows_die_without_garbage_collection():
         check_moderate_growth(convex)
         derived = sequence_from_weight(associated_function(convex), 0.5, 2000)
         assert sequence_from_weight(associated_function(convex), 0.5, 2000) is derived
-        refs += [weakref.ref(convex), weakref.ref(derived)]
-        # root-gap samples and the lc flag are kept on the rows too
+        # a row that is not its own minorant keeps the minorant row
+        bumpy = bumpy_prefix()
+        hull = lc_minorant(bumpy)
+        assert lc_minorant(bumpy) is hull is not bumpy
+        refs += [weakref.ref(convex), weakref.ref(derived), weakref.ref(bumpy), weakref.ref(hull)]
+        # root-gap samples and the minorant are kept on the rows too
         approx = [relation_approx(M.rows[0], M.rows[1]), relation_approx(convex, M.rows[0])]
         assert all("_gap_samples" in r.__dict__ for r in (*M.rows[:2], convex))
-        assert convex.__dict__["_lc_fixed"]
+        assert "_lc_minorant" in convex.__dict__
         # and so are the pseudo-mg constants of check_pseudo_mg(M)
         assert all(r.__dict__["_pseudo_mg"] for r in M.rows)
         # the mg prefix sups and the NQ routes of the hypothesis gates
@@ -469,7 +473,7 @@ def test_rows_die_without_garbage_collection():
         nq = matrix_nq_verdict(M, "roumieu")
         assert all(r.__dict__["_mg_pair"] for r in M.rows)
         assert all("_nq_routes" in r.__dict__ for r in M.rows)
-        del M, v, ws, convex, derived, approx, mg, nq
+        del M, v, ws, convex, derived, bumpy, hull, approx, mg, nq
         _row_from_tail.cache_clear()
         assert all(r() is None for r in refs)
     finally:

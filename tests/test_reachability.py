@@ -116,3 +116,16 @@ def _unused_imports(path, tree) -> list[str]:
 def test_no_unused_imports():
     unused = [u for p, t in _modules().items() for u in _unused_imports(p, t)]
     assert not unused, f"imported and never used: {unused}"
+
+
+def test_only_sequences_reads_a_rows_dict():
+    # what a row keeps is declared in sequences.KEPT and read through
+    # sequences.kept(); any other module touches only its own __dict__
+    touched = [
+        f"{p.name}:{n.lineno}"
+        for p, tree in _modules().items() if p.name != "sequences.py"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr == "__dict__"
+        and not (isinstance(n.value, ast.Name) and n.value.id == "self")
+    ]
+    assert not touched, f"a row's __dict__ outside sequences.py: {touched}"

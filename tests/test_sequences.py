@@ -1,5 +1,6 @@
 """Weight sequences: regularizations, growth conditions, relations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,10 @@ from wcalc.catalogue import (
     prefix_only,
 )
 from wcalc.errors import NotLogConvex
+from wcalc.matrices import build_gevrey_matrix, check_matrix_condition, check_pseudo_mg
+from wcalc.quasi import matrix_nq_verdict
 from wcalc.sequences import (
+    KEPT,
     LogWeightSequence,
     check_beta3,
     check_carleman_consistency,
@@ -41,6 +45,7 @@ from wcalc.sequences import (
     _sampled_roots,
 )
 from wcalc.tails import FactorialPower, PowerIndex
+from wcalc.weightfuncs import associated_function, sequence_from_weight
 
 
 @st.composite
@@ -110,7 +115,7 @@ def test_lc_fixed_point_on_convex_input():
     assert np.array_equal(h.log_values, g.log_values) and h.tail == g.tail
 
 
-def test_lc_fixed_point_is_kept_as_a_flag(monkeypatch):
+def test_lc_minorant_is_kept_on_the_row(monkeypatch):
     calls = []
     hull = sequences.lower_hull
 
@@ -122,12 +127,12 @@ def test_lc_fixed_point_is_kept_as_a_flag(monkeypatch):
     convex = LogWeightSequence(gevrey(2.0, 300).L, None, 0, "convex")
     assert lc_minorant(convex) is convex and len(calls) == 1
     assert lc_minorant(convex) is convex and len(calls) == 1
-    # a row that is not its own minorant gets its hull on every call
+    # a row that is not its own minorant keeps the minorant row
     bumpy = bumpy_prefix()
     first, second = lc_minorant(bumpy), lc_minorant(bumpy)
-    assert len(calls) == 3 and "_lc_fixed" not in bumpy.__dict__
+    assert len(calls) == 2 and first is second
     assert first is not bumpy and not np.array_equal(first.L, bumpy.L)
-    assert np.array_equal(first.L, second.L) and check_log_convex(first).holds
+    assert check_log_convex(first).holds and lc_minorant(first) is first
 
 
 def test_keep_holds_the_latest_built_entries():
@@ -151,6 +156,27 @@ def test_keep_holds_the_latest_built_entries():
     with pytest.raises(ValueError):
         keep(d, 7, 4, refuse)
     assert list(d) == [3, 4, 5, 6]
+
+
+def test_rows_keep_only_kept_names_within_their_bounds():
+    M = build_gevrey_matrix((1, 2, 3), 1000)
+    g = gevrey(1.5, 2000)
+    check_pseudo_mg(M)
+    check_matrix_condition(M, "mg_roumieu")
+    matrix_nq_verdict(M, "roumieu")
+    relation_approx(M.rows[0], g)
+    # more derived rows than g may keep
+    derived = [sequence_from_weight(associated_function(g), 1.0, p)
+               for p in range(100, 100 * (KEPT["_derived"] + 3), 100)]
+    fields = {f.name for f in dataclasses.fields(LogWeightSequence)}
+    for row in (*M.rows, g, *derived):
+        names = set(row.__dict__) - fields
+        assert names <= set(KEPT), row.label
+        for name in names:
+            if KEPT[name] > 1:
+                assert len(row.__dict__[name]) <= KEPT[name], (row.label, name)
+    assert len(g.__dict__["_derived"]) == KEPT["_derived"]
+    assert {"_gap_samples", "_pseudo_mg", "_mg_pair", "_nq_routes"} <= set(M.rows[0].__dict__)
 
 
 @st.composite
