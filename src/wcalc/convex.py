@@ -17,10 +17,11 @@ of dual abscissae, a hull pop), a vectorised certificate first decides
 whether it would change nothing; only when the certificate declines does
 the loop run, so each rule has one implementation.
 
-A ConvexPL that an operation builds from arrays builds its breakpoints
-tuple only when something reads it: conjugation reads the arrays and the
-two end breakpoints (ConvexPL.breakpoint), so a chain of conjugates and
-envelopes never boxes its P + 1 points into Python tuples.
+A ConvexPL that an operation builds is its float arrays: its breakpoints
+tuple is a float view of them, built only when something reads it.
+Conjugation reads the arrays and the two end breakpoints
+(ConvexPL.breakpoint), so a chain of conjugates and envelopes never boxes
+its P + 1 points into Python tuples.
 """
 from __future__ import annotations
 
@@ -41,6 +42,10 @@ class NotConvex(WcalcError, ValueError):
 
 @dataclass(frozen=True)
 class ConvexPL:
+    """A convex PL function kept as read-only float64 arrays: _xs and _vs
+    (the breakpoints) and _seg (the segment slopes).  On an instance that an
+    operation built, the breakpoints tuple is a float view of the arrays,
+    built on first read; the constructor keeps the caller's tuple."""
     breakpoints: tuple[tuple[float, float], ...]
     left_slope: float = -math.inf
     right_slope: float = math.inf
@@ -50,29 +55,20 @@ class ConvexPL:
         self._check(bp[:, 0], bp[:, 1])
 
     @classmethod
-    def _from_arrays(cls, xs, vs, left, right, ends=(None, None)) -> "ConvexPL":
+    def _from_arrays(cls, xs, vs, left, right) -> "ConvexPL":
         """Build from the float arrays xs and vs, checked like any other
-        construction.  The breakpoints tuple is built on first read, from
-        the arrays' floats, with ends = (first, last) standing in for the
-        first and last abscissa where not None."""
+        construction; the breakpoints tuple is built on first read."""
         f = object.__new__(cls)
         object.__setattr__(f, "left_slope", left)
         object.__setattr__(f, "right_slope", right)
-        object.__setattr__(f, "_ends", ends)
         f._check(xs, vs)
         return f
 
     def __getattr__(self, name):
         # only reached while an array-built instance has no tuple yet
-        if name != "breakpoints" or "_ends" not in self.__dict__:
+        if name != "breakpoints":
             raise AttributeError(name)
-        xs = self._xs.tolist()
-        first, last = self._ends
-        if first is not None:
-            xs[0] = first
-        if last is not None:
-            xs[-1] = last
-        bp = tuple(zip(xs, self._vs.tolist()))
+        bp = tuple(zip(self._xs.tolist(), self._vs.tolist()))
         object.__setattr__(self, "breakpoints", bp)
         return bp
 
@@ -100,18 +96,8 @@ class ConvexPL:
     # -- basic geometry -------------------------------------------------
 
     def breakpoint(self, i: int) -> tuple[float, float]:
-        """breakpoints[i], without building the tuple."""
-        if "breakpoints" in self.__dict__:
-            return self.breakpoints[i]
-        n = self._xs.size
-        j = range(n)[i]
-        first, last = self._ends
-        x = float(self._xs[j])
-        if j == 0 and first is not None:
-            x = first
-        if j == n - 1 and last is not None:
-            x = last
-        return (x, float(self._vs[j]))
+        """The i-th breakpoint as floats, without building the tuple."""
+        return (float(self._xs[i]), float(self._vs[i]))
 
     def segment_slopes(self) -> list[float]:
         return self._seg.tolist()
@@ -165,16 +151,7 @@ class ConvexPL:
         while hi > lo and math.isfinite(b) and abs(b - slope(keep[hi - 1], keep[hi])) <= tol:
             hi -= 1
         keep = keep[lo:hi + 1]
-        if "_ends" not in self.__dict__:
-            # built by the constructor: keep the caller's scalars
-            bp = self.breakpoints
-            return ConvexPL(tuple(bp[i] for i in keep), a, b)
-        first, last = self._ends
-        ends = (
-            first if keep[0] == 0 else None,
-            last if keep[-1] == self._xs.size - 1 else None,
-        )
-        return ConvexPL._from_arrays(self._xs[keep], self._vs[keep], a, b, ends)
+        return ConvexPL._from_arrays(self._xs[keep], self._vs[keep], a, b)
 
     # -- conjugation ----------------------------------------------------
 
@@ -299,42 +276,27 @@ def upper_envelope_of_lines(slopes, intercepts) -> ConvexPL:
     Equivalent to conjugating the discrete function i -> -intercepts[i]
     placed at abscissae slopes[i] with walls on both sides.
     """
-    m = np.asarray(slopes)
+    m = np.asarray(slopes, dtype=float)
+    c = np.asarray(intercepts, dtype=float)
     if not np.all(m[1:] > m[:-1]):
-        pts = sorted(zip(slopes, intercepts))
-        slopes, intercepts = [s for s, _ in pts], [c for _, c in pts]
-        m = np.asarray(slopes)
-    hull = lower_hull(
-        np.column_stack((m.astype(float), -np.asarray(intercepts, dtype=float)))
-    )
-    # the end abscissae become the envelope's boundary slopes: keep the
-    # caller's scalars there, so integer slopes stay integers
-    ends = (slopes[0], slopes[-1]) if len(hull) else (None, None)
-    support = ConvexPL._from_arrays(
-        hull[:, 0], hull[:, 1], -math.inf, math.inf, ends
-    )
+        order = np.lexsort((c, m))
+        m, c = m[order], c[order]
+    hull = lower_hull(np.column_stack((m, -c)))
+    support = ConvexPL._from_arrays(hull[:, 0], hull[:, 1], -math.inf, math.inf)
     return support.conjugate()
 
 
-def lower_hull(points):
-    """Lower convex hull of points sorted by x (monotone chain sweep).
-
-    points is a list of (x, y) pairs or an (n, 2) float array; the hull is
-    returned in the same form.
-    """
-    is_array = isinstance(points, np.ndarray)
-    p = np.asarray(points, dtype=float).reshape(-1, 2)
-    x, y = p[:, 0], p[:, 1]
+def lower_hull(points: np.ndarray) -> np.ndarray:
+    """Lower convex hull of the rows (x, y) of an (n, 2) float array sorted
+    by x (monotone chain sweep), as an (m, 2) float array."""
+    x, y = points[:, 0], points[:, 1]
     # the sweep's pop test on each consecutive triple: if none pops, no
     # point is ever popped and the hull is the input
     turn = (x[1:-1] - x[:-2]) * (y[2:] - y[:-2]) - (x[2:] - x[:-2]) * (y[1:-1] - y[:-2])
     pops = np.flatnonzero(turn <= 0.0)
     if not pops.size:
-        return points if is_array else list(points)
-    start = int(pops[0]) + 2
-    if is_array:
-        return np.array(_monotone_chain(points.tolist(), start), dtype=float)
-    return _monotone_chain(points, start)
+        return points
+    return np.array(_monotone_chain(points.tolist(), int(pops[0]) + 2), dtype=float)
 
 
 def _monotone_chain(points: list, start: int) -> list:

@@ -10,10 +10,9 @@ Spectral derivatives depend on neither the weight row nor h; only the
 normalization exp(-k log h - L_k) does (spectral differentiation as in
 Trefethen, *Spectral Methods in MATLAB*, SIAM 2000).  So the work is done
 once where it can be, and every seminorm or Fourier-norm probe is arithmetic
-on the results: a seminorm triggers the sup table's batch once, then reads
-each order's sup from the table and log M_0..log M_k as one slice of the
-row's stored prefix (log_at only past it), with log h taken once.  Two
-caches keep it:
+on the results: a seminorm reads each order's sup from the sup table and
+log M_0..log M_K_MAX as one slice of the row's stored prefix (log_at only
+past it), with log h taken once.  Two caches keep it:
 
 * _grid, a small bounded cache of the read-only arrays of one grid
   (n, dx, x0), shared by every function sampled on it: the abscissae, the
@@ -32,14 +31,13 @@ caches keep it:
     modulus on it alone, the quadrature weight, and the exponential fit
     to the last resolved octave that bounds the tail beyond the band.  It
     is band-sized (a truncated band keeps its mask alone);
-  - the derivative-sup table: for each box K, one entry per order k <=
-    K_MAX, the sup over K of |f^(k)|, where it is attained and the sup
-    over the grid, or the refusal's message.  The band-only peak test
-    refuses a whole range of orders first, and a reader of orders 0..k
-    raises the lowest refused one before it reads any sup.  The accepted
-    orders then share one batched inverse FFT of a (orders, n) array,
-    whose rows numpy transforms bit for bit as it would one at a time,
-    with the multiplier (i xi)^k on the band only;
+  - the sup table, orders 0..K_MAX on the function's support: either one
+    (sup of |f^(k)|, where it is attained, sup over the grid) per order,
+    from one batched inverse FFT of a (K_MAX + 1, n) array whose rows numpy
+    transforms bit for bit as it would one at a time, with the multiplier
+    (i xi)^k on the band only; or the message of the lowest refused order.
+    The refusal is decided on the band alone, before any inverse FFT, and
+    every reader of the table raises it;
   - the 16 most recently built Fourier-norm rows, keyed on the row's
     content: the associated function of its log-convex minorant and
     omega(|xi|) on the band.
@@ -52,8 +50,8 @@ caches keep it:
 
 Beside them each function keeps its own forward transform, read-only, from
 one FFT on first use; it dies with the function.  Only the first pass over
-a construction reads it: to build the Spectrum, to run the peak test on
-orders not yet tabled, and to take the batched derivative.
+a construction reads it: to build the Spectrum, to run the peak test and
+to take the batched derivative.
 
 A bump is synthesised from its spectrum on the bins 0..n/2, the others
 filled with the conjugate mirror.  This gives the full-grid product bit
@@ -139,28 +137,20 @@ def _grid(n: int, dx: float, x0: float) -> _Grid:
     )
 
 
-class _Refusal(NamedTuple):
-    """A derivative order refused once, raised again on every lookup.
-
-    Only the message is kept: an exception object would pin its traceback's
-    frames and arrays for as long as the function lives.
-    """
-    message: str
-
-
 class _Memo:
     """What every copy of one function shares: its samples from index lo
     on of the grid x0 + dx * arange(GRID_N) (None for a function built
-    directly); its Spectrum once read; its derivative-sup table, (a, b) ->
-    one entry per order k, a _derivative_sup entry, a _Refusal or None
-    while pending; and its 16 most recently built Fourier-norm rows,
-    row -> _NormRow."""
+    directly); its Spectrum once read; its sup table once read, a list of
+    (sup, x, grid sup) for the orders 0..K_MAX on the support or the
+    message of the lowest refused order (a message, not the exception,
+    which would pin its traceback's frames and arrays); and its 16 most
+    recently built Fourier-norm rows, row -> _NormRow."""
     __slots__ = ("x0", "dx", "lo", "samples", "spectrum", "sups", "rows")
 
     def __init__(self, x0=math.nan, dx=math.nan, lo=0, samples=None):
         self.x0, self.dx, self.lo, self.samples = x0, dx, lo, samples
         self.spectrum: Spectrum | None = None
-        self.sups: dict = {}
+        self.sups: list | str | None = None
         self.rows: dict = {}
 
 
@@ -274,43 +264,42 @@ def compute_spectrum(f: SampledFunction) -> Spectrum:
     return s
 
 
-def _refusals(f: SampledFunction, lo: int, hi: int) -> list[_Refusal | None]:
-    """Why each order lo..hi-1 of f is past the noise floor, None for an
-    order that is not.
+def _refusal(f: SampledFunction, orders) -> str | None:
+    """Why the lowest order in orders is past the noise floor, None when
+    no order is.
 
     Band-only and cheap: the inverse FFT is never needed to decide, and
-    |F| and |xi| on the band are read once for the whole range.  A range
-    with no order past 0 reads nothing."""
-    orders = range(lo, hi)
-    if not any(orders):
-        return [None] * len(orders)
+    |F| and |xi| on the band are read once for all orders.  Order 0 is
+    never refused, so orders with none past 0 read nothing."""
+    orders = [k for k in orders if k]
+    if not orders:
+        return None
     s = compute_spectrum(f)
     if math.isnan(s.edge):
-        refused, why = orders, "empty resolved band"
-    elif s.truncated:
+        return "empty resolved band"
+    if s.truncated:
         # never saw the spectrum reach the floor: the grid derivative
         # would describe the band-limited interpolant, not the function
-        refused, why = orders, "order {k}: spectrum unresolved at the grid edge"
-    else:
-        absF = np.abs(f._transform[s.band])
-        absxi = np.abs(_grid(f.n, f.dx, f.x0).xi[s.band])
-        refused = [k for k in orders if k and
-                   absxi[int(np.argmax(absF * absxi ** k))] >= s.edge * (1 - 1e-9)]
-        why = "order {k}: integrand peaks at the mask boundary"
-    return [_Refusal(why.format(k=k)) if k and k in refused else None for k in orders]
+        return f"order {orders[0]}: spectrum unresolved at the grid edge"
+    absF = np.abs(f._transform[s.band])
+    absxi = np.abs(_grid(f.n, f.dx, f.x0).xi[s.band])
+    for k in orders:
+        if absxi[int(np.argmax(absF * absxi ** k))] >= s.edge * (1 - 1e-9):
+            return f"order {k}: integrand peaks at the mask boundary"
+    return None
 
 
 def spectral_derivative(f: SampledFunction, k) -> np.ndarray:
     """k-th derivative on the grid, refusing orders past the noise floor.
 
-    k may also be a tuple of orders that _refusals has already passed, as
-    _derivative_sup does; the result then has one row per order, all from
-    one batched inverse FFT of a (len(k), n) array.  numpy transforms each
-    row of it exactly as the one-row ifft, bit for bit.
+    k may also be a tuple of orders that _refusal has already passed, as
+    _sups does; the result then has one row per order, all from one
+    batched inverse FFT of a (len(k), n) array.  numpy transforms each row
+    of it exactly as the one-row ifft, bit for bit.
     """
     single = np.ndim(k) == 0
-    if single and (why := _refusals(f, k, k + 1)[0]) is not None:
-        raise DerivativeOrderUnreliable(why.message)
+    if single and (why := _refusal(f, (k,))) is not None:
+        raise DerivativeOrderUnreliable(why)
     orders = (k,) if single else tuple(k)
     band = compute_spectrum(f).band
     ixi = 1j * _grid(f.n, f.dx, f.x0).xi[band]
@@ -323,54 +312,33 @@ def spectral_derivative(f: SampledFunction, k) -> np.ndarray:
     return D[0].real if single else D.real
 
 
-def _sup_table(f: SampledFunction, k: int, K: CompactBox) -> list:
-    """f's sup table on K, holding every order up to at least max(k, K_MAX).
+def _sups(f: SampledFunction) -> list[tuple[float, float, float]]:
+    """(sup over the support of |f^(k)|, its x, sup over the grid) for
+    k = 0..K_MAX, tabled in f's memo, or the lowest refusal raised.
 
-    Orders are entered from 0 up, band-only: each as its refusal, or as
-    None, the sup still to be computed."""
-    (a, b), = K.intervals
-    table = f._memo.sups.setdefault((a, b), [])
-    table += _refusals(f, len(table), max(k, K_MAX) + 1)
-    return table
-
-
-def _first_refusal(f: SampledFunction, k_max: int, K: CompactBox) -> str | None:
-    """The refusal of the lowest refused order k <= k_max of f on K, if any.
-
-    Readers of a whole range of orders raise it before reading any sup, so
-    no inverse FFT runs for orders whose sups would be discarded."""
-    for entry in _sup_table(f, k_max, K)[: k_max + 1]:
-        if isinstance(entry, _Refusal):
-            return entry.message
-    return None
-
-
-def _derivative_sup(f: SampledFunction, k: int, K: CompactBox) -> tuple[float, float, float]:
-    """(sup over K of |f^(k)|, its x, sup over the grid), tabled on f.
-
-    The first lookup on K tables every order up to max(k, K_MAX) as its
-    refusal or as pending.  The first read of an accepted order computes
-    every pending order of K from one batched spectral_derivative.  The
-    refusal test is monotone in k (an edge bin that maximises |F||xi|^k
-    also maximises |F||xi|^(k+1)), so the batch holds the orders a
-    per-order loop would have transformed, and no more.
+    The refusal test is monotone in k (an edge bin that maximises
+    |F||xi|^k also maximises |F||xi|^(k+1)), so the table is refused at
+    the order where a per-order loop would have stopped.
     """
-    table = _sup_table(f, k, K)
-    if table[k] is None:
-        pending = [j for j, entry in enumerate(table) if entry is None]
-        d = spectral_derivative(f, tuple(pending))
-        np.abs(d, out=d)
-        # the grid is increasing, so K is one slice of it
-        (a, b), = K.intervals
-        xs = f.xs
-        lo = int(np.searchsorted(xs, a, "left"))
-        hi = int(np.searchsorted(xs, b, "right"))
-        for j, row in zip(pending, d):
-            i = lo + int(np.argmax(row[lo:hi]))
-            table[j] = (float(row[i]), float(xs[i]), float(np.max(row)))
-    if isinstance(table[k], _Refusal):
-        raise DerivativeOrderUnreliable(table[k].message)
-    return table[k]
+    table = f._memo.sups
+    if table is None:
+        table = _refusal(f, range(K_MAX + 1))
+        if table is None:
+            d = spectral_derivative(f, tuple(range(K_MAX + 1)))
+            np.abs(d, out=d)
+            # the grid is increasing, so the support is one slice of it
+            (a, b), = f.support.intervals
+            xs = f.xs
+            lo = int(np.searchsorted(xs, a, "left"))
+            hi = int(np.searchsorted(xs, b, "right"))
+            table = []
+            for row in d:
+                i = lo + int(np.argmax(row[lo:hi]))
+                table.append((float(row[i]), float(xs[i]), float(np.max(row))))
+        f._memo.sups = table
+    if isinstance(table, str):
+        raise DerivativeOrderUnreliable(table)
+    return table
 
 
 @dataclass(frozen=True)
@@ -390,20 +358,15 @@ def _log_prefix(seq: LogWeightSequence, k: int) -> list[float]:
 
 
 def seminorm_derivative(
-    f: SampledFunction, seq: LogWeightSequence, K: CompactBox, h: float, k_max: int
+    f: SampledFunction, seq: LogWeightSequence, h: float
 ) -> SeminormResult:
-    if (why := _first_refusal(f, k_max, K)) is not None:
-        raise DerivativeOrderUnreliable(why)
-    # no order up to k_max is refused, so this fills all of them
-    _derivative_sup(f, k_max, K)
-    (a, b), = K.intervals
-    table = f._memo.sups[(a, b)]
-    logs = _log_prefix(seq, k_max)
+    """max over k <= K_MAX of sup over f's support of |f^(k)| / (h^k M_k)."""
+    table = _sups(f)
+    logs = _log_prefix(seq, K_MAX)
     lh = math.log(h)
-    best, bk, bx = -math.inf, 0, a
+    best, bk, bx = -math.inf, 0, f.support.intervals[0][0]
     per = []
-    for k in range(k_max + 1):
-        sup, x, _ = table[k]
+    for k, (sup, x, _) in enumerate(table):
         val = sup * math.exp(-k * lh - logs[k])
         per.append(val)
         if val > best:
@@ -480,12 +443,10 @@ def check_lemma53_i(f: SampledFunction, seq: LogWeightSequence, h: float) -> Ver
     _, hi = fourier_norm(f, seq, h)
     if hi == 0.0:
         return verdicts.holds(trivial=True, C=0.0)
-    if (why := _first_refusal(f, K_MAX, f.support)) is not None:
-        raise DerivativeOrderUnreliable(why)
+    table = _sups(f)
     w = _norm_row(f, seq).w
     worst = 0.0
-    for k in range(K_MAX + 1):
-        _, _, sup = _derivative_sup(f, k, f.support)
+    for k, (_, _, sup) in enumerate(table):
         bound = hi / (2 * math.pi) * math.exp(h * w.phi_star(k / h))
         worst = max(worst, sup / bound)
     if worst <= 1.0 + 1e-9:
@@ -770,7 +731,7 @@ def _derivative_indicator(f, M: WeightMatrix, h_grid) -> str:
     for row in M.rows:
         for h in h_grid:
             try:
-                res = seminorm_derivative(f, row, f.support, h, K_MAX)
+                res = seminorm_derivative(f, row, h)
             except DerivativeOrderUnreliable:
                 # failing already at low order with spectral mass at the band
                 # edge means the function is certified non-smooth at grid scale
@@ -784,7 +745,7 @@ def _weightfn_indicator(f, M: WeightMatrix, l_grid, derived_row) -> str:
     for i in range(len(M.rows)):
         for l in l_grid:
             try:
-                res = seminorm_derivative(f, derived_row(i, l), f.support, 1.0, K_MAX)
+                res = seminorm_derivative(f, derived_row(i, l), 1.0)
             except DerivativeOrderUnreliable:
                 return "negative"
             if _trend_classify(res.per_order) == "finite":

@@ -129,7 +129,7 @@ class MinorantTrace:
         }
 
 
-def _first_index_where(pred, start: int, cap: int = 10 ** 18) -> int | None:
+def _first_index_where(pred, start: int) -> int | None:
     """Minimal integer >= start with pred true; pred must be monotone
     (false ... false true ... true).  Exponential bracket plus bisection."""
     lo, hi = start, start
@@ -138,7 +138,7 @@ def _first_index_where(pred, start: int, cap: int = 10 ** 18) -> int | None:
         lo = hi + 1
         step *= 4
         hi = hi + step
-        if hi > cap:
+        if hi > 10 ** 18:
             return None
     while lo < hi:
         mid = (lo + hi) // 2
@@ -253,7 +253,7 @@ def construct_minorant(M: WeightMatrix) -> MinorantTrace:
     return MinorantTrace(tuple(a), tuple(b), N, float(total), Q - 1, certs)
 
 
-def minorant_checkpoints(trace: MinorantTrace, M: WeightMatrix, n: int = 400):
+def minorant_checkpoints(trace: MinorantTrace, M: WeightMatrix):
     """Roots of the constructed minorant at the stored prefix plus
     log-spaced indices through every recursion regime; used to replay the
     monotonicity and domination invariants far beyond the prefix."""
@@ -263,7 +263,7 @@ def minorant_checkpoints(trace: MinorantTrace, M: WeightMatrix, n: int = 400):
     hi = 4.0 * b[-1]
     ps = sorted(
         set(range(1, trace.N.P + 1))
-        | set(int(p) for p in np.geomspace(2, hi, n))
+        | set(int(p) for p in np.geomspace(2, hi, 400))
         | set(a) | set(b)
         | set(x + 1 for x in a) | set(x + 1 for x in b)
     )
@@ -313,15 +313,7 @@ def sandwich_construct(
 
     failures = []
     for cand in candidates:
-        checks = {
-            "log_convex": check_log_convex(cand),
-            "nq": None,
-        }
-        try:
-            checks["nq"] = class_nq_verdict(cand)
-        except RoutesDisagree:
-            raise
-        ok = checks["log_convex"].holds and checks["nq"].holds
+        ok = all(v.holds for v in (check_log_convex(cand), class_nq_verdict(cand)))
         for r in n_rows:
             ok = ok and relation_triangle(r, cand).holds
         for r in m_rows:

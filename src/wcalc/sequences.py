@@ -12,7 +12,7 @@ content, so equal rows built apart are interchangeable keys.
 
 Every row built from a closed-form tail goes through
 LogWeightSequence.from_tail, behind one process-wide lru_cache of the 64
-most recently requested (tail, pmax, label, tail_from).  The key holds the
+most recently requested (tail, pmax, label).  The key holds the
 type and repr of each of the tail's fields as well: FactorialPower(2, 1.0)
 equals FactorialPower(2.0, 1.0) but prints "s": 2, so a shared row would
 make a report depend on what the process built before it.
@@ -108,21 +108,19 @@ class LogWeightSequence:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def from_tail(tail: Tail, pmax: int, label: str = "", tail_from: int = 0) -> "LogWeightSequence":
+    def from_tail(tail: Tail, pmax: int, label: str = "") -> "LogWeightSequence":
         """The row of tail at p = 0..pmax, shared with every equal request
         while it stays in the memo (see the module docstring)."""
-        return _row_from_tail(_typed_tail(tail), pmax, label, tail_from)
+        return _row_from_tail(_typed_tail(tail), pmax, label)
 
     @staticmethod
-    def gevrey(s: float, pmax: int = 200, label: str = "") -> "LogWeightSequence":
-        return LogWeightSequence.from_tail(
-            FactorialPower(s, 1.0), pmax, label or f"gevrey:{s:g}"
-        )
+    def gevrey(s: float, pmax: int = 200) -> "LogWeightSequence":
+        return LogWeightSequence.from_tail(FactorialPower(s, 1.0), pmax, f"gevrey:{s:g}")
 
     @staticmethod
-    def factorial_power(s: float, a: float, pmax: int = 200, label: str = "") -> "LogWeightSequence":
+    def factorial_power(s: float, a: float, pmax: int = 200) -> "LogWeightSequence":
         return LogWeightSequence.from_tail(
-            FactorialPower(s, a), pmax, label or f"factorial_power:{s:g},{a:g}"
+            FactorialPower(s, a), pmax, f"factorial_power:{s:g},{a:g}"
         )
 
     # -- accessors ------------------------------------------------------
@@ -150,9 +148,9 @@ class LogWeightSequence:
             raise ValueError("roots defined for p >= 1")
         return self.log_at(p) / p
 
-    def is_normalized(self, tol: float = LOG_TOL) -> bool:
+    def is_normalized(self) -> bool:
         L0, L1 = self.L[:2].tolist()
-        return abs(L0) <= tol and L1 >= -tol
+        return abs(L0) <= LOG_TOL and L1 >= -LOG_TOL
 
     def with_label(self, label: str) -> "LogWeightSequence":
         return replace(self, label=label)
@@ -178,10 +176,10 @@ def _typed_tail(tail: Tail) -> tuple:
 
 
 @functools.lru_cache(maxsize=64, typed=True)
-def _row_from_tail(typed_tail: tuple, pmax: int, label: str, tail_from: int) -> LogWeightSequence:
+def _row_from_tail(typed_tail: tuple, pmax: int, label: str) -> LogWeightSequence:
     tail = typed_tail[0]
     vals = tail.log_values(np.arange(pmax + 1))
-    return LogWeightSequence(vals, tail, tail_from, label)
+    return LogWeightSequence(vals, tail, 0, label)
 
 
 def keep(d: dict, key, limit: int, build):
@@ -388,9 +386,8 @@ def check_carleman_consistency(seq: LogWeightSequence) -> Verdict:
     return verdicts.fails(mu_route=v_mu.status.value, root_route=v_root.status.value)
 
 
-def check_beta3(seq: LogWeightSequence, Q_max: int = 8) -> Verdict:
-    if Q_max < 2:
-        raise ValueError("Q_max must be at least 2")
+def check_beta3(seq: LogWeightSequence) -> Verdict:
+    Q_max = 8
     if seq.tail is not None:
         kind, u, _ = seq.tail.asymptote()
         if kind == "poly":

@@ -311,13 +311,10 @@ def root_gap_limit(t1: Tail | None, t2: Tail | None) -> float | None:
     return b1 - b2
 
 
-def geometric_mean(t1: Tail | None, t2: Tail | None, w: float = 0.5) -> Tail | None:
-    """Tail of p -> M_p**w * N_p**(1-w) when a closed form exists."""
+def geometric_mean(t1: Tail | None, t2: Tail | None) -> Tail | None:
+    """Tail of p -> (M_p N_p)**0.5 when a closed form exists."""
     if isinstance(t1, FactorialPower) and isinstance(t2, FactorialPower):
-        return FactorialPower(
-            w * t1.s + (1 - w) * t2.s,
-            t1.a ** w * t2.a ** (1 - w),
-        )
+        return FactorialPower(0.5 * t1.s + 0.5 * t2.s, t1.a ** 0.5 * t2.a ** 0.5)
     return None
 
 

@@ -123,16 +123,16 @@ class WeightFunction:
         }
 
 
-def make_power_log_weight(sigma: float, label: str = "") -> WeightFunction:
+def make_power_log_weight(sigma: float) -> WeightFunction:
     """omega_s(t) = max(0, (log t)**sigma)."""
     if sigma <= 1:
         raise ValueError("need sigma > 1 for a weight with log t = o(omega)")
     return WeightFunction(
-        ("power_log", float(sigma)), None, math.inf, label or f"powerlog:{sigma:g}"
+        ("power_log", float(sigma)), None, math.inf, f"powerlog:{sigma:g}"
     )
 
 
-def make_root_power_weight(a: float, c: float = 1.0, label: str = "") -> WeightFunction:
+def make_root_power_weight(a: float, c: float = 1.0) -> WeightFunction:
     """omega(t) = max(0, c*(t**a - 1))."""
     if a <= 0 or c <= 0:
         raise ValueError("need a > 0 and c > 0")
@@ -140,8 +140,7 @@ def make_root_power_weight(a: float, c: float = 1.0, label: str = "") -> WeightF
         # the rows' threshold c*a underflows: every row would divide by 0
         raise ValueError("need c * a > 0 in floating point")
     return WeightFunction(
-        ("root_power", float(a), float(c)), None, math.inf,
-        label or f"rootpower:{a:g},{c:g}",
+        ("root_power", float(a), float(c)), None, math.inf, f"rootpower:{a:g},{c:g}"
     )
 
 

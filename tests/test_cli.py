@@ -143,6 +143,9 @@ def test_file_descriptors_build_rows_through_one_reader(tmp_path):
     ["matrix", "stability", "--gevrey", ","],
     ["matrix", "chain", "--gevrey", ","],
     ["fourier", "harness", "--gevrey", ","],
+    # one weight parameter too many
+    ["matrix", "dossier", "--weight", "rootpower:1,2,7"],
+    ["analyze", "--weight", "powerlog:2,3"],
 ])
 def test_out_of_domain_descriptor_value_is_exit_2(argv):
     res = subprocess.run(

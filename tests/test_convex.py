@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wcalc.catalogue import gevrey
 from wcalc.convex import (
     ConvexPL,
     lower_hull,
@@ -121,15 +122,15 @@ def test_envelope_drops_dominated_line():
 
 
 def test_lower_hull_simple():
-    pts = [(0.0, 0.0), (1.0, 2.0), (2.0, 1.0), (3.0, 3.0)]
+    pts = np.array([(0.0, 0.0), (1.0, 2.0), (2.0, 1.0), (3.0, 3.0)])
     hull = lower_hull(pts)
-    assert hull == [(0.0, 0.0), (2.0, 1.0), (3.0, 3.0)]
+    assert hull.tolist() == [[0.0, 0.0], [2.0, 1.0], [3.0, 3.0]]
 
 
 def test_lower_hull_keeps_collinear_endpoints():
-    pts = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]
+    pts = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
     hull = lower_hull(pts)
-    assert hull[0] == (0.0, 0.0) and hull[-1] == (2.0, 2.0)
+    assert hull[0].tolist() == [0.0, 0.0] and hull[-1].tolist() == [2.0, 2.0]
 
 
 @given(convex_pls())
@@ -141,6 +142,14 @@ def test_conjugate_is_convex(f):
 
 
 def test_serialization_round_trip():
-    f = make_pl((0.0, 1.0, 2.5), (0.5, 2.0), left_slope=0.0)
-    g = ConvexPL.from_json(f.to_json())
-    assert g.is_close(f)
+    seq = gevrey(2.0, 200)
+    for f in (
+        make_pl((0.0, 1.0, 2.5), (0.5, 2.0), left_slope=0.0),
+        # built from arrays: its tuple is read from them
+        upper_envelope_of_lines(np.arange(seq.P + 1), -seq.L),
+    ):
+        g = ConvexPL.from_json(f.to_json())
+        assert g.is_close(f)
+        assert g == f
+        for i in (0, -1, len(f.breakpoints) // 2):
+            assert f.breakpoint(i) == f.breakpoints[i] == g.breakpoint(i)

@@ -154,9 +154,9 @@ def test_zero_function_norm():
 def test_seminorm_attains_at_low_order_for_bump():
     g2 = LogWeightSequence.gevrey(2.0, 200)
     f = bump_builder(CompactBox(((-1.0, 1.0),)), g2, 20)
-    res = seminorm_derivative(f, g2, f.support, 4.0, 8)
+    res = seminorm_derivative(f, g2, 4.0)
     assert res.value >= max(res.per_order) - 1e-12
-    assert len(res.per_order) == 9
+    assert len(res.per_order) == K_MAX + 1
 
 
 def test_decay_oracle_and_exponent_fit():
@@ -251,15 +251,16 @@ def _reference_derivative(f, k):
     return np.real(np.fft.ifft(mult * F))
 
 
-def _reference_seminorm(f, seq, K, h, k_max):
-    """The uncached loop: one derivative per order, normalised per call.
+def _reference_seminorm(f, seq, h):
+    """The uncached loop: one derivative per order on f's support,
+    normalised per call.
 
     Returns (result, None) or (None, (order, type, message)) on refusal."""
-    (a, b), = K.intervals
+    (a, b), = f.support.intervals
     sel = (f.xs >= a) & (f.xs <= b)
     best, bk, bx = -math.inf, 0, a
     per = []
-    for k in range(k_max + 1):
+    for k in range(K_MAX + 1):
         try:
             d = _reference_derivative(f, k)[sel]
         except DerivativeOrderUnreliable as e:
@@ -272,9 +273,9 @@ def _reference_seminorm(f, seq, K, h, k_max):
     return (best, bk, bx, tuple(per)), None
 
 
-def _table_seminorm(f, seq, h, k_max):
+def _table_seminorm(f, seq, h):
     try:
-        r = seminorm_derivative(f, seq, f.support, h, k_max)
+        r = seminorm_derivative(f, seq, h)
     except DerivativeOrderUnreliable as e:
         return None, (type(e), str(e))
     return (r.value, r.attained_k, r.attained_x, r.per_order), None
@@ -319,25 +320,22 @@ def _equivalence_battery():
 def test_seminorm_table_matches_uncached_loop(name):
     row, builders = _equivalence_battery()
     build = builders[name]
-    k_max = 10
     g = build()
-    ref = {h: _reference_seminorm(g, row, g.support, h, k_max) for h in H_SEMI}
+    ref = {h: _reference_seminorm(g, row, h) for h in H_SEMI}
     f = build()
-    # fill the table in a different order each pass: a short prefix of the
-    # orders first, then h descending, then ascending twice
-    _table_seminorm(f, row, 3.0, 2)
+    # fill the table at the largest h, then read it descending and
+    # ascending twice
     for hs in (H_SEMI[::-1], H_SEMI, H_SEMI):
         for h in hs:
-            got, refused = _table_seminorm(f, row, h, k_max)
+            got, refused = _table_seminorm(f, row, h)
             want, want_refused = ref[h]
             if want_refused is None:
                 assert refused is None
                 assert got == want          # bit for bit, attained x included
             else:
-                k, kind, msg = want_refused
+                # the lowest refused order, as the per-order loop meets it
+                _, kind, msg = want_refused
                 assert got is None and refused == (kind, msg)
-                # the refusal comes at the same order: one order less succeeds
-                assert _table_seminorm(f, row, h, k - 1)[1] is None
     for h in H_SMALL:
         first = _bracket_or_refusal(f, row, h)
         assert _bracket_or_refusal(f, row, h) == first
@@ -697,22 +695,25 @@ def test_one_mask_equals_the_modulus_mask():
 
 # -- the derivative table from one batched inverse FFT ---------------------
 
-def _reference_sup(f, k, K):
-    """One _derivative_sup entry from the per-order 1-D reference, as
-    float.hex strings, or the refusal's (type, message)."""
-    try:
-        d = np.abs(_reference_derivative(f, k))
-    except DerivativeOrderUnreliable as e:
-        return (type(e), str(e))
-    (a, b), = K.intervals
+def _reference_sups(f):
+    """The sup table from the per-order 1-D reference on f's support, as
+    float.hex strings, or the lowest refusal's (type, message)."""
+    (a, b), = f.support.intervals
     sel = (f.xs >= a) & (f.xs <= b)
-    i = int(np.argmax(d[sel]))
-    return tuple(float(v).hex() for v in (d[sel][i], f.xs[sel][i], np.max(d)))
+    out = []
+    for k in range(K_MAX + 1):
+        try:
+            d = np.abs(_reference_derivative(f, k))
+        except DerivativeOrderUnreliable as e:
+            return (type(e), str(e))
+        i = int(np.argmax(d[sel]))
+        out.append(tuple(float(v).hex() for v in (d[sel][i], f.xs[sel][i], np.max(d))))
+    return out
 
 
-def _table_sup(f, k, K):
+def _table_sups(f):
     try:
-        return tuple(v.hex() for v in fourier._derivative_sup(f, k, K))
+        return [tuple(v.hex() for v in entry) for entry in fourier._sups(f)]
     except DerivativeOrderUnreliable as e:
         return (type(e), str(e))
 
@@ -721,27 +722,16 @@ def test_batched_table_is_bit_identical():
     refused_seen = set()
     for case, build in _mask_battery():
         f = build()
-        boxes = [f.support]
-        if case == "standard_bump":
-            boxes.append(CompactBox(((-0.5, 0.25),)))
-        for K in boxes:
-            for k in range(K_MAX + 1):
-                want = _reference_sup(f, k, K)
-                assert _table_sup(f, k, K) == want, (case, K, k)
-                refused_seen.add(isinstance(want[0], type))
-        # the first lookup filled every order 0..K_MAX
-        (a, b), = f.support.intervals
-        assert len(f._memo.sups[(a, b)]) == K_MAX + 1
+        want = _reference_sups(f)
+        assert _table_sups(f) == want, case
+        refused = isinstance(want, tuple)
+        # the memo keeps all K_MAX + 1 orders, or the lowest refusal alone
+        if refused:
+            assert f._memo.sups == want[1], case
+        else:
+            assert len(f._memo.sups) == K_MAX + 1, case
+        refused_seen.add(refused)
     assert refused_seen == {False, True}
-
-
-def test_table_past_k_max_is_filled_on_first_lookup(monkeypatch):
-    f = standard_bump()
-    want = [_reference_sup(f, k, f.support) for k in range(K_MAX + 3)]
-    count = _FFTCounter(monkeypatch)
-    assert _table_sup(f, K_MAX + 2, f.support) == want[-1]
-    assert [_table_sup(f, k, f.support) for k in range(K_MAX + 3)] == want
-    assert (count.forward, count.inverse) == (1, 1)
 
 
 def test_batch_rows_do_not_depend_on_their_position():
@@ -759,25 +749,25 @@ def test_batch_rows_do_not_depend_on_their_position():
 # -- refusals before transforms, and one synthesis per distinct bump -------
 
 def test_refusal_is_raised_before_any_inverse_fft(monkeypatch):
-    # a reader of orders 0..k raises the lowest refused one before it reads
-    # a sup, so the sups it would discard are never transformed; the memo
-    # is cleared so that the indicator's table is filled here
+    # a table with a refused order keeps the lowest refusal alone, decided
+    # on the band, so no sup is transformed; the memo is cleared so that
+    # the fixed functions' tables are filled here
     fourier._memo_of.cache_clear()
-    f, g = _algebraic_decay(), indicator_control()
+    f, g, b = _algebraic_decay(), indicator_control(), standard_bump()
     row = gevrey(2.0, 200)
-    want = _reference_sup(g, 0, g.support)
+    want = _reference_sups(b)
     count = _FFTCounter(monkeypatch)
     with pytest.raises(DerivativeOrderUnreliable) as exc:
         check_lemma53_i(f, row, 0.1)
     assert str(exc.value) == "order 9: integrand peaks at the mask boundary"
     with pytest.raises(DerivativeOrderUnreliable) as exc:
-        seminorm_derivative(g, row, g.support, 1.0, K_MAX)
+        seminorm_derivative(g, row, 1.0)
     assert str(exc.value) == "order 1: spectrum unresolved at the grid edge"
     assert (count.forward, count.inverse) == (2, 0)
-    # the first read of an accepted order transforms all of them at once
-    assert seminorm_derivative(f, row, f.support, 1.0, 8).attained_k == 8
-    assert _table_sup(g, 0, g.support) == want
-    assert count.inverse == 2
+    # an accepted table takes every order from one batched inverse FFT
+    assert _table_sups(b) == want
+    seminorm_derivative(b, row, 1.0)
+    assert (count.forward, count.inverse) == (3, 1)
 
 
 def test_truncated_band_builds_no_norm_row():
@@ -804,10 +794,9 @@ def test_bump_memo_hit_equals_fresh_synthesis():
         fresh = _reference_bump(K, gevrey(s, 200), depth)
         assert (hit.x0, hit.dx) == (fresh.x0, fresh.dx)
         assert hit.values.tobytes() == fresh.values.tobytes(), case
-        for k in range(K_MAX + 1):
-            assert _table_sup(hit, k, K) == _table_sup(fresh, k, K), (case, k)
-        assert _table_seminorm(hit, gevrey(s, 200), 1.0, K_MAX) == \
-            _table_seminorm(fresh, gevrey(s, 200), 1.0, K_MAX), case
+        assert _table_sups(hit) == _table_sups(fresh), case
+        assert _table_seminorm(hit, gevrey(s, 200), 1.0) == \
+            _table_seminorm(fresh, gevrey(s, 200), 1.0), case
     # every Gevrey row has log M_0 = log M_1 = 0: one depth-1 control
     K = CompactBox(((-1.0, 1.0),))
     assert bump_builder(K, gevrey(1.0, 200), 1)._memo is \
@@ -1097,21 +1086,21 @@ def test_fixed_function_memo_hit_equals_fresh_build(monkeypatch, build, fresh_bu
     assert hit.values.tobytes() == fresh.values.tobytes()
     rows = [gevrey(s, 1200) for s in (1.5, 2.0)]
     want = (
-        [_table_sup(fresh, k, fresh.support) for k in range(K_MAX + 1)],
-        [_table_seminorm(fresh, row, h, K_MAX) for row in rows for h in H_SEMI],
+        _table_sups(fresh),
+        [_table_seminorm(fresh, row, h) for row in rows for h in H_SEMI],
         [_record_fourier_norm(fresh, row, h) for row in rows for h in H_SMALL],
     )
     for f in (first, hit, build()):
         got = (
-            [_table_sup(f, k, f.support) for k in range(K_MAX + 1)],
-            [_table_seminorm(f, row, h, K_MAX) for row in rows for h in H_SEMI],
+            _table_sups(f),
+            [_table_seminorm(f, row, h) for row in rows for h in H_SEMI],
             [_record_fourier_norm(f, row, h) for row in rows for h in H_SMALL],
         )
         assert got == want
     # once the memo is full, a new copy reads it without a transform
     count = _FFTCounter(monkeypatch)
     f = build()
-    assert [_table_sup(f, k, f.support) for k in range(K_MAX + 1)] == want[0]
+    assert _table_sups(f) == want[0]
     assert [_record_fourier_norm(f, row, h) for row in rows for h in H_SMALL] == want[2]
     assert (count.forward, count.inverse) == (0, 0)
 
@@ -1173,13 +1162,11 @@ def test_one_spectrum_per_construction(monkeypatch):
     assert compute_spectrum(f) is not compute_spectrum(g)
     assert compute_spectrum(f) is not compute_spectrum(standard_bump())
     # a warm copy whose table is full never takes a transform
-    for k in range(K_MAX + 1):
-        _table_sup(first, k, K)
+    table = _table_sups(first)
     count = _FFTCounter(monkeypatch)
     warm = bump_builder(K, row, 10)
-    assert [_table_sup(warm, k, K) for k in range(K_MAX + 1)] == \
-        [_table_sup(first, k, K) for k in range(K_MAX + 1)]
-    seminorm_derivative(warm, row, K, 1.0, K_MAX)
+    assert _table_sups(warm) == table
+    seminorm_derivative(warm, row, 1.0)
     assert compute_spectrum(warm) is spec
     assert (count.forward, count.inverse) == (0, 0)
     assert "_transform" not in vars(warm)

@@ -129,3 +129,16 @@ def test_only_sequences_reads_a_rows_dict():
         and not (isinstance(n.value, ast.Name) and n.value.id == "self")
     ]
     assert not touched, f"a row's __dict__ outside sequences.py: {touched}"
+
+
+def test_only_convex_reads_a_convex_pls_arrays():
+    # a ConvexPL is its float arrays, built and read in convex.py alone, so
+    # exact slopes (ROADMAP item 9) change one construction path
+    private = {"_xs", "_vs", "_seg", "_from_arrays"}
+    touched = [
+        f"{p.name}:{n.lineno} {n.attr}"
+        for p, tree in _modules().items() if p.name != "convex.py"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr in private
+    ]
+    assert not touched, f"a ConvexPL's arrays outside convex.py: {touched}"
