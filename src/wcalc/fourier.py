@@ -619,11 +619,84 @@ def indicator_control() -> SampledFunction:
     return _sampled("indicator_control", _UNIT)
 
 
+# The reference sum is one exact integer, computed modulo primes below 2^23
+# in float64.  Residues are kept signed, |r| <= (p + 1) / 2 <= 2^22, so a
+# product of two is at most 2^44, and the longest sum of products, over the
+# 2 A = 130 outer terms of the reference (A = 65 blocks of _BLOCK samples),
+# stays below 2^52, where float64 holds every integer exactly.  A big integer
+# enters as signed _LIMB_BITS-bit limbs, each times its residue 2^(16 k) mod p.
+_PRIME_BITS = 23
+_BLOCK = 64
+_LIMB_BITS = 16
+
+
+class _HalfSamples(NamedTuple):
+    """The standard bump's half-grid samples at one precision, as residues."""
+
+    S: int                     # every integer below is a multiple of 2^-S
+    primes: np.ndarray         # (P,) float64
+    limb_residues: np.ndarray  # (P, L): 2^(16 k) mod p for the L limbs, k < L
+    samples: np.ndarray        # (P, A, _BLOCK): g_{a B + b}, -B/2 <= b < B/2
+    M: int                     # the product of the primes
+    crt: tuple[int, ...]       # (M / p) ((M / p)^-1 mod p) per prime
+
+
+def _mod(x: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """A residue of x modulo p, in place, for float64 integers |x| < 2^52,
+    p broadcast: x - p rint(x / p), of modulus at most (p + 1) / 2.
+
+    |x / p| < 2^30, so the float quotient is within 2^-23 of x / p, and q p
+    and x - q p are integers below 2^53, computed exactly."""
+    q = x / primes
+    np.rint(q, out=q)
+    q *= primes
+    x -= q
+    return x
+
+
+def _residues(ints: list[int], primes: np.ndarray, limb_residues: np.ndarray) -> np.ndarray:
+    """(P, len(ints)) float64: each |x| < 2^(16 L - 1) modulo each prime; the
+    top one of x's L limbs is signed."""
+    L = limb_residues.shape[1]
+    buf = b"".join([x.to_bytes(2 * L, "little", signed=True) for x in ints])
+    limbs = np.frombuffer(buf, dtype="<u2").reshape(-1, L).astype(np.float64)
+    limbs[:, -1] -= 65536.0 * (limbs[:, -1] >= 32768.0)
+    return _mod(limb_residues @ limbs.T, primes[:, None])
+
+
+def _signed_lift(rs: list[int], t: _HalfSamples) -> int:
+    """The integer x, |x| < M / 2, with the residues rs (the Chinese remainder
+    theorem as in Knuth, *TAOCP* vol. 2, 4.3.2)."""
+    x = sum(map(int.__mul__, rs, t.crt)) % t.M
+    return x - t.M if 2 * x > t.M else x
+
+
+def _primes_below(bound: int) -> list[int]:
+    """The largest primes below 2^_PRIME_BITS, as many as make their
+    product > bound."""
+    out, prod, n = [], 1, (1 << _PRIME_BITS) - 1
+    while prod <= bound:
+        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
+            out.append(n)
+            prod *= n
+        n -= 2
+    return out
+
+
 @functools.lru_cache(maxsize=2)
-def _bump_half_samples(dps: int) -> tuple[int, tuple[int, ...]]:
-    """(S, samples): the standard bump's nonzero samples f(j dx), x = j dx
-    >= 0 on the GRID_N-point grid over [-2, 2), computed at dps digits and
-    kept as the integers round(f(j dx) 2^S), S = 3.33 dps + 64 bits.
+def _bump_half_samples(dps: int) -> _HalfSamples:
+    """The standard bump's nonzero samples f(j dx), x = j dx >= 0 on the
+    GRID_N-point grid over [-2, 2), computed at dps digits and rounded to
+    the integers F_j = round(f(j dx) 2^S), S = 3.33 dps + 64 bits, kept as
+    the residues of g_0 = F_0, g_j = 2 F_j (g_j = 0 for j < 0 and past the
+    support) with the tables of the lift.
+
+    Every rotation point (c, s) of reference_spectrum_standard_bump has
+    c^2 + s^2 < 2^(2S+1): it starts within one unit of radius 2^S, and each
+    of its at most 64 steps moves it by a few units.  So each term
+    g_j (c_a c_b + s_a s_b) is below g_j 2^(2S+1), and the primes are as
+    many as make M > 2 sum g_j 2^(2S+1): the sum's integer is the signed
+    lift of its residues.
     """
     import mpmath as mp
 
@@ -636,7 +709,36 @@ def _bump_half_samples(dps: int) -> tuple[int, tuple[int, ...]]:
             if abs(x) >= 1:
                 break
             fs.append(int(mp.nint(mp.ldexp(mp.e ** (-1 / (1 - x * x)), S))))
-    return S, tuple(fs)
+    gs = [fs[0]] + [2 * f for f in fs[1:]]
+    primes = _primes_below(2 * (sum(gs) << (2 * S + 1)))
+    M = math.prod(primes)
+    L = (S + 2 + _LIMB_BITS - 1) // _LIMB_BITS   # |x| < 2^(S+1) <= 2^(16 L - 1)
+    ps = _frozen(np.array(primes, dtype=np.float64))
+    table = _frozen(np.array([[pow(2, _LIMB_BITS * k, p) for k in range(L)]
+                              for p in primes], dtype=np.float64))
+    half = _BLOCK // 2
+    A = (len(gs) + half + _BLOCK - 1) // _BLOCK
+    padded = [0] * half + gs + [0] * (A * _BLOCK - half - len(gs))
+    samples = _frozen(_residues(padded, ps, table).reshape(len(primes), A, _BLOCK))
+    return _HalfSamples(S, ps, table, samples, M,
+                        tuple((M // p) * pow(M // p, -1, p) for p in primes))
+
+
+def _rotation_points(c: int, s: int, S: int, n: int) -> list[int]:
+    """2^S cos(k t) for k < n, then 2^S sin(k t): each point is the last one
+    rotated by (c, s) = 2^S (cos t, sin t), each product floored onto 2^-S.
+
+    With m = c (x + y), m - y (c + s) = c x - s y and m + x (s - c) =
+    s x + c y: three multiplications in place of four, the same integers."""
+    x, y = 1 << S, 0
+    cs, ss = [x], [y]
+    c_plus_s, s_minus_c = c + s, s - c
+    for _ in range(n - 1):
+        m = c * (x + y)
+        x, y = (m - y * c_plus_s) >> S, (m + x * s_minus_c) >> S
+        cs.append(x)
+        ss.append(y)
+    return cs + ss
 
 
 def reference_spectrum_standard_bump(xis, dps: int = 80):
@@ -655,43 +757,70 @@ def reference_spectrum_standard_bump(xis, dps: int = 80):
 
         |f^(xi)| = |dx (f_0 + 2 sum_{j=1}^{m} f_j cos(j xi dx))|,
 
-    f_j = f(j dx), m = 4095 nonzero terms at n = 2^14.  It is evaluated by
-    Clenshaw's recurrence (MTAC 9, 1955), b_j = f_j + 2 cos(t) b_{j+1} -
-    b_{j+2}, sum = b_1 cos(t) - b_2, t = xi dx, in fixed point: every
-    quantity is an integer multiple of 2^-S, S = 3.33 dps + 64 bits, and
-    each product is floored back onto that grid.  Only the samples and
-    cos(t) come from mpmath, at dps digits.
+    f_j = f(j dx), m = 4095 nonzero terms at n = 2^14.  With g_0 = f_0,
+    g_j = 2 f_j, t = xi dx and j = a B + b, B = 64, -B/2 <= b < B/2,
+    0 <= a < A = 65, the sum is
 
-    Forward error.  Each of the m steps adds one floor (at most 2^-S) and
-    the sample's rounding (2^-S / 2); cos(t), rounded at dps digits and
-    then onto the 2^-S grid, makes the recurrence run at a frequency t'
-    with |cos t' - cos t| <= 10^-dps.  A unit error at step j reaches the
-    sum multiplied by a Chebyshev U_j(cos t), |U_j| <= m + 1, so the floors
-    cost at most 1.5 (m+1)^2 2^-S = 2.5e7 2^-330, about 1e-92 at dps = 80;
-    the samples' own error, 10^-dps relative, and the shift to t' cost
-    about m^2 10^-dps sum |f_j| = 1.5e-70 with sum |f_j| = 909.
-    Against |f_0 + 2 sum| >= 3.4e-43 at these frequencies that is a relative
-    error near 1e-27.  Rounded to float, the moduli are therefore those of
-    the direct complex sum over all n samples unless the exact value lies
-    that close to a rounding boundary.  dx = 2^-12 is a power of two, so
-    the last scaling is exact.  The samples are kept for the two most
-    recent precisions.
+        sum_a (cos(-aBt) sum_b g_{aB+b} cos(bt) + sin(-aBt) sum_b g_{aB+b} sin(bt)),
+
+    and it is evaluated as one exact integer.  Each factor is an integer
+    multiple of 2^-S, S = 3.33 dps + 64 bits: the samples rounded once;
+    cos/sin(bt) for 0 <= b <= B/2 (cos is even and sin odd) and
+    cos/sin(-aBt) by rotations from mpmath's cos/sin of t and -Bt at dps
+    digits, each product floored back onto that grid.  The integer is
+    computed modulo about 44 primes below 2^23 (at dps = 80) as float64
+    matrix products in which every partial sum is an integer below 2^53, so
+    it is exact in any summation order and on any number of BLAS threads
+    (exact integer linear algebra modulo word-size primes on floating-point
+    BLAS: Dumas, Giorgi, Pernet, *ACM TOMS* 35(3), 2008), and it is lifted
+    by the Chinese remainder theorem (Knuth, *TAOCP* vol. 2, 4.3.2).
+
+    Forward error.  The integer sum is exact, so the error comes only from
+    its factors: each sample, 10^-dps relative at dps digits and then its
+    rounding, 2^-S / 2; cos and sin of t and Bt rounded at dps digits,
+    which put the k-th rotation point within about k 10^-dps of its place;
+    and the rotation floors, at most one 2^-S per step, so at most
+    (A + B/2) 2^-S per cos(jt), about (A + B) 2^-S.  That bounds the error
+    near sum |f_j| (A + B) 2^-S = 909 * 129 * 2^-330, about 2^-312 at
+    dps = 80, with the samples' sum |f_j| 10^-dps and the angles'
+    sum |f_j| (A + B) 10^-dps = 1.2e-75 beside it (sum |f_j| = 909).  Against
+    |f_0 + 2 sum| >= 3.4e-43 at these frequencies that is a relative error
+    near 1e-32.  Rounded to float, the moduli are therefore those of the
+    direct complex sum over all n samples unless the exact value lies that
+    close to a rounding boundary.  dx = 2^-12 is a power of two, so the
+    last scaling is exact.  The samples and their residue tables are kept
+    for the two most recent precisions.
     """
     import mpmath as mp
 
-    S, fs = _bump_half_samples(dps)
+    xis = list(xis)
+    for xi in xis:
+        if not math.isfinite(xi):
+            raise ValueError(f"the reference spectrum needs a finite frequency, got xi = {xi}")
+    t = _bump_half_samples(dps)
+    S = t.S
+    P, A, B = t.samples.shape
+    half = B // 2
     dx = 4.0 / GRID_N
-    out = []
+    ints = []
     with mp.workdps(dps):
         for xi in xis:
-            c = int(mp.nint(mp.ldexp(mp.cos(mp.mpf(xi) * dx), S)))
-            c2 = 2 * c
-            b1 = b2 = 0
-            for fj in reversed(fs[1:]):
-                b1, b2 = fj + ((c2 * b1) >> S) - b2, b1
-            total = fs[0] + 2 * (((b1 * c) >> S) - b2)
-            out.append(math.ldexp(float(abs(total)), -S) * dx)
-    return np.array(out)
+            w = mp.mpf(xi) * dx
+            for angle, n in ((w, half + 1), (-B * w, A)):
+                c, s = (int(mp.nint(mp.ldexp(v, S))) for v in mp.cos_sin(angle))
+                ints += _rotation_points(c, s, S, n)
+    r = _residues(ints, t.primes, t.limb_residues).reshape(P, len(xis), 2 * (half + 1 + A))
+    # cos(bt) and sin(bt) for -B/2 <= b < B/2 from the points at |b|
+    b = np.arange(-half, half)
+    inner = r[:, :, np.concatenate([abs(b), half + 1 + abs(b)])]
+    inner[:, :, B:] *= np.sign(b)
+    # sums[p, xi] = (sum_b g_{aB+b} cos(bt), a < A, then the same with sin)
+    sums = inner.reshape(P, -1, B) @ t.samples.transpose(0, 2, 1)
+    sums = _mod(sums, t.primes[:, None, None]).reshape(P, len(xis), 2 * A)
+    sums *= r[:, :, 2 * (half + 1) :]
+    total = _mod(sums.sum(axis=2), t.primes[:, None])
+    return np.array([abs(_signed_lift(rs, t)) / (1 << 3 * S) * dx
+                     for rs in total.T.astype(np.int64).tolist()])
 
 
 def decay_exponent_fit(xis, moduli) -> float:

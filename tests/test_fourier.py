@@ -488,6 +488,77 @@ def test_fixed_point_reference_equals_mpmath_clenshaw(xi):
     assert float(got[0]).hex() == _mp_clenshaw_reference_spectrum([xi])[0].hex()
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.floats(min_value=0.1, max_value=1e2))
+def test_low_frequency_reference_equals_mpmath_clenshaw(xi):
+    got = reference_spectrum_standard_bump([xi], dps=80)
+    assert float(got[0]).hex() == _mp_clenshaw_reference_spectrum([xi])[0].hex()
+
+
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+def test_reference_spectrum_refuses_a_non_finite_frequency(xi):
+    with pytest.raises(ValueError, match=f"finite frequency, got xi = {xi}"):
+        reference_spectrum_standard_bump([100.0, xi])
+
+
+@pytest.mark.parametrize("dps", [40, 80])
+def test_residue_modulus_exceeds_twice_the_certified_bound(dps):
+    t = fourier._bump_half_samples(dps)
+    S = t.S
+    # g_0 = F_0 and g_j = 2 F_j with F_j = round(f_j 2^S) <= f_j 2^S + 1/2;
+    # the margin covers the samples' own error at dps digits
+    dx, fs = _mp_half_samples(dps)
+    with mp.workdps(dps + 20):
+        sum_f = (2 * mp.fsum(fs) - fs[0]) * (1 + mp.mpf(10) ** (5 - dps))
+        sum_g = int(mp.ceil(mp.ldexp(sum_f, S))) + len(fs)
+    assert t.M > 2 * (sum_g << (2 * S + 1))
+    # the bound's premise: every rotation point has c^2 + s^2 < 2^(2S+1)
+    P, A, B = t.samples.shape
+    with mp.workdps(dps):
+        for xi in (0.1, 100.0, 1e4, 3e4):
+            w = mp.mpf(xi) * dx
+            for angle in (w, -B * w):
+                c, s = (int(mp.nint(mp.ldexp(v, S))) for v in mp.cos_sin(angle))
+                pts = fourier._rotation_points(c, s, S, A)
+                assert all(x * x + y * y < 1 << (2 * S + 1)
+                           for x, y in zip(pts[:A], pts[A:]))
+
+
+@pytest.mark.parametrize("dps", [40, 80])
+def test_residue_constants_keep_float64_sums_below_2_53(dps):
+    t = fourier._bump_half_samples(dps)
+    assert (fourier._PRIME_BITS, fourier._BLOCK, fourier._LIMB_BITS) == (23, 64, 16)
+    primes = t.primes.astype(np.int64).tolist()
+    assert len(set(primes)) == len(primes)
+    assert all(2 ** 22 < p < 2 ** 23 for p in primes)
+    P, A, B = t.samples.shape
+    L = t.limb_residues.shape[1]
+    assert (P, B) == (len(primes), 64)
+    # a limb holds 16 bits, the signed top one included, of any |x| < 2^(S+1)
+    assert 16 * L - 1 >= t.S + 1
+    p_max = max(primes)
+    r_max = (p_max + 1) // 2
+    assert np.all(np.abs(t.samples) <= r_max)
+    assert np.all((t.limb_residues >= 0) & (t.limb_residues < t.primes[:, None]))
+    # the longest sums: the outer one over 2 A products of two residues, the
+    # inner one over B, and a residue's L limbs times 2^(16 k) mod p; _mod
+    # takes |x| < 2^52 and forms q p below 2^53
+    assert max(2 * A, B) * r_max ** 2 < 2 ** 52
+    assert L * 2 ** 16 * p_max < 2 ** 52
+
+
+@pytest.mark.parametrize("dps", [40, 80])
+def test_signed_lift_returns_a_negative_integer(dps):
+    t = fourier._bump_half_samples(dps)
+    x = -(3 ** int(t.S / math.log2(3)))
+    for y in (x, -1, 0, 1 - 2 ** t.S):
+        rs = fourier._residues([y], t.primes, t.limb_residues)[:, 0].astype(np.int64).tolist()
+        assert fourier._signed_lift(rs, t) == y
+    edge = 1 - (t.M + 1) // 2
+    primes = t.primes.astype(np.int64).tolist()
+    assert fourier._signed_lift([edge % p for p in primes], t) == edge
+
+
 def test_lemma53_i_conjugates_each_envelope_once(monkeypatch):
     calls = []
     conjugate = ConvexPL.conjugate
