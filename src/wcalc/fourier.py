@@ -19,18 +19,19 @@ past it), with log h taken once.  Two caches keep it:
   angular frequencies in fft order and in increasing order with the
   argsort between them, and the grid-offset phases exp(-i xi x0) and
   exp(i xi x0);
-* the memo.  Every function carries its construction: a Bump record, the
-  name of a fixed test function, or None when it was built directly.  One
-  bounded process-wide cache keyed on the construction holds what every
-  copy shares (a function built directly has a memo of its own):
-  - the samples on the support, synthesised once per process;
-  - the Spectrum that compute_spectrum builds on first use: the
-    noise-floor mask |F| > MASK_REL max |F| decided once, its edge,
+* _function_of, one bounded process-wide cache of functions keyed on their
+  construction (a Bump record or the name of a fixed test function): the
+  builders return the one function it holds, synthesised once per process.
+
+Every function, built there or directly, keeps in its memo what is read:
+  - the Spectrum that compute_spectrum builds from its one forward FFT:
+    the noise-floor mask |F| > MASK_REL max |F| decided once, its edge,
     whether the transform is zero and whether the grid truncates the
-    band, the band on increasing xi with the continuous transform's
-    modulus on it alone, the quadrature weight, and the exponential fit
-    to the last resolved octave that bounds the tail beyond the band.  It
-    is band-sized (a truncated band keeps its mask alone);
+    band, the transform on the band, the band on increasing xi with the
+    continuous transform's modulus on it alone, the quadrature weight, and
+    the exponential fit to the last resolved octave that bounds the tail
+    beyond the band.  It is band-sized (a truncated band keeps its mask
+    alone);
   - the sup table, orders 0..K_MAX on the function's support: either one
     (sup of |f^(k)|, where it is attained, sup over the grid) per order,
     from one batched inverse FFT of a (K_MAX + 1, n) array whose rows numpy
@@ -41,17 +42,12 @@ past it), with log h taken once.  Two caches keep it:
   - the 16 most recently built Fourier-norm rows, keyed on the row's
     content: the associated function of its log-convex minorant and
     omega(|xi|) on the band.
-  A copy whose memo is full needs no transform at all.  A harness over
-  Gevrey rows meets few distinct bumps: every row with log M_0 = log M_1 =
-  0 gives the same depth-1 control.  The derived rows
-  sequence_from_weight(omega, l, K_MAX) are kept on the matrix rows
-  themselves, so every function of a harness, and every later harness over
-  the same memoised rows, shares them.
-
-Beside them each function keeps its own forward transform, read-only, from
-one FFT on first use; it dies with the function.  Only the first pass over
-a construction reads it: to build the Spectrum, to run the peak test and
-to take the batched derivative.
+A function whose memo is full needs no transform at all.  A harness over
+Gevrey rows meets few distinct bumps: every row with log M_0 = log M_1 = 0
+gives the same depth-1 control.  The derived rows
+sequence_from_weight(omega, l, K_MAX) are kept on the matrix rows
+themselves, so every function of a harness, and every later harness over
+the same memoised rows, shares them.
 
 A bump is synthesised from its spectrum on the bins 0..n/2, the others
 filled with the conjugate mirror.  This gives the full-grid product bit
@@ -137,21 +133,16 @@ def _grid(n: int, dx: float, x0: float) -> _Grid:
     )
 
 
+@dataclass(eq=False, slots=True)
 class _Memo:
-    """What every copy of one function shares: its samples from index lo
-    on of the grid x0 + dx * arange(GRID_N) (None for a function built
-    directly); its Spectrum once read; its sup table once read, a list of
-    (sup, x, grid sup) for the orders 0..K_MAX on the support or the
-    message of the lowest refused order (a message, not the exception,
+    """What one function keeps once read: its Spectrum; its sup table, a
+    list of (sup, x, grid sup) for the orders 0..K_MAX on the support or
+    the message of the lowest refused order (a message, not the exception,
     which would pin its traceback's frames and arrays); and its 16 most
     recently built Fourier-norm rows, row -> _NormRow."""
-    __slots__ = ("x0", "dx", "lo", "samples", "spectrum", "sups", "rows")
-
-    def __init__(self, x0=math.nan, dx=math.nan, lo=0, samples=None):
-        self.x0, self.dx, self.lo, self.samples = x0, dx, lo, samples
-        self.spectrum: Spectrum | None = None
-        self.sups: list | str | None = None
-        self.rows: dict = {}
+    spectrum: Spectrum | None = None
+    sups: list | str | None = None
+    rows: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,11 +150,11 @@ class SampledFunction:
     """Samples on the grid x0 + dx * arange(n); values become read-only float64.
 
     construction is how the builders made the values: a Bump, or the name
-    of a fixed test function.  Every function with one construction shares
-    its memo (see _memo_of); a function built directly has construction
-    None and a memo of its own.  The forward transform is taken on first
-    use and kept on the instance, and the grid's arrays come from the
-    shared per-grid cache.
+    of a fixed test function; a function built directly has construction
+    None.  The builders return the one function that _function_of keeps
+    per construction, so the checks below run once per distinct function.
+    Every function has a memo of its own, and the grid's arrays come from
+    the shared per-grid cache.
     """
     x0: float
     dx: float
@@ -186,8 +177,7 @@ class SampledFunction:
         vmax = np.max(np.abs(v)) or 1.0
         if np.any(np.abs(v[outside]) > 1e-14 * vmax):
             raise ValueError("values do not vanish outside the declared support")
-        c = self.construction
-        object.__setattr__(self, "_memo", _Memo() if c is None else _memo_of(c))
+        object.__setattr__(self, "_memo", _Memo())
 
     @property
     def n(self) -> int:
@@ -196,11 +186,6 @@ class SampledFunction:
     @property
     def xs(self) -> np.ndarray:
         return _grid(self.n, self.dx, self.x0).xs
-
-    @functools.cached_property
-    def _transform(self) -> np.ndarray:
-        """The unnormalized DFT in fft order, read-only."""
-        return _frozen(np.fft.fft(self.values))
 
 
 class Spectrum(NamedTuple):
@@ -213,6 +198,7 @@ class Spectrum(NamedTuple):
     truncated: bool              # the band reaches the grid edge, not the floor
     band: np.ndarray             # the bins above the noise floor, a mask in fft order
     edge: float                  # largest resolved |xi| (nan when nothing is)
+    transform: np.ndarray | None  # the unnormalized DFT on band, in fft order
     kept: np.ndarray | None      # the band as a mask on increasing xi
     modulus: np.ndarray | None   # |continuous transform| on kept, in order
     weight: float                # uniform quadrature weight d xi
@@ -224,8 +210,7 @@ class Spectrum(NamedTuple):
 
 
 def compute_spectrum(f: SampledFunction) -> Spectrum:
-    """f's Spectrum, built from one forward FFT on first use and kept in
-    f's memo, where every copy of f reads it without a transform.
+    """f's Spectrum, from f's one forward FFT on first use, kept in f's memo.
 
     The noise-floor mask |F| > MASK_REL max |F| is decided here once; the
     derivatives, the weighted norms and the decay test all read it."""
@@ -233,7 +218,7 @@ def compute_spectrum(f: SampledFunction) -> Spectrum:
     if s is not None:
         return s
     g = _grid(f.n, f.dx, f.x0)
-    F = f._transform
+    F = np.fft.fft(f.values)
     absF = np.abs(F)
     band = _frozen(absF > MASK_REL * np.max(absF))
     absxi = np.abs(g.xi[band])
@@ -241,9 +226,10 @@ def compute_spectrum(f: SampledFunction) -> Spectrum:
     truncated = bool(edge >= 0.99 * np.max(np.abs(g.xi)))
     # continuous transform at xi_j needs the grid-offset phase
     m = np.abs((f.dx * F * g.phase_in)[g.order])
-    kept = modulus = None
+    transform = kept = modulus = None
     xi_edge = m_edge = c_decay = math.nan
     if not truncated:
+        transform = _frozen(F[band])
         kept = _frozen(band[g.order])
         modulus = _frozen(m[kept])
     if absxi.size and not truncated:
@@ -258,7 +244,7 @@ def compute_spectrum(f: SampledFunction) -> Spectrum:
         m_edge = m[pos][np.argmax(xi[pos])]
         c_decay = -float(coef[1])
     s = f._memo.spectrum = Spectrum(
-        bool(np.max(m) == 0.0), truncated, band, edge, kept, modulus,
+        bool(np.max(m) == 0.0), truncated, band, edge, transform, kept, modulus,
         2 * np.pi / (f.n * f.dx), xi_edge, m_edge, c_decay,
     )
     return s
@@ -281,7 +267,7 @@ def _refusal(f: SampledFunction, orders) -> str | None:
         # never saw the spectrum reach the floor: the grid derivative
         # would describe the band-limited interpolant, not the function
         return f"order {orders[0]}: spectrum unresolved at the grid edge"
-    absF = np.abs(f._transform[s.band])
+    absF = np.abs(s.transform)
     absxi = np.abs(_grid(f.n, f.dx, f.x0).xi[s.band])
     for k in orders:
         if absxi[int(np.argmax(absF * absxi ** k))] >= s.edge * (1 - 1e-9):
@@ -295,19 +281,20 @@ def spectral_derivative(f: SampledFunction, k) -> np.ndarray:
     k may also be a tuple of orders that _refusal has already passed, as
     _sups does; the result then has one row per order, all from one
     batched inverse FFT of a (len(k), n) array.  numpy transforms each row
-    of it exactly as the one-row ifft, bit for bit.
+    of it exactly as the one-row ifft, bit for bit.  Only order 0 passes a
+    truncated band, whose Spectrum keeps no transform; it takes a fresh one.
     """
     single = np.ndim(k) == 0
     if single and (why := _refusal(f, (k,))) is not None:
         raise DerivativeOrderUnreliable(why)
     orders = (k,) if single else tuple(k)
-    band = compute_spectrum(f).band
-    ixi = 1j * _grid(f.n, f.dx, f.x0).xi[band]
-    F = f._transform[band]
+    s = compute_spectrum(f)
+    ixi = 1j * _grid(f.n, f.dx, f.x0).xi[s.band]
+    F = np.fft.fft(f.values)[s.band] if s.truncated else s.transform
     # masked bins stay zero: the multiplier is evaluated on the band only
     D = np.zeros((len(orders), f.n), dtype=complex)
     for row, j in zip(D, orders):
-        row[band] = ixi ** j * F
+        row[s.band] = ixi ** j * F
     np.fft.ifft(D, axis=-1, out=D)
     return D[0].real if single else D.real
 
@@ -519,13 +506,12 @@ _UNIT = CompactBox(((-1.0, 1.0),))
 
 
 @functools.lru_cache(maxsize=32)
-def _memo_of(c: Bump | str) -> _Memo:
-    """The memo that every function built as c shares, holding its samples.
-
-    They are computed once per process, on the grid spanning four times
-    the box: x0 = centre - 2 width, dx = 4 width / GRID_N.
-    """
-    (a, b), = c.box if isinstance(c, Bump) else _UNIT.intervals
+def _function_of(c: Bump | str) -> SampledFunction:
+    """The function built as c, once per process, on the grid spanning
+    four times the box: x0 = centre - 2 width, dx = 4 width / GRID_N.
+    Its values are exactly 0.0 outside the box."""
+    K = CompactBox(c.box) if isinstance(c, Bump) else _UNIT
+    (a, b), = K.intervals
     span = 4.0 * (b - a)
     x0, dx = 0.5 * (a + b) - span / 2, span / GRID_N
     g = _grid(GRID_N, dx, x0)
@@ -560,18 +546,10 @@ def _memo_of(c: Bump | str) -> _Memo:
         # phase on the left: complex multiply is not commutative bit for bit
         vals = np.real(np.fft.ifft(g.phase_out * F)) / dx
         vals[np.abs(vals) < 1e-16] = 0.0
-    # the grid is increasing, so the support is one slice of it
-    lo = int(np.searchsorted(g.xs, a, "left"))
-    hi = int(np.searchsorted(g.xs, b, "right"))
-    return _Memo(x0, dx, lo, _frozen(vals[lo:hi].copy()))
-
-
-def _sampled(c: Bump | str, K: CompactBox) -> SampledFunction:
-    """A new function built as c on K, from the samples in its memo."""
-    m = _memo_of(c)
-    vals = np.zeros(GRID_N)
-    vals[m.lo : m.lo + m.samples.size] = m.samples
-    return SampledFunction(m.x0, m.dx, vals, K, c)
+    # the grid is increasing, so the box is one slice of it
+    vals[: np.searchsorted(g.xs, a, "left")] = 0.0
+    vals[np.searchsorted(g.xs, b, "right") :] = 0.0
+    return SampledFunction(x0, dx, vals, K, c)
 
 
 def bump_builder(K: CompactBox, seq: LogWeightSequence, depth: int) -> SampledFunction:
@@ -606,17 +584,17 @@ def bump_builder(K: CompactBox, seq: LogWeightSequence, depth: int) -> SampledFu
         )
     margin = 0.05 * width
     core = (a + sum(widths) / 2 + margin, b - sum(widths) / 2 - margin)
-    return _sampled(Bump(K.intervals, logs, h, widths, core), K)
+    return _function_of(Bump(K.intervals, logs, h, widths, core))
 
 
 def standard_bump() -> SampledFunction:
     """exp(-1/(1 - x^2)) on [-1, 1]."""
-    return _sampled("standard_bump", _UNIT)
+    return _function_of("standard_bump")
 
 
 def indicator_control() -> SampledFunction:
     """Sharp indicator; the canonical non-member of every smooth class."""
-    return _sampled("indicator_control", _UNIT)
+    return _function_of("indicator_control")
 
 
 # The reference sum is one exact integer, computed modulo primes below 2^23
@@ -903,13 +881,10 @@ def theorem51_harness(M: WeightMatrix, bump_depth: int = 30) -> dict:
     if not matrix_nq_verdict(M, "roumieu").holds:
         raise HypothesisNotCertified("matrix generates a quasianalytic class")
 
-    # each function is built just before it is probed, so only one
-    # function's spectral caches are alive at a time
-    battery: dict = {}
-    for lbl, row in zip(M.labels, M.rows):
-        battery[f"bump:{lbl:g}"] = functools.partial(bump_builder, _UNIT, row, bump_depth)
-    battery["control:indicator"] = indicator_control
-    battery["control:single-mollify"] = functools.partial(bump_builder, _UNIT, M.rows[0], 1)
+    battery = {f"bump:{lbl:g}": bump_builder(_UNIT, row, bump_depth)
+               for lbl, row in zip(M.labels, M.rows)}
+    battery["control:indicator"] = indicator_control()
+    battery["control:single-mollify"] = bump_builder(_UNIT, M.rows[0], 1)
 
     def derived_row(i: int, l: float) -> LogWeightSequence:
         return sequence_from_weight(associated_function(M.rows[i]), l, K_MAX)
@@ -918,12 +893,10 @@ def theorem51_harness(M: WeightMatrix, bump_depth: int = 30) -> dict:
     h_semi = (1.0, 2.0, 4.0, 8.0)
     l_grid = (1.0, 2.0, 4.0)
     report: dict = {"functions": {}, "disagreements": []}
-    for name, build in battery.items():
-        f = build()
+    for name, f in battery.items():
         deriv = _derivative_indicator(f, M, h_semi)
         weight = _weightfn_indicator(f, M, l_grid, derived_row)
         four = _fourier_indicator(f, M, h_small)
-        del f
         decided = [v for v in (deriv, weight, four) if v != "open"]
         agree = len(set(decided)) <= 1
         report["functions"][name] = {

@@ -76,7 +76,7 @@ class LogWeightSequence:
         if L.ndim != 1 or L.size < 3:
             raise ValueError("need a flat sequence with at least indices p = 0, 1, 2")
         if not np.all(np.isfinite(L)):
-            raise ValueError("log values must be finite")
+            raise ValueError(f"{self.label or 'row'}: log values must be finite")
         L.flags.writeable = False
         object.__setattr__(self, "log_values", L)
         if self.tail is not None:
@@ -334,7 +334,10 @@ def _series_converges(asym: tuple) -> bool:
 def _mu_remainder(seq: LogWeightSequence) -> float:
     """sum of 1/mu_p over P < p <= P + 2000 from the tail.  exp and the sum
     stay scalar and in order, so the float equals the scalar mu_log loop."""
-    mu_log = np.diff(seq.tail.log_values(np.arange(seq.P, seq.P + 2001)))
+    with np.errstate(invalid="ignore"):
+        mu_log = np.diff(seq.tail.log_values(np.arange(seq.P, seq.P + 2001)))
+    # inf - inf past the float range, where log mu_p >= log M_p / p is too
+    mu_log[np.isnan(mu_log)] = math.inf
     return sum(map(math.exp, (-mu_log).tolist()))
 
 

@@ -168,6 +168,13 @@ class FactorialPower(Tail):
         return {"family": "factorial_power", "s": self.s, "a": self.a}
 
 
+def _pow_or_inf(p: float, beta: float) -> float:
+    try:
+        return p ** beta
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PowerIndex(Tail):
     """log M_p = kappa * p**beta (rows derived from power-log weights)."""
@@ -180,8 +187,10 @@ class PowerIndex(Tail):
             raise ValueError("need kappa > 0 and beta >= 1")
 
     def _log_values(self, ps: np.ndarray) -> np.ndarray:
-        powers = np.fromiter(map(pow, ps.tolist(), [self.beta] * ps.size), float, ps.size)
-        return self.kappa * powers
+        # p**beta past the float range is inf, as in RootPowerDualTail
+        powers = np.fromiter(map(_pow_or_inf, ps.tolist(), [self.beta] * ps.size), float, ps.size)
+        with np.errstate(over="ignore"):
+            return self.kappa * powers
 
     def asymptote(self) -> tuple:
         if self.beta == 1.0:

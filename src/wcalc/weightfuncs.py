@@ -178,7 +178,13 @@ def sequence_from_weight(
     if kind == "power_log":
         sigma = w.source[1]
         beta = sigma / (sigma - 1.0)
-        tail = PowerIndex((sigma - 1.0) * l ** (beta - 1.0) * sigma ** (-beta), beta)
+        try:
+            tail = PowerIndex((sigma - 1.0) * l ** (beta - 1.0) * sigma ** (-beta), beta)
+        except OverflowError:
+            tail = None
+        # log M_p increases with p, so the row is finite when log M_pmax is
+        if tail is None or not math.isfinite(tail.log_value(pmax)):
+            raise DomainExceeded(f"row {label} passes the float range by p = {pmax}")
         return LogWeightSequence.from_tail(tail, pmax, label)
     if kind == "root_power":
         a, c = w.source[1], w.source[2]

@@ -210,6 +210,35 @@ def test_overflowing_tail_samples_give_finite_root_gap_constants():
     assert sum(1 for _ in _constants(json.loads(res.stdout), ("log_C1",))) == 3
 
 
+def _numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for v in node:
+            yield from _numbers(v)
+    elif isinstance(node, float):
+        yield node
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--seq", "power_index:1,101"],
+    ["matrix", "compare", "--left", "power_index:1,60", "--right", "gevrey:2"],
+    ["matrix", "dossier", "--weight", "powerlog:1.01"],
+    ["matrix", "dossier", "--weight", "powerlog:1.02"],
+    ["matrix", "dossier", "--weight", "powerlog:1.0000000001"],
+])
+def test_power_index_past_the_float_range_is_quiet(argv):
+    # p**beta passes the float range inside the rows or their tail samples;
+    # it counts as inf there, and a row that passes it refuses
+    res = subprocess.run(
+        [sys.executable, "-m", "wcalc.cli", *argv], capture_output=True, text=True,
+    )
+    assert res.returncode in (0, 3), res.stderr
+    assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+    if res.returncode == 0:
+        assert not any(math.isnan(v) for v in _numbers(json.loads(res.stdout)))
+
+
 def test_tiny_rootpower_exponent_gives_log_witness(tmp_path):
     # 2**ceil(1/alpha) is past the float range, so H is reported as log_H
     code, rep = run(["analyze", "--weight", "rootpower:1e-300"], tmp_path)

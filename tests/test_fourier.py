@@ -386,8 +386,8 @@ def test_lemma53_i_fft_count(monkeypatch):
 
 
 def test_harness_memory_peak():
-    # the battery is built one function at a time and refusals are cached
-    # without their tracebacks, so at most one function's arrays are alive
+    # the battery's functions are the memoised ones, band-sized spectra
+    # are kept, and refusals are cached without their tracebacks
     G = build_gevrey_matrix((1.0, 1.5, 2.0, 2.5, 3.0), 200)
     tracemalloc.start()
     try:
@@ -722,7 +722,7 @@ def test_grid_cache_is_bounded_and_read_only():
     assert f.xs is g.xs is grid.xs
     assert fourier._grid(g.n, g.dx, g.x0) is grid
     t = compute_spectrum(f)
-    for a in (*grid, f._transform, t.band, t.modulus, t.kept, f.values):
+    for a in (*grid, t.band, t.transform, t.modulus, t.kept, f.values):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
@@ -821,10 +821,9 @@ def test_batch_rows_do_not_depend_on_their_position():
 
 def test_refusal_is_raised_before_any_inverse_fft(monkeypatch):
     # a table with a refused order keeps the lowest refusal alone, decided
-    # on the band, so no sup is transformed; the memo is cleared so that
-    # the fixed functions' tables are filled here
-    fourier._memo_of.cache_clear()
-    f, g, b = _algebraic_decay(), indicator_control(), standard_bump()
+    # on the band, so no sup is transformed; functions built directly have
+    # empty memos, so their tables are filled here
+    f, g, b = _algebraic_decay(), _fresh_indicator(), _fresh_standard_bump()
     row = gevrey(2.0, 200)
     want = _reference_sups(b)
     count = _FFTCounter(monkeypatch)
@@ -856,12 +855,11 @@ def test_bump_memo_hit_equals_fresh_synthesis():
         support, s, depth = case
         K = CompactBox((support,))
         first = build()
-        misses = fourier._memo_of.cache_info().misses
-        # a new row object with the same values finds the same entry
+        misses = fourier._function_of.cache_info().misses
+        # a new row object with the same values finds the same function
         hit = bump_builder(K, gevrey(s, 200), depth)
-        assert fourier._memo_of.cache_info().misses == misses, case
-        assert hit is not first and hit._memo is first._memo
-        assert hit.construction == first.construction
+        assert fourier._function_of.cache_info().misses == misses, case
+        assert hit is first
         fresh = _reference_bump(K, gevrey(s, 200), depth)
         assert (hit.x0, hit.dx) == (fresh.x0, fresh.dx)
         assert hit.values.tobytes() == fresh.values.tobytes(), case
@@ -870,26 +868,21 @@ def test_bump_memo_hit_equals_fresh_synthesis():
             _table_seminorm(fresh, gevrey(s, 200), 1.0), case
     # every Gevrey row has log M_0 = log M_1 = 0: one depth-1 control
     K = CompactBox(((-1.0, 1.0),))
-    assert bump_builder(K, gevrey(1.0, 200), 1)._memo is \
-        bump_builder(K, gevrey(3.0, 200), 1)._memo
+    assert bump_builder(K, gevrey(1.0, 200), 1) is bump_builder(K, gevrey(3.0, 200), 1)
 
 
 def test_bump_memo_is_bounded_and_read_only():
-    info = fourier._memo_of.cache_info()
+    info = fourier._function_of.cache_info()
     assert info.maxsize is not None and info.maxsize <= 32
     K, row = CompactBox(((-0.7, 1.3),)), gevrey(2.0, 200)
     f = bump_builder(K, row, 10)
-    entry = fourier._memo_of(f.construction)
-    assert entry is f._memo
-    # the samples on the support, a quarter of the grid
-    assert entry.samples.size <= f.n // 4 + 1
-    assert f.values[entry.lo : entry.lo + entry.samples.size].tobytes() == \
-        entry.samples.tobytes()
-    assert not np.any(np.delete(f.values, np.arange(entry.lo, entry.lo + entry.samples.size)))
-    for a in (entry.samples, f.values):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 0
+    assert fourier._function_of(f.construction) is f
+    # the values outside the box are exactly zero
+    outside = (f.xs < -0.7) | (f.xs > 1.3)
+    assert np.any(f.values) and not np.any(f.values[outside])
+    assert not f.values.flags.writeable
+    with pytest.raises(ValueError):
+        f.values[0] = 0
 
 
 def test_bump_record_is_its_construction():
@@ -1091,7 +1084,7 @@ def test_fourier_norm_record_is_bit_identical_to_full_grid():
     for case, build in _mask_battery():
         want = {(i, h): _reference_fourier_norm(build(), row, h)
                 for i, row in enumerate(rows) for h in (0.02, 0.05, 0.1, 1.0)}
-        # twice: the record is filled by the first copy and read by the second
+        # twice: the record is filled by the first build and read by the second
         for f in (build(), build()):
             for (i, h), w in want.items():
                 assert _record_fourier_norm(f, rows[i], h) == w, (case, i, h)
@@ -1152,7 +1145,7 @@ def test_direct_build_has_a_memo_of_its_own():
     (standard_bump, _fresh_standard_bump), (indicator_control, _fresh_indicator)])
 def test_fixed_function_memo_hit_equals_fresh_build(monkeypatch, build, fresh_build):
     first, hit, fresh = build(), build(), fresh_build()
-    assert hit is not first and hit._memo is first._memo
+    assert hit is first
     assert (hit.x0, hit.dx, hit.support) == (fresh.x0, fresh.dx, fresh.support)
     assert hit.values.tobytes() == fresh.values.tobytes()
     rows = [gevrey(s, 1200) for s in (1.5, 2.0)]
@@ -1168,7 +1161,7 @@ def test_fixed_function_memo_hit_equals_fresh_build(monkeypatch, build, fresh_bu
             [_record_fourier_norm(f, row, h) for row in rows for h in H_SMALL],
         )
         assert got == want
-    # once the memo is full, a new copy reads it without a transform
+    # once the memo is full, a warm build reads it without a transform
     count = _FFTCounter(monkeypatch)
     f = build()
     assert _table_sups(f) == want[0]
@@ -1187,10 +1180,10 @@ def test_spectral_record_is_band_sized_and_read_only():
             assert [a is spec.band for a in arrays] == [True], case
             assert spec.band.nbytes == 2 ** 14, case
         else:
-            # the modulus on the band, and two masks over the grid: the band
-            # in fft order and on increasing xi
+            # the transform and the modulus on the band, and two masks over
+            # the grid: the band in fft order and on increasing xi
             assert sum(a.nbytes for a in arrays) <= \
-                8 * np.count_nonzero(spec.kept) + 2 * 2 ** 14, case
+                (16 + 8) * np.count_nonzero(spec.kept) + 2 * 2 ** 14, case
         for a in arrays:
             assert not a.flags.writeable
         truncated_seen.add(spec.truncated)
@@ -1220,19 +1213,19 @@ def test_spectrum_equals_the_parent_computation():
 
 def test_one_spectrum_per_construction(monkeypatch):
     K, row = CompactBox(((-0.7, 1.3),)), gevrey(2.0, 200)
-    first, copy = bump_builder(K, row, 10), bump_builder(K, row, 10)
+    first = bump_builder(K, row, 10)
     spec = compute_spectrum(first)
-    assert compute_spectrum(copy) is spec
+    assert compute_spectrum(bump_builder(K, row, 10)) is spec
     with pytest.raises(AttributeError):
         spec.zero = True
-    for a in (spec.band, spec.kept, spec.modulus):
+    for a in (spec.band, spec.transform, spec.kept, spec.modulus):
         with pytest.raises(ValueError):
             a[0] = 0
     # a function built directly gets its own
     f, g = _fresh_standard_bump(), _fresh_standard_bump()
     assert compute_spectrum(f) is not compute_spectrum(g)
     assert compute_spectrum(f) is not compute_spectrum(standard_bump())
-    # a warm copy whose table is full never takes a transform
+    # a warm build whose table is full never takes a transform
     table = _table_sups(first)
     count = _FFTCounter(monkeypatch)
     warm = bump_builder(K, row, 10)
@@ -1240,7 +1233,26 @@ def test_one_spectrum_per_construction(monkeypatch):
     seminorm_derivative(warm, row, 1.0)
     assert compute_spectrum(warm) is spec
     assert (count.forward, count.inverse) == (0, 0)
-    assert "_transform" not in vars(warm)
+
+
+def test_warm_builders_return_the_one_function(monkeypatch):
+    K, row = CompactBox(((-0.7, 1.3),)), gevrey(2.0, 200)
+    builds = [lambda: bump_builder(K, row, 10), standard_bump, indicator_control]
+    firsts = [build() for build in builds]
+    for f in firsts:
+        compute_spectrum(f)
+    made = []
+    post_init = SampledFunction.__post_init__
+    monkeypatch.setattr(SampledFunction, "__post_init__",
+                        lambda self: made.append(self) or post_init(self))
+    count = _FFTCounter(monkeypatch)
+    # a warm call is a cache hit: no new function, no check, no transform
+    for build, first in zip(builds, firsts):
+        f = build()
+        assert f is first
+        assert compute_spectrum(f) is first._memo.spectrum
+    assert made == []
+    assert (count.forward, count.inverse) == (0, 0)
 
 
 def test_norm_rows_keep_the_sixteen_latest():

@@ -3,7 +3,7 @@ method is reached by something that runs, and every import is used.
 
 "Reached" is by name: a definition counts as reached when its name is
 loaded or read as an attribute outside its own body in src/wcalc (the
-package's __init__.py re-exports, so it reaches nothing), in demos/, in
+package's __init__.py reaches nothing), in demos/, in
 perfbench/, or in the acceptance gate tests/test_acceptance.py.
 perfbench/tracing.py wraps functions by their names as strings, so string
 constants count there too.  Unit tests do not count: a definition that
@@ -142,3 +142,17 @@ def test_only_convex_reads_a_convex_pls_arrays():
         if isinstance(n, ast.Attribute) and n.attr in private
     ]
     assert not touched, f"a ConvexPL's arrays outside convex.py: {touched}"
+
+
+def test_one_site_builds_a_sampled_function():
+    # the builders return the one function that fourier._function_of keeps
+    # per construction; a second call site would bring copies back
+    sites = [
+        f"{p.name}:{fn.name}"
+        for p, tree in _modules().items()
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        and n.func.id == "SampledFunction"
+    ]
+    assert sites == ["fourier.py:_function_of"], sites
