@@ -38,8 +38,7 @@ from .sequences import (
     check_log_convex,
     check_moderate_growth,
     check_nq,
-    relation_approx,
-    relation_preceq,
+    relation_pair,
     relation_triangle,
 )
 from .weightfuncs import WeightFunction, check_omega_conditions
@@ -102,6 +101,14 @@ def _sequence_from_json(d, where: str) -> LogWeightSequence:
         raise DescriptorError(f"{where}: unknown family {fam!r}")
     seq = _build(SEQ_FAMILIES[fam], **params)
     return seq.with_label(label) if label else seq
+
+
+def _required(args, name: str) -> str:
+    """The value of --name, which args.action needs; missing is a parse error."""
+    value = getattr(args, name)
+    if value is None:
+        raise DescriptorError(f"{args.command} {args.action} needs --{name}")
+    return value
 
 
 def parse_sequence(desc: str, pmax: int) -> LogWeightSequence:
@@ -231,13 +238,14 @@ def cmd_matrix(args) -> int:
         _emit(args, comparison_report(obj))
         return 0
     if args.action == "compare":
-        a = parse_sequence(args.left, args.pmax)
-        b = parse_sequence(args.right, args.pmax)
+        a = parse_sequence(_required(args, "left"), args.pmax)
+        b = parse_sequence(_required(args, "right"), args.pmax)
+        preceq, preceq_rev, approx = relation_pair(a, b)
         report = {
-            "preceq": relation_preceq(a, b).to_json(),
-            "preceq_rev": relation_preceq(b, a).to_json(),
+            "preceq": preceq.to_json(),
+            "preceq_rev": preceq_rev.to_json(),
             "triangle": relation_triangle(a, b).to_json(),
-            "approx": relation_approx(a, b).to_json(),
+            "approx": approx.to_json(),
         }
         _emit(args, report)
         return 0
@@ -321,11 +329,11 @@ def _parse_row_pattern(pattern: str) -> list[tuple[float, float]]:
 
 def cmd_quasi(args) -> int:
     if args.action == "verdict":
-        seq = parse_sequence(args.seq, args.pmax)
+        seq = parse_sequence(_required(args, "seq"), args.pmax)
         _emit(args, {"nq": class_nq_verdict(seq).to_json("nq")})
         return 0
     if args.action == "construct":
-        rows = _parse_row_pattern(args.rows)
+        rows = _parse_row_pattern(_required(args, "rows"))
         labels = tuple(l for l, _ in rows)
         try:
             seqs = tuple(catalogue.gevrey(s, args.pmax) for _, s in rows)

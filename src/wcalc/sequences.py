@@ -200,7 +200,7 @@ KEPT = {
     "_serial": 1,        # row_serial: this row's number in the process
     "_mg": 1,            # check_moderate_growth: prefix constant C and its (j, j + k)
     "_lc_minorant": 1,   # lc_minorant: the minorant row, None when it is the row itself
-    "_gap_samples": 8,   # relation_preceq: roots at _gap_sample_points(P), by P
+    "_gap_samples": 8,   # _sampled_gaps: roots at _gap_sample_points(P), by P
     "_envelope": 1,      # weightfuncs.associated_function: envelope, valid_to
     "_derived": 16,      # weightfuncs.sequence_from_weight: rows by (l, pmax, label)
     "_nq_routes": 1,     # quasi.class_nq_verdict: hull and root route verdicts
@@ -445,31 +445,63 @@ def _gap_samples(seq: LogWeightSequence, P: int) -> np.ndarray:
     return kept(seq, "_gap_samples", lambda: _sampled_roots(seq, _gap_sample_points(P)), P)
 
 
-def _sampled_gap_sup(M: LogWeightSequence, N: LogWeightSequence) -> float:
-    """Root-gap samples beyond the shared prefix (both tails required).
+def _sampled_gaps(M: LogWeightSequence, N: LogWeightSequence) -> list[float]:
+    """Root gaps of M over N at the samples beyond the shared prefix (both
+    tails required), in sample order.
 
     A tail may overflow far out (RootPowerDualTail for a tiny exponent);
     such points are left out, since inf - inf is no gap."""
     P = min(M.P, N.P)
     rM, rN = _gap_samples(M, P), _gap_samples(N, P)
     both = np.isfinite(rM) & np.isfinite(rN)
-    # Python max keeps the scalar loop's first maximum
-    return max((rM[both] - rN[both]).tolist(), default=-math.inf)
+    return (rM[both] - rN[both]).tolist()
 
 
-def relation_preceq(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
-    """M precsim N: sup_p (M_p/N_p)^{1/p} finite."""
-    gaps = _prefix_gaps(M, N)
-    prefix_sup = float(gaps.max())
-    g = root_gap_limit(M.tail, N.tail)
+def _preceq_verdict(prefix_sup: float, g: float | None, sampled_sup) -> Verdict:
+    """M precsim N from the sup of M's prefix gaps over N, the root-gap
+    limit g and sampled_sup(), the sup of the sampled gaps, called only
+    when g is finite or -inf."""
     if g is None:
         return verdicts.inconclusive(
             "no tail on one side", **verdicts.exp_witness("prefix_sup", prefix_sup)
         )
     if g == math.inf:
         return verdicts.fails(gap_limit="+inf")
-    sup = max(prefix_sup, g, _sampled_gap_sup(M, N))
+    sup = max(prefix_sup, g, sampled_sup())
     return verdicts.holds(**verdicts.exp_witness("C1", sup), gap_limit=g)
+
+
+def relation_preceq(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
+    """M precsim N: sup_p (M_p/N_p)^{1/p} finite."""
+    return _preceq_verdict(
+        float(_prefix_gaps(M, N).max()),
+        root_gap_limit(M.tail, N.tail),
+        # Python max keeps the scalar loop's first maximum
+        lambda: max(_sampled_gaps(M, N), default=-math.inf),
+    )
+
+
+def relation_pair(
+    M: LogWeightSequence, N: LogWeightSequence
+) -> tuple[Verdict, Verdict, Verdict]:
+    """relation_preceq(M, N), relation_preceq(N, M) and relation_approx(M, N)
+    from one pass over the gaps.  N's gaps over M are the exact negatives
+    of M's over N, since subtraction and division by p > 0 round
+    sign-symmetrically, so each backward sup is minus a forward inf.  Only
+    the sign of a zero sup can differ, and a report shows a sup only
+    through exp."""
+    gaps = _prefix_gaps(M, N)
+    g, g_rev = root_gap_limit(M.tail, N.tail), root_gap_limit(N.tail, M.tail)
+    # g is None exactly when g_rev is, and then no direction reads samples
+    sampled = [] if g is None else _sampled_gaps(M, N)
+    forward = _preceq_verdict(
+        float(gaps.max()), g, lambda: max(sampled, default=-math.inf)
+    )
+    backward = _preceq_verdict(
+        -float(gaps.min()), g_rev, lambda: -min(sampled, default=math.inf)
+    )
+    approx = verdicts.conjunction({"forward": forward, "backward": backward})
+    return forward, backward, approx
 
 
 def relation_triangle(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
@@ -484,9 +516,7 @@ def relation_triangle(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
 
 
 def relation_approx(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
-    return verdicts.conjunction(
-        {"forward": relation_preceq(M, N), "backward": relation_preceq(N, M)}
-    )
+    return relation_pair(M, N)[2]
 
 
 # -- regularizations ----------------------------------------------------

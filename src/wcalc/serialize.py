@@ -1,93 +1,103 @@
 """Deterministic report and data serialization.
 
-JSON output is canonical: keys sorted, floats printed with 17 significant
-digits, no locale or hash-order dependence, so identical inputs give
-byte-identical reports.
+dumps_canonical(obj, indent) writes JSON whose bytes depend only on obj:
+floats with 17 significant digits, ".0" on integral ones, nan and +-inf
+quoted; dict members ordered stably by str(k), the key printed as str(k);
+strings escaped to ASCII; one member per line, two spaces deeper per level;
+a Verdict as its to_json().  Nodes are dispatched on exact type: a float or
+str inside its container's loop, a Verdict from its fields without a copy,
+a list of more than 16 floats formatted by one map over its items.
 """
 from __future__ import annotations
 
 import json
+from itertools import repeat
 
 import numpy as np
 
 from .sequences import LogWeightSequence
+from .verdicts import Verdict
 
 
 _str = json.encoder.encode_basestring_ascii     # json.dumps(s) for a str s
 
 
-def _str_key(item) -> str:
-    return str(item[0])
-
-
 def _float_str(x: float) -> str:
-    s = format(x, ".17g")
+    s = f"{x:.17g}"
     if "." in s or "e" in s:
         return s
     if "n" in s:                 # nan, inf, -inf are quoted
         return f'"{s}"'
-    # make sure the token parses as a JSON number
     return s + ".0"
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
     out: list[str] = []
-    _encode(obj, indent, out)
+    _encode(obj, "\n" + "  " * indent, out)
     return "".join(out)
 
 
-def _encode(obj, indent: int, out: list[str]) -> None:
-    """Append the canonical text of obj to out.  The common node types are
-    dispatched on their exact type; subclasses, numpy scalars and to_json
-    objects take the general branches of _encode_other."""
+def _encode(obj, pad: str, out: list[str]) -> None:
+    """Append the text of obj to out; pad is the start of its last line."""
     t = type(obj)
     if t is float:
         out.append(_float_str(obj))
     elif t is str:
         out.append(_str(obj))
     elif t is dict:
-        _encode_dict(obj, indent, out)
+        _encode_dict(obj, pad, out)
+    elif t is Verdict:               # the keys of to_json() in sorted order
+        inner = pad + "  "
+        out.append(f'{{{inner}"reason": {_str(obj.reason)},' if obj.reason else "{")
+        out.append(f'{inner}"status": {_str(obj.status.value)}')
+        if obj.witness:
+            out.append(f',{inner}"witness": ')
+            _encode(obj.witness, inner, out)
+        out.append(pad + "}")
     elif t is list or t is tuple or t is np.ndarray:
-        _encode_list(list(obj), indent, out)
+        _encode_list(list(obj), pad, out)
     else:
-        _encode_other(obj, indent, out)
+        _encode_other(obj, pad, out)
 
 
-def _encode_dict(obj, indent: int, out: list[str]) -> None:
-    if not obj:
-        out.append("{}")
-        return
-    pad1 = "\n" + "  " * (indent + 1)
-    sep = "{" + pad1
-    for k, v in sorted(obj.items(), key=_str_key):
-        out.append(sep)
-        out.append(_str(str(k)))
-        out.append(": ")
-        if type(v) is float:
-            out.append(_float_str(v))
+def _encode_dict(obj, pad: str, out: list[str]) -> None:
+    inner = pad + "  "
+    sep = "{" + inner
+    for k in sorted(obj, key=str):
+        v = obj[k]
+        t = type(v)
+        if t is float:
+            out.append(f"{sep}{_str(str(k))}: {_float_str(v)}")
+        elif t is str:
+            out.append(f"{sep}{_str(str(k))}: {_str(v)}")
         else:
-            _encode(v, indent + 1, out)
-        sep = "," + pad1
-    out.append("\n" + "  " * indent + "}")
+            out.append(f"{sep}{_str(str(k))}: ")
+            _encode(v, inner, out)
+        sep = "," + inner
+    out.append(pad + "}" if obj else "{}")
 
 
-def _encode_list(seq: list, indent: int, out: list[str]) -> None:
-    if not seq:
-        out.append("[]")
+def _encode_list(seq: list, pad: str, out: list[str]) -> None:
+    inner = pad + "  "
+    if len(seq) > 16 and set(map(type, seq)) == {float}:
+        texts = list(map(float.__format__, seq, repeat(".17g")))
+        # only an integral or non-finite x lacks a "." or "e" at 17 digits
+        for i in np.flatnonzero(~(np.floor(seq) < seq)).tolist():
+            texts[i] = _float_str(seq[i])
+        out.append("[" + inner + ("," + inner).join(texts) + pad + "]")
         return
-    pad1 = "\n" + "  " * (indent + 1)
-    sep = "[" + pad1
+    sep = "[" + inner
     for v in seq:
-        out.append(sep)
         if type(v) is float:
-            out.append(_float_str(v))
+            out.append(sep + _float_str(v))
         else:
-            _encode(v, indent + 1, out)
-        sep = "," + pad1
-    out.append("\n" + "  " * indent + "]")
+            out.append(sep)
+            _encode(v, inner, out)
+        sep = "," + inner
+    out.append(pad + "]" if seq else "[]")
 
 
-def _encode_other(obj, indent: int, out: list[str]) -> None:
+def _encode_other(obj, pad: str, out: list[str]) -> None:
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -99,11 +109,11 @@ def _encode_other(obj, indent: int, out: list[str]) -> None:
     elif isinstance(obj, str):
         out.append(_str(obj))
     elif isinstance(obj, dict):
-        _encode_dict(obj, indent, out)
+        _encode_dict(obj, pad, out)
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        _encode_list(list(obj), indent, out)
+        _encode_list(list(obj), pad, out)
     elif hasattr(obj, "to_json"):
-        _encode(obj.to_json(), indent, out)
+        _encode(obj.to_json(), pad, out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -127,7 +137,7 @@ def _csv_column(name: str, col) -> list[str]:
             str(int(v)) if float(v).is_integer() else format(v, ".17g")
             for v in vals
         ]
-    return [format(v, ".17g") for v in vals]
+    return list(map(format, vals, repeat(".17g")))
 
 
 def write_columns_csv(path: str, header: tuple[str, ...], *cols) -> None:

@@ -179,12 +179,14 @@ def sequence_from_weight(
         sigma = w.source[1]
         beta = sigma / (sigma - 1.0)
         try:
-            tail = PowerIndex((sigma - 1.0) * l ** (beta - 1.0) * sigma ** (-beta), beta)
+            kappa = (sigma - 1.0) * l ** (beta - 1.0) * sigma ** (-beta)
         except OverflowError:
-            tail = None
-        # log M_p increases with p, so the row is finite when log M_pmax is
+            kappa = math.inf
+        # kappa underflows to 0 for sigma near 1 and l < 1; log M_p
+        # increases with p, so the row is finite when log M_pmax is
+        tail = PowerIndex(kappa, beta) if 0.0 < kappa < math.inf else None
         if tail is None or not math.isfinite(tail.log_value(pmax)):
-            raise DomainExceeded(f"row {label} passes the float range by p = {pmax}")
+            raise DomainExceeded(f"row {label} leaves the float range by p = {pmax}")
         return LogWeightSequence.from_tail(tail, pmax, label)
     if kind == "root_power":
         a, c = w.source[1], w.source[2]

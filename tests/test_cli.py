@@ -158,6 +158,22 @@ def test_out_of_domain_descriptor_value_is_exit_2(argv):
     assert b"Numerical result out of range" not in res.stderr
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["matrix", "compare"], "--left"),
+    (["matrix", "compare", "--right", "gevrey:2"], "--left"),
+    (["matrix", "compare", "--left", "gevrey:2"], "--right"),
+    (["quasi", "verdict"], "--seq"),
+    (["quasi", "construct"], "--rows"),
+])
+def test_missing_required_option_is_exit_2(argv, option):
+    res = subprocess.run(
+        [sys.executable, "-m", "wcalc.cli", *argv], capture_output=True, text=True
+    )
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: ") and option in res.stderr
+
+
 def test_overflowing_dent_is_exit_0_without_a_warning():
     res = subprocess.run(
         [sys.executable, "-m", "wcalc.cli", "analyze", "--seq", "perturbed_gevrey:2,1e300"],

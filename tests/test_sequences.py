@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcalc import sequences
+from wcalc import cli, sequences, serialize, verdicts
 from wcalc.catalogue import (
     bumpy_prefix,
     factorial_power,
@@ -17,9 +17,10 @@ from wcalc.catalogue import (
     power_index,
     prefix_only,
 )
-from wcalc.errors import NotLogConvex
+from wcalc.errors import DomainExceeded, NotLogConvex
 from wcalc.matrices import build_gevrey_matrix, check_matrix_condition, check_pseudo_mg
 from wcalc.quasi import matrix_nq_verdict
+from wcalc.serialize import dumps_canonical
 from wcalc.sequences import (
     KEPT,
     LogWeightSequence,
@@ -34,6 +35,7 @@ from wcalc.sequences import (
     lc_minorant_oracle,
     min_plus_self,
     relation_approx,
+    relation_pair,
     relation_preceq,
     relation_triangle,
 )
@@ -365,6 +367,66 @@ def test_root_gap_samples_leave_reports_unchanged(m, n):
             assert kept[P].tobytes() == want.tobytes()
 
 
+def _pair_rows():
+    """Rows of every kind a relation meets: tails of both asymptote kinds,
+    no tail, the steep power_index(2, 3), rows derived at l in {0.5, 1, 2}
+    as the dossier derives them, and equal rows built apart."""
+    base = [
+        gevrey(1.0), gevrey(1.5, 1000), gevrey(2.0), gevrey(2.0, 1000),
+        gevrey(3.0, 4000), factorial_power(2.0, 3.0), factorial_power(1.5, 2.0),
+        power_index(1.0, 2.0), power_index(0.5, 1.0), power_index(2.0, 3.0),
+        prefix_only(2.0), prefix_only(1.5),
+    ]
+    rows = list(base)
+    for seq in base[:7] + base[10:11]:
+        w = associated_function(seq)
+        for l in (0.5, 1.0, 2.0):
+            try:
+                rows.append(sequence_from_weight(w, l, max(int(seq.P // max(l, 1.0)), 2)))
+            except DomainExceeded:
+                pass
+    rows += [LogWeightSequence(r.L, r.tail, 0, r.label) for r in (base[2], base[10])]
+    return rows
+
+
+def test_relation_pair_equals_both_directions():
+    # N's gaps over M are the exact negatives of M's over N; the pair must
+    # give the reports of relation_preceq both ways and their conjunction
+    rows = _pair_rows()
+    for M in rows:
+        for N in rows:
+            forward, backward = relation_preceq(M, N), relation_preceq(N, M)
+            approx = verdicts.conjunction({"forward": forward, "backward": backward})
+            want = [v.to_json() for v in (forward, backward, approx)]
+            got = [v.to_json() for v in relation_pair(M, N)]
+            assert dumps_canonical(got) == dumps_canonical(want), (M.label, N.label)
+            assert dumps_canonical(relation_approx(M, N)) == dumps_canonical(approx)
+
+
+@pytest.mark.parametrize("left, right", [
+    ("gevrey:2", "gevrey:2"), ("gevrey:1.5", "gevrey:2"), ("factorial_power:2,3", "gevrey:2"),
+    ("power_index:1,2", "gevrey:3"), ("prefix_only:2", "gevrey:2"),
+    ("power_index:2,3", "prefix_only:2"),
+])
+def test_matrix_compare_report_equals_three_call_composition(left, right, monkeypatch):
+    reports = []
+    monkeypatch.setattr(serialize, "write_report", lambda path, rep: reports.append(rep) or "")
+    argv = ["matrix", "compare", "--left", left, "--right", right, "--pmax", "300"]
+    assert cli.main(argv) == 0
+    [report] = reports
+    del report["config"]
+    a, b = (cli.parse_sequence(d, 300) for d in (left, right))
+    want = {
+        "preceq": relation_preceq(a, b).to_json(),
+        "preceq_rev": relation_preceq(b, a).to_json(),
+        "triangle": relation_triangle(a, b).to_json(),
+        "approx": verdicts.conjunction(
+            {"forward": relation_preceq(a, b), "backward": relation_preceq(b, a)}
+        ).to_json(),
+    }
+    assert dumps_canonical(report) == dumps_canonical(want)
+
+
 def test_root_gap_samples_keep_the_eight_latest_prefix_lengths():
     g = LogWeightSequence(gevrey(2.0, 3000).L, FactorialPower(2.0, 1.0), 0, "g")
     lengths = list(range(100, 1300, 100))
@@ -518,13 +580,14 @@ def _same_float(a, b):
 
 
 def test_sampled_gap_sup_matches_scalar_loop():
-    from wcalc.sequences import _sampled_gap_sup
+    from wcalc.sequences import _sampled_gaps
 
     rows = list(_tailed_rows().items())
     assert len({r.P for _, r in rows}) > 1     # pairs whose two P differ
     for a, M in rows:
         for b, N in rows:
-            assert _same_float(_sampled_gap_sup(M, N), _gap_sup_loop(M, N)), (a, b)
+            sup = max(_sampled_gaps(M, N), default=-math.inf)
+            assert _same_float(sup, _gap_sup_loop(M, N)), (a, b)
 
 
 def test_mu_remainder_matches_scalar_loop():

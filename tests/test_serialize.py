@@ -1,4 +1,13 @@
-"""Canonical JSON: the flat encoder against the recursive one it replaced."""
+"""Canonical JSON: the encoder against the recursive one it replaced.
+
+dumps_recursive below is the reference: one call per node, floats with 17
+significant digits and ".0" on integral ones, nan and +-inf quoted, dict
+members sorted stably by str(k), two-space indent, ASCII escapes, and a
+Verdict through its to_json().  dumps_canonical must give the same bytes
+on every tree, including the trees its fast paths take: exact-type
+dispatch, a Verdict written from its fields, and a list of more than 16
+floats formatted in one call.
+"""
 
 import json
 import math
@@ -6,12 +15,14 @@ import shlex
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_readme import readme_commands
 from wcalc import cli, serialize
 from wcalc.catalogue import gevrey
 from wcalc.serialize import dumps_canonical
-from wcalc.verdicts import holds
+from wcalc.verdicts import Status, Verdict, holds
 
 
 def float_text(x: float) -> str:
@@ -91,6 +102,56 @@ EDGE_CASES = [
 @pytest.mark.parametrize("obj", EDGE_CASES, ids=repr)
 @pytest.mark.parametrize("indent", [0, 2])
 def test_flat_encoder_matches_recursive(obj, indent):
+    assert dumps_canonical(obj, indent) == dumps_recursive(obj, indent)
+
+
+# floats that print without a "." or an "e" at 17 digits, and the rest
+_SPECIAL_FLOATS = [0.0, -0.0, 1.0, -7.0, 1e16, 2.0 ** 60, math.nan, math.inf, -math.inf]
+_floats = st.one_of(
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e3, 1e3).map(round).map(float),
+)
+# runs on both sides of the one-call length, some with np.float64 entries
+_float_runs = st.one_of(
+    st.lists(_floats, max_size=16),
+    st.lists(_floats, min_size=17, max_size=60),
+    st.lists(st.one_of(_floats, _floats.map(np.float64)), min_size=17, max_size=40),
+)
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), _floats, _floats.map(np.float64),
+    st.text(max_size=6), st.text(max_size=3).map(_Label), _float_runs,
+)
+_keys = st.one_of(
+    st.text(max_size=3), st.text(max_size=3).map(_Label), st.integers(-3, 12),
+    st.floats(allow_nan=False), st.tuples(st.integers(0, 2), st.text(max_size=1)),
+)
+
+
+def _verdicts(children):
+    return st.builds(
+        Verdict,
+        st.sampled_from(Status),
+        st.dictionaries(st.text(max_size=4), children, max_size=3),
+        st.sampled_from(["", "no tail on one side", "quote\" ω"]),
+    )
+
+
+_trees = st.recursive(
+    st.one_of(_leaves, _verdicts(_leaves)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_keys, children, max_size=5),
+        _verdicts(children),
+    ),
+    max_leaves=30,
+)
+
+
+@given(_trees, st.integers(0, 3))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_encoder_matches_recursive_on_random_trees(obj, indent):
     assert dumps_canonical(obj, indent) == dumps_recursive(obj, indent)
 
 

@@ -136,6 +136,15 @@ def test_sequence_from_weight_domain_guard():
         sequence_from_weight(w, 3.0, 50)
 
 
+@pytest.mark.parametrize("sigma, l", [(1.0000000001, 0.5), (1.0000000001, 2.0), (1.01, 1e3)])
+def test_power_log_row_outside_the_float_range_is_refused(sigma, l):
+    # kappa = (sigma - 1) l**(beta - 1) sigma**(-beta) underflows to 0 for
+    # sigma near 1 and l < 1 and overflows for l > 1; a finite kappa can
+    # still take log M_pmax past the float range
+    with pytest.raises(DomainExceeded):
+        sequence_from_weight(make_power_log_weight(sigma), l, 200)
+
+
 def test_omega_condition_table_powerlog():
     out = check_omega_conditions(make_power_log_weight(2.0))
     expected = {
