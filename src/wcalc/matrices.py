@@ -141,12 +141,6 @@ def build_omega_matrix(w: WeightFunction, l_values, pmax: int = 200) -> WeightMa
 
 # -- pairwise inequality engines ---------------------------------------
 
-def _keys(x: LogWeightSequence, y: LogWeightSequence):
-    if x.tail is None or y.tail is None:
-        return None
-    return x.tail.asymptote(), y.tail.asymptote()
-
-
 def _dc_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
     """Is sup_j (L^x_{j+1} - L^y_j)/(j+1) finite?"""
     P = min(x.P, y.P) - 1
@@ -159,9 +153,7 @@ def _dc_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
         return verdicts.holds(**verdicts.exp_witness("C", max(prefix, 0.0)))
     if g == math.inf:
         return verdicts.fails(gap_limit="+inf")
-    kx, ky = _keys(x, y)
-    if kx[0] == "poly" and ky[0] == "poly" and kx[1] > 1.0:
-        # shift by one index adds kappa*(gamma+1)*j**(gamma-1), unbounded
+    if x.tail.asymptote().shift_defect_unbounded:
         return verdicts.fails(unbounded_shift_defect=True)
     return verdicts.holds(**verdicts.exp_witness("C", max(prefix, g) + 0.1))
 
@@ -177,21 +169,9 @@ def _mg_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
         return float(np.max((x.L[1 : P + 1] - mins[1:]) / np.arange(1, P + 1)))
 
     best = kept(x, "_mg_pair", prefix_sup, (row_serial(y), P))
-    g = root_gap_limit(x.tail, y.tail)
-    if g is None:
+    if x.tail is None or y.tail is None:
         return verdicts.inconclusive("no tail", **verdicts.exp_witness("prefix_C", best))
-    kx, ky = _keys(x, y)
-    if kx[0] == "log" and ky[0] == "log":
-        ok = kx[1] <= ky[1]
-    elif kx[0] == "poly" and ky[0] == "poly":
-        if kx[1] != ky[1]:
-            ok = kx[1] < ky[1]
-        else:
-            # diagonal j = k is the extremal direction for convex exponents
-            ok = ky[2] >= 2.0 ** kx[1] * kx[2] * (1 - 1e-12)
-    else:
-        ok = kx[0] == "log"
-    if ok:
+    if x.tail.asymptote().mixed_moderate_growth(y.tail.asymptote()):
         return verdicts.holds(**verdicts.exp_witness("C", max(best, 0.0) + 0.1))
     return verdicts.fails(**verdicts.exp_witness("prefix_C", best), divergent_diagonal=True)
 
@@ -704,11 +684,7 @@ def comparison_report(obj) -> dict:
         )
     else:
         raise TypeError("expected a sequence or a weight function")
-    report["status"] = verdicts.conjunction(
-        {
-            k: v
-            for k, v in V.items()
-            if k not in ("omega6", "rows_pairwise_approx", "rows_mg")
-        }
-    ).status.value
+    report["status"] = verdicts.combined_status(
+        v for k, v in V.items() if k not in ("omega6", "rows_pairwise_approx", "rows_mg")
+    ).value
     return report

@@ -98,10 +98,10 @@ def small_terms_diagnostic(seq: LogWeightSequence) -> Verdict:
     quarter = vals[3 * len(vals) // 4 :]
     prefix_trend = bool(np.all(np.diff(quarter) <= 1e-9)) and quarter[-1] < quarter[0] + 1e-9
     if mi.tail is not None:
-        kind, u, _ = mi.tail.asymptote()
-        if kind == "poly" or u > 1.0:
+        asym = mi.tail.asymptote()
+        if asym.series_converges:
             return verdicts.holds(limit=0.0, prefix_decreasing=prefix_trend)
-        return verdicts.fails(root_exponent=u)
+        return verdicts.fails(root_exponent=asym.u)
     if prefix_trend:
         return verdicts.inconclusive("prefix decreasing but no tail", last=float(quarter[-1]))
     return verdicts.inconclusive("no trend on prefix")

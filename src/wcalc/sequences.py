@@ -257,10 +257,10 @@ def check_in_LC(seq: LogWeightSequence) -> Verdict:
     if lc.fails:
         return verdicts.fails(**lc.witness)
     if seq.tail is not None:
-        kind, u, v = seq.tail.asymptote()
-        if kind == "poly" or u > 0:
-            return verdicts.holds(root_growth=(kind, u, v))
-        return verdicts.fails(**verdicts.exp_witness("root_limit", v))
+        asym = seq.tail.asymptote()
+        if asym.root_diverges:
+            return verdicts.holds(root_growth=asym)
+        return verdicts.fails(**verdicts.exp_witness("root_limit", asym.v))
     half = seq.P // 2
     slope = seq.root(seq.P) - seq.root(max(half, 1))
     if slope < 0.1:
@@ -317,18 +317,9 @@ def check_moderate_growth(seq: LogWeightSequence) -> Verdict:
         return verdicts.inconclusive(
             "prefix only", **verdicts.exp_witness("prefix_C", best), at=(j, m - j)
         )
-    kind = seq.tail.asymptote()[0]
-    if kind == "log":
-        # L_p = O(p log p) with slowly varying increments keeps the
-        # defect (L_{j+k} - L_j - L_k)/(j+k) bounded
+    if seq.tail.asymptote().moderate_growth:
         return verdicts.holds(**verdicts.exp_witness("C", best), at=(j, m - j))
     return verdicts.fails(divergent_defect=True, **verdicts.exp_witness("prefix_C", best))
-
-
-def _series_converges(asym: tuple) -> bool:
-    """Does sum 1/mu_p (equivalently sum exp(-root)) converge for this key?"""
-    kind, u, _ = asym
-    return kind == "poly" or u > 1.0
 
 
 def _mu_remainder(seq: LogWeightSequence) -> float:
@@ -347,7 +338,7 @@ def check_nq(seq: LogWeightSequence) -> Verdict:
         partial = float(np.sum(np.exp(-np.diff(seq.L))))
     if seq.tail is None:
         return verdicts.inconclusive("prefix only", partial_sum=partial)
-    if not _series_converges(seq.tail.asymptote()):
+    if not seq.tail.asymptote().series_converges:
         return verdicts.fails(partial_sum=partial, divergent=True)
     bounds = seq.tail.reciprocal_mu_tail_bounds(seq.P)
     if bounds is not None:
@@ -364,7 +355,7 @@ def _root_series_verdict(seq: LogWeightSequence) -> Verdict:
     partial = float(np.sum(np.exp(-L[1:] / np.arange(1, L.size))))
     if seq.tail is None:
         return verdicts.inconclusive("prefix only", partial_sum=partial)
-    if not _series_converges(seq.tail.asymptote()):
+    if not seq.tail.asymptote().series_converges:
         return verdicts.fails(partial_sum=partial, divergent=True)
     hi = seq.tail.root_sum_tail_upper(seq.P)
     if hi is not None:
@@ -392,11 +383,9 @@ def check_carleman_consistency(seq: LogWeightSequence) -> Verdict:
 def check_beta3(seq: LogWeightSequence) -> Verdict:
     Q_max = 8
     if seq.tail is not None:
-        kind, u, _ = seq.tail.asymptote()
-        if kind == "poly":
-            return verdicts.holds(Q=2, ratio_limit=math.inf)
-        if u > 0:
-            return verdicts.holds(Q=2, **verdicts.pow2_witness("ratio_limit", u))
+        asym = seq.tail.asymptote()
+        if asym.root_diverges:
+            return verdicts.holds(Q=2, **verdicts.pow2_witness("ratio_limit", asym.mu_order))
         return verdicts.fails(ratio_limit=1.0)
     mu = np.exp(np.diff(seq.L))
     for Q in range(2, Q_max + 1):
@@ -552,9 +541,9 @@ def increasing_root_minorant(seq: LogWeightSequence) -> LogWeightSequence:
     if seq.tail is not None:
         # the suffix infimum also ranges over the symbolic continuation
         probe = min(seq.tail.root(p) for p in (P + 1, 2 * P + 2, 10 * P + 10))
-        kind, u, v = seq.tail.asymptote()
-        if kind == "log" and u == 0.0:
-            probe = min(probe, v)
+        asym = seq.tail.asymptote()
+        if not asym.root_diverges:
+            probe = min(probe, asym.v)
         suffix = np.minimum(suffix, probe)
     out = np.concatenate(([0.0], suffix * np.arange(1, P + 1)))
     out[0] = seq.L[0] if abs(seq.L[0]) <= LOG_TOL else 0.0

@@ -3,14 +3,9 @@
 A truncated sequence stores log M_p only up to an index P, which is never
 enough to decide an asymptotic condition.  A Tail is a closed-form rule for
 log M_p valid from some index on; it supports exact evaluation at huge
-(float-representable) integers via lgamma and exposes a coarse asymptotic
-key for its root sequence p -> log(M_p)/p:
-
-    ("log", alpha, beta):   root(p) = alpha*log p + beta + o(1)
-    ("poly", gamma, kappa): root(p) = kappa * p**gamma * (1 + o(1)), gamma > 0
-
-The key is all that is needed to decide the quotient-series conditions and
-the pairwise root-limit relations exactly.
+(float-representable) integers via lgamma and exposes the Scale of its
+root sequence p -> log(M_p)/p, all that is needed to decide the
+quotient-series conditions and the pairwise root-limit relations exactly.
 
 Each family writes its closed form once, as the vector hook _log_values;
 Tail.log_values(ps) and the scalar Tail.log_value(p) both evaluate it.  A
@@ -32,10 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "Scale",
     "Tail",
     "FactorialPower",
     "PowerIndex",
@@ -74,6 +71,78 @@ def _log_factorials(ps: np.ndarray) -> np.ndarray:
     return out
 
 
+class Scale(NamedTuple):
+    """Asymptotic scale of a root sequence p -> log(M_p)/p, one of
+
+        ("log", alpha, beta):   root(p) = alpha*log p + beta + o(1)
+        ("poly", gamma, kappa): root(p) = kappa * p**gamma * (1 + o(1)), gamma > 0
+
+    A tuple, so a witness holding one encodes as the list [kind, u, v]."""
+
+    kind: str
+    u: float
+    v: float
+
+    @property
+    def mu_order(self) -> float:
+        """alpha with mu_p = p**(alpha + o(1)); inf on the poly scale."""
+        return math.inf if self.kind == "poly" else self.u
+
+    @property
+    def root_diverges(self) -> bool:
+        return self.mu_order > 0
+
+    @property
+    def series_converges(self) -> bool:
+        """Does sum 1/mu_p (equivalently sum exp(-root)) converge?"""
+        return self.mu_order > 1.0
+
+    @property
+    def moderate_growth(self) -> bool:
+        """(M.2): L_p = O(p log p) keeps (L_{j+k} - L_j - L_k)/(j+k) bounded."""
+        return self.kind == "log"
+
+    @property
+    def shift_defect_unbounded(self) -> bool:
+        """Against a row at a finite root gap, a shift by one index adds
+        kappa*(gamma+1)*j**(gamma-1) to (L_{j+1} - L'_j)/(j+1)."""
+        return self.kind == "poly" and self.u > 1.0
+
+    def gap_limit(self, other: Scale) -> float:
+        """lim root(p) - root'(p), root' on other; exact closed forms agree to o(1)."""
+        if self.kind != other.kind:
+            return math.inf if self.kind == "poly" else -math.inf
+        if self.kind == "log" and self.u == other.u:
+            return self.v - other.v
+        for a, b in ((self.u, other.u), (self.v, other.v)):
+            if a != b:
+                return math.inf if a > b else -math.inf
+        return 0.0
+
+    def mixed_moderate_growth(self, other: Scale) -> bool:
+        """Is sup_{j,k} (L_{j+k} - L'_j - L'_k)/(j+k) finite, L' on other?"""
+        if self.kind != other.kind:
+            return self.kind == "log"
+        if self.kind == "log" or self.u != other.u:
+            return self.u <= other.u
+        # diagonal j = k is the extremal direction for convex exponents
+        return other.v >= 2.0 ** self.u * self.v * (1 - 1e-12)
+
+    def stepped(self, l: float) -> Scale:
+        """The scale of j -> (M_{l j})**(1/l)."""
+        if self.kind == "log":
+            return self._replace(v=self.v + self.u * math.log(l))
+        return self._replace(v=self.v * l ** self.u)
+
+    def omega_class(self) -> tuple | None:
+        """("power", e) for omega(t) ~ t**e, ("logpower", e) for (log t)**e,
+        None for a bounded root; the classes order as omega grows."""
+        if self.kind == "log":
+            return ("power", 1.0 / self.u) if self.u > 0 else None
+        beta = self.u + 1.0
+        return ("logpower", beta / (beta - 1.0))
+
+
 class Tail:
     """Closed-form continuation of a log weight sequence."""
 
@@ -95,8 +164,11 @@ class Tail:
         """log mu_p = log M_p - log M_{p-1}."""
         return self.log_value(p) - self.log_value(p - 1)
 
-    def asymptote(self) -> tuple:
-        raise NotImplementedError
+    def asymptote(self) -> Scale:
+        """The family's _scale(), computed once per tail."""
+        if "_scale" not in self.__dict__:
+            self.__dict__["_scale"] = self._scale()
+        return self.__dict__["_scale"]
 
     def is_log_convex(self) -> bool:
         raise NotImplementedError
@@ -129,9 +201,9 @@ class FactorialPower(Tail):
     def _log_values(self, ps: np.ndarray) -> np.ndarray:
         return self.s * _log_factorials(ps) + ps * math.log(self.a)
 
-    def asymptote(self) -> tuple:
+    def _scale(self) -> Scale:
         # log p!/p = log p - 1 + o(1)
-        return ("log", self.s, math.log(self.a) - self.s)
+        return Scale("log", self.s, math.log(self.a) - self.s)
 
     def is_log_convex(self) -> bool:
         return True
@@ -192,10 +264,10 @@ class PowerIndex(Tail):
         with np.errstate(over="ignore"):
             return self.kappa * powers
 
-    def asymptote(self) -> tuple:
+    def _scale(self) -> Scale:
         if self.beta == 1.0:
-            return ("log", 0.0, self.kappa)
-        return ("poly", self.beta - 1.0, self.kappa)
+            return Scale("log", 0.0, self.kappa)
+        return Scale("poly", self.beta - 1.0, self.kappa)
 
     def is_log_convex(self) -> bool:
         return True
@@ -232,13 +304,10 @@ class SteppedTail(Tail):
             out[~inside] = self.parent_tail._log_values(xs[~inside])
         return out / self.l
 
-    def asymptote(self) -> tuple:
+    def _scale(self) -> Scale:
         if self.parent_tail is None:
             raise ValueError("stepped tail over a prefix-only parent has no asymptote")
-        kind, u, v = self.parent_tail.asymptote()
-        if kind == "log":
-            return ("log", u, v + u * math.log(self.l))
-        return ("poly", u, v * self.l ** u)
+        return self.parent_tail.asymptote().stepped(self.l)
 
     def is_log_convex(self) -> bool:
         return True
@@ -278,10 +347,10 @@ class RootPowerDualTail(Tail):
             out[up] = (xa * logs - xa + self.c) / self.l
         return out
 
-    def asymptote(self) -> tuple:
+    def _scale(self) -> Scale:
         alpha = 1.0 / self.a
         beta = (math.log(self.l) - math.log(self.c * self.a) - 1.0) / self.a
-        return ("log", alpha, beta)
+        return Scale("log", alpha, beta)
 
     def is_log_convex(self) -> bool:
         return True
@@ -291,33 +360,8 @@ class RootPowerDualTail(Tail):
 
 
 def root_gap_limit(t1: Tail | None, t2: Tail | None) -> float | None:
-    """Limit of root_1(p) - root_2(p) as p -> infinity.
-
-    Returns +-inf or a finite number; None when either tail is missing.
-    The finite case relies on the tails being exact closed forms, so equal
-    asymptotic keys of "poly" type mean equal functions to o(1).
-    """
-    if t1 is None or t2 is None:
-        return None
-    k1, k2 = t1.asymptote(), t2.asymptote()
-    p1, p2 = k1[0] == "poly", k2[0] == "poly"
-    if p1 and p2:
-        g1, c1 = k1[1], k1[2]
-        g2, c2 = k2[1], k2[2]
-        if g1 != g2:
-            return math.inf if g1 > g2 else -math.inf
-        if c1 != c2:
-            return math.inf if c1 > c2 else -math.inf
-        return 0.0
-    if p1:
-        return math.inf
-    if p2:
-        return -math.inf
-    a1, b1 = k1[1], k1[2]
-    a2, b2 = k2[1], k2[2]
-    if a1 != a2:
-        return math.inf if a1 > a2 else -math.inf
-    return b1 - b2
+    """Limit of root_1(p) - root_2(p) as p -> infinity; None without a tail."""
+    return None if t1 is None or t2 is None else t1.asymptote().gap_limit(t2.asymptote())
 
 
 def geometric_mean(t1: Tail | None, t2: Tail | None) -> Tail | None:

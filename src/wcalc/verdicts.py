@@ -84,14 +84,20 @@ def pow2_witness(name: str, x: float) -> dict[str, float]:
         return {"log_" + name: x * math.log(2.0)}
 
 
+def combined_status(parts) -> Status:
+    """Status of a conjunction: Fails dominates, then Inconclusive."""
+    order = (Status.FAILS, Status.INCONCLUSIVE, Status.HOLDS)
+    return min((v.status for v in parts), key=order.index, default=Status.HOLDS)
+
+
 def conjunction(parts: dict[str, Verdict]) -> Verdict:
-    """Combine named sub-verdicts: Fails dominates, then Inconclusive.
+    """Combine named sub-verdicts by combined_status.
     The sub-verdicts ride along in the witness so runs can be replayed."""
     detail = {k: v.to_json() for k, v in parts.items()}
-    if any(v.fails for v in parts.values()):
-        bad = sorted(k for k, v in parts.items() if v.fails)
-        return fails(failed=bad, parts=detail)
-    if any(v.inconclusive for v in parts.values()):
-        open_ = sorted(k for k, v in parts.items() if v.inconclusive)
-        return inconclusive("undecided sub-checks: " + ", ".join(open_), parts=detail)
-    return holds(checked=sorted(parts), parts=detail)
+    status = combined_status(parts.values())
+    if status is Status.HOLDS:
+        return holds(checked=sorted(parts), parts=detail)
+    named = sorted(k for k, v in parts.items() if v.status is status)
+    if status is Status.FAILS:
+        return fails(failed=named, parts=detail)
+    return inconclusive("undecided sub-checks: " + ", ".join(named), parts=detail)

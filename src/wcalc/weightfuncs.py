@@ -99,13 +99,7 @@ class WeightFunction:
         if kind == "root_power":
             return ("power", self.source[1])
         seq: LogWeightSequence = self.source[1]
-        if seq.tail is None:
-            return None
-        tkind, u, v = seq.tail.asymptote()
-        if tkind == "log":
-            return ("power", 1.0 / u) if u > 0 else None
-        beta = u + 1.0
-        return ("logpower", beta / (beta - 1.0))
+        return None if seq.tail is None else seq.tail.asymptote().omega_class()
 
     def to_json(self) -> dict:
         kind = self.source[0]
@@ -312,19 +306,9 @@ def relation_omega(sigma_w: WeightFunction, tau_w: WeightFunction, kind: str) ->
             "growth class unavailable", ratio_range=(lo_r, hi_r)
         )
 
-    def rank(c):
-        # logpower grows slower than every power; encode as (tier, exponent)
-        return (0, c[1]) if c[0] == "logpower" else (1, c[1])
-
-    r1, r2 = rank(c1), rank(c2)
-    big_o = r2 <= r1          # tau = O(sigma)
-    little_o = r2 < r1        # tau = o(sigma)
-    if kind == "preceq":
-        return verdicts.holds(classes=(c1, c2)) if big_o else verdicts.fails(classes=(c1, c2))
-    if kind == "triangle":
-        return verdicts.holds(classes=(c1, c2)) if little_o else verdicts.fails(classes=(c1, c2))
-    same = r1 == r2
-    return verdicts.holds(classes=(c1, c2)) if same else verdicts.fails(classes=(c1, c2))
+    # the classes order as the growth does (Scale.omega_class)
+    ok = {"preceq": c2 <= c1, "sim": c1 == c2, "triangle": c2 < c1}[kind]
+    return verdicts.holds(classes=(c1, c2)) if ok else verdicts.fails(classes=(c1, c2))
 
 
 def _implication(hyp: Verdict, ant: Verdict, cons: Verdict) -> Verdict:

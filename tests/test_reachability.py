@@ -144,6 +144,18 @@ def test_only_convex_reads_a_convex_pls_arrays():
     assert not touched, f"a ConvexPL's arrays outside convex.py: {touched}"
 
 
+def test_only_tails_knows_the_scale_shapes():
+    # every decision past the prefix asks a tails.Scale; the shapes "log"
+    # and "poly" of its root sequence are spelled in tails.py alone
+    spelled = [
+        f"{p.name}:{n.lineno}"
+        for p, tree in _modules().items() if p.name != "tails.py"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and n.value in ("log", "poly")
+    ]
+    assert not spelled, f"a scale's shape outside tails.py: {spelled}"
+
+
 def test_one_site_builds_a_sampled_function():
     # the builders return the one function that fourier._function_of keeps
     # per construction; a second call site would bring copies back

@@ -308,3 +308,69 @@ def test_sparse_huge_points_do_not_grow_the_table():
     for ps in ([1e6], [size + 10.0, 4e6], [1e300]):
         assert _same_bits(t.log_values(ps), _scalar_values(t, ps))
         assert tails._LOG_FACTORIALS.size == size
+
+
+# -- the asymptotic scale against direct evaluation -------------------------
+
+def _catalogue_tails():
+    base = st.one_of(
+        st.builds(FactorialPower, st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0)),
+                  st.sampled_from((1.0, 2.0))),
+        st.builds(PowerIndex, st.sampled_from((0.5, 1.0, 2.0)),
+                  st.sampled_from((1.0, 1.5, 2.0, 2.5))),
+        st.builds(RootPowerDualTail, st.sampled_from((0.5, 1.0, 2.0)),
+                  st.sampled_from((1.0, 2.0)), st.sampled_from((1.0, 2.0))),
+    )
+
+    def stepped(t, l):
+        return SteppedTail(t.log_values(np.arange(11)), t, l)
+
+    return st.one_of(base, st.builds(stepped, base, st.sampled_from((0.5, 2.0))))
+
+
+@given(_catalogue_tails(), _catalogue_tails())
+@settings(max_examples=200, deadline=None)
+def test_scale_answers_match_the_tails_at_1e6_and_1e7(x, y):
+    # the closed forms are evaluated by _scalar_log_value, whose math.lgamma
+    # leaves the shared log-factorial table as it is
+    def L(t, p):
+        return _scalar_log_value(t, p)
+
+    def mu_log(t, p):
+        return L(t, p) - L(t, p - 1)
+
+    def growth(f):
+        return f(1e7) - f(1e6)
+
+    sx, sy = x.asymptote(), y.asymptote()
+    assert sx.root_diverges == (growth(lambda p: L(x, p) / p) > 1e-3)
+    # mu_p = p**(alpha + o(1)): the decade's change of log mu_p is alpha log 10
+    assert sx.series_converges == (growth(lambda p: mu_log(x, p)) > (1 + 1e-3) * math.log(10.0))
+    # (M.2) and its mixed form along the diagonal j = k = p
+    assert sx.moderate_growth == (growth(lambda p: (L(x, 2 * p) - 2 * L(x, p)) / (2 * p)) < 1e-3)
+    assert sx.mixed_moderate_growth(sy) == (
+        growth(lambda p: (L(x, 2 * p) - 2 * L(y, p)) / (2 * p)) < 1e-3
+    )
+
+    g = sx.gap_limit(sy)
+    gap = growth(lambda p: L(x, p) / p - L(y, p) / p)
+    if math.isfinite(g):
+        assert abs(L(x, 1e7) / 1e7 - L(y, 1e7) / 1e7 - g) < 1e-3
+        shift = growth(lambda p: (L(x, p + 1) - L(y, p)) / (p + 1))
+        assert sx.shift_defect_unbounded == (shift > 1e-3)
+    else:
+        assert abs(gap) > 1e-3 and (gap > 0) == (g > 0)
+
+    # omega_M(mu_p) = p log mu_p - L_p, against log t = log mu_p
+    def omega(p):
+        return p * mu_log(x, p) - L(x, p)
+
+    cls = sx.omega_class()
+    if cls is None:
+        assert omega(1e7) < 1.0
+    elif cls[0] == "power":             # log omega ~ e log t
+        e = growth(lambda p: math.log(omega(p))) / growth(lambda p: mu_log(x, p))
+        assert e == pytest.approx(cls[1], rel=1e-3)
+    else:                               # log omega ~ e log log t
+        e = growth(lambda p: math.log(omega(p))) / growth(lambda p: math.log(mu_log(x, p)))
+        assert e == pytest.approx(cls[1], rel=1e-3)
