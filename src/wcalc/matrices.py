@@ -198,11 +198,12 @@ def _strict_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
 
 # -- quantifier helpers -------------------------------------------------
 
-def _exists(candidates, pred) -> Verdict:
-    """candidates: iterable of (label, row, extended_flag)."""
+def _exists(labelled) -> Verdict:
+    """Some y: labelled yields (y, verdict at y, extended_flag) and is read
+    up to the first verdict that holds, so a generator stops there."""
     open_reason = None
-    for lbl, row, ext in candidates:
-        v = pred(row)
+    searched = []
+    for lbl, v, ext in labelled:
         if v.holds:
             wit = dict(v.witness)
             wit["y"] = lbl
@@ -211,9 +212,10 @@ def _exists(candidates, pred) -> Verdict:
             return verdicts.holds(**wit)
         if v.inconclusive:
             open_reason = v.reason
+        searched.append(lbl)
     if open_reason is not None:
         return verdicts.inconclusive(open_reason)
-    return verdicts.fails(searched=[lbl for lbl, _, _ in candidates])
+    return verdicts.fails(searched=searched)
 
 
 def _forall(items, pred) -> Verdict:
@@ -245,7 +247,7 @@ def _forall_exists(M: WeightMatrix, pool, pred) -> Verdict:
     """For every row x of M some candidate y in pool with pred(x, y)."""
     return _forall(
         zip(M.labels, M.rows),
-        lambda lbl, row: _exists(pool, lambda y: pred(row, y)),
+        lambda lbl, row: _exists((ly, pred(row, y), ext) for ly, y, ext in pool),
     )
 
 
@@ -292,16 +294,15 @@ def check_matrix_condition(M: WeightMatrix, condition: str) -> Verdict:
         if any(g is None for _, g in gaps):
             return verdicts.inconclusive("rows without tails")
         return verdicts.fails()
-    parts = {}
-    for lbl, g in gaps:
+
+    def row_verdict(lbl, g):
         if g is None:
-            v = verdicts.inconclusive("no tail")
-        elif condition == "H":
-            v = verdicts.holds(gap=g) if g > -math.inf else verdicts.fails()
-        else:
-            v = verdicts.holds() if g == math.inf else verdicts.fails(gap=g)
-        parts[f"x={lbl:g}"] = v
-    return verdicts.conjunction(parts)
+            return verdicts.inconclusive("no tail")
+        if condition == "H":
+            return verdicts.holds(gap=g) if g > -math.inf else verdicts.fails()
+        return verdicts.holds() if g == math.inf else verdicts.fails(gap=g)
+
+    return _forall(gaps, row_verdict)
 
 
 def relation_matrix(M: WeightMatrix, N: WeightMatrix, kind: str) -> Verdict:
@@ -476,12 +477,15 @@ def check_pseudo_mg(M: WeightMatrix, variant: str = "roumieu") -> Verdict:
 
 # -- stability of the construction --------------------------------------
 
-def check_stability_theorem(
-    M: WeightMatrix, l_values=(2.0, 3.0, 0.5, 0.25)
-) -> Verdict:
+STABILITY_STEPS = (2.0, 3.0, 0.5, 0.25)
+
+
+def check_stability_theorem(M: WeightMatrix) -> Verdict:
     """The extension chain produces an equivalent matrix whenever the
-    mixed moderate-growth conditions hold, and a second extension is
-    always equivalent to the first."""
+    mixed moderate-growth conditions hold: one step for each l in
+    STABILITY_STEPS.  The second_extension parts compare the l = 2 step
+    with a second l = 2 step on it.  That is not equivalence in general:
+    on power_index rows each step multiplies kappa by 2**(beta - 1)."""
     if not M.check_Msc().holds:
         raise ClassMembershipFailed("matrix is not standard log-convex")
     parts = {
@@ -489,16 +493,16 @@ def check_stability_theorem(
         "mg_beurling": check_matrix_condition(M, "mg_beurling"),
     }
     base_chain = MultiIndexChain(M)
-    for l in l_values:
-        ext = multi_index_step(base_chain, l)
+    steps = {}
+    for l in STABILITY_STEPS:
+        ext = steps[l] = multi_index_step(base_chain, l)
         parts[f"approx_roumieu:l={l:g}"] = relation_matrix(
             M, ext.current, "roumieu_approx"
         )
         parts[f"approx_beurling:l={l:g}"] = relation_matrix(
             M, ext.current, "beurling_approx"
         )
-    # idempotence after one step: extending again changes nothing up to approx
-    once = multi_index_step(base_chain, 2.0)
+    once = steps[2.0]
     twice = multi_index_step(once, 2.0)
     parts["second_extension_roumieu"] = relation_matrix(
         once.current, twice.current, "roumieu_approx"
@@ -530,11 +534,6 @@ def check_L_consequences(M: WeightMatrix) -> Verdict:
     argument of the associated functions and the mixed-index domination
     are controlled as well."""
     L_verdict = check_matrix_condition(M, "L_roumieu")
-    if L_verdict.fails:
-        return verdicts.holds(vacuous=True, L="fails")
-    if L_verdict.inconclusive:
-        return verdicts.inconclusive("antecedent undecided")
-    parts = {"L": L_verdict}
 
     # (a) omega_{M^y}(2t) = O(omega_{M^x}(t)) with searched y
     def doubling(x, y):
@@ -549,8 +548,6 @@ def check_L_consequences(M: WeightMatrix) -> Verdict:
         if cls_ok:
             return verdicts.holds(grid_ratio=r)
         return verdicts.fails(grid_ratio=r)
-
-    parts["omega_doubling"] = _roumieu(M, doubling)
 
     # (b) mixed-index domination with moderate h and inner steps a, b
     def mixed(lbl, row):
@@ -577,7 +574,7 @@ def check_L_consequences(M: WeightMatrix) -> Verdict:
                         return verdicts.holds(b=b, **verdicts.exp_witness("D", max(D, 0.0)))
                 return verdicts.fails()
 
-            return _exists(_candidates(M, "up"), pred)
+            return _exists((ly, pred(y), ext) for ly, y, ext in _candidates(M, "up"))
 
         sub = {}
         for a in (1.0, 2.0):
@@ -585,8 +582,16 @@ def check_L_consequences(M: WeightMatrix) -> Verdict:
                 sub[f"a={a:g},h={h:g}"] = dominated(rows_a[a], h)
         return verdicts.conjunction(sub)
 
-    parts["mixed_index"] = _forall(zip(M.labels, M.rows), mixed)
-    return verdicts.conjunction(parts)
+    return verdicts.implication(
+        L_verdict,
+        lambda: verdicts.conjunction(
+            {
+                "L": L_verdict,
+                "omega_doubling": _roumieu(M, doubling),
+                "mixed_index": _forall(zip(M.labels, M.rows), mixed),
+            }
+        ),
+    )
 
 
 def check_BR_triangle(M: WeightMatrix) -> Verdict:
@@ -606,21 +611,14 @@ def check_BR_triangle(M: WeightMatrix) -> Verdict:
         zip(M.labels, M.rows),
         lambda lbl, row: check_omega_conditions(associated_function(row))["omega1"],
     )
-
-    def _impl(hyp, cons):
-        if hyp.holds:
-            return cons
-        if hyp.fails:
-            return verdicts.holds(vacuous=True)
-        return verdicts.inconclusive("hypothesis undecided")
-
-    forward_hyp = verdicts.conjunction({"BR": br, "mg": per_row_mg})
     return verdicts.conjunction(
         {
-            "forward": _impl(forward_hyp, omega_side),
-            "converse": _impl(
+            "forward": verdicts.implication(
+                verdicts.conjunction({"BR": br, "mg": per_row_mg}), lambda: omega_side
+            ),
+            "converse": verdicts.implication(
                 verdicts.conjunction({"omega1": per_row_o1, "triangle": omega_side}),
-                br,
+                lambda: br,
             ),
         }
     )

@@ -22,7 +22,7 @@ from .errors import (
     TailNotCertified,
     TruncationExhausted,
 )
-from .matrices import WeightMatrix, relation_matrix
+from .matrices import WeightMatrix, _exists, _forall, relation_matrix
 from .sequences import (
     LogWeightSequence,
     check_log_convex,
@@ -69,23 +69,11 @@ def matrix_nq_verdict(M: WeightMatrix, variant: str) -> Verdict:
     """Roumieu: some row suffices; Beurling: every row is needed."""
     if variant not in ("roumieu", "beurling"):
         raise ValueError(variant)
-    per_row = {
-        f"x={lbl:g}": class_nq_verdict(row)
-        for lbl, row in zip(M.labels, M.rows)
-    }
+    # every row, also past one that holds: each row's two routes are cross-checked
+    per_row = [(lbl, class_nq_verdict(row)) for lbl, row in zip(M.labels, M.rows)]
     if variant == "roumieu":
-        if any(v.holds for v in per_row.values()):
-            x0 = next(k for k, v in per_row.items() if v.holds)
-            return verdicts.holds(witness_row=x0)
-        if any(v.inconclusive for v in per_row.values()):
-            return verdicts.inconclusive("undecided rows remain")
-        return verdicts.fails(rows=sorted(per_row))
-    if any(v.fails for v in per_row.values()):
-        x0 = next(k for k, v in per_row.items() if v.fails)
-        return verdicts.fails(counterexample_row=x0)
-    if any(v.inconclusive for v in per_row.values()):
-        return verdicts.inconclusive("undecided rows remain")
-    return verdicts.holds(rows=sorted(per_row))
+        return _exists((lbl, v, False) for lbl, v in per_row)
+    return _forall(per_row, lambda lbl, v: v)
 
 
 def small_terms_diagnostic(seq: LogWeightSequence) -> Verdict:

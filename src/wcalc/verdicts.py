@@ -4,6 +4,12 @@ Asymptotic growth conditions cannot be decided from a finite prefix of a
 sequence, so every condition tester in this package returns a Verdict that
 is either Holds, Fails or Inconclusive.  Holds/Fails always carry a witness
 (constants, indices, bracketing sums) that a checker can replay.
+
+The connectives are written once.  "and" is `conjunction` (Fails
+dominates, then Inconclusive: `combined_status`), "implies" is
+`implication` (a failed hypothesis holds vacuously), and the quantifiers
+"some row" / "every row" over a weight matrix are `matrices._exists` and
+`matrices._forall`.
 """
 from __future__ import annotations
 
@@ -101,3 +107,13 @@ def conjunction(parts: dict[str, Verdict]) -> Verdict:
     if status is Status.FAILS:
         return fails(failed=named, parts=detail)
     return inconclusive("undecided sub-checks: " + ", ".join(named), parts=detail)
+
+
+def implication(hyp: Verdict, then) -> Verdict:
+    """hyp => then(): the consequent verdict when hyp holds, a vacuous
+    Holds when it fails.  then is called only when hyp holds."""
+    if hyp.holds:
+        return then()
+    if hyp.fails:
+        return holds(vacuous=True)
+    return inconclusive("hypothesis undecided")

@@ -311,18 +311,6 @@ def relation_omega(sigma_w: WeightFunction, tau_w: WeightFunction, kind: str) ->
     return verdicts.holds(classes=(c1, c2)) if ok else verdicts.fails(classes=(c1, c2))
 
 
-def _implication(hyp: Verdict, ant: Verdict, cons: Verdict) -> Verdict:
-    if hyp.holds and ant.holds:
-        if cons.holds:
-            return verdicts.holds(consequent=cons.witness)
-        if cons.fails:
-            return verdicts.fails(consequent=cons.witness)
-        return verdicts.inconclusive("consequent undecided")
-    if hyp.fails or ant.fails:
-        return verdicts.holds(vacuous=True)
-    return verdicts.inconclusive("hypothesis or antecedent undecided")
-
-
 def check_lemma_assofunc(seq: LogWeightSequence) -> Verdict:
     """Self-test: omega_M of an LC sequence is a weight, and the root
     behaviour of m_p = M_p/p! forces (omega2) resp. (omega5)."""
@@ -332,14 +320,11 @@ def check_lemma_assofunc(seq: LogWeightSequence) -> Verdict:
     conds = check_omega_conditions(w)
     parts = {k: conds[k] for k in ("omega0", "omega3", "omega4")}
     g = root_gap_limit(seq.tail, FactorialPower(1.0, 1.0))
+    # each premise is decided here, so each part is its consequent
     if g is not None and g > -math.inf:
-        parts["omega2_implication"] = _implication(
-            verdicts.holds(m_root_liminf_positive=True), verdicts.holds(), conds["omega2"]
-        )
+        parts["omega2_implication"] = conds["omega2"]
     if g == math.inf:
-        parts["omega5_implication"] = _implication(
-            verdicts.holds(m_root_divergent=True), verdicts.holds(), conds["omega5"]
-        )
+        parts["omega5_implication"] = conds["omega5"]
     return verdicts.conjunction(parts)
 
 
@@ -347,14 +332,16 @@ def check_relation_comparison(M: LogWeightSequence, N: LogWeightSequence) -> Ver
     """Two transfer implications between sequence order and weight order."""
     wM = associated_function(M)
     wN = associated_function(N)
-    part1 = _implication(
-        check_omega_conditions(wM)["omega1"],
-        relation_preceq(M, N),
-        relation_omega(wM, wN, "preceq"),
+    part1 = verdicts.implication(
+        verdicts.conjunction(
+            {"omega1": check_omega_conditions(wM)["omega1"], "preceq": relation_preceq(M, N)}
+        ),
+        lambda: relation_omega(wM, wN, "preceq"),
     )
-    part2 = _implication(
-        check_moderate_growth(N),
-        relation_omega(wN, wM, "preceq"),
-        relation_preceq(N, M),
+    part2 = verdicts.implication(
+        verdicts.conjunction(
+            {"mg": check_moderate_growth(N), "omega_preceq": relation_omega(wN, wM, "preceq")}
+        ),
+        lambda: relation_preceq(N, M),
     )
     return verdicts.conjunction({"order_transfer": part1, "order_reflect": part2})

@@ -191,6 +191,16 @@ def test_file_matrix_without_rows_is_exit_2(tmp_path, capsys):
     assert "no rows" in capsys.readouterr().err
 
 
+@pytest.mark.xfail(strict=True, reason="flatten_report expands dicts only, and the "
+                   "dossier's verdicts are Verdict objects; the battery's golden "
+                   "digests record these bytes, so the fix waits for a re-record")
+def test_csv_dossier_flattens_its_verdicts(capsys):
+    assert main(["matrix", "dossier", "--seq", "gevrey:2", "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert "verdicts.mg.status,holds" in out.splitlines()
+    assert "Verdict(" not in out
+
+
 def test_tiny_rootpower_dossier_reports_log_constants(tmp_path):
     # exp of the root-gap constant C1 is past the float range
     code, rep = run(["matrix", "dossier", "--weight", "rootpower:0.001"], tmp_path)

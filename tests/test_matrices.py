@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from wcalc import verdicts
+from wcalc import matrices, verdicts
 from wcalc.catalogue import (
     bumpy_prefix,
     gevrey,
@@ -24,7 +24,6 @@ from wcalc.matrices import (
     _VARIANTS,
     _candidates,
     _dc_pair,
-    _exists,
     _forall,
     _mg_pair,
     _pseudo_mg_grid_ok,
@@ -372,6 +371,23 @@ def test_kept_results_do_not_leak_into_later_reports():
 
 # -- structural consequences ---------------------------------------------
 
+def test_implication_calls_then_only_when_the_hypothesis_holds():
+    consequent = verdicts.fails(consequent=True)
+    table = {
+        "holds": (verdicts.holds(), consequent.to_json(), 1),
+        "fails": (verdicts.fails(), {"status": "holds", "witness": {"vacuous": True}}, 0),
+        "inconclusive": (
+            verdicts.inconclusive("open"),
+            {"status": "inconclusive", "reason": "hypothesis undecided"},
+            0,
+        ),
+    }
+    for name, (hyp, want, n_calls) in table.items():
+        calls = []
+        v = verdicts.implication(hyp, lambda: calls.append(name) or consequent)
+        assert v.to_json() == want and len(calls) == n_calls, name
+
+
 def test_L_consequences_gevrey():
     assert check_L_consequences(build_gevrey_matrix((1.0, 2.0))).holds
 
@@ -484,6 +500,12 @@ def test_rows_die_without_garbage_collection():
 #
 # The reference is the previous branch-per-condition code, verbatim apart
 # from its names.  The table must give the same verdicts byte for byte.
+
+def _exists(pool, pred):
+    """matrices._exists in the call shape the references were written
+    for: pred applied to each (label, row, extended_flag) of pool."""
+    return matrices._exists((lbl, pred(y), ext) for lbl, y, ext in pool)
+
 
 def ref_check_matrix_condition(M: WeightMatrix, condition: str):
     if condition not in CONDITION_NAMES:

@@ -10,8 +10,10 @@ from wcalc import quasi, verdicts
 
 from wcalc.catalogue import (
     gevrey,
+    matrix_battery,
     matrix_from_rows,
     perturbed_gevrey,
+    prefix_only,
     sequence_battery,
 )
 from wcalc.errors import (
@@ -20,7 +22,7 @@ from wcalc.errors import (
     RoutesDisagree,
     TailNotCertified,
 )
-from wcalc.matrices import WeightMatrix
+from wcalc.matrices import WeightMatrix, build_gevrey_matrix
 from wcalc.quasi import (
     class_nq_verdict,
     construct_minorant,
@@ -122,6 +124,47 @@ def test_matrix_nq_quantifiers():
     assert matrix_nq_verdict(allnq, "beurling").holds
     with pytest.raises(ValueError):
         matrix_nq_verdict(two, "mixed")
+
+
+def ref_matrix_nq_status(M, variant):
+    # the status rule of the per-row loops that _exists and _forall replaced
+    per_row = [class_nq_verdict(row) for row in M.rows]
+    first, second = ("holds", "fails") if variant == "roumieu" else ("fails", "holds")
+    if any(v.status.value == first for v in per_row):
+        return first
+    if any(v.inconclusive for v in per_row):
+        return "inconclusive"
+    return second
+
+
+def test_matrix_nq_quantifiers_keep_the_row_rule():
+    matrices = dict(matrix_battery())
+    for n in range(2, 6):
+        matrices[f"gevrey x{n}"] = build_gevrey_matrix([0.5 * k for k in range(1, n + 1)])
+    matrices["criterion 07"] = matrix_from_rows((gevrey(1.0), gevrey(2.0)), (1.0, 2.0))
+    matrices["prefix_only below"] = matrix_from_rows((prefix_only(2.0), gevrey(2.0)))
+    matrices["prefix_only above"] = matrix_from_rows((gevrey(1.0), prefix_only(2.0)))
+    seen = {"roumieu": set(), "beurling": set()}
+    for name, M in matrices.items():
+        for variant in seen:
+            got = matrix_nq_verdict(M, variant).status.value
+            assert got == ref_matrix_nq_status(M, variant), (name, variant)
+            seen[variant].add(got)
+    assert all(s == {"holds", "fails", "inconclusive"} for s in seen.values()), seen
+
+
+def test_matrix_nq_checks_every_row_past_one_that_holds(monkeypatch):
+    first, disagreeing = _fresh(gevrey(2.0)), _fresh(gevrey(3.0))
+    check = quasi.check_nq
+    monkeypatch.setattr(
+        quasi, "check_nq",
+        lambda seq: verdicts.fails(divergent=True) if seq is disagreeing else check(seq),
+    )
+    M = matrix_from_rows((first, disagreeing))
+    assert class_nq_verdict(first).holds
+    for variant in ("roumieu", "beurling"):
+        with pytest.raises(RoutesDisagree):
+            matrix_nq_verdict(M, variant)
 
 
 def test_small_terms_diagnostic():

@@ -156,6 +156,18 @@ def test_only_tails_knows_the_scale_shapes():
     assert not spelled, f"a scale's shape outside tails.py: {spelled}"
 
 
+def test_only_verdicts_spells_a_vacuous_holds():
+    # a failed hypothesis holds vacuously in verdicts.implication alone;
+    # every other implication calls it
+    spelled = [
+        f"{p.name}:{n.lineno}"
+        for p, tree in _modules().items() if p.name != "verdicts.py"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.keyword) and n.arg == "vacuous"
+    ]
+    assert not spelled, f"a vacuous verdict outside verdicts.implication: {spelled}"
+
+
 def test_one_site_builds_a_sampled_function():
     # the builders return the one function that fourier._function_of keeps
     # per construction; a second call site would bring copies back
