@@ -12,6 +12,7 @@ import ast
 import json
 import math
 import operator
+import os
 import sys
 
 from . import __version__, catalogue, convex, sequences, serialize
@@ -432,7 +433,16 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     args.argv = argv
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()          # a reader gone early raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader closed it: point stdout at devnull so that the
+        # interpreter's last flush of what is still buffered cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except DescriptorError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

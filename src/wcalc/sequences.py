@@ -11,20 +11,32 @@ the same values took four times its bytes).  Rows compare and hash by
 content, so equal rows built apart are interchangeable keys.
 
 Every row built from a closed-form tail goes through
-LogWeightSequence.from_tail, behind one process-wide lru_cache of the 64
-most recently requested (tail, pmax, label).  The key holds the
-type and repr of each of the tail's fields as well: FactorialPower(2, 1.0)
-equals FactorialPower(2.0, 1.0) but prints "s": 2, so a shared row would
-make a report depend on what the process built before it.
+LogWeightSequence.from_tail, behind one process-wide memo of rows by
+(tail, pmax, label), least recently used first.  The memo is bounded by
+the log values its rows store (P + 1 each), not by a count of rows: it
+evicts the least recently used rows until they store at most
+ROW_MEMO_VALUES = 2**21 values (16 MiB of row arrays), and always holds the
+row just requested, however long.  Measured with an unbounded memo over
+40 benchmark rounds, the working sets are 91 rows of 588 691 values
+(matrix-scale), 102 rows of 166 402 (battery) and 15 rows of 4 015
+(fourier-lab), so each fits with 3.5x headroom.  A count of rows bounds
+neither end: 64 rows held too few of matrix-scale's, and 64 rows at
+--pmax 1000000 would pin 512 MB.  The key holds the type and repr of each
+of the tail's fields, and the types of pmax and label, as well:
+FactorialPower(2, 1.0) equals FactorialPower(2.0, 1.0) but prints "s": 2,
+so a shared row would make a report depend on what the process built
+before it.
 
 A row also keeps what is computed from it alone and read again.  KEPT
 names each such value with its bound, what it holds and who reads it, and
 kept() is the one way to it.  What a row keeps lives as long as the row,
-so the memo's 64 entries bound it.  Nothing a row keeps refers back to it
-or to a row it was checked against, since a row in a reference cycle would
-outlive its last user until the garbage collector ran: the derived rows
-and the minorant it keeps are rows of their own, and what it keeps about a
-check against another row is keyed on that row's row_serial.
+so the memo's budget and KEPT's bounds together bound it.  Nothing a row
+keeps refers back to it or to a row it was checked against, since a row in
+a reference cycle would outlive its last user until the garbage collector
+ran: the derived rows and the minorant it keeps are rows of their own, and
+what it keeps about a check against another row is keyed on that row's
+row_serial.  An evicted row comes back as a new row with a new serial and
+nothing kept, so what its partners kept under the old serial is dead.
 
 Array code here is bit-identical to the scalar loops it stands for: numpy
 does only + - * /, comparisons and reductions (min, max, argmin) on the
@@ -33,6 +45,7 @@ numpy's log, exp and power may round differently in the last bit.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -175,11 +188,34 @@ def _typed_tail(tail: Tail) -> tuple:
     ))
 
 
-@functools.lru_cache(maxsize=64, typed=True)
+# The row memo's budget in stored log values (P + 1 per row): 16 MiB of
+# row arrays, sized in the module docstring.
+ROW_MEMO_VALUES = 2**21
+
+# from_tail's rows, least recently used first.  The dict refers to its rows
+# and they not back to it, so an evicted row dies with its last user.
+_rows: collections.OrderedDict = collections.OrderedDict()
+
+
 def _row_from_tail(typed_tail: tuple, pmax: int, label: str) -> LogWeightSequence:
+    """The memo's row for the key, built on a miss; the rows least recently
+    used are then evicted until the rest store at most ROW_MEMO_VALUES log
+    values, but the row just built always stays."""
+    key = (typed_tail, pmax, type(pmax), label, type(label))
+    row = _rows.get(key)
+    if row is not None:
+        _rows.move_to_end(key)
+        return row
     tail = typed_tail[0]
-    vals = tail.log_values(np.arange(pmax + 1))
-    return LogWeightSequence(vals, tail, 0, label)
+    row = LogWeightSequence(tail.log_values(np.arange(pmax + 1)), tail, 0, label)
+    _rows[key] = row
+    stored = sum(r.L.size for r in _rows.values())
+    while stored > ROW_MEMO_VALUES and len(_rows) > 1:
+        stored -= _rows.popitem(last=False)[1].L.size
+    return row
+
+
+_row_from_tail.cache_clear = _rows.clear    # as lru_cache spelled it
 
 
 def keep(d: dict, key, limit: int, build):
@@ -195,7 +231,9 @@ def keep(d: dict, key, limit: int, build):
 
 # What a row keeps, by its name in the row's __dict__: the bound (how many
 # of the most recently built entries it holds, by key; a single value is
-# one entry under the key None), what it holds, and who reads it.
+# one entry under the key None), what it holds, and who reads it.  A row
+# of from_tail keeps these while the row memo holds it; an entry keyed on
+# row_serial(y) is never read again once y leaves the memo, and ages out.
 KEPT = {
     "_serial": 1,        # row_serial: this row's number in the process
     "_mg": 1,            # check_moderate_growth: prefix constant C and its (j, j + k)

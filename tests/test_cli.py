@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import io
+import itertools
 import json
 import math
 import pathlib
@@ -429,6 +430,52 @@ def test_report_does_not_depend_on_rows_built_before(tmp_path):
     for before in ([], ["--pmax", "200"]):
         assert main(["matrix", "dossier", "--seq", "gevrey:2", *before, "--out", other]) == 0
         assert main(argv) == 0 and out.read_bytes() == fresh
+
+
+def test_row_working_set_stays_warm(tmp_path, monkeypatch):
+    # 30 matrix ops over 69 distinct rows, more than the 64 rows the memo
+    # once held: a second pass in the same process finds every row, and
+    # every pseudo-mg constant kept on one, already built
+    from wcalc import matrices, sequences
+
+    pairs = [",".join(p) for p in itertools.combinations(("1", "1.5", "2", "2.5", "3"), 2)]
+    ops = [[*cmd, "--gevrey", idx, "--pmax", pmax]
+           for cmd, pmax in ((["matrix", "conditions"], "16000"),
+                             (["matrix", "conditions"], "4000"),
+                             (["matrix", "stability"], "1000"))
+           for idx in pairs]
+    counts = {"rows": 0, "grid": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    init = LogWeightSequence.__post_init__
+    monkeypatch.setattr(LogWeightSequence, "__post_init__", counted("rows", init))
+    monkeypatch.setattr(matrices, "_pseudo_mg_grid_ok",
+                        counted("grid", matrices._pseudo_mg_grid_ok))
+    _row_from_tail.cache_clear()
+    out = str(tmp_path / "r.json")
+    for _ in range(2):
+        counts.update(rows=0, grid=0)
+        assert all(main([*argv, "--out", out]) == 0 for argv in ops)
+    assert counts == {"rows": 0, "grid": 0}
+    assert len(sequences._rows) == 69
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader is gone before the report is written
+    for argv in (["matrix", "dossier", "--seq", "gevrey:2", "--format", "csv"],
+                 ["analyze", "--seq", "gevrey:2"]):
+        proc = subprocess.Popen([sys.executable, "-m", "wcalc.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) in (0, 2, 3, 4)
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
 
 
 def test_console_script_installed():

@@ -226,6 +226,59 @@ def test_row_memo_keys_on_field_types():
     real = LogWeightSequence.from_tail(FactorialPower(2.0, 1.0), 50, "g")
     assert whole is not real and whole == real
     assert type(whole.to_json()["s"]) is int and type(real.to_json()["s"]) is float
+    # and the types of pmax and label are in the key too
+    assert LogWeightSequence.from_tail(FactorialPower(2.0, 1.0), np.int64(50), "g") is not real
+    assert LogWeightSequence.from_tail(FactorialPower(2.0, 1.0), 50, "g") is real
+
+
+@pytest.fixture
+def small_row_memo(monkeypatch):
+    """An empty row memo with a budget of 300 stored log values."""
+    monkeypatch.setattr(sequences, "ROW_MEMO_VALUES", 300)
+    sequences._row_from_tail.cache_clear()
+    yield lambda: [(row.label, row.P) for row in sequences._rows.values()]
+    sequences._row_from_tail.cache_clear()
+
+
+def _memo_row(label, pmax):
+    return LogWeightSequence.from_tail(FactorialPower(2.0, 1.0), pmax, label)
+
+
+def test_row_memo_evicts_least_recent_by_stored_values(small_row_memo):
+    # 100 rows of 3 values fill the budget exactly: a count does not bound it
+    tiny = [_memo_row(f"t{i}", 2) for i in range(100)]
+    assert len(small_row_memo()) == 100
+    assert all(_memo_row(f"t{i}", 2) is tiny[i] for i in range(100))
+    # one row of 100 values evicts the 34 least recently used tiny rows
+    _memo_row("a", 99)
+    assert small_row_memo() == [(f"t{i}", 2) for i in range(34, 100)] + [("a", 99)]
+    assert _memo_row("t0", 2) is not tiny[0] and _memo_row("t99", 2) is tiny[99]
+
+
+def test_row_memo_hit_moves_the_row_to_the_newest_end(small_row_memo):
+    a, b, c = (_memo_row(lbl, 99) for lbl in "abc")
+    assert _memo_row("a", 99) is a
+    assert small_row_memo() == [("b", 99), ("c", 99), ("a", 99)]
+    _memo_row("d", 2)                   # 303 values: b, now the oldest, goes
+    assert small_row_memo() == [("c", 99), ("a", 99), ("d", 2)]
+    assert _memo_row("a", 99) is a and _memo_row("c", 99) is c
+    assert _memo_row("b", 99) is not b
+
+
+def test_row_memo_holds_a_row_over_budget_alone(small_row_memo):
+    _memo_row("a", 99)
+    big = _memo_row("big", 999)
+    assert big.P == 999 and small_row_memo() == [("big", 999)]
+    assert _memo_row("big", 999) is big
+    _memo_row("b", 2)
+    assert small_row_memo() == [("b", 2)]
+
+
+def test_row_memo_cache_clear_empties_it(small_row_memo):
+    a = _memo_row("a", 99)
+    sequences._row_from_tail.cache_clear()
+    assert small_row_memo() == []
+    assert _memo_row("a", 99) is not a and small_row_memo() == [("a", 99)]
 
 
 def test_scalar_readers_return_python_types():
