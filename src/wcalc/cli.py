@@ -171,6 +171,14 @@ def parse_matrix(args, pmax: int) -> WeightMatrix:
     return M
 
 
+def _write(write, path: str, *data):
+    """write(path, *data); a path that cannot be written is a parse error."""
+    try:
+        return write(path, *data)
+    except OSError as e:
+        raise DescriptorError(str(e)) from None
+
+
 def _emit(args, report: dict, **tolerances: float) -> None:
     """Write the report with its config; tolerances are the command's own."""
     report["config"] = {
@@ -186,12 +194,12 @@ def _emit(args, report: dict, **tolerances: float) -> None:
     }
     if getattr(args, "format", "json") == "csv":
         if args.out:
-            serialize.write_report_csv(args.out, report)
+            _write(serialize.write_report_csv, args.out, report)
         else:
             for k, v in serialize.flatten_report(report):
                 print(f"{k},{v}")
         return
-    text = serialize.write_report(args.out, report)
+    text = _write(serialize.write_report, args.out, report)
     if not args.out:
         sys.stdout.write(text)
 
@@ -274,9 +282,7 @@ def cmd_matrix(args) -> int:
             "omega_stability": check_omega_stability(chain).to_json(),
         }
         if args.check_identity:
-            report["integer_step_identity_error"] = integer_step_identity_error(
-                chain
-            )
+            report["integer_step_identity_error"] = integer_step_identity_error(chain)
         _emit(args, report)
         return 0
     raise DescriptorError(f"unknown matrix action {args.action!r}")
@@ -356,7 +362,7 @@ def cmd_quasi(args) -> int:
         report["status"] = "complete"
         _emit(args, report)
         if args.out and args.out.endswith(".json"):
-            serialize.write_sequence_csv(args.out[:-5] + ".csv", trace.N)
+            _write(serialize.write_sequence_csv, args.out[:-5] + ".csv", trace.N)
         return 0
     raise DescriptorError(f"unknown quasi action {args.action!r}")
 

@@ -148,9 +148,7 @@ def write_columns_csv(path: str, header: tuple[str, ...], *cols) -> None:
 
 
 def write_sequence_csv(path: str, seq: LogWeightSequence) -> None:
-    write_columns_csv(
-        path, ("p", "logM"), np.arange(seq.P + 1), seq.L
-    )
+    write_columns_csv(path, ("p", "logM"), np.arange(seq.P + 1), seq.L)
 
 
 def read_sequence_csv(path: str) -> LogWeightSequence:

@@ -302,7 +302,8 @@ class SteppedTail(Tail):
             if self.parent_tail is None:
                 raise ValueError("parent prefix exhausted and no parent tail")
             out[~inside] = self.parent_tail._log_values(xs[~inside])
-        return out / self.l
+        with np.errstate(over="ignore"):
+            return out / self.l
 
     def _scale(self) -> Scale:
         if self.parent_tail is None:

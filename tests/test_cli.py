@@ -9,9 +9,10 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wcalc.cli import main
@@ -52,6 +53,11 @@ def test_parse_error_is_exit_2(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["analyze", "--seq", "file:{missing}"],
     ["matrix", "conditions", "--matrix", "file:{missing}"],
+    # an --out that cannot be written
+    ["analyze", "--seq", "gevrey:2", "--out", "{missing}/r.json"],
+    ["analyze", "--seq", "gevrey:2", "--format", "csv", "--out", "{missing}/r.csv"],
+    ["quasi", "construct", "--rows", "1+1/q:q=1..2", "--pmax", "2000",
+     "--out", "{missing}/r.json"],
 ])
 def test_missing_descriptor_file_is_exit_2(tmp_path, argv):
     missing = str(tmp_path / "missing.json")
@@ -253,6 +259,8 @@ def _numbers(node):
     ["matrix", "dossier", "--weight", "powerlog:1.01"],
     ["matrix", "dossier", "--weight", "powerlog:1.02"],
     ["matrix", "dossier", "--weight", "powerlog:1.0000000001"],
+    # a stepped row of it passes the float range when divided by its step
+    ["matrix", "dossier", "--seq", "power_index:1e300,2", "--pmax", "200"],
 ])
 def test_power_index_past_the_float_range_is_quiet(argv):
     # p**beta passes the float range inside the rows or their tail samples;
@@ -388,6 +396,15 @@ def test_quasi_construct_trace(tmp_path):
     assert rep["status"] == "complete"
     assert rep["tail_sum_bound"] <= 1.0
     assert (tmp_path / "out.csv").exists()
+
+
+def test_unwritable_trace_csv_is_exit_2(tmp_path, capsys):
+    # the report is written, but a directory holds the trace's name
+    (tmp_path / "out.csv").mkdir()
+    code = main(["quasi", "construct", "--rows", "1+1/q:q=1..2", "--pmax", "2000",
+                 "--out", str(tmp_path / "out.json")])
+    assert code == 2
+    assert "out.csv" in capsys.readouterr().err
 
 
 def test_matrix_conditions_cli(tmp_path):
@@ -535,6 +552,30 @@ def test_power_index_reports_never_overflow(kappa, beta, pmax, other):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main([*argv, "--pmax", str(pmax)])
         assert code in (0, 3), argv
+
+
+_EDGE_VALUES = (1e-300, 1e-5, 0.5, 1.0, 2.0, 7.0, 1e5, 1e300)
+_ANY_SIZE = st.one_of(st.sampled_from(_EDGE_VALUES),
+                      st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+_ARITY = {"gevrey": 1, "factorial_power": 2, "power_index": 2}
+
+
+@given(st.sampled_from([("analyze",), ("matrix", "dossier")]),
+       st.sampled_from(sorted(_ARITY)), st.lists(_ANY_SIZE, min_size=2, max_size=2),
+       st.sampled_from([200, 1000, 4000, 16000]))
+@example(("matrix", "dossier"), "power_index", [1e300, 2.0], 200)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_sequence_reports_keep_the_exit_code_contract(command, family, params, pmax):
+    # any parameter size: a report or a typed refusal, and no numpy warning
+    seq = f"{family}:" + ",".join(map(repr, params[: _ARITY[family]]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*command, "--seq", seq, "--pmax", str(pmax)])
+    assert code in (0, 2, 3, 4), (seq, pmax)
+    assert "Traceback" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (seq, pmax)
 
 
 @pytest.mark.parametrize("argv, logged", [

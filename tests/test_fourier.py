@@ -7,6 +7,7 @@ import types
 import warnings
 
 import functools
+import itertools
 
 import mpmath as mp
 
@@ -30,6 +31,7 @@ from wcalc.fourier import (
     MASK_REL,
     CompactBox,
     SampledFunction,
+    _trend_classify,
     bump_builder,
     check_lemma53_i,
     check_lemma53_ii,
@@ -43,9 +45,9 @@ from wcalc.fourier import (
     standard_bump,
     theorem51_harness,
 )
-from wcalc.matrices import build_gevrey_matrix
+from wcalc.matrices import WeightMatrix, build_gevrey_matrix
 from wcalc.sequences import LogWeightSequence, lc_minorant
-from wcalc.weightfuncs import associated_function
+from wcalc.weightfuncs import associated_function, sequence_from_weight
 
 
 def test_support_function_box():
@@ -222,6 +224,80 @@ def test_harness_hypothesis_gate():
     M = matrix_from_rows((gevrey(1.0, 200),), (1.0,))
     with pytest.raises(HypothesisNotCertified):
         theorem51_harness(M)
+
+
+# -- the three membership sides against the indicators they replaced --------
+
+def _derivative_indicator(f, M: WeightMatrix, h_grid) -> str:
+    for row in M.rows:
+        for h in h_grid:
+            try:
+                res = seminorm_derivative(f, row, h)
+            except DerivativeOrderUnreliable:
+                # failing already at low order with spectral mass at the band
+                # edge means the function is certified non-smooth at grid scale
+                return "negative" if compute_spectrum(f).truncated else "open"
+            if _trend_classify(res.per_order) == "finite":
+                return "positive"
+    return "negative"
+
+
+def _weightfn_indicator(f, M: WeightMatrix, l_grid, derived_row) -> str:
+    for i in range(len(M.rows)):
+        for l in l_grid:
+            try:
+                res = seminorm_derivative(f, derived_row(i, l), 1.0)
+            except DerivativeOrderUnreliable:
+                return "negative"
+            if _trend_classify(res.per_order) == "finite":
+                return "positive"
+    return "negative"
+
+
+def _fourier_indicator(f, M: WeightMatrix, h_grid) -> str:
+    for row in M.rows:
+        for h in h_grid:
+            try:
+                fourier_norm(f, row, h)
+                return "positive"
+            except TailDominates:
+                continue
+    return "negative"
+
+
+def _indicator_sides(M: WeightMatrix, bump_depth: int) -> dict:
+    """The harness's three sides per battery function, by the indicators."""
+    battery = {f"bump:{lbl:g}": bump_builder(fourier._UNIT, row, bump_depth)
+               for lbl, row in zip(M.labels, M.rows)}
+    battery["control:indicator"] = indicator_control()
+    battery["control:single-mollify"] = bump_builder(fourier._UNIT, M.rows[0], 1)
+
+    def derived_row(i: int, l: float) -> LogWeightSequence:
+        return sequence_from_weight(associated_function(M.rows[i]), l, K_MAX)
+
+    return {name: {
+        "derivative_side": _derivative_indicator(f, M, H_SEMI),
+        "weightfn_side": _weightfn_indicator(f, M, (1.0, 2.0, 4.0), derived_row),
+        "fourier_side": _fourier_indicator(f, M, H_SMALL),
+    } for name, f in battery.items()}
+
+
+def test_harness_sides_equal_the_indicators():
+    seen, statuses = set(), []
+    for depth in (2, 5, 30):
+        for r in (1, 2):
+            for labels in itertools.combinations((0.1, 0.5, 1.0, 1.5, 4.0), r):
+                M = build_gevrey_matrix(labels, 200)
+                rep = theorem51_harness(M, depth)
+                want = _indicator_sides(M, depth)
+                for name, sides in want.items():
+                    got = rep["functions"][name]
+                    assert {k: got[k] for k in sides} == sides, (labels, depth, name)
+                    seen.add(sides["derivative_side"])
+                statuses.append(rep["status"])
+    # every answer of the derivative side, and failing statuses, are met
+    assert seen == {"positive", "negative", "open"}
+    assert len(statuses) == 45 and "fails" in statuses
 
 
 # -- per-function tables against the uncached computation ------------------
