@@ -36,8 +36,11 @@ def perturbed_gevrey(
     The dent perturbs the stored prefix without breaking log-convexity at
     small amplitudes: at s = 2 the row stays strictly log-convex up to
     amplitude about 1.15 and loses convexity from about 1.2, so the
-    battery members (amplitudes 0.3 and 0.2) are log-convex.
+    battery members (amplitudes 0.3 and 0.2) are log-convex.  The dent
+    needs a stored prefix through p = 9, so pmax below 10 is refused.
     """
+    if pmax < 10:
+        raise ValueError(f"perturbed_gevrey needs pmax >= 10, got {pmax}")
     base = LogWeightSequence.gevrey(s, pmax)
     L = np.array(base.L)
     ps = np.arange(3, 10)

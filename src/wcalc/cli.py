@@ -360,9 +360,17 @@ def cmd_quasi(args) -> int:
             return 0
         report = trace.to_json()
         report["status"] = "complete"
-        _emit(args, report)
-        if args.out and args.out.endswith(".json"):
-            _write(serialize.write_sequence_csv, args.out[:-5] + ".csv", trace.N)
+        # the trace first, taken back if the report cannot be written: a
+        # refused call leaves neither file behind
+        csv = args.out[:-5] + ".csv" if args.out and args.out.endswith(".json") else None
+        if csv:
+            _write(serialize.write_sequence_csv, csv, trace.N)
+        try:
+            _emit(args, report)
+        except DescriptorError:
+            if csv:
+                os.remove(csv)
+            raise
         return 0
     raise DescriptorError(f"unknown quasi action {args.action!r}")
 

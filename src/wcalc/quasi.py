@@ -1,11 +1,24 @@
 """Non-quasianalyticity verdicts and the constructive minorant machinery.
 
 The central object is a recursion that, given a decreasing family of
-non-quasianalytic rows, constructs a single non-quasianalytic minorant
-lying strictly below every row.  The switch indices of the recursion grow
-extremely fast (beyond 1e10 for typical rows), so all index searches are
-done on the symbolic tails with certified integral bounds; the stored
-prefix of the result is just a window into the constructed object.
+non-quasianalytic rows, constructs a single non-quasianalytic minorant N
+lying strictly below every row (Rainer-Schindl, Studia Math. 224, 2014).
+The matrix labels are read as 1/q: row q = 1..Q is the row labelled 1/q
+(within 1e-12), or its log-convex minorant when it is not log-convex, and
+each needs a certified tail bound and a non-quasianalytic class.  Step q
+takes a_q, the first index past b_{q-1} (b_0 = 0) where the tail of row
+q + 1's root series is certified at most 2**-q / (q + 1), and b_q, the
+first index past a_q where row q + 1 less log(q + 1) climbs above the plateau.
+With r_q(p) = log M_p / p on row q, the switch rule for N's roots is
+
+    r_q(p) - log q      for b_{q-1} <= p <= a_q,
+    r_q(a_q) - log q    for a_q < p < b_q, held flat,
+    r_Q(p) - log Q      for p >= b_{Q-1}.
+
+The switch indices grow extremely fast (beyond 1e10 for typical rows), so
+all index searches are done on the symbolic tails with certified integral
+bounds; the stored prefix of N is just a window into the constructed
+object, and minorant_checkpoints reads the same rule far beyond it.
 """
 from __future__ import annotations
 
@@ -137,64 +150,17 @@ def _first_index_where(pred, start: int) -> int | None:
     return lo
 
 
-def minorant_root(rows: dict, a, b, p: float) -> float:
-    """Root of the constructed sequence at any index p >= 1.
-
-    rows maps q = 1..Q to the rows the recursion consumed; a and b are its
-    switch indices.  Row q, shifted down by log q, is followed from b_{q-1}
-    to a_q and then held flat until b_q.
-    """
-    Q = len(rows)
-    for q in range(1, Q):
-        lo = b[q - 2] if q >= 2 else 0
-        if lo <= p <= a[q - 1]:
-            return -math.log(q) + rows[q].root(p)
-        if a[q - 1] < p < b[q - 1]:
-            return -math.log(q) + rows[q].root(a[q - 1])
-    return -math.log(Q) + rows[Q].root(p)     # p >= b_{Q-1}
-
-
-def _minorant_prefix(rows: dict, a, b, P: int) -> np.ndarray:
-    """p * minorant_root(rows, a, b, p) for p = 1..P, and 0 at p = 0, as
-    one array expression per piece of the recursion; + - * / round as the
-    scalar loop's Python floats do, so the values are bit-identical."""
-    Q = len(rows)
-    ps = np.arange(P + 1)
-    L = np.zeros(P + 1)
-
-    def follow(q, lo, hi):        # lo <= p < hi on row q
-        s = slice(max(lo, 1), min(hi, P + 1))
-        L[s] = ps[s] * (-math.log(q) + rows[q].L[s] / ps[s])
-
-    lo = 0
-    for q in range(1, Q):
-        a_q, b_q = a[q - 1], b[q - 1]
-        follow(q, lo, a_q + 1)
-        s = slice(a_q + 1, min(b_q, P + 1))     # a_q < p < b_q, held flat
-        L[s] = ps[s] * (-math.log(q) + rows[q].root(a_q))
-        lo = b_q
-    follow(Q, lo, P + 1)
-    return L
-
-
-def construct_minorant(M: WeightMatrix) -> MinorantTrace:
-    """Run the switch-index recursion on rows ordered decreasingly in q.
-
-    The matrix labels are read as 1/q: row(1/1) is the largest row, and
-    the recursion for step q consumes rows 1/q and 1/(q+1).  The stored
-    prefix length of the output equals that of the input rows; switch
-    indices beyond it are located on the symbolic tails.
-    """
+def _recursion_rows(M: WeightMatrix) -> dict[int, LogWeightSequence]:
+    """The rows the recursion consumes, by q = 1..Q for the Q rows of M,
+    picked as the module docstring says; a row that cannot serve refuses."""
     Q = len(M.labels)
     if Q < 2:
         raise ValueError("need at least two rows")
     rows = {}
     for q in range(1, Q + 1):
-        lbl = 1.0 / q
-        match = [r for l, r in zip(M.labels, M.rows) if abs(l - lbl) < 1e-12]
-        if not match:
+        row = next((r for l, r in zip(M.labels, M.rows) if abs(l - 1.0 / q) < 1e-12), None)
+        if row is None:
             raise ValueError(f"matrix lacks the label 1/{q}")
-        row = match[0]
         if not check_log_convex(row).holds:
             row = lc_minorant(row)
         if row.tail is None or row.tail.root_sum_tail_upper(10.0) is None:
@@ -202,7 +168,39 @@ def construct_minorant(M: WeightMatrix) -> MinorantTrace:
         if not class_nq_verdict(row).holds:
             raise ClassMembershipFailed(f"row 1/{q} is not non-quasianalytic")
         rows[q] = row
+    return rows
 
+
+def _minorant_roots(rows: dict, a, b, ps: np.ndarray) -> np.ndarray:
+    """N's roots at the increasing integer points ps >= 1 by the switch
+    rule, on the rows of _recursion_rows and the switch indices a, b.  A
+    row gives its stored values up to its P and its tail's beyond; pieces
+    are cut by searchsorted, and a tail is called only on points past its
+    row's P.  numpy does only + and /, so each root is bit-identical to the
+    scalar -math.log(q) + rows[q].root(p)."""
+    Q = len(a) + 1
+    out = np.empty(ps.size)
+    lo = 0                      # the first point of row q's followed piece
+    for q in range(1, Q + 1):
+        row, shift = rows[q], -math.log(q)
+        hi = ps.size if q == Q else int(ps.searchsorted(a[q - 1], "right"))
+        mid = lo + int(ps[lo:hi].searchsorted(row.P, "right"))
+        out[lo:mid] = shift + row.L[ps[lo:mid]] / ps[lo:mid]
+        if mid < hi:
+            out[mid:hi] = shift + row.tail.log_values(ps[mid:hi]) / ps[mid:hi]
+        if q < Q:
+            lo = int(ps.searchsorted(b[q - 1], "left"))
+            out[hi:lo] = shift + row.root(a[q - 1])
+    return out
+
+
+def construct_minorant(M: WeightMatrix) -> MinorantTrace:
+    """Run the switch-index recursion of the module docstring on the rows
+    of M labelled 1/q.  The stored prefix of N is as long as the shortest
+    row's; switch indices beyond it are located on the symbolic tails.
+    """
+    rows = _recursion_rows(M)
+    Q = len(rows)
     a: list[int] = []
     b: list[int] = []
     certs: dict = {}
@@ -232,8 +230,9 @@ def construct_minorant(M: WeightMatrix) -> MinorantTrace:
         }
         b_prev = b_q
 
-    P = min(r.P for r in rows.values())
-    N = LogWeightSequence(_minorant_prefix(rows, a, b, P), None, 0, "constructed-minorant")
+    ps = np.arange(1, min(r.P for r in rows.values()) + 1)
+    L = np.concatenate(([0.0], ps * _minorant_roots(rows, a, b, ps)))
+    N = LogWeightSequence(L, None, 0, "constructed-minorant")
 
     total = sum(
         (q + 1) * certs[f"q={q}"]["tail_bound_at_a"] for q in range(1, Q)
@@ -243,20 +242,16 @@ def construct_minorant(M: WeightMatrix) -> MinorantTrace:
 
 def minorant_checkpoints(trace: MinorantTrace, M: WeightMatrix):
     """Roots of the constructed minorant at the stored prefix plus
-    log-spaced indices through every recursion regime; used to replay the
-    monotonicity and domination invariants far beyond the prefix."""
-    Q = trace.q_completed + 1
-    rows = {q: M.row(1.0 / q) for q in range(1, Q + 1)}
-    a, b = trace.a, trace.b
-    hi = 4.0 * b[-1]
-    ps = sorted(
-        set(range(1, trace.N.P + 1))
-        | set(int(p) for p in np.geomspace(2, hi, 400))
-        | set(a) | set(b)
-        | set(x + 1 for x in a) | set(x + 1 for x in b)
-    )
-    roots = [minorant_root(rows, a, b, p) for p in ps]
-    return np.array(ps, dtype=float), np.array(roots)
+    log-spaced indices through every recursion regime, on the rows the
+    recursion consumed; used to replay the monotonicity and domination
+    invariants far beyond the prefix."""
+    a, b = np.array(trace.a), np.array(trace.b)
+    ps = np.unique(np.concatenate((
+        np.arange(1, trace.N.P + 1),
+        np.geomspace(2, 4.0 * b[-1], 400).astype(np.int64),
+        a, b, a + 1, b + 1,
+    )))
+    return ps.astype(float), _minorant_roots(_recursion_rows(M), trace.a, trace.b, ps)
 
 
 def sandwich_construct(

@@ -277,8 +277,6 @@ def check_log_convex(seq: LogWeightSequence) -> Verdict:
     if bad.size:
         p = int(bad[0]) + 1
         return verdicts.fails(index=p, second_difference=float(d2[bad[0]]))
-    if seq.tail is not None and not seq.tail.is_log_convex():
-        return verdicts.fails(reason_index="tail")
     if seq.tail is None:
         # convex prefix only; the condition is about all p but every
         # violation would be visible at finite p, so a convex prefix is
@@ -362,7 +360,7 @@ def check_moderate_growth(seq: LogWeightSequence) -> Verdict:
 
 def _mu_remainder(seq: LogWeightSequence) -> float:
     """sum of 1/mu_p over P < p <= P + 2000 from the tail.  exp and the sum
-    stay scalar and in order, so the float equals the scalar mu_log loop."""
+    stay scalar and in order, so the float equals the scalar log_value loop."""
     with np.errstate(invalid="ignore"):
         mu_log = np.diff(seq.tail.log_values(np.arange(seq.P, seq.P + 2001)))
     # inf - inf past the float range, where log mu_p >= log M_p / p is too
@@ -425,7 +423,10 @@ def check_beta3(seq: LogWeightSequence) -> Verdict:
         if asym.root_diverges:
             return verdicts.holds(Q=2, **verdicts.pow2_witness("ratio_limit", asym.mu_order))
         return verdicts.fails(ratio_limit=1.0)
-    mu = np.exp(np.diff(seq.L))
+    with np.errstate(over="ignore"):
+        mu = np.exp(np.diff(seq.L))
+    if not np.all(np.isfinite(mu)):
+        return verdicts.inconclusive("mu_p past the float range on the prefix")
     for Q in range(2, Q_max + 1):
         lo = max(1, seq.P // 4)
         ps = [p for p in range(lo, seq.P + 1) if Q * p <= seq.P]
@@ -560,11 +561,10 @@ def lc_minorant(seq: LogWeightSequence) -> LogWeightSequence:
         out = np.interp(ps, hull[:, 0], hull[:, 1])
         if np.max(np.abs(out - seq.L)) <= LOG_TOL:
             return None
-        tail = seq.tail if (seq.tail is not None and seq.tail.is_log_convex()) else None
         return LogWeightSequence(
             out,
-            tail,
-            seq.P if tail is not None else 0,
+            seq.tail,
+            seq.P if seq.tail is not None else 0,
             f"lc({seq.label})" if seq.label else "",
         )
 

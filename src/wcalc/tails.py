@@ -160,18 +160,11 @@ class Tail:
     def root(self, p: float) -> float:
         return self.log_value(p) / p
 
-    def mu_log(self, p: float) -> float:
-        """log mu_p = log M_p - log M_{p-1}."""
-        return self.log_value(p) - self.log_value(p - 1)
-
     def asymptote(self) -> Scale:
         """The family's _scale(), computed once per tail."""
         if "_scale" not in self.__dict__:
             self.__dict__["_scale"] = self._scale()
         return self.__dict__["_scale"]
-
-    def is_log_convex(self) -> bool:
-        raise NotImplementedError
 
     # certified bounds; None means "not available for this tail family"
 
@@ -204,9 +197,6 @@ class FactorialPower(Tail):
     def _scale(self) -> Scale:
         # log p!/p = log p - 1 + o(1)
         return Scale("log", self.s, math.log(self.a) - self.s)
-
-    def is_log_convex(self) -> bool:
-        return True
 
     def reciprocal_mu_tail_bounds(self, P: int) -> tuple[float, float] | None:
         # mu_p = a * p**s exactly; integral test around sum_{p>P} 1/(a p**s)
@@ -269,9 +259,6 @@ class PowerIndex(Tail):
             return Scale("log", 0.0, self.kappa)
         return Scale("poly", self.beta - 1.0, self.kappa)
 
-    def is_log_convex(self) -> bool:
-        return True
-
     def to_json(self) -> dict:
         return {"family": "power_index", "kappa": self.kappa, "beta": self.beta}
 
@@ -309,9 +296,6 @@ class SteppedTail(Tail):
         if self.parent_tail is None:
             raise ValueError("stepped tail over a prefix-only parent has no asymptote")
         return self.parent_tail.asymptote().stepped(self.l)
-
-    def is_log_convex(self) -> bool:
-        return True
 
     def to_json(self) -> dict:
         return {
@@ -352,9 +336,6 @@ class RootPowerDualTail(Tail):
         alpha = 1.0 / self.a
         beta = (math.log(self.l) - math.log(self.c * self.a) - 1.0) / self.a
         return Scale("log", alpha, beta)
-
-    def is_log_convex(self) -> bool:
-        return True
 
     def to_json(self) -> dict:
         return {"family": "root_power_dual", "a": self.a, "c": self.c, "l": self.l}

@@ -301,7 +301,8 @@ def relation_omega(sigma_w: WeightFunction, tau_w: WeightFunction, kind: str) ->
         hi = min(sigma_w.valid_to, tau_w.valid_to)
         if hi <= 1.0:
             return verdicts.inconclusive("no shared domain")
-        lo_r, hi_r = omega_ratio_range(tau_w, sigma_w, math.e, math.exp(hi))
+        # past t = e**700 the grid would leave the float range
+        lo_r, hi_r = omega_ratio_range(tau_w, sigma_w, math.e, math.exp(min(hi, 700.0)))
         return verdicts.inconclusive(
             "growth class unavailable", ratio_range=(lo_r, hi_r)
         )

@@ -153,6 +153,10 @@ def test_file_descriptors_build_rows_through_one_reader(tmp_path):
     # one weight parameter too many
     ["matrix", "dossier", "--weight", "rootpower:1,2,7"],
     ["analyze", "--weight", "powerlog:2,3"],
+    # a prefix too short for perturbed_gevrey's dent on p = 3..9
+    ["analyze", "--seq", "perturbed_gevrey:2", "--pmax", "8"],
+    ["quasi", "verdict", "--seq", "perturbed_gevrey:2", "--pmax", "5"],
+    ["matrix", "dossier", "--seq", "perturbed_gevrey:2", "--pmax", "9"],
 ])
 def test_out_of_domain_descriptor_value_is_exit_2(argv):
     res = subprocess.run(
@@ -399,12 +403,19 @@ def test_quasi_construct_trace(tmp_path):
 
 
 def test_unwritable_trace_csv_is_exit_2(tmp_path, capsys):
-    # the report is written, but a directory holds the trace's name
+    # a directory holds the trace's name; the refusal leaves no report behind
     (tmp_path / "out.csv").mkdir()
     code = main(["quasi", "construct", "--rows", "1+1/q:q=1..2", "--pmax", "2000",
                  "--out", str(tmp_path / "out.json")])
     assert code == 2
     assert "out.csv" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+    # and a report that cannot be written leaves no trace behind
+    (tmp_path / "r.json").mkdir()
+    code = main(["quasi", "construct", "--rows", "1+1/q:q=1..2", "--pmax", "2000",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_matrix_conditions_cli(tmp_path):
@@ -576,6 +587,70 @@ def test_sequence_reports_keep_the_exit_code_contract(command, family, params, p
     assert code in (0, 2, 3, 4), (seq, pmax)
     assert "Traceback" not in err.getvalue()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (seq, pmax)
+
+
+# -- the argv fuzz property over the README grammar ------------------------
+
+# out-of-domain values, then valid ones; a list of them repeats labels
+_VALUE = st.sampled_from(
+    ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "",
+     "0.5", "1", "1.5", "2", "3", "7"])
+_VALUES = st.lists(_VALUE, max_size=3).map(",".join)
+
+
+def _family(names):
+    return st.tuples(st.sampled_from(names), _VALUES).map(":".join)
+
+
+_SEQ = _family(["gevrey", "factorial_power", "power_index", "perturbed_gevrey",
+                "prefix_only"])
+_WEIGHT = _family(["powerlog", "rootpower"])
+_ROWS = st.tuples(st.sampled_from(["1+1/q", "1+2/q", "1.5+1/q", "1/q", "q", "-1", "7"]),
+                  st.sampled_from(["1..3", "1..2", "1..1", "1..0", "2..3", "3..1", ""]),
+                  ).map(lambda t: f"{t[0]}:q={t[1]}")
+
+
+def _option(name, values):
+    """name with a drawn value, or nothing: a missing option."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+_ARGV = st.tuples(
+    st.one_of(
+        st.tuples(st.just(["analyze"]), _option("--seq", _SEQ), _option("--weight", _WEIGHT)),
+        st.tuples(st.sampled_from([["matrix", a] for a in ("conditions", "stability", "chain")]),
+                  _option("--gevrey", _VALUES), _option("--steps", _VALUES)),
+        st.tuples(st.just(["matrix", "dossier"]), _option("--seq", _SEQ),
+                  _option("--weight", _WEIGHT)),
+        st.tuples(st.just(["matrix", "compare"]), _option("--left", _SEQ),
+                  _option("--right", _SEQ)),
+        st.tuples(st.just(["quasi", "verdict"]), _option("--seq", _SEQ)),
+        st.tuples(st.just(["quasi", "construct"]), _option("--rows", _ROWS)),
+        st.tuples(st.just(["fourier", "harness"]), _option("--gevrey", _VALUES),
+                  _option("--bump-depth", st.sampled_from(["0", "1", "5", "10", "30"]))),
+    ),
+    _option("--pmax", st.sampled_from(["3", "9", "60", "200", "1000"])),
+).map(lambda t: [a for part in (*t[0], t[1]) for a in part])
+
+
+@given(_ARGV)
+@example(["analyze", "--seq", "perturbed_gevrey:2", "--pmax", "9"])
+@example(["matrix", "chain", "--gevrey", "2", "--steps", "0"])
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_every_argv_keeps_the_exit_code_contract(argv):
+    # a report or a typed refusal, never a traceback or a numpy warning;
+    # argparse refuses with SystemExit(2), which is the process's exit code
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 2, 3, 4), argv
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue(), argv
+    assert not caught, (argv, [str(w.message) for w in caught])
 
 
 @pytest.mark.parametrize("argv, logged", [

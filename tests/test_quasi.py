@@ -28,7 +28,6 @@ from wcalc.quasi import (
     construct_minorant,
     matrix_nq_verdict,
     minorant_checkpoints,
-    minorant_root,
     sandwich_construct,
     small_terms_diagnostic,
 )
@@ -233,24 +232,78 @@ def test_minorant_prefix_is_below_smallest_row(four_row_trace):
     assert np.all(N.L[1:] / ps <= np.array([small.root(p) for p in ps]) + 1e-12)
 
 
-@pytest.mark.parametrize("pmax", (200, 2000, 5000))
-@pytest.mark.parametrize("Q", (2, 3, 4))
-@pytest.mark.parametrize("pattern", ("1+1/q", "1+2/q", "1.5+1/q"))
-def test_minorant_prefix_is_bit_identical_to_the_loop(pattern, Q, pmax):
-    # between them the patterns put every piece of the recursion inside
-    # the prefix: row q followed, the plateau, and the last row from b_{Q-1}
-    exponent = {"1+1/q": lambda q: 1 + 1 / q, "1+2/q": lambda q: 1 + 2 / q,
-                "1.5+1/q": lambda q: 1.5 + 1 / q}[pattern]
-    qs = range(Q, 0, -1)
-    M = matrix_from_rows(tuple(gevrey(exponent(q), pmax) for q in qs),
-                         tuple(1.0 / q for q in qs))
-    trace = construct_minorant(M)
-    rows = {q: M.row(1.0 / q) for q in range(1, Q + 1)}
-    # the scalar loop the prefix was computed by, kept as the reference
-    want = np.zeros(pmax + 1)
-    for p in range(1, pmax + 1):
+def minorant_root(rows: dict, a, b, p: float) -> float:
+    """Root of the constructed sequence at any index p >= 1.
+
+    rows maps q = 1..Q to the rows the recursion consumed; a and b are its
+    switch indices.  Row q, shifted down by log q, is followed from b_{q-1}
+    to a_q and then held flat until b_q.
+    """
+    Q = len(rows)
+    for q in range(1, Q):
+        lo = b[q - 2] if q >= 2 else 0
+        if lo <= p <= a[q - 1]:
+            return -math.log(q) + rows[q].root(p)
+        if a[q - 1] < p < b[q - 1]:
+            return -math.log(q) + rows[q].root(a[q - 1])
+    return -math.log(Q) + rows[Q].root(p)     # p >= b_{Q-1}
+
+
+def assert_the_scalar_rule(M, trace):
+    # N's prefix and the checkpoint roots against minorant_root, the scalar
+    # switch rule kept here as the reference
+    rows = {q: M.row(1.0 / q) for q in range(1, trace.q_completed + 2)}
+    want = np.zeros(trace.N.P + 1)
+    for p in range(1, trace.N.P + 1):
         want[p] = p * minorant_root(rows, trace.a, trace.b, p)
     assert np.array_equal(trace.N.L.view(np.uint64), want.view(np.uint64))
+    ps, roots = minorant_checkpoints(trace, M)
+    want = np.array([minorant_root(rows, trace.a, trace.b, int(p)) for p in ps])
+    assert np.array_equal(roots.view(np.uint64), want.view(np.uint64))
+
+
+# The battery's quasi construct configurations (ROW_PATTERNS x k x
+# CONSTRUCT_PMAX in perfbench/workloads.py) but for 1+1/q**2 at k >= 3,
+# which stops at a_2, and each at pmax 200 too.  Between them they put
+# every piece of the recursion inside the prefix, and past it on the tails.
+_EXPONENTS = {"1+1/q": lambda q: 1 + 1 / q, "1+2/q": lambda q: 1 + 2 / q,
+              "1+1/q**2": lambda q: 1 + 1 / q**2, "1.5+1/q": lambda q: 1.5 + 1 / q}
+
+
+@pytest.mark.parametrize("pattern, Q, pmax", [
+    (pattern, Q, pmax) for pattern in _EXPONENTS for Q in (2, 3, 4)
+    if not (pattern == "1+1/q**2" and Q >= 3)
+    for pmax in (200, 2000, 3000, 4000, 5000)
+])
+def test_minorant_prefix_is_bit_identical_to_the_loop(pattern, Q, pmax):
+    qs = range(Q, 0, -1)
+    M = matrix_from_rows(tuple(gevrey(_EXPONENTS[pattern](q), pmax) for q in qs),
+                         tuple(1.0 / q for q in qs))
+    assert_the_scalar_rule(M, construct_minorant(M))
+
+
+def test_minorant_far_past_the_prefix_is_bit_identical_to_the_loop(four_row_trace):
+    M, trace = four_row_trace
+    assert trace.b[-1] > 1e11          # the checkpoints run on the tails
+    assert_the_scalar_rule(M, trace)
+
+
+def test_checkpoints_replay_the_rows_the_recursion_consumed():
+    # a row that is not log-convex: the recursion follows its log-convex
+    # minorant, and so do the checkpoints
+    dented = perturbed_gevrey(2.0, 2.0, pmax=400)
+    assert not check_log_convex(dented).holds
+    M = matrix_from_rows((gevrey(1.5, 400), dented), (0.5, 1.0))
+    trace = construct_minorant(M)
+    ps, roots = minorant_checkpoints(trace, M)
+    P = trace.N.P
+    assert np.array_equal(ps[:P], np.arange(1, P + 1))
+    assert np.array_equal(ps[:P] * roots[:P], trace.N.L[1:])
+    # a label the recursion reads as 1/1 is read so by the checkpoints too
+    M = matrix_from_rows((gevrey(1.5, 400), gevrey(2.0, 400)), (0.5, 1 + 1e-13))
+    trace = construct_minorant(M)
+    ps, roots = minorant_checkpoints(trace, M)
+    assert np.array_equal(ps[:P] * roots[:P], trace.N.L[1:])
 
 
 def test_minorant_requires_certified_tails():

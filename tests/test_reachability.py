@@ -1,10 +1,11 @@
 """Static checks over src/wcalc: every top-level definition and every
 method is reached by something that runs, and every import is used.
 
-"Reached" is by name: a definition counts as reached when its name is
-loaded or read as an attribute outside its own body in src/wcalc (the
-package's __init__.py reaches nothing), in demos/, in
-perfbench/, or in the acceptance gate tests/test_acceptance.py.
+"Reached" is by name: a top-level definition counts as reached when its
+name is loaded or read as an attribute, and a method only when its name is
+read as an attribute, outside its own body in src/wcalc (the package's
+__init__.py reaches nothing), in demos/, in perfbench/, or in the
+acceptance gate tests/test_acceptance.py.
 perfbench/tracing.py wraps functions by their names as strings, so string
 constants count there too.  Unit tests do not count: a definition that
 only its own tests call serves no report.  Dunder methods are called by
@@ -37,14 +38,16 @@ def _modules():
 
 
 def _names(tree, strings=False) -> set[str]:
+    """What tree reads: each name loaded, and each attribute as "." + its
+    name; with strings, each string constant as both."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out.add("." + node.attr)
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
+            out |= {node.value, "." + node.value}
     return out
 
 
@@ -63,9 +66,10 @@ def _unreached(modules) -> dict[str, str]:
     for path, d, _ in stmts:
         if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
-        if d.name in outside:
+        read = {d.name, "." + d.name}
+        if read & outside:
             continue
-        if any(d.name in names for _, s, names in stmts if s is not d):
+        if any(read & names for _, s, names in stmts if s is not d):
             continue
         out[d.name] = f"{path.name}:{d.lineno}"
     for path, c, _ in stmts:
@@ -77,11 +81,12 @@ def _unreached(modules) -> dict[str, str]:
                 continue
             if m.name.startswith("__") and m.name.endswith("__"):
                 continue
-            if m.name in outside:
+            read = "." + m.name
+            if read in outside:
                 continue
-            if any(m.name in names for _, s, names in stmts if s is not c):
+            if any(read in names for _, s, names in stmts if s is not c):
                 continue
-            if any(m.name in names for n, names in members if n is not m):
+            if any(read in names for n, names in members if n is not m):
                 continue
             out[f"{c.name}.{m.name}"] = f"{path.name}:{m.lineno}"
     return out

@@ -600,9 +600,11 @@ def _gap_sup_loop(M, N):
 
 
 def _mu_remainder_loop(seq):
-    """The scalar remainder: one Tail.mu_log per index."""
+    """The scalar remainder: one log mu_p = log M_p - log M_{p-1} per index."""
+    t = seq.tail
     return sum(
-        math.exp(-seq.tail.mu_log(p)) for p in range(seq.P + 1, seq.P + 2001)
+        math.exp(-(t.log_value(p) - t.log_value(p - 1)))
+        for p in range(seq.P + 1, seq.P + 2001)
     )
 
 
