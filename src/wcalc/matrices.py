@@ -21,13 +21,12 @@ from .sequences import (
     check_beta3,
     check_in_LC,
     check_moderate_growth,
-    kept,
     lc_minorant,
     min_plus_self,
+    pair_engine,
     relation_approx,
     relation_preceq,
     relation_triangle,
-    row_serial,
 )
 from .tails import FactorialPower, root_gap_limit
 from .verdicts import Verdict
@@ -140,7 +139,11 @@ def build_omega_matrix(w: WeightFunction, l_values, pmax: int = 200) -> WeightMa
 
 
 # -- pairwise inequality engines ---------------------------------------
+#
+# An engine that reads the rows' arrays is answered once per pair of rows
+# (sequences.pair_engine); _L_pair and _strict_pair read only the tails.
 
+@pair_engine("_dc_pair")
 def _dc_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
     """Is sup_j (L^x_{j+1} - L^y_j)/(j+1) finite?"""
     P = min(x.P, y.P) - 1
@@ -158,17 +161,12 @@ def _dc_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
     return verdicts.holds(**verdicts.exp_witness("C", max(prefix, g) + 0.1))
 
 
+@pair_engine("_mg_pair")
 def _mg_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
-    """Is sup_{j,k} (L^x_{j+k} - L^y_j - L^y_k)/(j+k) finite?
-
-    x keeps the prefix sup per (y, P), keyed on row_serial(y)."""
+    """Is sup_{j,k} (L^x_{j+k} - L^y_j - L^y_k)/(j+k) finite?"""
     P = min(x.P, y.P)
-
-    def prefix_sup():
-        mins, _ = min_plus_self(y.L[: P + 1])
-        return float(np.max((x.L[1 : P + 1] - mins[1:]) / np.arange(1, P + 1)))
-
-    best = kept(x, "_mg_pair", prefix_sup, (row_serial(y), P))
+    mins, _ = min_plus_self(y.L[: P + 1])
+    best = float(np.max((x.L[1 : P + 1] - mins[1:]) / np.arange(1, P + 1)))
     if x.tail is None or y.tail is None:
         return verdicts.inconclusive("no tail", **verdicts.exp_witness("prefix_C", best))
     if x.tail.asymptote().mixed_moderate_growth(y.tail.asymptote()):
@@ -427,23 +425,15 @@ def _pseudo_mg_grid_ok(
     return bool(np.all(lhs <= rhs + 1e-9))
 
 
+@pair_engine("_pseudo_mg")
 def _pseudo_mg_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
-    """Some H = 2**k on the grid with 2*omega_y(t) <= omega_x(H t) + H.
-
-    x keeps the first such H (None if there is none) per y, keyed on
-    row_serial(y)."""
-
-    def first_H():
-        small, big = associated_function(y), associated_function(x)
-        for k in range(0, 16):
-            if _pseudo_mg_grid_ok(small, big, 2.0 ** k):
-                return 2.0 ** k
-        return None
-
-    H = kept(x, "_pseudo_mg", first_H, row_serial(y))
-    if H is None:
-        return verdicts.inconclusive("no H on grid within resolved band")
-    return verdicts.holds(H=H)
+    """Some H = 2**k on the grid with 2*omega_y(t) <= omega_x(H t) + H."""
+    small, big = associated_function(y), associated_function(x)
+    for k in range(0, 16):
+        H = 2.0 ** k
+        if _pseudo_mg_grid_ok(small, big, H):
+            return verdicts.holds(H=H)
+    return verdicts.inconclusive("no H on grid within resolved band")
 
 
 def check_pseudo_mg(M: WeightMatrix, variant: str = "roumieu") -> Verdict:
@@ -510,10 +500,15 @@ def check_stability_theorem(M: WeightMatrix) -> Verdict:
     parts["second_extension_beurling"] = relation_matrix(
         once.current, twice.current, "beurling_approx"
     )
-    # iterated inequality for the Beurling direction: doubling twice
-    wx = associated_function(M.rows[0])
-    wy = associated_function(M.rows[-1])
-    ok2 = False
+    parts["iterated_doubling"] = _iterated_doubling(M.rows[0], M.rows[-1])
+    return verdicts.conjunction(parts)
+
+
+@pair_engine("_iterated_doubling")
+def _iterated_doubling(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
+    """The iterated inequality for the Beurling direction, doubling twice:
+    some H = 2**k on the grid with 4*omega_x(t) <= omega_y(H**2 t) + 3H."""
+    wx, wy = associated_function(x), associated_function(y)
     for k in range(0, 16):
         H = 2.0 ** k
         s_hi = min(wx.valid_to, wy.valid_to) - 2 * math.log(H)
@@ -521,12 +516,8 @@ def check_stability_theorem(M: WeightMatrix) -> Verdict:
             break
         s = np.linspace(0.0, s_hi, 128)
         if bool(np.all(4.0 * wx.phi(s) <= wy.phi(s + 2 * math.log(H)) + 3 * H)):
-            ok2 = True
-            break
-    parts["iterated_doubling"] = (
-        verdicts.holds(k=2) if ok2 else verdicts.inconclusive("no H on grid")
-    )
-    return verdicts.conjunction(parts)
+            return verdicts.holds(k=2)
+    return verdicts.inconclusive("no H on grid")
 
 
 def check_L_consequences(M: WeightMatrix) -> Verdict:

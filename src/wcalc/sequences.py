@@ -27,16 +27,21 @@ FactorialPower(2, 1.0) equals FactorialPower(2.0, 1.0) but prints "s": 2,
 so a shared row would make a report depend on what the process built
 before it.
 
-A row also keeps what is computed from it alone and read again.  KEPT
-names each such value with its bound, what it holds and who reads it, and
-kept() is the one way to it.  What a row keeps lives as long as the row,
-so the memo's budget and KEPT's bounds together bound it.  Nothing a row
-keeps refers back to it or to a row it was checked against, since a row in
-a reference cycle would outlive its last user until the garbage collector
-ran: the derived rows and the minorant it keeps are rows of their own, and
-what it keeps about a check against another row is keyed on that row's
-row_serial.  An evicted row comes back as a new row with a new serial and
-nothing kept, so what its partners kept under the old serial is dead.
+A row also keeps what is computed from it alone and read again, and the
+verdict of every check of it against another row.  KEPT names each such
+value with its bound, what it holds and who reads it, and kept() is the
+one way to it.  Every two-row engine, here and in matrices, is reached
+only through kept_pair(), which keeps engine(x, y) on x under y's
+row_serial, so a pair of rows is checked once while both live.  What a
+row keeps lives as long as the row, so the memo's budget and KEPT's
+bounds together bound it.  Nothing a row keeps refers back to it or to a
+row it was checked against, since a row in a reference cycle would outlive
+its last user until the garbage collector ran: the derived rows and the
+minorant it keeps are rows of their own, what it keeps about a check
+against another row is keyed on that row's row_serial, and a kept
+verdict's witness holds only numbers and strings.  An evicted row comes
+back as a new row with a new serial and nothing kept, so what its
+partners kept under the old serial is dead.
 
 Array code here is bit-identical to the scalar loops it stands for: numpy
 does only + - * /, comparisons and reductions (min, max, argmin) on the
@@ -232,8 +237,9 @@ def keep(d: dict, key, limit: int, build):
 # What a row keeps, by its name in the row's __dict__: the bound (how many
 # of the most recently built entries it holds, by key; a single value is
 # one entry under the key None), what it holds, and who reads it.  A row
-# of from_tail keeps these while the row memo holds it; an entry keyed on
-# row_serial(y) is never read again once y leaves the memo, and ages out.
+# of from_tail keeps these while the row memo holds it; what it keeps
+# about a check against another row y is keyed on row_serial(y), is never
+# read again once y leaves the memo, and ages out.
 KEPT = {
     "_serial": 1,        # row_serial: this row's number in the process
     "_mg": 1,            # check_moderate_growth: prefix constant C and its (j, j + k)
@@ -242,8 +248,18 @@ KEPT = {
     "_envelope": 1,      # weightfuncs.associated_function: envelope, valid_to
     "_derived": 16,      # weightfuncs.sequence_from_weight: rows by (l, pmax, label)
     "_nq_routes": 1,     # quasi.class_nq_verdict: hull and root route verdicts
-    "_pseudo_mg": 32,    # matrices.check_pseudo_mg: first H (or None), by row_serial(y)
-    "_mg_pair": 32,      # matrices.check_matrix_condition: mg prefix sups, by (row_serial(y), P)
+    # kept_pair: the verdict of engine(x, y) on x, by row_serial(y).  Each
+    # bound is the next power of two at or above twice the most distinct
+    # partners one row met, counted with unbounded entries over 40
+    # benchmark rounds (seeds 5, 31 and 41 alike): battery / matrix-scale /
+    # fourier-lab, "-" where the engine does not run.
+    "_preceq": 64,             # relation_preceq: 24 / 20 / -
+    "_preceq_both": 64,        # relation_pair, both directions: 30 / 5 / -
+    "_triangle": 64,           # relation_triangle: 27 / 6 / -
+    "_dc_pair": 16,            # matrices._dc_pair: 6 / 5 / -
+    "_mg_pair": 16,            # matrices._mg_pair: 6 / 5 / 5
+    "_pseudo_mg": 16,          # matrices._pseudo_mg_pair: 5 / 4 / -
+    "_iterated_doubling": 16,  # matrices._iterated_doubling: 5 / 4 / -
 }
 
 
@@ -266,6 +282,29 @@ def row_serial(seq: LogWeightSequence) -> int:
     process: what one row keeps about a check against another is keyed on
     it, so that it holds no reference to the other row."""
     return kept(seq, "_serial", lambda: next(_serials))
+
+
+def kept_pair(name: str, engine, x: LogWeightSequence, y: LogWeightSequence):
+    """engine(x, y), kept on x as the KEPT entry name under row_serial(y),
+    so that x holds no reference to y.  An engine's answer depends on the
+    contents of its two rows alone, and its witness holds only numbers
+    and strings, so no report shares a mutable part with it."""
+    return kept(x, name, lambda: engine(x, y), row_serial(y))
+
+
+def pair_engine(name: str):
+    """Decorator: every call of the two-row engine it wraps is answered
+    through kept_pair under the KEPT entry name.  The engine's body stays
+    reachable as __wrapped__."""
+
+    def rule(engine):
+        @functools.wraps(engine)
+        def through_kept_pair(x, y):
+            return kept_pair(name, engine, x, y)
+
+        return through_kept_pair
+
+    return rule
 
 
 # -- growth conditions --------------------------------------------------
@@ -499,6 +538,7 @@ def _preceq_verdict(prefix_sup: float, g: float | None, sampled_sup) -> Verdict:
     return verdicts.holds(**verdicts.exp_witness("C1", sup), gap_limit=g)
 
 
+@pair_engine("_preceq")
 def relation_preceq(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
     """M precsim N: sup_p (M_p/N_p)^{1/p} finite."""
     return _preceq_verdict(
@@ -512,12 +552,22 @@ def relation_preceq(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
 def relation_pair(
     M: LogWeightSequence, N: LogWeightSequence
 ) -> tuple[Verdict, Verdict, Verdict]:
-    """relation_preceq(M, N), relation_preceq(N, M) and relation_approx(M, N)
-    from one pass over the gaps.  N's gaps over M are the exact negatives
-    of M's over N, since subtraction and division by p > 0 round
-    sign-symmetrically, so each backward sup is minus a forward inf.  Only
-    the sign of a zero sup can differ, and a report shows a sup only
-    through exp."""
+    """relation_preceq(M, N), relation_preceq(N, M) and relation_approx(M, N),
+    the first two from one kept pass over the gaps (_preceq_both).  The
+    conjunction is built per call: its witness nests dicts, which a kept
+    verdict would share with every report."""
+    forward, backward = _preceq_both(M, N)
+    approx = verdicts.conjunction({"forward": forward, "backward": backward})
+    return forward, backward, approx
+
+
+@pair_engine("_preceq_both")
+def _preceq_both(M: LogWeightSequence, N: LogWeightSequence) -> tuple[Verdict, Verdict]:
+    """relation_preceq(M, N) and relation_preceq(N, M) from one pass over
+    the gaps.  N's gaps over M are the exact negatives of M's over N,
+    since subtraction and division by p > 0 round sign-symmetrically, so
+    each backward sup is minus a forward inf.  Only the sign of a zero sup
+    can differ, and a report shows a sup only through exp."""
     gaps = _prefix_gaps(M, N)
     g, g_rev = root_gap_limit(M.tail, N.tail), root_gap_limit(N.tail, M.tail)
     # g is None exactly when g_rev is, and then no direction reads samples
@@ -528,10 +578,10 @@ def relation_pair(
     backward = _preceq_verdict(
         -float(gaps.min()), g_rev, lambda: -min(sampled, default=math.inf)
     )
-    approx = verdicts.conjunction({"forward": forward, "backward": backward})
-    return forward, backward, approx
+    return forward, backward
 
 
+@pair_engine("_triangle")
 def relation_triangle(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
     """M strictly smaller: (M_p/N_p)^{1/p} -> 0."""
     g = root_gap_limit(M.tail, N.tail)

@@ -1,5 +1,6 @@
 """Weight matrices: quantified conditions, chains, stability, dossiers."""
 
+import collections
 import copy
 import dataclasses
 import gc
@@ -8,17 +9,21 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wcalc import matrices, verdicts
+from wcalc import cli, convex, matrices, sequences, verdicts
 from wcalc.catalogue import (
     bumpy_prefix,
+    factorial_power,
     gevrey,
     matrix_battery,
     matrix_from_rows,
+    perturbed_gevrey,
     power_index,
     prefix_only,
 )
-from wcalc.errors import ClassMembershipFailed
+from wcalc.errors import ClassMembershipFailed, WcalcError
 from wcalc.matrices import (
     CONDITION_NAMES,
     _VARIANTS,
@@ -46,6 +51,7 @@ from wcalc.matrices import (
     relation_matrix,
 )
 from wcalc.sequences import (
+    KEPT,
     LogWeightSequence,
     _row_from_tail,
     check_moderate_growth,
@@ -268,23 +274,6 @@ def test_pseudo_mg_constants_kept_on_rows_leave_verdicts_unchanged(variant):
         assert full[0] == full[1]
 
 
-def test_pseudo_mg_constants_keep_the_32_latest_rows():
-    x = LogWeightSequence(gevrey(1.0, 400).L, FactorialPower(1.0, 1.0), 0, "x")
-    ys = [gevrey(1.0 + i / 20, 400) for i in range(1, 41)]
-    first = _pseudo_mg_pair(x, ys[0]).to_json()
-    for y in ys:
-        _pseudo_mg_pair(x, y)
-    kept = x.__dict__["_pseudo_mg"]
-    # keyed on serials, so x holds no reference to any y
-    assert list(kept) == [row_serial(y) for y in ys[-32:]]
-    assert all(type(H) in (float, type(None)) for H in kept.values())
-    assert repr(_pseudo_mg_pair(x, ys[0]).to_json()) == repr(first)
-    assert list(kept) == [row_serial(y) for y in ys[-31:] + ys[:1]]
-    # equal rows built apart have serials of their own
-    twin = LogWeightSequence(x.L, x.tail, x.tail_from, x.label)
-    assert twin == x and row_serial(twin) != row_serial(x) == row_serial(x)
-
-
 def ref_mg_pair(x, y):
     # the pair test as it ran before rows kept the prefix sup
     P = min(x.P, y.P)
@@ -327,23 +316,135 @@ def test_mg_prefix_sups_kept_on_rows_leave_verdicts_unchanged(variant):
         assert full[0] == full[1]
 
 
-def test_mg_prefix_sups_keep_the_32_latest_rows(monkeypatch):
+# every two-row engine behind sequences.kept_pair, by its KEPT entry
+PAIR_ENGINES = {
+    "_preceq": relation_preceq,
+    "_preceq_both": sequences._preceq_both,
+    "_triangle": relation_triangle,
+    "_dc_pair": _dc_pair,
+    "_mg_pair": _mg_pair,
+    "_pseudo_mg": _pseudo_mg_pair,
+    "_iterated_doubling": matrices._iterated_doubling,
+}
+
+
+def _answer(engine, x, y) -> str:
+    """engine(x, y) as the repr of its JSON, or the error it raised."""
+    try:
+        v = engine(x, y)
+    except WcalcError as e:
+        return type(e).__name__
+    return repr([u.to_json() for u in v] if isinstance(v, tuple) else v.to_json())
+
+
+def _count_bodies(monkeypatch) -> tuple[collections.Counter, collections.Counter]:
+    """Calls of sequences.kept_pair from now on, and the engine bodies they
+    run, by KEPT entry."""
+    asked, bodies = collections.Counter(), collections.Counter()
+    rule = sequences.kept_pair
+
+    def counting(name, engine, x, y):
+        def body(x, y):
+            bodies[name] += 1
+            return engine(x, y)
+        asked[name] += 1
+        return rule(name, body, x, y)
+
+    monkeypatch.setattr(sequences, "kept_pair", counting)
+    return asked, bodies
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_ENGINES))
+def test_pair_engines_keep_their_latest_partners(name, monkeypatch):
+    engine, bound = PAIR_ENGINES[name], KEPT[name]
     x = LogWeightSequence(gevrey(1.0, 400).L, FactorialPower(1.0, 1.0), 0, "x")
-    ys = [gevrey(1.0 + i / 20, 400 - (i % 3)) for i in range(1, 41)]
-    first = _mg_pair(x, ys[0]).to_json()
+    ys = [gevrey(1.0 + i / 20, 400 - (i % 3)) for i in range(1, bound + 9)]
+    first = _answer(engine, x, ys[0])
     for y in ys:
-        _mg_pair(x, y)
-    kept = x.__dict__["_mg_pair"]
-    # keyed on serials and prefix lengths, so x holds no reference to any y
-    assert list(kept) == [(row_serial(y), y.P) for y in ys[-32:]]
-    assert all(type(best) is float for best in kept.values())
-    calls = []
-    monkeypatch.setattr("wcalc.matrices.min_plus_self",
-                        lambda L: calls.append(L.size) or min_plus_self(L))
-    assert repr(_mg_pair(x, ys[0]).to_json()) == repr(first) and calls == [400]
-    assert list(kept) == [(row_serial(y), y.P) for y in ys[-31:] + ys[:1]]
-    _mg_pair(x, ys[-1])
-    assert calls == [400]
+        engine(x, y)
+    kept = x.__dict__[name]
+    # keyed on serials, so x holds no reference to any y
+    assert list(kept) == [row_serial(y) for y in ys[-bound:]]
+    _, bodies = _count_bodies(monkeypatch)
+    assert _answer(engine, x, ys[0]) == first and bodies == {name: 1}
+    assert list(kept) == [row_serial(y) for y in ys[-bound + 1:] + ys[:1]]
+    engine(x, ys[-1])
+    assert bodies == {name: 1}
+    # equal rows built apart have serials of their own
+    twin = LogWeightSequence(x.L, x.tail, x.tail_from, x.label)
+    assert twin == x and row_serial(twin) != row_serial(x) == row_serial(x)
+
+
+@st.composite
+def engine_rows(draw):
+    """A gevrey, factorial_power, power_index or perturbed_gevrey row."""
+    pmax = draw(st.integers(20, 2000))
+    fam = draw(st.sampled_from(("gevrey", "factorial_power", "power_index", "perturbed")))
+    if fam == "gevrey":
+        return gevrey(draw(st.floats(0.5, 4.0)), pmax)
+    if fam == "factorial_power":
+        return factorial_power(draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 3.0)), pmax)
+    if fam == "power_index":
+        return power_index(draw(st.floats(0.1, 4.0)), draw(st.floats(1.0, 3.0)), pmax)
+    return perturbed_gevrey(draw(st.floats(1.0, 4.0)), draw(st.floats(0.0, 0.3)), pmax)
+
+
+@given(engine_rows(), engine_rows())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_kept_pair_answers_equal_fresh_ones(x, y):
+    # equal rows built apart, outside the row memo, with nothing kept yet
+    fx, fy = (LogWeightSequence(r.L, r.tail, r.tail_from, r.label) for r in (x, y))
+    for name, engine in PAIR_ENGINES.items():
+        want = _answer(engine.__wrapped__, fx, fy)
+        assert _answer(engine, x, y) == want == _answer(engine, x, y), name
+
+
+def test_pair_checks_keep_their_partners_alive_nowhere():
+    gc.disable()
+    try:
+        x = gevrey(1.5, 1000)
+        for name, engine in PAIR_ENGINES.items():
+            y = LogWeightSequence(gevrey(2.0, 1000).L, FactorialPower(2.0, 1.0), 0, "y")
+            ref = weakref.ref(y)
+            engine(x, y)
+            engine(y, x)
+            del y
+            assert ref() is None, name
+        for name in PAIR_ENGINES:
+            assert x.__dict__[name], name
+            for v in x.__dict__[name].values():
+                for u in v if isinstance(v, tuple) else (v,):
+                    # numbers and strings only: no row, and nothing mutable
+                    assert all(type(w) in (bool, int, float, str)
+                               for w in u.witness.values()), (name, u)
+    finally:
+        gc.enable()
+
+
+def test_warm_matrix_ops_run_no_pair_engine_body(tmp_path, monkeypatch):
+    out = str(tmp_path / "r.json")
+    ops = [["matrix", "stability", "--gevrey", "1,2", "--pmax", "1000", "--out", out],
+           ["matrix", "conditions", "--gevrey", "1,2,3", "--pmax", "1000", "--out", out]]
+    assert all(cli.main(argv) == 0 for argv in ops)
+    asked, calls = _count_bodies(monkeypatch)
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(sequences, "_prefix_gaps")
+    counted(sequences, "_sampled_gaps")
+    counted(convex.ConvexPL, "__call__")
+    # no gap or envelope arithmetic, and no pair engine's body: every
+    # two-row answer, _dc_pair's among them, is kept on its rows
+    assert all(cli.main(argv) == 0 for argv in ops)
+    assert calls == {}
+    assert {"_preceq", "_dc_pair", "_mg_pair", "_iterated_doubling"} <= set(asked)
 
 
 def _scribble(obj):
@@ -361,6 +462,8 @@ def test_kept_results_do_not_leak_into_later_reports():
         lambda: check_matrix_condition(M, "mg_roumieu"),
         lambda: matrix_nq_verdict(M, "roumieu"),
         lambda: check_pseudo_mg(M),
+        lambda: relation_approx(M.rows[0], M.rows[1]),
+        lambda: check_stability_theorem(M),
     )
     for check in checks:
         v = check()
@@ -458,7 +561,7 @@ def test_extended_rows_built_once_per_matrix():
 def test_rows_die_without_garbage_collection():
     # what a row keeps (sequences.KEPT: envelope, derived rows,
     # moderate-growth constant, log-convex minorant, root-gap samples,
-    # pseudo-mg constants, mg prefix sups, NQ route verdicts) must not tie
+    # pair verdicts, NQ route verdicts) must not tie
     # it to its WeightFunction, to another row or to itself in a cycle:
     # once the row memo lets go, reference counting alone frees every row
     gc.disable()
@@ -482,9 +585,9 @@ def test_rows_die_without_garbage_collection():
         approx = [relation_approx(M.rows[0], M.rows[1]), relation_approx(convex, M.rows[0])]
         assert all("_gap_samples" in r.__dict__ for r in (*M.rows[:2], convex))
         assert "_lc_minorant" in convex.__dict__
-        # and so are the pseudo-mg constants of check_pseudo_mg(M)
+        # and so are the pseudo-mg verdicts of check_pseudo_mg(M)
         assert all(r.__dict__["_pseudo_mg"] for r in M.rows)
-        # the mg prefix sups and the NQ routes of the hypothesis gates
+        # the mg verdicts and the NQ routes of the hypothesis gates
         mg = check_matrix_condition(M, "mg_roumieu")
         nq = matrix_nq_verdict(M, "roumieu")
         assert all(r.__dict__["_mg_pair"] for r in M.rows)
