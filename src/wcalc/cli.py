@@ -15,7 +15,7 @@ import operator
 import os
 import sys
 
-from . import __version__, catalogue, convex, sequences, serialize
+from . import __version__, catalogue, convex, sequences, serialize, verdicts
 from .errors import RoutesDisagree, TruncationExhausted, WcalcError
 from .matrices import (
     CONDITION_NAMES,
@@ -39,8 +39,7 @@ from .sequences import (
     check_log_convex,
     check_moderate_growth,
     check_nq,
-    relation_pair,
-    relation_triangle,
+    root_gap_relations,
 )
 from .weightfuncs import WeightFunction, check_omega_conditions
 
@@ -249,11 +248,12 @@ def cmd_matrix(args) -> int:
     if args.action == "compare":
         a = parse_sequence(_required(args, "left"), args.pmax)
         b = parse_sequence(_required(args, "right"), args.pmax)
-        preceq, preceq_rev, approx = relation_pair(a, b)
+        preceq, preceq_rev, triangle = root_gap_relations(a, b)
+        approx = verdicts.conjunction({"forward": preceq, "backward": preceq_rev})
         report = {
             "preceq": preceq.to_json(),
             "preceq_rev": preceq_rev.to_json(),
-            "triangle": relation_triangle(a, b).to_json(),
+            "triangle": triangle.to_json(),
             "approx": approx.to_json(),
         }
         _emit(args, report)

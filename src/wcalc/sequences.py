@@ -32,7 +32,10 @@ verdict of every check of it against another row.  KEPT names each such
 value with its bound, what it holds and who reads it, and kept() is the
 one way to it.  Every two-row engine, here and in matrices, is reached
 only through kept_pair(), which keeps engine(x, y) on x under y's
-row_serial, so a pair of rows is checked once while both live.  What a
+row_serial, so a pair of rows is checked once while both live; M precsim
+N, N precsim M and M triangle N share one such pass over the root gaps
+(root_gap_relations).  matrices._L_pair and matrices._strict_pair are the
+exception: they read only the tails, and nothing of theirs is kept.  What a
 row keeps lives as long as the row, so the memo's budget and KEPT's
 bounds together bound it.  Nothing a row keeps refers back to it or to a
 row it was checked against, since a row in a reference cycle would outlive
@@ -220,9 +223,6 @@ def _row_from_tail(typed_tail: tuple, pmax: int, label: str) -> LogWeightSequenc
     return row
 
 
-_row_from_tail.cache_clear = _rows.clear    # as lru_cache spelled it
-
-
 def keep(d: dict, key, limit: int, build):
     """d[key], built by build() on a miss and entered in d, which holds
     its limit most recently built entries and drops the oldest first.  A
@@ -253,9 +253,7 @@ KEPT = {
     # partners one row met, counted with unbounded entries over 40
     # benchmark rounds (seeds 5, 31 and 41 alike): battery / matrix-scale /
     # fourier-lab, "-" where the engine does not run.
-    "_preceq": 64,             # relation_preceq: 24 / 20 / -
-    "_preceq_both": 64,        # relation_pair, both directions: 30 / 5 / -
-    "_triangle": 64,           # relation_triangle: 27 / 6 / -
+    "_root_gaps": 64,          # root_gap_relations: 31 / 26 / -
     "_dc_pair": 16,            # matrices._dc_pair: 6 / 5 / -
     "_mg_pair": 16,            # matrices._mg_pair: 6 / 5 / 5
     "_pseudo_mg": 16,          # matrices._pseudo_mg_pair: 5 / 4 / -
@@ -524,77 +522,61 @@ def _sampled_gaps(M: LogWeightSequence, N: LogWeightSequence) -> list[float]:
     return (rM[both] - rN[both]).tolist()
 
 
-def _preceq_verdict(prefix_sup: float, g: float | None, sampled_sup) -> Verdict:
+def _preceq_verdict(prefix_sup: float, g: float | None, sampled_sup: float) -> Verdict:
     """M precsim N from the sup of M's prefix gaps over N, the root-gap
-    limit g and sampled_sup(), the sup of the sampled gaps, called only
-    when g is finite or -inf."""
+    limit g and the sup of the sampled gaps."""
     if g is None:
         return verdicts.inconclusive(
             "no tail on one side", **verdicts.exp_witness("prefix_sup", prefix_sup)
         )
     if g == math.inf:
         return verdicts.fails(gap_limit="+inf")
-    sup = max(prefix_sup, g, sampled_sup())
+    sup = max(prefix_sup, g, sampled_sup)
     return verdicts.holds(**verdicts.exp_witness("C1", sup), gap_limit=g)
 
 
-@pair_engine("_preceq")
-def relation_preceq(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
-    """M precsim N: sup_p (M_p/N_p)^{1/p} finite."""
-    return _preceq_verdict(
-        float(_prefix_gaps(M, N).max()),
-        root_gap_limit(M.tail, N.tail),
-        # Python max keeps the scalar loop's first maximum
-        lambda: max(_sampled_gaps(M, N), default=-math.inf),
-    )
-
-
-def relation_pair(
+@pair_engine("_root_gaps")
+def root_gap_relations(
     M: LogWeightSequence, N: LogWeightSequence
 ) -> tuple[Verdict, Verdict, Verdict]:
-    """relation_preceq(M, N), relation_preceq(N, M) and relation_approx(M, N),
-    the first two from one kept pass over the gaps (_preceq_both).  The
-    conjunction is built per call: its witness nests dicts, which a kept
-    verdict would share with every report."""
-    forward, backward = _preceq_both(M, N)
-    approx = verdicts.conjunction({"forward": forward, "backward": backward})
-    return forward, backward, approx
-
-
-@pair_engine("_preceq_both")
-def _preceq_both(M: LogWeightSequence, N: LogWeightSequence) -> tuple[Verdict, Verdict]:
-    """relation_preceq(M, N) and relation_preceq(N, M) from one pass over
-    the gaps.  N's gaps over M are the exact negatives of M's over N,
-    since subtraction and division by p > 0 round sign-symmetrically, so
-    each backward sup is minus a forward inf.  Only the sign of a zero sup
-    can differ, and a report shows a sup only through exp."""
+    """M precsim N, N precsim M and M triangle N from one pass over the root
+    gaps log(M_p/N_p)/p.  N's gaps over M are the exact negatives of M's
+    over N, since subtraction and division by p > 0 round
+    sign-symmetrically, so each backward sup is minus a forward inf.  Only
+    the sign of a zero sup can differ, and a report shows a sup only
+    through exp."""
     gaps = _prefix_gaps(M, N)
     g, g_rev = root_gap_limit(M.tail, N.tail), root_gap_limit(N.tail, M.tail)
-    # g is None exactly when g_rev is, and then no direction reads samples
+    # g is None exactly when g_rev is, and then no verdict reads samples;
+    # Python max and min keep the scalar loop's first extremum
     sampled = [] if g is None else _sampled_gaps(M, N)
-    forward = _preceq_verdict(
-        float(gaps.max()), g, lambda: max(sampled, default=-math.inf)
-    )
-    backward = _preceq_verdict(
-        -float(gaps.min()), g_rev, lambda: -min(sampled, default=math.inf)
-    )
-    return forward, backward
+    forward = _preceq_verdict(float(gaps.max()), g, max(sampled, default=-math.inf))
+    backward = _preceq_verdict(-float(gaps.min()), g_rev, -min(sampled, default=math.inf))
+    if g is None:
+        triangle = verdicts.inconclusive("no tail on one side", last_gap=float(gaps[-1]))
+    elif g == -math.inf:
+        triangle = verdicts.holds(gap_limit="-inf")
+    else:
+        triangle = verdicts.fails(**verdicts.exp_witness("ratio_limit", g))
+    return forward, backward, triangle
 
 
-@pair_engine("_triangle")
+def relation_preceq(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
+    """M precsim N: sup_p (M_p/N_p)^{1/p} finite."""
+    return root_gap_relations(M, N)[0]
+
+
 def relation_triangle(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
     """M strictly smaller: (M_p/N_p)^{1/p} -> 0."""
-    g = root_gap_limit(M.tail, N.tail)
-    if g is None:
-        gaps = _prefix_gaps(M, N)
-        return verdicts.inconclusive("no tail on one side", last_gap=float(gaps[-1]))
-    if g == -math.inf:
-        return verdicts.holds(gap_limit="-inf")
-    return verdicts.fails(**verdicts.exp_witness("ratio_limit", g))
+    return root_gap_relations(M, N)[2]
 
 
 def relation_approx(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
-    return relation_pair(M, N)[2]
+    """M precsim N and N precsim M.  The conjunction is built per call: its
+    witness nests dicts, which a kept verdict would share with every
+    report."""
+    forward, backward, _ = root_gap_relations(M, N)
+    return verdicts.conjunction({"forward": forward, "backward": backward})
 
 
 # -- regularizations ----------------------------------------------------

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wcalc import sequences
 from wcalc.cli import main
 from wcalc.serialize import dumps_canonical, read_sequence_csv, write_sequence_csv
-from wcalc.sequences import LogWeightSequence, _row_from_tail
+from wcalc.sequences import LogWeightSequence
 
 
 def run(args, tmp_path, name="out.json"):
@@ -453,7 +454,7 @@ def test_report_does_not_depend_on_rows_built_before(tmp_path):
     assert res.returncode == 0
     fresh = out.read_bytes()
     assert type(json.loads(fresh)["input"]["s"]) is int
-    _row_from_tail.cache_clear()
+    sequences._rows.clear()
     other = str(tmp_path / "other.json")
     for before in ([], ["--pmax", "200"]):
         assert main(["matrix", "dossier", "--seq", "gevrey:2", *before, "--out", other]) == 0
@@ -464,7 +465,7 @@ def test_row_working_set_stays_warm(tmp_path, monkeypatch):
     # 30 matrix ops over 69 distinct rows, more than the 64 rows the memo
     # once held: a second pass in the same process finds every row, and
     # every pseudo-mg constant kept on one, already built
-    from wcalc import matrices, sequences
+    from wcalc import matrices
 
     pairs = [",".join(p) for p in itertools.combinations(("1", "1.5", "2", "2.5", "3"), 2)]
     ops = [[*cmd, "--gevrey", idx, "--pmax", pmax]
@@ -484,7 +485,7 @@ def test_row_working_set_stays_warm(tmp_path, monkeypatch):
     monkeypatch.setattr(LogWeightSequence, "__post_init__", counted("rows", init))
     monkeypatch.setattr(matrices, "_pseudo_mg_grid_ok",
                         counted("grid", matrices._pseudo_mg_grid_ok))
-    _row_from_tail.cache_clear()
+    sequences._rows.clear()
     out = str(tmp_path / "r.json")
     for _ in range(2):
         counts.update(rows=0, grid=0)

@@ -4,6 +4,7 @@ import collections
 import copy
 import dataclasses
 import gc
+import itertools
 import math
 import weakref
 
@@ -53,13 +54,13 @@ from wcalc.matrices import (
 from wcalc.sequences import (
     KEPT,
     LogWeightSequence,
-    _row_from_tail,
     check_moderate_growth,
     lc_minorant,
     min_plus_self,
     relation_approx,
     relation_preceq,
     relation_triangle,
+    root_gap_relations,
     row_serial,
 )
 from wcalc.quasi import class_nq_verdict, matrix_nq_verdict
@@ -318,9 +319,7 @@ def test_mg_prefix_sups_kept_on_rows_leave_verdicts_unchanged(variant):
 
 # every two-row engine behind sequences.kept_pair, by its KEPT entry
 PAIR_ENGINES = {
-    "_preceq": relation_preceq,
-    "_preceq_both": sequences._preceq_both,
-    "_triangle": relation_triangle,
+    "_root_gaps": root_gap_relations,
     "_dc_pair": _dc_pair,
     "_mg_pair": _mg_pair,
     "_pseudo_mg": _pseudo_mg_pair,
@@ -337,6 +336,14 @@ def _answer(engine, x, y) -> str:
     return repr([u.to_json() for u in v] if isinstance(v, tuple) else v.to_json())
 
 
+def _counting(counter, name, fn):
+    """fn, counting its calls in counter under name."""
+    def call(*args):
+        counter[name] += 1
+        return fn(*args)
+    return call
+
+
 def _count_bodies(monkeypatch) -> tuple[collections.Counter, collections.Counter]:
     """Calls of sequences.kept_pair from now on, and the engine bodies they
     run, by KEPT entry."""
@@ -344,11 +351,8 @@ def _count_bodies(monkeypatch) -> tuple[collections.Counter, collections.Counter
     rule = sequences.kept_pair
 
     def counting(name, engine, x, y):
-        def body(x, y):
-            bodies[name] += 1
-            return engine(x, y)
         asked[name] += 1
-        return rule(name, body, x, y)
+        return rule(name, _counting(bodies, name, engine), x, y)
 
     monkeypatch.setattr(sequences, "kept_pair", counting)
     return asked, bodies
@@ -424,27 +428,37 @@ def test_pair_checks_keep_their_partners_alive_nowhere():
 def test_warm_matrix_ops_run_no_pair_engine_body(tmp_path, monkeypatch):
     out = str(tmp_path / "r.json")
     ops = [["matrix", "stability", "--gevrey", "1,2", "--pmax", "1000", "--out", out],
-           ["matrix", "conditions", "--gevrey", "1,2,3", "--pmax", "1000", "--out", out]]
+           ["matrix", "conditions", "--gevrey", "1,2,3", "--pmax", "1000", "--out", out],
+           ["matrix", "compare", "--left", "gevrey:1.5", "--right", "gevrey:2",
+            "--pmax", "1000", "--out", out]]
     assert all(cli.main(argv) == 0 for argv in ops)
     asked, calls = _count_bodies(monkeypatch)
-
-    def counted(owner, name):
-        inner = getattr(owner, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counted(sequences, "_prefix_gaps")
-    counted(sequences, "_sampled_gaps")
-    counted(convex.ConvexPL, "__call__")
+    for owner, name in ((sequences, "_prefix_gaps"), (sequences, "_sampled_gaps"),
+                        (convex.ConvexPL, "__call__")):
+        monkeypatch.setattr(owner, name, _counting(calls, name, getattr(owner, name)))
     # no gap or envelope arithmetic, and no pair engine's body: every
     # two-row answer, _dc_pair's among them, is kept on its rows
     assert all(cli.main(argv) == 0 for argv in ops)
     assert calls == {}
-    assert {"_preceq", "_dc_pair", "_mg_pair", "_iterated_doubling"} <= set(asked)
+    assert {"_root_gaps", "_dc_pair", "_mg_pair", "_iterated_doubling"} <= set(asked)
+
+
+def test_one_root_gap_pass_answers_every_relation_of_a_pair(monkeypatch):
+    _, calls = _count_bodies(monkeypatch)
+    for name in ("_prefix_gaps", "_sampled_gaps"):
+        monkeypatch.setattr(sequences, name, _counting(calls, name, getattr(sequences, name)))
+    fields = {f.name for f in dataclasses.fields(LogWeightSequence)}
+    for order in itertools.permutations((relation_preceq, relation_approx, relation_triangle)):
+        # a fresh pair of tailed rows, outside the row memo
+        x, y = (LogWeightSequence(gevrey(s, 300).L, FactorialPower(s, 1.0), 0, "")
+                for s in (1.5, 2.0))
+        calls.clear()
+        for relation in order:
+            relation(x, y)
+        # one engine body, one gap pass, one table on x with one key
+        assert calls == {"_root_gaps": 1, "_prefix_gaps": 1, "_sampled_gaps": 1}
+        assert set(x.__dict__) - fields == {"_root_gaps", "_gap_samples"}
+        assert list(x.__dict__["_root_gaps"]) == [row_serial(y)]
 
 
 def _scribble(obj):
@@ -593,7 +607,7 @@ def test_rows_die_without_garbage_collection():
         assert all(r.__dict__["_mg_pair"] for r in M.rows)
         assert all("_nq_routes" in r.__dict__ for r in M.rows)
         del M, v, ws, convex, derived, bumpy, hull, approx, mg, nq
-        _row_from_tail.cache_clear()
+        sequences._rows.clear()
         assert all(r() is None for r in refs)
     finally:
         gc.enable()

@@ -185,3 +185,35 @@ def test_one_site_builds_a_sampled_function():
         and n.func.id == "SampledFunction"
     ]
     assert sites == ["fourier.py:_function_of"], sites
+
+
+# The argument that names a KEPT entry, by the name of the function called.
+_KEPT_NAME_ARG = {"kept": 1, "kept_pair": 0, "pair_engine": 0}
+
+
+def test_every_kept_name_is_a_kept_entry_and_back():
+    # an unknown name would surface only as a KeyError on its first miss,
+    # and an entry that no call names is a bound left behind
+    trees = _modules()
+    [entries] = [
+        {k.value for k in node.value.keys}
+        for node in trees[SRC / "sequences.py"].body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["KEPT"]
+    ]
+    named, passed_on = set(), []
+    for p, tree in trees.items():
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Call):
+                continue
+            callee = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", "")
+            if callee not in _KEPT_NAME_ARG:
+                continue
+            arg = n.args[_KEPT_NAME_ARG[callee]]
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                named.add(arg.value)
+            elif not (p.name == "sequences.py" and isinstance(arg, ast.Name)):
+                passed_on.append(f"{p.name}:{n.lineno}")
+    # only the rule itself, in sequences.py, passes a name on to kept()
+    assert not passed_on, f"a KEPT name that is not spelled out: {passed_on}"
+    assert named <= entries, f"named but not in KEPT: {sorted(named - entries)}"
+    assert entries <= named, f"in KEPT but named by no call: {sorted(entries - named)}"

@@ -35,19 +35,21 @@ from wcalc.sequences import (
     lc_minorant_oracle,
     min_plus_self,
     relation_approx,
-    relation_pair,
     relation_preceq,
     relation_triangle,
+    root_gap_relations,
 )
 from wcalc.sequences import (
     _diagonal_minimum,
     _gap_sample_points,
     keep,
     _mg_prefix_constant,
+    _prefix_gaps,
     _sampled_gaps,
     _sampled_roots,
 )
-from wcalc.tails import FactorialPower, PowerIndex
+from wcalc.tails import FactorialPower, PowerIndex, root_gap_limit
+from wcalc.verdicts import Verdict
 from wcalc.weightfuncs import associated_function, sequence_from_weight
 
 
@@ -236,9 +238,9 @@ def test_row_memo_keys_on_field_types():
 def small_row_memo(monkeypatch):
     """An empty row memo with a budget of 300 stored log values."""
     monkeypatch.setattr(sequences, "ROW_MEMO_VALUES", 300)
-    sequences._row_from_tail.cache_clear()
+    sequences._rows.clear()
     yield lambda: [(row.label, row.P) for row in sequences._rows.values()]
-    sequences._row_from_tail.cache_clear()
+    sequences._rows.clear()
 
 
 def _memo_row(label, pmax):
@@ -275,9 +277,9 @@ def test_row_memo_holds_a_row_over_budget_alone(small_row_memo):
     assert small_row_memo() == [("b", 2)]
 
 
-def test_row_memo_cache_clear_empties_it(small_row_memo):
+def test_cleared_row_memo_builds_rows_anew(small_row_memo):
     a = _memo_row("a", 99)
-    sequences._row_from_tail.cache_clear()
+    sequences._rows.clear()
     assert small_row_memo() == []
     assert _memo_row("a", 99) is not a and small_row_memo() == [("a", 99)]
 
@@ -443,18 +445,109 @@ def _pair_rows():
     return rows
 
 
-def test_relation_pair_equals_both_directions():
-    # N's gaps over M are the exact negatives of M's over N; the pair must
-    # give the reports of relation_preceq both ways and their conjunction
-    rows = _pair_rows()
-    for M in rows:
-        for N in rows:
-            forward, backward = relation_preceq(M, N), relation_preceq(N, M)
-            approx = verdicts.conjunction({"forward": forward, "backward": backward})
-            want = [v.to_json() for v in (forward, backward, approx)]
-            got = [v.to_json() for v in relation_pair(M, N)]
-            assert dumps_canonical(got) == dumps_canonical(want), (M.label, N.label)
-            assert dumps_canonical(relation_approx(M, N)) == dumps_canonical(approx)
+# The three root-gap engines as they stood before root_gap_relations merged
+# them, verbatim and un-kept: the reference for the one kept pass.
+
+def ref_preceq_verdict(prefix_sup: float, g: float | None, sampled_sup) -> Verdict:
+    """M precsim N from the sup of M's prefix gaps over N, the root-gap
+    limit g and sampled_sup(), the sup of the sampled gaps, called only
+    when g is finite or -inf."""
+    if g is None:
+        return verdicts.inconclusive(
+            "no tail on one side", **verdicts.exp_witness("prefix_sup", prefix_sup)
+        )
+    if g == math.inf:
+        return verdicts.fails(gap_limit="+inf")
+    sup = max(prefix_sup, g, sampled_sup())
+    return verdicts.holds(**verdicts.exp_witness("C1", sup), gap_limit=g)
+
+
+def ref_relation_preceq(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
+    """M precsim N: sup_p (M_p/N_p)^{1/p} finite."""
+    return ref_preceq_verdict(
+        float(_prefix_gaps(M, N).max()),
+        root_gap_limit(M.tail, N.tail),
+        # Python max keeps the scalar loop's first maximum
+        lambda: max(_sampled_gaps(M, N), default=-math.inf),
+    )
+
+
+def ref_preceq_both(M: LogWeightSequence, N: LogWeightSequence) -> tuple[Verdict, Verdict]:
+    """relation_preceq(M, N) and relation_preceq(N, M) from one pass over
+    the gaps.  N's gaps over M are the exact negatives of M's over N,
+    since subtraction and division by p > 0 round sign-symmetrically, so
+    each backward sup is minus a forward inf.  Only the sign of a zero sup
+    can differ, and a report shows a sup only through exp."""
+    gaps = _prefix_gaps(M, N)
+    g, g_rev = root_gap_limit(M.tail, N.tail), root_gap_limit(N.tail, M.tail)
+    # g is None exactly when g_rev is, and then no direction reads samples
+    sampled = [] if g is None else _sampled_gaps(M, N)
+    forward = ref_preceq_verdict(
+        float(gaps.max()), g, lambda: max(sampled, default=-math.inf)
+    )
+    backward = ref_preceq_verdict(
+        -float(gaps.min()), g_rev, lambda: -min(sampled, default=math.inf)
+    )
+    return forward, backward
+
+
+def ref_relation_triangle(M: LogWeightSequence, N: LogWeightSequence) -> Verdict:
+    """M strictly smaller: (M_p/N_p)^{1/p} -> 0."""
+    g = root_gap_limit(M.tail, N.tail)
+    if g is None:
+        gaps = _prefix_gaps(M, N)
+        return verdicts.inconclusive("no tail on one side", last_gap=float(gaps[-1]))
+    if g == -math.inf:
+        return verdicts.holds(gap_limit="-inf")
+    return verdicts.fails(**verdicts.exp_witness("ratio_limit", g))
+
+
+def ref_compare_report(M, N) -> dict:
+    """The matrix compare report of M and N from the reference engines."""
+    forward, backward = ref_preceq_both(M, N)
+    return {
+        "preceq": ref_relation_preceq(M, N).to_json(),
+        "preceq_rev": ref_relation_preceq(N, M).to_json(),
+        "triangle": ref_relation_triangle(M, N).to_json(),
+        "approx": verdicts.conjunction({"forward": forward, "backward": backward}).to_json(),
+    }
+
+
+def _fresh(row):
+    """An equal row built apart, outside the row memo, with nothing kept yet."""
+    return LogWeightSequence(row.L, row.tail, row.tail_from, row.label)
+
+
+def _compare_report(argv, monkeypatch) -> dict:
+    """The report of cli.main(argv), without its config."""
+    reports = []
+    monkeypatch.setattr(serialize, "write_report", lambda path, rep: reports.append(rep) or "")
+    assert cli.main(argv) == 0
+    [report] = reports
+    del report["config"]
+    return report
+
+
+def test_root_gap_relations_equal_the_reference(monkeypatch):
+    rows = [_fresh(r) for r in _pair_rows()]
+    # matrix compare over the rows themselves, --left and --right by index
+    monkeypatch.setattr(cli, "parse_sequence", lambda desc, pmax: rows[int(desc)])
+    for i, M in enumerate(rows):
+        for j, N in enumerate(rows):
+            want = ref_compare_report(_fresh(M), _fresh(N))
+            # the two directions agree with the one-pass reference as well
+            assert [v.to_json() for v in ref_preceq_both(_fresh(M), _fresh(N))] == [
+                want["preceq"], want["preceq_rev"]]
+            for _ in range(2):      # cold, then from the kept triple
+                got = [v.to_json() for v in root_gap_relations(M, N)]
+                assert dumps_canonical(got) == dumps_canonical(
+                    [want["preceq"], want["preceq_rev"], want["triangle"]]
+                ), (M.label, N.label)
+                approx = relation_approx(M, N)
+                assert dumps_canonical(approx) == dumps_canonical(want["approx"])
+            argv = ["matrix", "compare", "--left", str(i), "--right", str(j)]
+            report = _compare_report(argv, monkeypatch)
+            assert dumps_canonical(report) == dumps_canonical(want), (M.label, N.label)
 
 
 @pytest.mark.parametrize("left, right", [
@@ -463,22 +556,10 @@ def test_relation_pair_equals_both_directions():
     ("power_index:2,3", "prefix_only:2"),
 ])
 def test_matrix_compare_report_equals_three_call_composition(left, right, monkeypatch):
-    reports = []
-    monkeypatch.setattr(serialize, "write_report", lambda path, rep: reports.append(rep) or "")
     argv = ["matrix", "compare", "--left", left, "--right", right, "--pmax", "300"]
-    assert cli.main(argv) == 0
-    [report] = reports
-    del report["config"]
-    a, b = (cli.parse_sequence(d, 300) for d in (left, right))
-    want = {
-        "preceq": relation_preceq(a, b).to_json(),
-        "preceq_rev": relation_preceq(b, a).to_json(),
-        "triangle": relation_triangle(a, b).to_json(),
-        "approx": verdicts.conjunction(
-            {"forward": relation_preceq(a, b), "backward": relation_preceq(b, a)}
-        ).to_json(),
-    }
-    assert dumps_canonical(report) == dumps_canonical(want)
+    report = _compare_report(argv, monkeypatch)
+    a, b = (_fresh(cli.parse_sequence(d, 300)) for d in (left, right))
+    assert dumps_canonical(report) == dumps_canonical(ref_compare_report(a, b))
 
 
 def test_root_gap_samples_keep_the_eight_latest_prefix_lengths():
