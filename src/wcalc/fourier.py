@@ -39,15 +39,20 @@ Every function, built there or directly, keeps in its memo what is read:
     (i xi)^k on the band only; or the message of the lowest refused order.
     The refusal is decided on the band alone, before any inverse FFT, and
     every reader of the table raises it;
-  - the 16 most recently built Fourier-norm rows, keyed on the row's
-    content: the associated function of its log-convex minorant and
-    omega(|xi|) on the band.
-A function whose memo is full needs no transform at all.  A harness over
-Gevrey rows meets few distinct bumps: every row with log M_0 = log M_1 = 0
-gives the same depth-1 control.  The derived rows
-sequence_from_weight(omega, l, K_MAX) are kept on the matrix rows
-themselves, so every function of a harness, and every later harness over
-the same memoised rows, shares them.
+  - the Fourier-norm data of the ROWS_KEPT rows most recently built, by
+    row_serial(row): omega(|xi|) on the band, for the associated function
+    of the row's log-convex minorant, and omega's slope and value at the
+    band edge;
+  - theorem51_harness's answer per (side, row_serial(row)), for three
+    times as many rows.
+Keyed on serials, a function's memo holds no row.  A function whose memo
+is full needs no transform at all.  A harness over Gevrey rows meets few
+distinct bumps: every row with log M_0 = log M_1 = 0 gives the same
+depth-1 control.  The rows keep what is theirs: the Bump of each (box,
+depth) bump_builder was asked for, and the derived rows
+sequence_from_weight(omega, l, K_MAX), so every function of a harness,
+and every later harness over the same memoised rows, shares them.  A warm
+harness is then one lookup per (function, side, row).
 
 A bump is synthesised from its spectrum on the bins 0..n/2, the others
 filled with the conjugate mirror.  This gives the full-grid product bit
@@ -78,9 +83,9 @@ from .errors import (
     WidthBudgetExceeded,
 )
 from .matrices import WeightMatrix, check_matrix_condition
-from .sequences import LogWeightSequence, keep, lc_minorant
+from .sequences import LogWeightSequence, keep, kept, lc_minorant, row_serial
 from .verdicts import Verdict
-from .weightfuncs import WeightFunction, associated_function, sequence_from_weight
+from .weightfuncs import associated_function, sequence_from_weight
 
 MASK_REL = 1e-13
 GRID_N = 2 ** 14        # samples per grid
@@ -130,16 +135,29 @@ def _grid(n: int, dx: float, x0: float) -> _Grid:
     )
 
 
+# How many rows a function's memo keeps Fourier-norm data for, the most
+# recently built; the harness's answers are kept for as many rows on each
+# of its three sides.  With unbounded tables, no function met more than 5
+# rows over 40 fourier-lab benchmark rounds at seeds 5, 31 and 41.
+ROWS_KEPT = 16
+
+
 @dataclass(eq=False, slots=True)
 class _Memo:
     """What one function keeps once read: its Spectrum; its sup table, a
     list of (sup, x, grid sup) for the orders 0..K_MAX on the support or
     the message of the lowest refused order (a message, not the exception,
-    which would pin its traceback's frames and arrays); and its 16 most
-    recently built Fourier-norm rows, row -> _NormRow."""
+    which would pin its traceback's frames and arrays); its Fourier-norm
+    rows, row_serial(row) -> _NormRow, for the ROWS_KEPT rows most
+    recently built; and theorem51_harness's answers, (side name,
+    row_serial(row)) -> the first answer of that row's grid walk or None,
+    for the 3 * ROWS_KEPT most recently built.  Both tables are keyed on
+    serials and hold no row, so a function in _function_of's cache keeps
+    alive no row that the row memo has evicted (see sequences)."""
     spectrum: Spectrum | None = None
     sups: list | str | None = None
     rows: dict = field(default_factory=dict)
+    answers: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,17 +378,15 @@ def seminorm_derivative(
 
 class _NormRow(NamedTuple):
     """What fourier_norm needs of one (function, row), whatever h is."""
-    w: WeightFunction
     om: np.ndarray           # omega(max(|xi|, 1)) on the band, increasing xi
     om_slope: float          # slope of omega just past the band edge
     om_edge: float           # omega at the band edge
 
 
 def _norm_row(f: SampledFunction, seq: LogWeightSequence) -> _NormRow:
-    """fourier_norm's row data, kept in f's memo under the row itself: a
-    frozen LogWeightSequence, equal to every row with the same content.
-    The memo keeps 16 rows and drops the oldest first.  The band must not
-    be truncated."""
+    """fourier_norm's row data, kept in f's memo under row_serial(seq) for
+    the ROWS_KEPT rows most recently built.  The band must not be
+    truncated."""
 
     def build():
         spec = compute_spectrum(f)
@@ -381,9 +397,9 @@ def _norm_row(f: SampledFunction, seq: LogWeightSequence) -> _NormRow:
         om_slope = float(
             (w.omega(xi_edge * 1.01) - w.omega(xi_edge)) / (0.01 * xi_edge)
         )
-        return _NormRow(w, om, om_slope, w.omega(xi_edge))
+        return _NormRow(om, om_slope, w.omega(xi_edge))
 
-    return keep(f._memo.rows, seq, 16, build)
+    return keep(f._memo.rows, row_serial(seq), ROWS_KEPT, build)
 
 
 def fourier_norm(
@@ -428,7 +444,7 @@ def check_lemma53_i(f: SampledFunction, seq: LogWeightSequence, h: float) -> Ver
     if hi == 0.0:
         return verdicts.holds(trivial=True, C=0.0)
     table = _sups(f)
-    w = _norm_row(f, seq).w
+    w = associated_function(hull)
     worst = 0.0
     for k, (_, _, sup) in enumerate(table):
         bound = hi / (2 * math.pi) * math.exp(h * w.phi_star(k / h))
@@ -556,11 +572,19 @@ def bump_builder(K: CompactBox, seq: LogWeightSequence, depth: int) -> SampledFu
     The dilation h is the smallest power of two that fits the widths into
     a quarter of the box; |f^{(k)}| <= (2h)^k mu_1...mu_k for k <= depth
     then keeps f in the class of the row.  h, the widths and the core are
-    read from f.construction.  The construction is done in the frequency
-    domain (product of sinc factors) on a grid spanning four times the
-    support, then transformed back, once per process for each distinct
-    construction.
+    read from f.construction.  seq keeps it as the KEPT entry _bump under
+    (K.intervals, depth), so a warm call is two lookups.  The construction
+    is done in the frequency domain (product of sinc factors) on a grid
+    spanning four times the support, then transformed back, once per
+    process for each distinct construction.
     """
+    c = kept(seq, "_bump", lambda: _bump(K, seq, depth), (K.intervals, depth))
+    return _function_of(c)
+
+
+def _bump(K: CompactBox, seq: LogWeightSequence, depth: int) -> Bump:
+    """bump_builder's construction: a Bump holds only numbers, so the row
+    that keeps it keeps no function."""
     (a, b), = K.intervals
     width = b - a
     logs = tuple(_log_prefix(seq, depth))
@@ -581,7 +605,7 @@ def bump_builder(K: CompactBox, seq: LogWeightSequence, depth: int) -> SampledFu
         )
     margin = 0.05 * width
     core = (a + sum(widths) / 2 + margin, b - sum(widths) / 2 - margin)
-    return _function_of(Bump(K.intervals, logs, h, widths, core))
+    return Bump(K.intervals, logs, h, widths, core)
 
 
 def standard_bump() -> SampledFunction:
@@ -831,16 +855,6 @@ def _trend_classify(per_order: tuple[float, ...]) -> str:
     return "open"
 
 
-def _side(answer, f, rows, grid, refused) -> str:
-    """One membership side of f, by the rule of theorem51_harness."""
-    for row in rows:
-        for x in grid:
-            a = answer(f, row, x, refused)
-            if a is not None:
-                return a
-    return "negative"
-
-
 def _seminorm_answer(f, row, h, refused):
     try:
         res = seminorm_derivative(f, row, h)
@@ -862,6 +876,38 @@ def _fourier_answer(f, row, h, refused):
     return "positive"
 
 
+# theorem51_harness's membership sides: each one's answer and the grid it
+# walks within a row
+_SIDES = {
+    "derivative_side": (_seminorm_answer, (1.0, 2.0, 4.0, 8.0)),
+    "weightfn_side": (_weightfn_answer, (1.0, 2.0, 4.0)),
+    "fourier_side": (_fourier_answer, (0.02, 0.05, 0.1)),
+}
+
+
+def _side(f, name: str, rows, refused) -> str:
+    """The membership side name of f, by the rule of theorem51_harness.
+
+    Each row's answer, the first of its grid walk that is not None or None,
+    is kept in f's memo under (name, row_serial(row)); refused is a
+    function of f, so the key determines it."""
+    answer, grid = _SIDES[name]
+
+    def walk(row):
+        for x in grid:
+            a = answer(f, row, x, refused)
+            if a is not None:
+                return a
+        return None
+
+    for row in rows:
+        a = keep(f._memo.answers, (name, row_serial(row)), 3 * ROWS_KEPT,
+                 lambda row=row: walk(row))
+        if a is not None:
+            return a
+    return "negative"
+
+
 def theorem51_harness(M: WeightMatrix, bump_depth: int = 30) -> dict:
     """Battery equality check of the three membership routes.
 
@@ -870,7 +916,12 @@ def theorem51_harness(M: WeightMatrix, bump_depth: int = 30) -> dict:
     decides, and an exhausted walk reads "negative".  A refused sup table
     answers "negative" on a truncated band and "open" otherwise on the
     derivative side, and "negative" on the weight-function side; a Fourier
-    norm whose tail dominates answers None, and the walk goes on."""
+    norm whose tail dominates answers None, and the walk goes on.
+
+    Each row's answer on each side is kept in the function's memo under
+    (side name, row_serial(row)), and each bump's construction on its row
+    under (box, depth), so a harness over rows it has met asks no answer
+    again.  The hypothesis gates run on every call."""
     for cond in ("L_roumieu", "mg_roumieu"):
         if not check_matrix_condition(M, cond).holds:
             raise HypothesisNotCertified(cond)
@@ -884,17 +935,14 @@ def theorem51_harness(M: WeightMatrix, bump_depth: int = 30) -> dict:
     battery["control:indicator"] = indicator_control()
     battery["control:single-mollify"] = bump_builder(_UNIT, M.rows[0], 1)
 
-    h_small = (0.02, 0.05, 0.1)
-    h_semi = (1.0, 2.0, 4.0, 8.0)
-    l_grid = (1.0, 2.0, 4.0)
     report: dict = {"functions": {}, "disagreements": []}
     for name, f in battery.items():
         # refused with mass at the band edge: non-smooth at grid scale
         refused = "negative" if compute_spectrum(f).truncated else "open"
         sides = {
-            "derivative_side": _side(_seminorm_answer, f, M.rows, h_semi, refused),
-            "weightfn_side": _side(_weightfn_answer, f, M.rows, l_grid, "negative"),
-            "fourier_side": _side(_fourier_answer, f, M.rows, h_small, None),
+            "derivative_side": _side(f, "derivative_side", M.rows, refused),
+            "weightfn_side": _side(f, "weightfn_side", M.rows, "negative"),
+            "fourier_side": _side(f, "fourier_side", M.rows, None),
         }
         agree = len(set(sides.values()) - {"open"}) <= 1
         report["functions"][name] = {**sides, "agreement": agree}

@@ -246,8 +246,13 @@ KEPT = {
     "_lc_minorant": 1,   # lc_minorant: the minorant row, None when it is the row itself
     "_gap_samples": 8,   # _sampled_gaps: roots at _gap_sample_points(P), by P
     "_envelope": 1,      # weightfuncs.associated_function: envelope, valid_to
+    "_conjugate": 1,     # weightfuncs.WeightFunction.phi_star: the envelope's conjugate
     "_derived": 16,      # weightfuncs.sequence_from_weight: rows by (l, pmax, label)
     "_nq_routes": 1,     # quasi.class_nq_verdict: hull and root route verdicts
+    # fourier.bump_builder: its Bump by (box, depth).  The bound is the next
+    # power of two at or above twice the most distinct keys one row met,
+    # counted as for kept_pair below: - / - / 4.
+    "_bump": 8,
     # kept_pair: the verdict of engine(x, y) on x, by row_serial(y).  Each
     # bound is the next power of two at or above twice the most distinct
     # partners one row met, counted with unbounded entries over 40

@@ -89,7 +89,11 @@ class WeightFunction:
 
     @functools.cached_property
     def _star_pl(self) -> ConvexPL:
-        """The conjugate of phi_pl, computed on first use and kept."""
+        """The conjugate of phi_pl, computed on first use and kept.  An
+        associated function's phi_pl is the envelope its row keeps, and the
+        row keeps the conjugate too, for every associated function of it."""
+        if self.source[0] == "sequence":
+            return kept(self.source[1], "_conjugate", self.phi_pl.conjugate)
         return self.phi_pl.conjugate()
 
     def growth_class(self) -> tuple | None:

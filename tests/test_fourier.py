@@ -1,10 +1,12 @@
 """Spectra, spectral derivatives, weighted norms and the membership harness."""
 
 import collections
+import gc
 import math
 import tracemalloc
 import types
 import warnings
+import weakref
 
 import functools
 import itertools
@@ -46,7 +48,8 @@ from wcalc.fourier import (
     theorem51_harness,
 )
 from wcalc.matrices import WeightMatrix, build_gevrey_matrix
-from wcalc.sequences import LogWeightSequence, lc_minorant
+from wcalc.sequences import KEPT, LogWeightSequence, lc_minorant, row_serial
+from wcalc.tails import FactorialPower
 from wcalc.weightfuncs import associated_function, sequence_from_weight
 
 
@@ -116,8 +119,26 @@ def test_bump_builder_respects_derivative_budget():
 def test_bump_builder_width_budget():
     seq = LogWeightSequence.gevrey(2.0, 100)
     tiny = CompactBox(((-1e-9, 1e-9),))
-    with pytest.raises((WidthBudgetExceeded, ValueError)):
-        bump_builder(tiny, seq, 30)
+    # a refused construction is kept nowhere and refused again alike
+    messages = []
+    for _ in range(2):
+        with pytest.raises(WidthBudgetExceeded) as exc:
+            bump_builder(tiny, seq, 30)
+        messages.append(str(exc.value))
+        assert (tiny.intervals, 30) not in seq.__dict__.get("_bump", {})
+    assert messages[0] == messages[1]
+
+
+def test_rows_keep_their_latest_bumps():
+    seq = LogWeightSequence(gevrey(2.0, 100).L, FactorialPower(2.0, 1.0), 0, "bumps")
+    K = CompactBox(((-1.0, 1.0),))
+    bound = KEPT["_bump"]
+    first = bump_builder(K, seq, 1)
+    for depth in range(1, bound + 3):
+        bump_builder(K, seq, depth)
+    assert list(seq.__dict__["_bump"]) == [(K.intervals, d) for d in range(3, bound + 3)]
+    # an evicted construction is built again, equal to the first
+    assert bump_builder(K, seq, 1) is first
 
 
 def test_fourier_norm_homogeneity():
@@ -288,13 +309,19 @@ def test_harness_sides_equal_the_indicators():
         for r in (1, 2):
             for labels in itertools.combinations((0.1, 0.5, 1.0, 1.5, 4.0), r):
                 M = build_gevrey_matrix(labels, 200)
-                rep = theorem51_harness(M, depth)
+                # cold: every function is built afresh with an empty memo;
+                # warm: every answer is read from the memo
+                fourier._function_of.cache_clear()
+                cold = theorem51_harness(M, depth)
+                warm = theorem51_harness(M, depth)
                 want = _indicator_sides(M, depth)
                 for name, sides in want.items():
-                    got = rep["functions"][name]
-                    assert {k: got[k] for k in sides} == sides, (labels, depth, name)
+                    for rep in (cold, warm):
+                        got = rep["functions"][name]
+                        assert {k: got[k] for k in sides} == sides, (labels, depth, name)
                     seen.add(sides["derivative_side"])
-                statuses.append(rep["status"])
+                assert warm == cold
+                statuses.append(cold["status"])
     # every answer of the derivative side, and failing statuses, are met
     assert seen == {"positive", "negative", "open"}
     assert len(statuses) == 45 and "fails" in statuses
@@ -651,10 +678,13 @@ def test_lemma53_i_conjugates_each_envelope_once(monkeypatch):
     second = check_lemma53_i(f, g2, 0.1)
     assert len(calls) <= 4
     assert first.witness == second.witness
-    # the memoised conjugate gives the uncached values bit for bit
-    w = fourier._norm_row(f, g2).w
+    # a new associated function of the row reads the conjugate the row
+    # keeps, which gives the uncached values bit for bit
+    before = len(calls)
+    w = associated_function(lc_minorant(g2))
     xs = np.arange(11) / 0.1
     cached = np.array([w.phi_star(x) for x in xs])
+    assert len(calls) == before
     uncached = np.asarray(conjugate(w.phi_pl)(xs), dtype=float)
     assert cached.tobytes() == uncached.tobytes()
 
@@ -1031,8 +1061,11 @@ def test_warm_harness_keeps_its_per_row_work(monkeypatch):
     counted(quasi, "check_nq")
     counted(matrices, "min_plus_self")
     counted(LogWeightSequence, "log_at")
+    for name in ("seminorm_derivative", "fourier_norm", "sequence_from_weight", "_bump"):
+        counted(fourier, name)
     # rows built afresh hit the NQ routes and mg prefix sups kept on the
-    # memoised rows, and seminorms and bumps read the rows' prefixes
+    # memoised rows, each function's side answers per row and each row's
+    # bump constructions: no seminorm, norm, derived row or bump is asked for
     assert theorem51_harness(build_gevrey_matrix(GEVREY_ROWS, 200)) == first
     assert (count.forward, count.inverse) == (0, 0)
     assert calls == {}
@@ -1331,13 +1364,34 @@ def test_warm_builders_return_the_one_function(monkeypatch):
     assert (count.forward, count.inverse) == (0, 0)
 
 
+def test_function_memos_hold_no_row():
+    # a function's memo is keyed on row serials and keeps no WeightFunction,
+    # so a row built outside the row memo dies with its last user, with no
+    # help from the garbage collector
+    G = build_gevrey_matrix(GEVREY_ROWS, 200)
+    gc.disable()
+    try:
+        row = LogWeightSequence(gevrey(2.0, 1200).L, FactorialPower(2.0, 1.0), 0, "outside")
+        fourier_norm(standard_bump(), row, 0.1)
+        assert check_lemma53_i(standard_bump(), row, 0.1).holds
+        rows = tuple(LogWeightSequence(r.L, r.tail, 0, r.label) for r in G.rows)
+        M = WeightMatrix(G.labels, rows, G.extender, "outside")
+        assert theorem51_harness(M)["status"] == "holds"
+        assert theorem51_harness(M, 10)["status"] == "holds"
+        refs = [weakref.ref(r) for r in (row, *rows)]
+        del row, rows, M
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+
+
 def test_norm_rows_keep_the_sixteen_latest():
     f = _fresh_standard_bump()
     rows = [gevrey(1.5 + 0.1 * i, 1200) for i in range(20)]
     first = fourier_norm(f, rows[0], 0.1)
     for row in rows:
         fourier_norm(f, row, 0.1)
-    assert list(f._memo.rows) == rows[-16:]
+    assert list(f._memo.rows) == [row_serial(r) for r in rows[-16:]]
     again = fourier_norm(f, rows[0], 0.1)
     assert [x.hex() for x in again] == [x.hex() for x in first]
-    assert list(f._memo.rows) == rows[-15:] + rows[:1]
+    assert list(f._memo.rows) == [row_serial(r) for r in rows[-15:] + rows[:1]]
