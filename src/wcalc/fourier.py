@@ -12,7 +12,7 @@ Trefethen, *Spectral Methods in MATLAB*, SIAM 2000).  So the work is done
 once where it can be, and every seminorm or Fourier-norm probe is arithmetic
 on the results: a seminorm reads each order's sup from the sup table and
 log M_0..log M_K_MAX as one slice of the row's stored prefix (log_at only
-past it), with log h taken once.  Two caches keep it:
+past it), with log h taken once.  Two process-wide caches share it:
 
 * _grid, a small bounded cache of the read-only arrays of one grid
   (n, dx, x0), shared by every function sampled on it: the abscissae, the
@@ -23,33 +23,32 @@ past it), with log h taken once.  Two caches keep it:
   construction (a Bump record or the name of a fixed test function): the
   builders return the one function it holds, synthesised once per process.
 
-Every function, built there or directly, keeps in its memo what is read:
-  - the Spectrum that compute_spectrum builds from its one forward FFT:
-    the noise-floor mask |F| > MASK_REL max |F| decided once, its edge,
-    whether the transform is zero and whether the grid truncates the
-    band, the transform on the band, the band on increasing xi with the
-    continuous transform's modulus on it alone, the quadrature weight, and
-    the exponential fit to the last resolved octave that bounds the tail
-    beyond the band.  It is band-sized (a truncated band keeps its mask
-    alone);
-  - the sup table, orders 0..K_MAX on the function's support: either one
+Every function, built there or directly, keeps what is read, as these
+sequences.KEPT entries:
+  - _spectrum, the Spectrum that compute_spectrum builds from its one
+    forward FFT: the noise-floor mask |F| > MASK_REL max |F| decided once,
+    its edge, whether the transform is zero and whether the grid truncates
+    the band, the transform on the band, the band on increasing xi with
+    the continuous transform's modulus on it alone, the quadrature weight,
+    and the exponential fit to the last resolved octave that bounds the
+    tail beyond the band.  It is band-sized (a truncated band keeps its
+    mask alone);
+  - _sups, the sup table, orders 0..K_MAX on the function's support: one
     (sup of |f^(k)|, where it is attained, sup over the grid) per order,
     from one batched inverse FFT of a (K_MAX + 1, n) array whose rows numpy
     transforms bit for bit as it would one at a time, with the multiplier
-    (i xi)^k on the band only; or the message of the lowest refused order.
+    (i xi)^k on the band only, or the message of the lowest refused order.
     The refusal is decided on the band alone, before any inverse FFT, and
     every reader of the table raises it;
-  - the Fourier-norm data of the ROWS_KEPT rows most recently built, by
-    row_serial(row): omega(|xi|) on the band, for the associated function
-    of the row's log-convex minorant, and omega's slope and value at the
-    band edge;
-  - theorem51_harness's answer per (side, row_serial(row)), for three
-    times as many rows.
-Keyed on serials, a function's memo holds no row.  A function whose memo
-is full needs no transform at all.  A harness over Gevrey rows meets few
-distinct bumps: every row with log M_0 = log M_1 = 0 gives the same
-depth-1 control.  The rows keep what is theirs: the Bump of each (box,
-depth) bump_builder was asked for, and the derived rows
+  - _norm_rows, fourier_norm's data by row_serial(row): omega(|xi|) on
+    the band, for the associated function of the row's log-convex
+    minorant, and omega's slope and value at the band edge;
+  - _answers, theorem51_harness's answer by (side, row_serial(row)).
+Keyed on serials, what a function keeps holds no row.  A function that
+keeps all four needs no transform at all.  A harness over Gevrey rows
+meets few distinct bumps: every row with log M_0 = log M_1 = 0 gives the
+same depth-1 control.  The rows keep what is theirs: the Bump of each
+(box, depth) bump_builder was asked for, and the derived rows
 sequence_from_weight(omega, l, K_MAX), so every function of a harness,
 and every later harness over the same memoised rows, shares them.  A warm
 harness is then one lookup per (function, side, row).
@@ -69,7 +68,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -83,7 +82,7 @@ from .errors import (
     WidthBudgetExceeded,
 )
 from .matrices import WeightMatrix, check_matrix_condition
-from .sequences import LogWeightSequence, keep, kept, lc_minorant, row_serial
+from .sequences import LogWeightSequence, kept, lc_minorant, row_serial
 from .verdicts import Verdict
 from .weightfuncs import associated_function, sequence_from_weight
 
@@ -135,31 +134,6 @@ def _grid(n: int, dx: float, x0: float) -> _Grid:
     )
 
 
-# How many rows a function's memo keeps Fourier-norm data for, the most
-# recently built; the harness's answers are kept for as many rows on each
-# of its three sides.  With unbounded tables, no function met more than 5
-# rows over 40 fourier-lab benchmark rounds at seeds 5, 31 and 41.
-ROWS_KEPT = 16
-
-
-@dataclass(eq=False, slots=True)
-class _Memo:
-    """What one function keeps once read: its Spectrum; its sup table, a
-    list of (sup, x, grid sup) for the orders 0..K_MAX on the support or
-    the message of the lowest refused order (a message, not the exception,
-    which would pin its traceback's frames and arrays); its Fourier-norm
-    rows, row_serial(row) -> _NormRow, for the ROWS_KEPT rows most
-    recently built; and theorem51_harness's answers, (side name,
-    row_serial(row)) -> the first answer of that row's grid walk or None,
-    for the 3 * ROWS_KEPT most recently built.  Both tables are keyed on
-    serials and hold no row, so a function in _function_of's cache keeps
-    alive no row that the row memo has evicted (see sequences)."""
-    spectrum: Spectrum | None = None
-    sups: list | str | None = None
-    rows: dict = field(default_factory=dict)
-    answers: dict = field(default_factory=dict)
-
-
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
     """Samples on the grid x0 + dx * arange(n); values become read-only float64.
@@ -168,15 +142,14 @@ class SampledFunction:
     of a fixed test function; a function built directly has construction
     None.  The builders return the one function that _function_of keeps
     per construction, so the checks below run once per distinct function.
-    Every function has a memo of its own, and the grid's arrays come from
-    the shared per-grid cache.
+    Every function keeps what is read of it (see the module docstring),
+    and the grid's arrays come from the shared per-grid cache.
     """
     x0: float
     dx: float
     values: np.ndarray
     support: CompactBox
     construction: Bump | str | None = None
-    _memo: _Memo = field(init=False, repr=False)
 
     def __post_init__(self):
         v = _frozen(np.array(self.values, dtype=np.float64))
@@ -192,7 +165,6 @@ class SampledFunction:
         vmax = np.max(np.abs(v)) or 1.0
         if np.any(np.abs(v[outside]) > 1e-14 * vmax):
             raise ValueError("values do not vanish outside the declared support")
-        object.__setattr__(self, "_memo", _Memo())
 
     @property
     def n(self) -> int:
@@ -225,13 +197,15 @@ class Spectrum(NamedTuple):
 
 
 def compute_spectrum(f: SampledFunction) -> Spectrum:
-    """f's Spectrum, from f's one forward FFT on first use, kept in f's memo.
+    """f's Spectrum, from f's one forward FFT on first use, kept on f.
 
     The noise-floor mask |F| > MASK_REL max |F| is decided here once; the
     derivatives, the weighted norms and the decay test all read it."""
-    s = f._memo.spectrum
-    if s is not None:
-        return s
+    return kept(f, "_spectrum", lambda: _spectrum(f))
+
+
+def _spectrum(f: SampledFunction) -> Spectrum:
+    """compute_spectrum's build: f's one forward FFT."""
     g = _grid(f.n, f.dx, f.x0)
     F = np.fft.fft(f.values)
     absF = np.abs(F)
@@ -258,11 +232,10 @@ def compute_spectrum(f: SampledFunction) -> Spectrum:
         coef, *_ = np.linalg.lstsq(A, np.log(m[oct_sel]), rcond=None)
         m_edge = m[pos][np.argmax(xi[pos])]
         c_decay = -float(coef[1])
-    s = f._memo.spectrum = Spectrum(
+    return Spectrum(
         bool(np.max(m) == 0.0), truncated, band, edge, transform, kept, modulus,
         2 * np.pi / (f.n * f.dx), xi_edge, m_edge, c_decay,
     )
-    return s
 
 
 def _refusal(f: SampledFunction, orders) -> str | None:
@@ -316,30 +289,34 @@ def spectral_derivative(f: SampledFunction, k) -> np.ndarray:
 
 def _sups(f: SampledFunction) -> list[tuple[float, float, float]]:
     """(sup over the support of |f^(k)|, its x, sup over the grid) for
-    k = 0..K_MAX, tabled in f's memo, or the lowest refusal raised.
+    k = 0..K_MAX, tabled on f, or the lowest refusal raised.
 
     The refusal test is monotone in k (an edge bin that maximises
     |F||xi|^k also maximises |F||xi|^(k+1)), so the table is refused at
     the order where a per-order loop would have stopped.
     """
-    table = f._memo.sups
-    if table is None:
-        table = _refusal(f, range(K_MAX + 1))
-        if table is None:
-            d = spectral_derivative(f, tuple(range(K_MAX + 1)))
-            np.abs(d, out=d)
-            # the grid is increasing, so the support is one slice of it
-            (a, b), = f.support.intervals
-            xs = f.xs
-            lo = int(np.searchsorted(xs, a, "left"))
-            hi = int(np.searchsorted(xs, b, "right"))
-            table = []
-            for row in d:
-                i = lo + int(np.argmax(row[lo:hi]))
-                table.append((float(row[i]), float(xs[i]), float(np.max(row))))
-        f._memo.sups = table
+    table = kept(f, "_sups", lambda: _sup_table(f))
     if isinstance(table, str):
         raise DerivativeOrderUnreliable(table)
+    return table
+
+
+def _sup_table(f: SampledFunction) -> list[tuple[float, float, float]] | str:
+    """_sups' build: the table, or the lowest refused order's message."""
+    why = _refusal(f, range(K_MAX + 1))
+    if why is not None:
+        return why
+    d = spectral_derivative(f, tuple(range(K_MAX + 1)))
+    np.abs(d, out=d)
+    # the grid is increasing, so the support is one slice of it
+    (a, b), = f.support.intervals
+    xs = f.xs
+    lo = int(np.searchsorted(xs, a, "left"))
+    hi = int(np.searchsorted(xs, b, "right"))
+    table = []
+    for row in d:
+        i = lo + int(np.argmax(row[lo:hi]))
+        table.append((float(row[i]), float(xs[i]), float(np.max(row))))
     return table
 
 
@@ -384,9 +361,8 @@ class _NormRow(NamedTuple):
 
 
 def _norm_row(f: SampledFunction, seq: LogWeightSequence) -> _NormRow:
-    """fourier_norm's row data, kept in f's memo under row_serial(seq) for
-    the ROWS_KEPT rows most recently built.  The band must not be
-    truncated."""
+    """fourier_norm's row data, kept on f as the KEPT entry _norm_rows
+    under row_serial(seq).  The band must not be truncated."""
 
     def build():
         spec = compute_spectrum(f)
@@ -399,7 +375,7 @@ def _norm_row(f: SampledFunction, seq: LogWeightSequence) -> _NormRow:
         )
         return _NormRow(om, om_slope, w.omega(xi_edge))
 
-    return keep(f._memo.rows, row_serial(seq), ROWS_KEPT, build)
+    return kept(f, "_norm_rows", build, row_serial(seq))
 
 
 def fourier_norm(
@@ -889,8 +865,8 @@ def _side(f, name: str, rows, refused) -> str:
     """The membership side name of f, by the rule of theorem51_harness.
 
     Each row's answer, the first of its grid walk that is not None or None,
-    is kept in f's memo under (name, row_serial(row)); refused is a
-    function of f, so the key determines it."""
+    is kept on f as the KEPT entry _answers under (name, row_serial(row));
+    refused is a function of f, so the key determines it."""
     answer, grid = _SIDES[name]
 
     def walk(row):
@@ -901,8 +877,7 @@ def _side(f, name: str, rows, refused) -> str:
         return None
 
     for row in rows:
-        a = keep(f._memo.answers, (name, row_serial(row)), 3 * ROWS_KEPT,
-                 lambda row=row: walk(row))
+        a = kept(f, "_answers", lambda row=row: walk(row), (name, row_serial(row)))
         if a is not None:
             return a
     return "negative"
@@ -918,7 +893,7 @@ def theorem51_harness(M: WeightMatrix, bump_depth: int = 30) -> dict:
     derivative side, and "negative" on the weight-function side; a Fourier
     norm whose tail dominates answers None, and the walk goes on.
 
-    Each row's answer on each side is kept in the function's memo under
+    Each row's answer on each side is kept on the function under
     (side name, row_serial(row)), and each bump's construction on its row
     under (box, depth), so a harness over rows it has met asks no answer
     again.  The hypothesis gates run on every call."""

@@ -10,7 +10,7 @@ represented extremes; every witness records whether it was extended.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .sequences import (
     check_beta3,
     check_in_LC,
     check_moderate_growth,
+    kept,
     lc_minorant,
     min_plus_self,
     pair_engine,
@@ -54,8 +55,6 @@ class WeightMatrix:
     rows: tuple[LogWeightSequence, ...]
     extender: object = None          # callable label -> LogWeightSequence
     label: str = ""
-    # extended rows built so far; dataclasses.replace starts a new memo
-    _extended: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.labels) != len(self.rows):
@@ -72,10 +71,9 @@ class WeightMatrix:
         raise KeyError(f"label {x} not represented and no extender")
 
     def _extend(self, x: float) -> LogWeightSequence:
-        """extender(x), built once per matrix."""
-        if x not in self._extended:
-            self._extended[x] = self.extender(x)
-        return self._extended[x]
+        """extender(x), kept on the matrix as the KEPT entry _extended
+        under x; dataclasses.replace starts a matrix that keeps none."""
+        return kept(self, "_extended", lambda: self.extender(x), x)
 
     def check_M(self) -> Verdict:
         """Normalized rows, each non-decreasing, pointwise ordered in x."""
@@ -412,14 +410,12 @@ def min_convolution_omega_gap(seq: LogWeightSequence, n: int = 256) -> float:
     return float(np.max(np.abs(wN.phi(s) - 2.0 * wM.phi(s))))
 
 
-def _pseudo_mg_grid_ok(
-    w_small: WeightFunction, w_big: WeightFunction, H: float, n: int = 200
-) -> bool:
+def _pseudo_mg_grid_ok(w_small: WeightFunction, w_big: WeightFunction, H: float) -> bool:
     """2*omega_small(t) <= omega_big(H t) + H on the shared resolved band."""
     s_hi = min(w_small.valid_to, w_big.valid_to) - math.log(H)
     if s_hi <= 1.0:
         return False
-    s = np.linspace(0.0, s_hi, n)
+    s = np.linspace(0.0, s_hi, 200)
     lhs = 2.0 * w_small.phi(s)
     rhs = w_big.phi(s + math.log(H)) + H
     return bool(np.all(lhs <= rhs + 1e-9))

@@ -29,9 +29,10 @@ before it.
 
 A row also keeps what is computed from it alone and read again, and the
 verdict of every check of it against another row.  KEPT names each such
-value with its bound, what it holds and who reads it, and kept() is the
-one way to it.  Every two-row engine, here and in matrices, is reached
-only through kept_pair(), which keeps engine(x, y) on x under y's
+value, and what a sampled function or a weight matrix keeps, with its
+bound, what it holds and who reads it, and kept() is the one way to it.
+Every two-row engine, here and in matrices, is reached only through
+kept_pair(), which keeps engine(x, y) on x under y's
 row_serial, so a pair of rows is checked once while both live; M precsim
 N, N precsim M and M triangle N share one such pass over the root gaps
 (root_gap_relations).  matrices._L_pair and matrices._strict_pair are the
@@ -223,23 +224,13 @@ def _row_from_tail(typed_tail: tuple, pmax: int, label: str) -> LogWeightSequenc
     return row
 
 
-def keep(d: dict, key, limit: int, build):
-    """d[key], built by build() on a miss and entered in d, which holds
-    its limit most recently built entries and drops the oldest first.  A
-    build that raises enters nothing."""
-    if key not in d:
-        d[key] = build()
-        if len(d) > limit:
-            del d[next(iter(d))]
-    return d[key]
-
-
-# What a row keeps, by its name in the row's __dict__: the bound (how many
-# of the most recently built entries it holds, by key; a single value is
-# one entry under the key None), what it holds, and who reads it.  A row
-# of from_tail keeps these while the row memo holds it; what it keeps
-# about a check against another row y is keyed on row_serial(y), is never
-# read again once y leaves the memo, and ages out.
+# What a row, a sampled function or a weight matrix keeps, by its name in
+# the object's __dict__: the bound (how many of the most recently built
+# entries it holds, by key; a single value is one entry under the key
+# None), what it holds, and who reads it.  A row of from_tail keeps these
+# while the row memo holds it; what it keeps about a check against another
+# row y is keyed on row_serial(y), is never read again once y leaves the
+# memo, and ages out.
 KEPT = {
     "_serial": 1,        # row_serial: this row's number in the process
     "_mg": 1,            # check_moderate_growth: prefix constant C and its (j, j + k)
@@ -253,6 +244,20 @@ KEPT = {
     # power of two at or above twice the most distinct keys one row met,
     # counted as for kept_pair below: - / - / 4.
     "_bump": 8,
+    # On a fourier.SampledFunction, keyed on row serials, so that a function
+    # in _function_of's cache keeps alive no row the row memo has evicted.
+    # Bounds in rows as for _bump, from the most rows one function met:
+    # - / - / 4 with a norm row and - / - / 5 with an answer; _answers
+    # holds the three sides of as many rows as _norm_rows.
+    "_spectrum": 1,      # compute_spectrum: the Spectrum of its one forward FFT
+    # _sups: a (sup, x, grid sup) per order 0..K_MAX, or the lowest refused
+    # order's message, not the exception, which would pin its traceback
+    "_sups": 1,
+    "_norm_rows": 16,    # _norm_row: fourier_norm's _NormRow by row_serial(row)
+    "_answers": 48,      # _side: a row's answer by (side, row_serial(row))
+    # On a matrices.WeightMatrix: extender(x) by label x.  Bound as for
+    # _bump: 6 / 6 / 3 (_candidates asks for 3 labels up and 3 down).
+    "_extended": 16,
     # kept_pair: the verdict of engine(x, y) on x, by row_serial(y).  Each
     # bound is the next power of two at or above twice the most distinct
     # partners one row met, counted with unbounded entries over 40
@@ -266,14 +271,17 @@ KEPT = {
 }
 
 
-def kept(seq: LogWeightSequence, name: str, build, key=None):
-    """What seq keeps as the KEPT entry name under key, built by build()
-    on a miss through keep().  A build that raises keeps nothing, not even
-    an empty table under name."""
-    table = seq.__dict__.get(name) or {}
+def kept(obj, name: str, build, key=None):
+    """What obj keeps as the KEPT entry name under key, built by build()
+    on a miss.  obj's table name holds its KEPT[name] most recently built
+    entries and drops the oldest first; a hit does not refresh an entry.
+    A build that raises keeps nothing, not even an empty table under name."""
+    table = obj.__dict__.get(name) or {}
     if key not in table:
-        keep(table, key, KEPT[name], build)
-        seq.__dict__[name] = table
+        table[key] = build()
+        if len(table) > KEPT[name]:
+            del table[next(iter(table))]
+        obj.__dict__[name] = table
     return table[key]
 
 

@@ -13,7 +13,6 @@ and fall back to Inconclusive grid evidence when no class is known.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -84,17 +83,11 @@ class WeightFunction:
                 x > th, (xx / a) * np.log(xx / th) - xx / a + c, 0.0
             )
         else:
-            out = np.asarray(self._star_pl(x), dtype=float)
+            # phi_pl is the envelope the row keeps, and the row keeps its
+            # conjugate too, for every associated function of it
+            star = kept(self.source[1], "_conjugate", self.phi_pl.conjugate)
+            out = np.asarray(star(x), dtype=float)
         return out if out.ndim else float(out)
-
-    @functools.cached_property
-    def _star_pl(self) -> ConvexPL:
-        """The conjugate of phi_pl, computed on first use and kept.  An
-        associated function's phi_pl is the envelope its row keeps, and the
-        row keeps the conjugate too, for every associated function of it."""
-        if self.source[0] == "sequence":
-            return kept(self.source[1], "_conjugate", self.phi_pl.conjugate)
-        return self.phi_pl.conjugate()
 
     def growth_class(self) -> tuple | None:
         kind = self.source[0]

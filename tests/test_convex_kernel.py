@@ -424,5 +424,5 @@ def test_associated_function_builds_no_tuple():
     w = associated_function(catalogue.gevrey(2.0, 16000))
     w.phi_star(1.0)
     assert "breakpoints" not in w.phi_pl.__dict__
-    assert "breakpoints" not in w._star_pl.__dict__
+    assert "breakpoints" not in w.source[1].__dict__["_conjugate"][None].__dict__
     assert w.valid_to == w.phi_pl.breakpoints[-1][0]

@@ -902,11 +902,12 @@ def test_batched_table_is_bit_identical():
         want = _reference_sups(f)
         assert _table_sups(f) == want, case
         refused = isinstance(want, tuple)
-        # the memo keeps all K_MAX + 1 orders, or the lowest refusal alone
+        # f keeps all K_MAX + 1 orders, or the lowest refusal alone
+        [table] = f.__dict__["_sups"].values()
         if refused:
-            assert f._memo.sups == want[1], case
+            assert table == want[1], case
         else:
-            assert len(f._memo.sups) == K_MAX + 1, case
+            assert len(table) == K_MAX + 1, case
         refused_seen.add(refused)
     assert refused_seen == {False, True}
 
@@ -951,7 +952,7 @@ def test_truncated_band_builds_no_norm_row():
     assert compute_spectrum(f).truncated
     with pytest.raises(TailDominates):
         fourier_norm(f, gevrey(2.0, 200), 0.1)
-    assert f._memo.rows == {}
+    assert "_norm_rows" not in f.__dict__
 
 
 def test_bump_memo_hit_equals_fresh_synthesis():
@@ -1244,10 +1245,13 @@ def test_direct_build_has_a_memo_of_its_own():
     f, g, fixed = _fresh_standard_bump(), _fresh_standard_bump(), standard_bump()
     assert f.construction is g.construction is None
     assert fixed.construction == "standard_bump"
-    assert f._memo is not g._memo
-    assert f._memo is not fixed._memo and g._memo is not fixed._memo
+    for h in (f, g, fixed):
+        compute_spectrum(h)
+    spectra = [h.__dict__["_spectrum"] for h in (f, g, fixed)]
+    assert spectra[0] is not spectra[1]
+    assert spectra[0] is not spectra[2] and spectra[1] is not spectra[2]
     fourier_norm(f, gevrey(2.0, 1200), 0.1)
-    assert len(f._memo.rows) == 1 and g._memo.rows == {}
+    assert len(f.__dict__["_norm_rows"]) == 1 and "_norm_rows" not in g.__dict__
 
 
 @pytest.mark.parametrize("build, fresh_build", [
@@ -1359,7 +1363,7 @@ def test_warm_builders_return_the_one_function(monkeypatch):
     for build, first in zip(builds, firsts):
         f = build()
         assert f is first
-        assert compute_spectrum(f) is first._memo.spectrum
+        assert compute_spectrum(f) is first.__dict__["_spectrum"][None]
     assert made == []
     assert (count.forward, count.inverse) == (0, 0)
 
@@ -1391,7 +1395,9 @@ def test_norm_rows_keep_the_sixteen_latest():
     first = fourier_norm(f, rows[0], 0.1)
     for row in rows:
         fourier_norm(f, row, 0.1)
-    assert list(f._memo.rows) == [row_serial(r) for r in rows[-16:]]
+    n = KEPT["_norm_rows"]
+    assert list(f.__dict__["_norm_rows"]) == [row_serial(r) for r in rows[-n:]]
     again = fourier_norm(f, rows[0], 0.1)
     assert [x.hex() for x in again] == [x.hex() for x in first]
-    assert list(f._memo.rows) == [row_serial(r) for r in rows[-15:] + rows[:1]]
+    assert list(f.__dict__["_norm_rows"]) == [
+        row_serial(r) for r in rows[1 - n:] + rows[:1]]

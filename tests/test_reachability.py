@@ -187,6 +187,10 @@ def test_one_site_builds_a_sampled_function():
     assert sites == ["fourier.py:_function_of"], sites
 
 
+def _callee(call: ast.Call) -> str:
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", "")
+
+
 # The argument that names a KEPT entry, by the name of the function called.
 _KEPT_NAME_ARG = {"kept": 1, "kept_pair": 0, "pair_engine": 0}
 
@@ -205,7 +209,7 @@ def test_every_kept_name_is_a_kept_entry_and_back():
         for n in ast.walk(tree):
             if not isinstance(n, ast.Call):
                 continue
-            callee = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", "")
+            callee = _callee(n)
             if callee not in _KEPT_NAME_ARG:
                 continue
             arg = n.args[_KEPT_NAME_ARG[callee]]
@@ -217,3 +221,19 @@ def test_every_kept_name_is_a_kept_entry_and_back():
     assert not passed_on, f"a KEPT name that is not spelled out: {passed_on}"
     assert named <= entries, f"named but not in KEPT: {sorted(named - entries)}"
     assert entries <= named, f"in KEPT but named by no call: {sorted(entries - named)}"
+
+
+def test_every_memo_is_a_kept_entry():
+    # what an object keeps is a KEPT entry, read through sequences.kept();
+    # a cached_property or a dataclass field(init=False) would keep a memo
+    # beside the table, with no bound and no entry in it
+    found = [
+        f"{p.name}:{n.lineno}"
+        for p, tree in _modules().items()
+        for n in ast.walk(tree)
+        if "cached_property" in (getattr(n, "id", None), getattr(n, "attr", None))
+        or isinstance(n, ast.Call) and _callee(n) == "field" and any(
+            k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+            for k in n.keywords)
+    ]
+    assert not found, f"a memo that is not a KEPT entry: {found}"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from wcalc.sequences import (
     check_moderate_growth,
     check_nq,
     increasing_root_minorant,
+    kept,
     lc_minorant,
     lc_minorant_oracle,
     min_plus_self,
@@ -42,7 +44,6 @@ from wcalc.sequences import (
 from wcalc.sequences import (
     _diagonal_minimum,
     _gap_sample_points,
-    keep,
     _mg_prefix_constant,
     _prefix_gaps,
     _sampled_gaps,
@@ -140,27 +141,33 @@ def test_lc_minorant_is_kept_on_the_row(monkeypatch):
     assert check_log_convex(first).holds and lc_minorant(first) is first
 
 
-def test_keep_holds_the_latest_built_entries():
-    d, built = {}, []
+def test_keep_holds_the_latest_built_entries(monkeypatch):
+    # kept() keeps on any object with a __dict__, not on rows alone
+    monkeypatch.setitem(KEPT, "_probe", 4)
+    obj, built = types.SimpleNamespace(), []
 
     def build(k):
         built.append(k)
         return None if k % 2 else k      # None is a value like any other
 
-    for k in range(6):
-        assert keep(d, k, 4, lambda: build(k)) == (None if k % 2 else k)
-    assert list(d) == [2, 3, 4, 5] and built == list(range(6))
-    # a hit builds nothing and does not refresh the entry
-    assert keep(d, 3, 4, lambda: build(-1)) is None and built == list(range(6))
-    keep(d, 6, 4, lambda: build(6))
-    assert list(d) == [3, 4, 5, 6]
-
     def refuse():
         raise ValueError("no value")
 
+    # a build that raises keeps nothing, not even an empty table
     with pytest.raises(ValueError):
-        keep(d, 7, 4, refuse)
+        kept(obj, "_probe", refuse, 0)
+    assert "_probe" not in obj.__dict__
+    for k in range(6):
+        assert kept(obj, "_probe", lambda: build(k), k) == (None if k % 2 else k)
+    d = obj.__dict__["_probe"]
+    assert list(d) == [2, 3, 4, 5] and built == list(range(6))
+    # a hit builds nothing and does not refresh the entry
+    assert kept(obj, "_probe", lambda: build(-1), 3) is None and built == list(range(6))
+    kept(obj, "_probe", lambda: build(6), 6)
     assert list(d) == [3, 4, 5, 6]
+    with pytest.raises(ValueError):
+        kept(obj, "_probe", refuse, 7)
+    assert obj.__dict__["_probe"] is d and list(d) == [3, 4, 5, 6]
 
 
 def test_rows_keep_only_kept_names_within_their_bounds():
