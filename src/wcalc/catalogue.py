@@ -54,15 +54,16 @@ def prefix_only(s: float, pmax: int = 60) -> LogWeightSequence:
     return LogWeightSequence(base.L, None, 0, f"prefix-gevrey({s:g})")
 
 
-def bumpy_prefix(pmax: int = 60) -> LogWeightSequence:
+def bumpy_prefix() -> LogWeightSequence:
     """Finite, tail-free, and not log-convex; exercises Inconclusive paths."""
-    base = LogWeightSequence.gevrey(2.0, pmax)
+    base = LogWeightSequence.gevrey(2.0, 60)
     L = np.array(base.L)
     L[4::7] += 0.5
     return LogWeightSequence(L, None, 0, "bumpy-prefix")
 
 
-def sequence_battery(pmax: int = 200) -> dict[str, LogWeightSequence]:
+def sequence_battery() -> dict[str, LogWeightSequence]:
+    pmax = 200
     fams: dict[str, LogWeightSequence] = {}
     for s in (1.0, 1.1, 1.2, 1.25, 4.0 / 3.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0):
         fams[f"gevrey:{s:g}"] = gevrey(s, pmax)
@@ -77,13 +78,12 @@ def sequence_battery(pmax: int = 200) -> dict[str, LogWeightSequence]:
     return fams
 
 
-def matrix_from_rows(seqs, labels=None) -> WeightMatrix:
-    if labels is None:
-        labels = tuple(float(i + 1) for i in range(len(seqs)))
+def matrix_from_rows(seqs, labels) -> WeightMatrix:
     return WeightMatrix(tuple(labels), tuple(seqs), None, "inline")
 
 
-def matrix_battery(pmax: int = 200) -> dict[str, WeightMatrix]:
+def matrix_battery() -> dict[str, WeightMatrix]:
+    pmax = 200
     out: dict[str, WeightMatrix] = {}
     out["gevrey-matrix:1,2,3"] = build_gevrey_matrix((1.0, 2.0, 3.0), pmax)
     out["two-row:p!,p!^2"] = matrix_from_rows(

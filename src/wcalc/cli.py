@@ -41,7 +41,12 @@ from .sequences import (
     check_nq,
     root_gap_relations,
 )
-from .weightfuncs import WeightFunction, check_omega_conditions
+from .weightfuncs import (
+    WeightFunction,
+    check_omega_conditions,
+    make_power_log_weight,
+    make_root_power_weight,
+)
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -132,8 +137,6 @@ def parse_weight(desc: str) -> WeightFunction:
     if ":" not in desc:
         raise DescriptorError(f"descriptor {desc!r} lacks ':'")
     head, rest = desc.split(":", 1)
-    from .weightfuncs import make_power_log_weight, make_root_power_weight
-
     makers = {"powerlog": make_power_log_weight, "rootpower": make_root_power_weight}
     if head not in makers:
         raise DescriptorError(f"unknown weight family {head!r}")

@@ -82,6 +82,7 @@ from .errors import (
     WidthBudgetExceeded,
 )
 from .matrices import WeightMatrix, check_matrix_condition
+from .quasi import matrix_nq_verdict
 from .sequences import LogWeightSequence, kept, lc_minorant, row_serial
 from .verdicts import Verdict
 from .weightfuncs import associated_function, sequence_from_weight
@@ -420,10 +421,11 @@ def check_lemma53_i(f: SampledFunction, seq: LogWeightSequence, h: float) -> Ver
     if hi == 0.0:
         return verdicts.holds(trivial=True, C=0.0)
     table = _sups(f)
-    w = associated_function(hull)
+    # the row keeps its envelope's conjugate for every associated function
+    star = kept(hull, "_conjugate", associated_function(hull).phi_pl.conjugate)
     worst = 0.0
     for k, (_, _, sup) in enumerate(table):
-        bound = hi / (2 * math.pi) * math.exp(h * w.phi_star(k / h))
+        bound = hi / (2 * math.pi) * math.exp(h * star(k / h))
         worst = max(worst, sup / bound)
     if worst <= 1.0 + 1e-9:
         return verdicts.holds(tightest_ratio=worst, C=hi)
@@ -900,8 +902,6 @@ def theorem51_harness(M: WeightMatrix, bump_depth: int = 30) -> dict:
     for cond in ("L_roumieu", "mg_roumieu"):
         if not check_matrix_condition(M, cond).holds:
             raise HypothesisNotCertified(cond)
-    from .quasi import matrix_nq_verdict
-
     if not matrix_nq_verdict(M, "roumieu").holds:
         raise HypothesisNotCertified("matrix generates a quasianalytic class")
 

@@ -395,8 +395,8 @@ def min_convolution(seq: LogWeightSequence) -> LogWeightSequence:
     return LogWeightSequence(mins, None, 0, f"minconv({seq.label})")
 
 
-def min_convolution_omega_gap(seq: LogWeightSequence, n: int = 256) -> float:
-    """max |omega_N(t) - 2 omega_M(t)| on the safely resolved band."""
+def min_convolution_omega_gap(seq: LogWeightSequence) -> float:
+    """max |omega_N(t) - 2 omega_M(t)| at 256 points of the resolved band."""
     N = min_convolution(seq)
     wM = associated_function(lc_minorant(seq))
     wN = associated_function(lc_minorant(N))
@@ -406,7 +406,7 @@ def min_convolution_omega_gap(seq: LogWeightSequence, n: int = 256) -> float:
         )
     )
     s_hi = half.valid_to
-    s = np.linspace(0.0, s_hi, n)
+    s = np.linspace(0.0, s_hi, 256)
     return float(np.max(np.abs(wN.phi(s) - 2.0 * wM.phi(s))))
 
 

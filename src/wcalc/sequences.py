@@ -8,7 +8,7 @@ Inconclusive otherwise.
 
 A row keeps its values once, as one read-only float64 array (a tuple of
 the same values took four times its bytes).  Rows compare and hash by
-content, so equal rows built apart are interchangeable keys.
+identity: every memo keys on a row's tail or on its row_serial.
 
 Every row built from a closed-form tail goes through
 LogWeightSequence.from_tail, behind one process-wide memo of rows by
@@ -81,11 +81,9 @@ class LogWeightSequence:
     must agree with the stored prefix on [tail_from, P].  A non-zero
     tail_from admits finitely perturbed members of a symbolic family.
     log_values may be passed as any flat sequence of floats; it is kept
-    once, as a read-only float64 array, which L returns too.  Two rows are
-    equal when their values (as numbers, so -0.0 == 0.0), tails, tail_from
-    and labels are.  Rows of from_tail are shared through the row memo, and
-    every row keeps what KEPT names, none of which refers back to it (see
-    the module docstring).
+    once, as a read-only float64 array, which L returns too.  Rows of
+    from_tail are shared through the row memo, and every row keeps what
+    KEPT names, none of which refers back to it (see the module docstring).
     """
 
     log_values: np.ndarray
@@ -110,22 +108,6 @@ class LogWeightSequence:
                 raise ValueError(
                     f"tail disagrees with stored prefix (rel err {err:.3g})"
                 )
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            self.label == other.label
-            and self.tail_from == other.tail_from
-            and self.tail == other.tail
-            and np.array_equal(self.L, other.L)
-        )
-
-    def __hash__(self):
-        # + 0.0 turns -0.0 into 0.0, which it equals
-        return hash(((self.L + 0.0).tobytes(), self.tail, self.tail_from, self.label))
 
     # -- constructors ---------------------------------------------------
 
@@ -237,7 +219,7 @@ KEPT = {
     "_lc_minorant": 1,   # lc_minorant: the minorant row, None when it is the row itself
     "_gap_samples": 8,   # _sampled_gaps: roots at _gap_sample_points(P), by P
     "_envelope": 1,      # weightfuncs.associated_function: envelope, valid_to
-    "_conjugate": 1,     # weightfuncs.WeightFunction.phi_star: the envelope's conjugate
+    "_conjugate": 1,     # fourier.check_lemma53_i: the envelope's conjugate
     "_derived": 16,      # weightfuncs.sequence_from_weight: rows by (l, pmax, label)
     "_nq_routes": 1,     # quasi.class_nq_verdict: hull and root route verdicts
     # fourier.bump_builder: its Bump by (box, depth).  The bound is the next

@@ -1,6 +1,6 @@
 """Deterministic report and data serialization.
 
-dumps_canonical(obj, indent) writes JSON whose bytes depend only on obj:
+dumps_canonical(obj) writes JSON whose bytes depend only on obj:
 floats with 17 significant digits, ".0" on integral ones, nan and +-inf
 quoted; dict members ordered stably by str(k), the key printed as str(k);
 strings escaped to ASCII; one member per line, two spaces deeper per level;
@@ -31,9 +31,9 @@ def _float_str(x: float) -> str:
     return s + ".0"
 
 
-def dumps_canonical(obj, indent: int = 0) -> str:
+def dumps_canonical(obj) -> str:
     out: list[str] = []
-    _encode(obj, "\n" + "  " * indent, out)
+    _encode(obj, "\n", out)
     return "".join(out)
 
 

@@ -310,7 +310,7 @@ class SteppedTail(Tail):
 class RootPowerDualTail(Tail):
     """Row of the matrix associated to omega(t) = max(0, c*(t**a - 1)).
 
-    log M_j = (1/l) * phi_star(l*j) with the closed-form conjugate of
+    log M_j = (1/l) * phi*(l*j) with the closed-form conjugate phi* of
     phi(y) = c*(exp(a*y) - 1).
     """
 

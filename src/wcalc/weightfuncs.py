@@ -67,28 +67,6 @@ class WeightFunction:
         out = self.phi(np.log(np.maximum(t, 1.0)))
         return out if np.ndim(out) else float(out)
 
-    def phi_star(self, x):
-        """Young conjugate phi*(x) = sup_{y >= 0} (x*y - phi(y))."""
-        x = np.asarray(x, dtype=float)
-        kind = self.source[0]
-        if kind == "power_log":
-            sigma = self.source[1]
-            beta = sigma / (sigma - 1.0)
-            out = (sigma - 1.0) * (np.maximum(x, 0.0) / sigma) ** beta
-        elif kind == "root_power":
-            a, c = self.source[1], self.source[2]
-            th = c * a
-            xx = np.maximum(x, th)
-            out = np.where(
-                x > th, (xx / a) * np.log(xx / th) - xx / a + c, 0.0
-            )
-        else:
-            # phi_pl is the envelope the row keeps, and the row keeps its
-            # conjugate too, for every associated function of it
-            star = kept(self.source[1], "_conjugate", self.phi_pl.conjugate)
-            out = np.asarray(star(x), dtype=float)
-        return out if out.ndim else float(out)
-
     def growth_class(self) -> tuple | None:
         kind = self.source[0]
         if kind == "power_log":
@@ -281,10 +259,10 @@ def check_omega_conditions(w: WeightFunction) -> dict[str, Verdict]:
 
 
 def omega_ratio_range(
-    w1: WeightFunction, w2: WeightFunction, t_lo: float, t_hi: float, n: int = 512
+    w1: WeightFunction, w2: WeightFunction, t_lo: float, t_hi: float
 ) -> tuple[float, float]:
-    """min and max of omega_1/omega_2 on a geometric grid of [t_lo, t_hi]."""
-    t = np.geomspace(t_lo, t_hi, n)
+    """min and max of omega_1/omega_2 at 512 geometric points of [t_lo, t_hi]."""
+    t = np.geomspace(t_lo, t_hi, 512)
     r = w1.omega(t) / w2.omega(t)
     return float(np.min(r)), float(np.max(r))
 

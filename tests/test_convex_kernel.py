@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from wcalc import catalogue, convex
 from wcalc.convex import SLOPE_TOL, ConvexPL, NotConvex, lower_hull, upper_envelope_of_lines
-from wcalc.sequences import lc_minorant
+from wcalc.sequences import kept, lc_minorant
 from wcalc.weightfuncs import associated_function, sequence_from_weight
 
 
@@ -422,7 +422,7 @@ def test_double_conjugate_returns_envelope_abscissae(base):
 
 def test_associated_function_builds_no_tuple():
     w = associated_function(catalogue.gevrey(2.0, 16000))
-    w.phi_star(1.0)
+    kept(w.source[1], "_conjugate", w.phi_pl.conjugate)(1.0)
     assert "breakpoints" not in w.phi_pl.__dict__
     assert "breakpoints" not in w.source[1].__dict__["_conjugate"][None].__dict__
     assert w.valid_to == w.phi_pl.breakpoints[-1][0]

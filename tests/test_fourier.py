@@ -48,7 +48,7 @@ from wcalc.fourier import (
     theorem51_harness,
 )
 from wcalc.matrices import WeightMatrix, build_gevrey_matrix
-from wcalc.sequences import KEPT, LogWeightSequence, lc_minorant, row_serial
+from wcalc.sequences import KEPT, LogWeightSequence, kept, lc_minorant, row_serial
 from wcalc.tails import FactorialPower
 from wcalc.weightfuncs import associated_function, sequence_from_weight
 
@@ -678,12 +678,14 @@ def test_lemma53_i_conjugates_each_envelope_once(monkeypatch):
     second = check_lemma53_i(f, g2, 0.1)
     assert len(calls) <= 4
     assert first.witness == second.witness
-    # a new associated function of the row reads the conjugate the row
-    # keeps, which gives the uncached values bit for bit
+    # the row keeps the conjugate check_lemma53_i read: a new associated
+    # function of it reads that one, which gives the uncached values bit
+    # for bit
     before = len(calls)
     w = associated_function(lc_minorant(g2))
+    star = kept(lc_minorant(g2), "_conjugate", w.phi_pl.conjugate)
     xs = np.arange(11) / 0.1
-    cached = np.array([w.phi_star(x) for x in xs])
+    cached = np.array([star(x) for x in xs])
     assert len(calls) == before
     uncached = np.asarray(conjugate(w.phi_pl)(xs), dtype=float)
     assert cached.tobytes() == uncached.tobytes()
@@ -1037,8 +1039,8 @@ def test_second_harness_reuses_every_bump(monkeypatch):
     # indicator refuses order 1
     assert theorem51_harness(G) == first
     assert (count.forward, count.inverse) == (0, 0)
-    # rows built afresh, as every CLI call builds them, hit the same
-    # entries and, being equal by content, the same norm rows
+    # rows built afresh, as every CLI call builds them, come from the row
+    # memo, so they hit the same entries and the same norm rows
     assert theorem51_harness(build_gevrey_matrix(GEVREY_ROWS, 200)) == first
     assert (count.forward, count.inverse) == (0, 0)
     assert minorants == []

@@ -141,8 +141,8 @@ def test_matrix_nq_quantifiers_keep_the_row_rule():
     for n in range(2, 6):
         matrices[f"gevrey x{n}"] = build_gevrey_matrix([0.5 * k for k in range(1, n + 1)])
     matrices["criterion 07"] = matrix_from_rows((gevrey(1.0), gevrey(2.0)), (1.0, 2.0))
-    matrices["prefix_only below"] = matrix_from_rows((prefix_only(2.0), gevrey(2.0)))
-    matrices["prefix_only above"] = matrix_from_rows((gevrey(1.0), prefix_only(2.0)))
+    matrices["prefix_only below"] = matrix_from_rows((prefix_only(2.0), gevrey(2.0)), (1.0, 2.0))
+    matrices["prefix_only above"] = matrix_from_rows((gevrey(1.0), prefix_only(2.0)), (1.0, 2.0))
     seen = {"roumieu": set(), "beurling": set()}
     for name, M in matrices.items():
         for variant in seen:
@@ -159,7 +159,7 @@ def test_matrix_nq_checks_every_row_past_one_that_holds(monkeypatch):
         quasi, "check_nq",
         lambda seq: verdicts.fails(divergent=True) if seq is disagreeing else check(seq),
     )
-    M = matrix_from_rows((first, disagreeing))
+    M = matrix_from_rows((first, disagreeing), (1.0, 2.0))
     assert class_nq_verdict(first).holds
     for variant in ("roumieu", "beurling"):
         with pytest.raises(RoutesDisagree):

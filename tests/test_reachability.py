@@ -10,6 +10,13 @@ perfbench/tracing.py wraps functions by their names as strings, so string
 constants count there too.  Unit tests do not count: a definition that
 only its own tests call serves no report.  Dunder methods are called by
 the language, not by name, so they count as reached.
+
+Parameters are held to the same rule: a parameter with a default must be
+passed, by position or by keyword, by some call from the same places.
+Calls match by the callee's name, and a class's __init__ by calls of the
+class.  A function read as a value (a table of makers, an argument to
+another call) and a call with *args or **kwargs count as setting every
+parameter.  A default that no call overrides is a constant.
 """
 
 import ast
@@ -30,6 +37,16 @@ AWAITING_CALLER = {
     "check_lemma53_ii": "items 11 and 12: Fourier report",
     "tail_from_json": "item 5: wcalc replay",
     "ConvexPL.from_json": "item 5: wcalc replay",
+}
+
+# Defaulted parameters that no call in the places above sets, kept for the
+# reason given.  A parameter leaves this table as soon as a call sets it.
+DEFAULT_ONLY = {
+    "ConvexPL.canonical(tol)": "tests drive the merge sweep at coarser "
+    "tolerances against the reference restart loop; item 21 replaces the tolerance",
+    "reference_spectrum_standard_bump(dps)": "tests check the forward-error "
+    "claim at two precisions",
+    "check_pseudo_mg(variant)": "the Beurling half, decided through _VARIANTS",
 }
 
 
@@ -237,3 +254,73 @@ def test_every_memo_is_a_kept_entry():
             for k in n.keywords)
     ]
     assert not found, f"a memo that is not a KEPT entry: {found}"
+
+
+def _defaulted(tree):
+    """(name a call uses, shift of positional args, def, label) for each
+    def in tree with a defaulted parameter."""
+    methods = {}
+    for c in ast.walk(tree):
+        if isinstance(c, ast.ClassDef):
+            methods.update({id(m): c.name for m in c.body})
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not (fn.args.defaults or any(fn.args.kw_defaults)):
+            continue
+        cls = methods.get(id(fn))
+        if cls is None:
+            yield fn.name, 0, fn, fn.name
+            continue
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        name = cls if fn.name == "__init__" else fn.name
+        yield name, 0 if static else 1, fn, f"{cls}.{fn.name}"
+
+
+def _unset_defaults(modules) -> dict[str, str]:
+    """Defaulted parameters that no call sets, "f(param)" -> "module.py:line"."""
+    callers = list(modules.values()) + [
+        ast.parse(p.read_text()) for p in [
+            ROOT / "tests" / "test_acceptance.py",
+            *sorted((ROOT / "demos").rglob("*.py")),
+            *sorted((ROOT / "perfbench").rglob("*.py")),
+        ]
+    ]
+    calls, values = {}, set()
+    for tree in callers:
+        called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                calls.setdefault(_callee(n), []).append(n)
+            elif id(n) in called:
+                continue
+            elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                values.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                values.add(n.attr)
+    out = {}
+    for path, tree in modules.items():
+        for name, shift, fn, label in _defaulted(tree):
+            if name in values:
+                continue
+            a = fn.args
+            pos = a.posonlyargs + a.args
+            params = [(i - shift, x.arg) for i, x in enumerate(pos)][len(pos) - len(a.defaults):]
+            params += [(None, x.arg) for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for i, arg in params:
+                if not any(
+                    any(isinstance(x, ast.Starred) for x in c.args)
+                    or any(k.arg in (None, arg) for k in c.keywords)
+                    or i is not None and len(c.args) > i
+                    for c in calls.get(name, ())
+                ):
+                    out[f"{label}({arg})"] = f"{path.name}:{fn.lineno}"
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    unset = _unset_defaults(_modules())
+    stray = {k: v for k, v in unset.items() if k not in DEFAULT_ONLY}
+    assert not stray, f"no caller sets them; make each a constant: {stray}"
+    stale = set(DEFAULT_ONLY) - set(unset)
+    assert not stale, f"set by a caller now, or gone; drop from DEFAULT_ONLY: {sorted(stale)}"

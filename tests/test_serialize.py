@@ -99,10 +99,18 @@ EDGE_CASES = [
 ]
 
 
+def _nested(obj, depth: int):
+    """obj inside depth one-element lists, so its text is padded depth deep."""
+    for _ in range(depth):
+        obj = [obj]
+    return obj
+
+
 @pytest.mark.parametrize("obj", EDGE_CASES, ids=repr)
-@pytest.mark.parametrize("indent", [0, 2])
-def test_flat_encoder_matches_recursive(obj, indent):
-    assert dumps_canonical(obj, indent) == dumps_recursive(obj, indent)
+@pytest.mark.parametrize("depth", [0, 2])
+def test_flat_encoder_matches_recursive(obj, depth):
+    obj = _nested(obj, depth)
+    assert dumps_canonical(obj) == dumps_recursive(obj)
 
 
 # floats that print without a "." or an "e" at 17 digits, and the rest
@@ -151,8 +159,9 @@ _trees = st.recursive(
 
 @given(_trees, st.integers(0, 3))
 @settings(max_examples=200, derandomize=True, deadline=None)
-def test_encoder_matches_recursive_on_random_trees(obj, indent):
-    assert dumps_canonical(obj, indent) == dumps_recursive(obj, indent)
+def test_encoder_matches_recursive_on_random_trees(obj, depth):
+    obj = _nested(obj, depth)
+    assert dumps_canonical(obj) == dumps_recursive(obj)
 
 
 @pytest.mark.parametrize("obj", [

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcalc.errors import DomainExceeded, NotNormalized
-from wcalc.sequences import LogWeightSequence, lc_minorant
+from wcalc.sequences import LogWeightSequence, kept, lc_minorant
 from wcalc.weightfuncs import (
     associated_function,
     check_lemma_assofunc,
@@ -41,19 +41,24 @@ def test_associated_function_requires_normalized():
         associated_function(bad)
 
 
+def _kept_conjugate(w):
+    """phi* of w's envelope, as its row keeps it for check_lemma53_i."""
+    return kept(w.source[1], "_conjugate", w.phi_pl.conjugate)
+
+
 def test_phi_star_recovers_log_sequence_at_integers():
     # phi*(p) = L_p on the hull: duality is exact at integer slopes
     g = LogWeightSequence.gevrey(2.0, 80)
-    w = associated_function(g)
+    star = _kept_conjugate(associated_function(g))
     for p in (0, 1, 5, 20, 60, 80):
-        assert w.phi_star(float(p)) == pytest.approx(g.L[p], abs=1e-9)
+        assert star(float(p)) == pytest.approx(g.L[p], abs=1e-9)
 
 
 def test_phi_star_properties():
-    w = associated_function(LogWeightSequence.gevrey(1.5, 60))
-    assert w.phi_star(0.0) == pytest.approx(0.0)
+    star = _kept_conjugate(associated_function(LogWeightSequence.gevrey(1.5, 60)))
+    assert star(0.0) == pytest.approx(0.0)
     xs = np.linspace(0.5, 60.0, 200)
-    vals = np.array([w.phi_star(x) / x for x in xs])
+    vals = np.array([star(x) / x for x in xs])
     assert np.all(np.diff(vals) >= -1e-12)    # phi*(x)/x non-decreasing
 
 
@@ -85,23 +90,33 @@ def test_envelope_antitone_in_sequence():
     assert np.all(w2.omega(t) <= w1.omega(t) + 1e-12)
 
 
+# The rows of the two symbolic families spell phi* in closed form:
+# L_j = (1/l) phi*(l j), with phi*(x) = sup_{y >= 0} (x y - phi(y)).
+
 def test_power_log_closed_form_conjugate():
     w = make_power_log_weight(2.0)
-    # phi(y) = y^2  ->  phi*(x) = x^2/4
-    for x in (0.5, 1.0, 3.0, 10.0):
-        assert w.phi_star(x) == pytest.approx(x * x / 4.0)
-    # numeric sup cross-check
+    # phi(y) = y^2  ->  phi*(x) = x^2/4, so L_j = l j^2 / 4
     ys = np.linspace(0, 100, 200001)
-    x = 3.0
-    assert w.phi_star(x) == pytest.approx(np.max(x * ys - ys ** 2), abs=1e-6)
+    for l in (0.5, 1.0, 2.0):
+        row = sequence_from_weight(w, l, 20)
+        for j in (1, 2, 3, 5, 20):
+            assert row.L[j] == pytest.approx(l * j * j / 4.0)
+        # numeric sup cross-check
+        for j in (1, 3):
+            x = l * j
+            assert row.L[j] == pytest.approx(np.max(x * ys - ys ** 2) / l, abs=1e-6)
 
 
 def test_root_power_conjugate_against_numeric_sup():
     w = make_root_power_weight(0.5, 1.0)
     ys = np.linspace(0, 40, 400001)
     phi = 1.0 * (np.exp(0.5 * ys) - 1.0)
-    for x in (0.1, 0.5, 2.0, 7.0):
-        assert w.phi_star(x) == pytest.approx(np.max(x * ys - phi), abs=1e-4)
+    for l in (0.5, 1.0, 2.0):
+        row = sequence_from_weight(w, l, 7)
+        # l j = 0.5 sits at the threshold c a, below which phi* is 0
+        for j in (0, 1, 2, 4, 7):
+            x = l * j
+            assert row.L[j] == pytest.approx(np.max(x * ys - phi) / l, abs=1e-4)
 
 
 def test_growth_classes():
@@ -203,15 +218,27 @@ def test_relation_comparison_consistency():
     assert check_relation_comparison(g2, g1).holds   # vacuous direction
 
 
-@given(st.floats(min_value=1.1, max_value=5.0), st.floats(min_value=0.2, max_value=3.0))
+@given(
+    st.floats(min_value=1.1, max_value=5.0),
+    st.floats(min_value=0.2, max_value=3.0),
+    st.floats(min_value=0.2, max_value=3.0),
+    st.sampled_from((0.5, 1.0, 2.0)),
+    st.integers(0, 6),
+)
 @settings(max_examples=50, deadline=None)
-def test_closed_form_conjugates_are_convex_duals(sigma, x):
-    # Fenchel-Young with equality at the maximizer
-    w = make_power_log_weight(sigma)
-    y_star = (x / sigma) ** (1.0 / (sigma - 1.0))   # exact maximizer
+def test_closed_form_conjugates_are_convex_duals(sigma, a, c, l, j):
+    # Fenchel-Young with equality at the maximizer, exact for both families
+    x = l * j
+    row = sequence_from_weight(make_power_log_weight(sigma), l, 6)
+    y_star = (x / sigma) ** (1.0 / (sigma - 1.0))
     ys = np.linspace(0.0, 4.0 * y_star + 1.0, 200001)
     sup = np.max(x * ys - ys ** sigma)
-    assert w.phi_star(x) == pytest.approx(sup, rel=1e-5, abs=1e-7)
+    assert row.L[j] == pytest.approx(sup / l, rel=1e-5, abs=1e-7)
+    row = sequence_from_weight(make_root_power_weight(a, c), l, 6)
+    y_star = math.log(max(x, c * a) / (c * a)) / a
+    ys = np.linspace(0.0, 4.0 * y_star + 1.0, 200001)
+    sup = np.max(x * ys - c * (np.exp(a * ys) - 1.0))
+    assert row.L[j] == pytest.approx(sup / l, rel=1e-5, abs=1e-7)
 
 
 def test_lc_minorant_of_convex_row_shares_its_envelope(monkeypatch):
