@@ -4,7 +4,9 @@ Compactly supported functions are carried on uniform grids, their spectra
 via FFT with the continuous-transform normalization f^(xi) = int f e^{-i xi x}.
 Derivatives are spectral, with an explicit noise-floor policy: modes below
 the floor are masked and an order whose integrand peaks at the mask edge is
-refused rather than returned.
+refused rather than returned.  They take one path: _sup_table is the one
+place that refuses an order or takes a derivative, and every reader of a
+derivative reads its table.
 
 Spectral derivatives depend on neither the weight row nor h; only the
 normalization exp(-k log h - L_k) does (spectral differentiation as in
@@ -33,8 +35,8 @@ sequences.KEPT entries:
     and the exponential fit to the last resolved octave that bounds the
     tail beyond the band.  It is band-sized (a truncated band keeps its
     mask alone);
-  - _sups, the sup table, orders 0..K_MAX on the function's support: one
-    (sup of |f^(k)|, where it is attained, sup over the grid) per order,
+  - _sups, the sup table, orders 0..K_MAX: one (sup of |f^(k)| on the
+    function's support, sup over the grid) per order, two columns,
     from one batched inverse FFT of a (K_MAX + 1, n) array whose rows numpy
     transforms bit for bit as it would one at a time, with the multiplier
     (i xi)^k on the band only, or the message of the lowest refused order.
@@ -239,57 +241,25 @@ def _spectrum(f: SampledFunction) -> Spectrum:
     )
 
 
-def _refusal(f: SampledFunction, orders) -> str | None:
-    """Why the lowest order in orders is past the noise floor, None when
-    no order is.
+def spectral_derivative(f: SampledFunction, orders: tuple[int, ...]) -> np.ndarray:
+    """f's derivatives of the given orders on the grid, one row per order,
+    from one batched inverse FFT of a (len(orders), n) array.  numpy
+    transforms each row of it exactly as the one-row ifft, bit for bit.
 
-    Band-only and cheap: the inverse FFT is never needed to decide, and
-    |F| and |xi| on the band are read once for all orders.  Order 0 is
-    never refused, so orders with none past 0 read nothing."""
-    orders = [k for k in orders if k]
-    if not orders:
-        return None
-    s = compute_spectrum(f)
-    if math.isnan(s.edge):
-        return "empty resolved band"
-    if s.truncated:
-        # never saw the spectrum reach the floor: the grid derivative
-        # would describe the band-limited interpolant, not the function
-        return f"order {orders[0]}: spectrum unresolved at the grid edge"
-    absF = np.abs(s.transform)
-    absxi = np.abs(_grid(f.n, f.dx, f.x0).xi[s.band])
-    for k in orders:
-        if absxi[int(np.argmax(absF * absxi ** k))] >= s.edge * (1 - 1e-9):
-            return f"order {k}: integrand peaks at the mask boundary"
-    return None
-
-
-def spectral_derivative(f: SampledFunction, k) -> np.ndarray:
-    """k-th derivative on the grid, refusing orders past the noise floor.
-
-    k may also be a tuple of orders that _refusal has already passed, as
-    _sups does; the result then has one row per order, all from one
-    batched inverse FFT of a (len(k), n) array.  numpy transforms each row
-    of it exactly as the one-row ifft, bit for bit.  Only order 0 passes a
-    truncated band, whose Spectrum keeps no transform; it takes a fresh one.
-    """
-    single = np.ndim(k) == 0
-    if single and (why := _refusal(f, (k,))) is not None:
-        raise DerivativeOrderUnreliable(why)
-    orders = (k,) if single else tuple(k)
+    _sup_table calls it once the band has passed every order, so the band
+    is resolved and its Spectrum keeps the transform."""
     s = compute_spectrum(f)
     ixi = 1j * _grid(f.n, f.dx, f.x0).xi[s.band]
-    F = np.fft.fft(f.values)[s.band] if s.truncated else s.transform
     # masked bins stay zero: the multiplier is evaluated on the band only
     D = np.zeros((len(orders), f.n), dtype=complex)
-    for row, j in zip(D, orders):
-        row[s.band] = ixi ** j * F
+    for row, k in zip(D, orders):
+        row[s.band] = ixi ** k * s.transform
     np.fft.ifft(D, axis=-1, out=D)
-    return D[0].real if single else D.real
+    return D.real
 
 
-def _sups(f: SampledFunction) -> list[tuple[float, float, float]]:
-    """(sup over the support of |f^(k)|, its x, sup over the grid) for
+def _sups(f: SampledFunction) -> list[tuple[float, float]]:
+    """(sup over the support of |f^(k)|, sup over the grid) for
     k = 0..K_MAX, tabled on f, or the lowest refusal raised.
 
     The refusal test is monotone in k (an edge bin that maximises
@@ -302,31 +272,31 @@ def _sups(f: SampledFunction) -> list[tuple[float, float, float]]:
     return table
 
 
-def _sup_table(f: SampledFunction) -> list[tuple[float, float, float]] | str:
-    """_sups' build: the table, or the lowest refused order's message."""
-    why = _refusal(f, range(K_MAX + 1))
-    if why is not None:
-        return why
+def _sup_table(f: SampledFunction) -> list[tuple[float, float]] | str:
+    """_sups' build: the table, or the lowest refused order's message.
+
+    The one place that refuses an order or takes a derivative.  Order 0
+    is never refused; orders 1..K_MAX are decided on the band alone,
+    with |F| and |xi| on it read once, before any inverse FFT."""
+    s = compute_spectrum(f)
+    if math.isnan(s.edge):
+        return "empty resolved band"
+    if s.truncated:
+        # never saw the spectrum reach the floor: the grid derivative
+        # would describe the band-limited interpolant, not the function
+        return "order 1: spectrum unresolved at the grid edge"
+    absF = np.abs(s.transform)
+    absxi = np.abs(_grid(f.n, f.dx, f.x0).xi[s.band])
+    for k in range(1, K_MAX + 1):
+        if absxi[int(np.argmax(absF * absxi ** k))] >= s.edge * (1 - 1e-9):
+            return f"order {k}: integrand peaks at the mask boundary"
     d = spectral_derivative(f, tuple(range(K_MAX + 1)))
     np.abs(d, out=d)
     # the grid is increasing, so the support is one slice of it
     (a, b), = f.support.intervals
-    xs = f.xs
-    lo = int(np.searchsorted(xs, a, "left"))
-    hi = int(np.searchsorted(xs, b, "right"))
-    table = []
-    for row in d:
-        i = lo + int(np.argmax(row[lo:hi]))
-        table.append((float(row[i]), float(xs[i]), float(np.max(row))))
-    return table
-
-
-@dataclass(frozen=True)
-class SeminormResult:
-    value: float
-    attained_k: int
-    attained_x: float
-    per_order: tuple[float, ...]    # sup_K |f^{(k)}| / (h^k M_k) for each k
+    lo = int(np.searchsorted(f.xs, a, "left"))
+    hi = int(np.searchsorted(f.xs, b, "right"))
+    return [(float(np.max(row[lo:hi])), float(np.max(row))) for row in d]
 
 
 def _log_prefix(seq: LogWeightSequence, k: int) -> list[float]:
@@ -339,19 +309,12 @@ def _log_prefix(seq: LogWeightSequence, k: int) -> list[float]:
 
 def seminorm_derivative(
     f: SampledFunction, seq: LogWeightSequence, h: float
-) -> SeminormResult:
-    """max over k <= K_MAX of sup over f's support of |f^(k)| / (h^k M_k)."""
+) -> tuple[float, ...]:
+    """sup over f's support of |f^(k)| / (h^k M_k), for k = 0..K_MAX."""
     table = _sups(f)
     logs = _log_prefix(seq, K_MAX)
     lh = math.log(h)
-    best, bk, bx = -math.inf, 0, f.support.intervals[0][0]
-    per = []
-    for k, (sup, x, _) in enumerate(table):
-        val = sup * math.exp(-k * lh - logs[k])
-        per.append(val)
-        if val > best:
-            best, bk, bx = val, k, x
-    return SeminormResult(best, bk, bx, tuple(per))
+    return tuple(sup * math.exp(-k * lh - logs[k]) for k, (sup, _) in enumerate(table))
 
 
 class _NormRow(NamedTuple):
@@ -424,7 +387,7 @@ def check_lemma53_i(f: SampledFunction, seq: LogWeightSequence, h: float) -> Ver
     # the row keeps its envelope's conjugate for every associated function
     star = kept(hull, "_conjugate", associated_function(hull).phi_pl.conjugate)
     worst = 0.0
-    for k, (_, _, sup) in enumerate(table):
+    for k, (_, sup) in enumerate(table):
         bound = hi / (2 * math.pi) * math.exp(h * star(k / h))
         worst = max(worst, sup / bound)
     if worst <= 1.0 + 1e-9:
@@ -835,10 +798,10 @@ def _trend_classify(per_order: tuple[float, ...]) -> str:
 
 def _seminorm_answer(f, row, h, refused):
     try:
-        res = seminorm_derivative(f, row, h)
+        per_order = seminorm_derivative(f, row, h)
     except DerivativeOrderUnreliable:
         return refused
-    return "positive" if _trend_classify(res.per_order) == "finite" else None
+    return "positive" if _trend_classify(per_order) == "finite" else None
 
 
 def _weightfn_answer(f, row, l, refused):

@@ -75,28 +75,16 @@ class WeightMatrix:
         under x; dataclasses.replace starts a matrix that keeps none."""
         return kept(self, "_extended", lambda: self.extender(x), x)
 
-    def check_M(self) -> Verdict:
-        """Normalized rows, each non-decreasing, pointwise ordered in x."""
-        parts = {}
-        for lbl, r in zip(self.labels, self.rows):
-            L = r.L
-            ok = r.is_normalized() and bool(np.all(np.diff(L) >= -1e-12))
-            parts[f"row:{lbl:g}"] = verdicts.holds() if ok else verdicts.fails()
-        for (l1, r1), (l2, r2) in zip(
-            zip(self.labels, self.rows), list(zip(self.labels, self.rows))[1:]
-        ):
-            P = min(r1.P, r2.P)
-            ordered = bool(np.all(r2.L[: P + 1] - r1.L[: P + 1] >= -1e-12))
-            parts[f"order:{l1:g}<={l2:g}"] = (
-                verdicts.holds() if ordered else verdicts.fails()
-            )
-        return verdicts.conjunction(parts)
+    def is_standard_lc(self) -> bool:
+        """Every row in LC and non-decreasing, the rows pointwise ordered in x."""
+        def ordered(lo: LogWeightSequence, hi: LogWeightSequence) -> bool:
+            n = min(lo.P, hi.P) + 1
+            return bool(np.all(hi.L[:n] - lo.L[:n] >= -1e-12))
 
-    def check_Msc(self) -> Verdict:
-        parts = {"M": self.check_M()}
-        for lbl, r in zip(self.labels, self.rows):
-            parts[f"LC:{lbl:g}"] = check_in_LC(r)
-        return verdicts.conjunction(parts)
+        return all(
+            check_in_LC(r).holds and bool(np.all(np.diff(r.L) >= -1e-12))
+            for r in self.rows
+        ) and all(map(ordered, self.rows, self.rows[1:]))
 
     def to_json(self) -> dict:
         return {
@@ -139,7 +127,7 @@ def build_omega_matrix(w: WeightFunction, l_values, pmax: int = 200) -> WeightMa
 # -- pairwise inequality engines ---------------------------------------
 #
 # An engine that reads the rows' arrays is answered once per pair of rows
-# (sequences.pair_engine); _L_pair and _strict_pair read only the tails.
+# (sequences.pair_engine).
 
 @pair_engine("_dc_pair")
 def _dc_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
@@ -172,24 +160,19 @@ def _mg_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
     return verdicts.fails(**verdicts.exp_witness("prefix_C", best), divergent_diagonal=True)
 
 
-def _L_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
-    """Does y absorb every power C**p over x (root gap to -inf)?"""
-    g = root_gap_limit(x.tail, y.tail)
-    if g is None:
-        return verdicts.inconclusive("no tail")
-    if g == -math.inf:
-        return verdicts.holds(absorbs="every C")
-    return verdicts.fails(gap_limit=g)
+def _absorbs(**witness):
+    """The pair test: does y absorb every power C**p over x (root gap of x
+    over y to -inf)?  It holds with witness; a fails witness is dropped
+    by _exists."""
+    def pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
+        g = root_gap_limit(x.tail, y.tail)
+        if g is None:
+            return verdicts.inconclusive("no tail")
+        if g == -math.inf:
+            return verdicts.holds(**witness)
+        return verdicts.fails(gap_limit=g)
 
-
-def _strict_pair(x: LogWeightSequence, y: LogWeightSequence) -> Verdict:
-    """Is the root gap of y over x unbounded?"""
-    g = root_gap_limit(y.tail, x.tail)
-    if g is None:
-        return verdicts.inconclusive("no tail")
-    if g == math.inf:
-        return verdicts.holds(sup="+inf")
-    return verdicts.fails(gap_limit=g)
+    return pair
 
 
 # -- quantifier helpers -------------------------------------------------
@@ -263,8 +246,9 @@ _VARIANTS = {"roumieu": _roumieu, "beurling": _beurling}
 _PAIRS = {
     "dc": _dc_pair,
     "mg": _mg_pair,     # Beurling: x_1 = x_2 = the larger row suffices, rows are ordered
-    "L": _L_pair,
-    "strict": _strict_pair,
+    "L": _absorbs(absorbs="every C"),
+    # the root gap of y over x unbounded: Scale.gap_limit is antisymmetric
+    "strict": _absorbs(sup="+inf"),
     "BR": relation_triangle,
 }
 
@@ -472,7 +456,7 @@ def check_stability_theorem(M: WeightMatrix) -> Verdict:
     STABILITY_STEPS.  The second_extension parts compare the l = 2 step
     with a second l = 2 step on it.  That is not equivalence in general:
     on power_index rows each step multiplies kappa by 2**(beta - 1)."""
-    if not M.check_Msc().holds:
+    if not M.is_standard_lc():
         raise ClassMembershipFailed("matrix is not standard log-convex")
     parts = {
         "mg_roumieu": check_matrix_condition(M, "mg_roumieu"),

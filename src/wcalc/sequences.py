@@ -31,19 +31,18 @@ A row also keeps what is computed from it alone and read again, and the
 verdict of every check of it against another row.  KEPT names each such
 value, and what a sampled function or a weight matrix keeps, with its
 bound, what it holds and who reads it, and kept() is the one way to it.
-Every two-row engine, here and in matrices, is reached only through
-kept_pair(), which keeps engine(x, y) on x under y's
-row_serial, so a pair of rows is checked once while both live; M precsim
-N, N precsim M and M triangle N share one such pass over the root gaps
-(root_gap_relations).  matrices._L_pair and matrices._strict_pair are the
-exception: they read only the tails, and nothing of theirs is kept.  What a
-row keeps lives as long as the row, so the memo's budget and KEPT's
-bounds together bound it.  Nothing a row keeps refers back to it or to a
-row it was checked against, since a row in a reference cycle would outlive
-its last user until the garbage collector ran: the derived rows and the
-minorant it keeps are rows of their own, what it keeps about a check
-against another row is keyed on that row's row_serial, and a kept
-verdict's witness holds only numbers and strings.  An evicted row comes
+Every two-row engine that reads the rows' arrays, here and in matrices,
+is reached only through kept_pair(), which keeps engine(x, y) on x under
+y's row_serial, so a pair of rows is checked once while both live; M
+precsim N, N precsim M and M triangle N share one such pass over the root
+gaps (root_gap_relations).  What a row keeps lives as long as the row, so
+the memo's budget and KEPT's bounds together bound it.  Nothing a row
+keeps refers back to it or to a row it was checked against, since a row
+in a reference cycle would outlive its last user until the garbage
+collector ran: the derived rows and the minorant it keeps are rows of
+their own, what it keeps about a check against another row is keyed on
+that row's row_serial, and a kept verdict's witness holds only numbers
+and strings.  An evicted row comes
 back as a new row with a new serial and nothing kept, so what its
 partners kept under the old serial is dead.
 
@@ -232,7 +231,7 @@ KEPT = {
     # - / - / 4 with a norm row and - / - / 5 with an answer; _answers
     # holds the three sides of as many rows as _norm_rows.
     "_spectrum": 1,      # compute_spectrum: the Spectrum of its one forward FFT
-    # _sups: a (sup, x, grid sup) per order 0..K_MAX, or the lowest refused
+    # _sups: a (sup, grid sup) per order 0..K_MAX, or the lowest refused
     # order's message, not the exception, which would pin its traceback
     "_sups": 1,
     "_norm_rows": 16,    # _norm_row: fourier_norm's _NormRow by row_serial(row)

@@ -85,14 +85,14 @@ def test_spectrum_matches_analytic_transform_of_gaussian_like():
 def test_spectral_derivative_linearity_and_homogeneity():
     f = standard_bump()
     g = SampledFunction(f.x0, f.dx, 3.0 * f.values, f.support)
-    d1 = spectral_derivative(f, 2)
-    d3 = spectral_derivative(g, 2)
+    [d1] = spectral_derivative(f, (2,))
+    [d3] = spectral_derivative(g, (2,))
     assert np.max(np.abs(d3 - 3.0 * d1)) <= 1e-10 * np.max(np.abs(d1))
 
 
 def test_spectral_derivative_matches_finite_difference():
     f = standard_bump()
-    d1 = spectral_derivative(f, 1)
+    [d1] = spectral_derivative(f, (1,))
     v = np.asarray(f.values)
     fd = np.gradient(v, f.dx)
     inner = np.abs(f.xs) < 0.8
@@ -101,8 +101,9 @@ def test_spectral_derivative_matches_finite_difference():
 
 def test_derivative_refusal_on_indicator():
     f = indicator_control()
-    with pytest.raises(DerivativeOrderUnreliable):
-        spectral_derivative(f, 2)
+    with pytest.raises(DerivativeOrderUnreliable,
+                       match="order 1: spectrum unresolved at the grid edge"):
+        fourier._sups(f)
 
 
 def test_bump_builder_respects_derivative_budget():
@@ -111,9 +112,9 @@ def test_bump_builder_respects_derivative_budget():
     f = bump_builder(K, seq, 20)
     assert np.max(np.abs(np.asarray(f.values))) <= 1.0 + 1e-9
     # certified bound |f^(k)| <= (2h)^k mu_1..mu_k with the recorded scale;
-    # verify a weaker consequence spectrally for small k
-    d2 = spectral_derivative(f, 2)
-    assert np.isfinite(np.max(np.abs(d2)))
+    # verify a weaker consequence spectrally for small k: the sup table
+    # accepts every order, and order 2's sup over the grid is finite
+    assert np.isfinite(fourier._sups(f)[2][1])
 
 
 def test_bump_builder_width_budget():
@@ -177,9 +178,8 @@ def test_zero_function_norm():
 def test_seminorm_attains_at_low_order_for_bump():
     g2 = LogWeightSequence.gevrey(2.0, 200)
     f = bump_builder(CompactBox(((-1.0, 1.0),)), g2, 20)
-    res = seminorm_derivative(f, g2, 4.0)
-    assert res.value >= max(res.per_order) - 1e-12
-    assert len(res.per_order) == K_MAX + 1
+    per_order = seminorm_derivative(f, g2, 4.0)
+    assert len(per_order) == K_MAX + 1
 
 
 def test_decay_oracle_and_exponent_fit():
@@ -253,12 +253,12 @@ def _derivative_indicator(f, M: WeightMatrix, h_grid) -> str:
     for row in M.rows:
         for h in h_grid:
             try:
-                res = seminorm_derivative(f, row, h)
+                per_order = seminorm_derivative(f, row, h)
             except DerivativeOrderUnreliable:
                 # failing already at low order with spectral mass at the band
                 # edge means the function is certified non-smooth at grid scale
                 return "negative" if compute_spectrum(f).truncated else "open"
-            if _trend_classify(res.per_order) == "finite":
+            if _trend_classify(per_order) == "finite":
                 return "positive"
     return "negative"
 
@@ -267,10 +267,10 @@ def _weightfn_indicator(f, M: WeightMatrix, l_grid, derived_row) -> str:
     for i in range(len(M.rows)):
         for l in l_grid:
             try:
-                res = seminorm_derivative(f, derived_row(i, l), 1.0)
+                per_order = seminorm_derivative(f, derived_row(i, l), 1.0)
             except DerivativeOrderUnreliable:
                 return "negative"
-            if _trend_classify(res.per_order) == "finite":
+            if _trend_classify(per_order) == "finite":
                 return "positive"
     return "negative"
 
@@ -358,10 +358,10 @@ def _reference_seminorm(f, seq, h):
     """The uncached loop: one derivative per order on f's support,
     normalised per call.
 
-    Returns (result, None) or (None, (order, type, message)) on refusal."""
+    Returns (per-order values, None) or (None, (order, type, message)) on
+    refusal."""
     (a, b), = f.support.intervals
     sel = (f.xs >= a) & (f.xs <= b)
-    best, bk, bx = -math.inf, 0, a
     per = []
     for k in range(K_MAX + 1):
         try:
@@ -371,17 +371,14 @@ def _reference_seminorm(f, seq, h):
         i = int(np.argmax(np.abs(d)))
         val = np.abs(d[i]) * math.exp(-k * math.log(h) - seq.log_at(k))
         per.append(float(val))
-        if val > best:
-            best, bk, bx = float(val), k, float(f.xs[sel][i])
-    return (best, bk, bx, tuple(per)), None
+    return tuple(per), None
 
 
 def _table_seminorm(f, seq, h):
     try:
-        r = seminorm_derivative(f, seq, h)
+        return seminorm_derivative(f, seq, h), None
     except DerivativeOrderUnreliable as e:
         return None, (type(e), str(e))
-    return (r.value, r.attained_k, r.attained_x, r.per_order), None
 
 
 H_SEMI = (1.0, 2.0, 4.0, 8.0)       # theorem51_harness's seminorm h grid
@@ -434,7 +431,7 @@ def test_seminorm_table_matches_uncached_loop(name):
             want, want_refused = ref[h]
             if want_refused is None:
                 assert refused is None
-                assert got == want          # bit for bit, attained x included
+                assert got == want          # bit for bit
             else:
                 # the lowest refused order, as the per-order loop meets it
                 _, kind, msg = want_refused
@@ -784,11 +781,33 @@ def _parent_spectrum(f):
     )
 
 
-def _derivative_or_refusal(derivative, f, k):
+def _reference_rows(f):
+    """The reference derivatives of orders 0..K_MAX as bytes, up to the
+    lowest refused order, and that refusal's (type, message) or None."""
+    rows = []
+    for k in range(K_MAX + 1):
+        try:
+            rows.append(_reference_derivative(f, k).tobytes())
+        except DerivativeOrderUnreliable as e:
+            return rows, (type(e), str(e))
+    return rows, None
+
+
+def _assert_derivatives_are_the_reference(f, want, case):
+    """f's sup table refuses as the per-order reference on want first does,
+    and on a resolved band the batched rows of the orders the reference
+    accepts are its rows, bit for bit.  A truncated band keeps no
+    transform: the table refuses it at order 1 and takes no derivative."""
+    rows, refusal = _reference_rows(want)
     try:
-        return derivative(f, k).tobytes()
+        fourier._sups(f)
     except DerivativeOrderUnreliable as e:
-        return (type(e), str(e))
+        assert (type(e), str(e)) == refusal, case
+    else:
+        assert refusal is None, case
+    if not compute_spectrum(f).truncated:
+        got = spectral_derivative(f, tuple(range(len(rows))))
+        assert [row.tobytes() for row in got] == rows, case
 
 
 GEVREY_ROWS = (1.0, 1.5, 2.0, 2.5, 3.0)
@@ -807,18 +826,14 @@ def test_half_spectrum_bump_is_bit_identical(support):
             assert (got.x0, got.dx) == (want.x0, want.dx)
             assert got.values.tobytes() == want.values.tobytes(), (s, depth)
             _assert_modulus_is_the_reference(got, want)
-            for k in range(11):
-                assert _derivative_or_refusal(spectral_derivative, got, k) == \
-                    _derivative_or_refusal(_reference_derivative, want, k), (s, depth, k)
+            _assert_derivatives_are_the_reference(got, want, (s, depth))
 
 
 @pytest.mark.parametrize("build", [standard_bump, indicator_control, _algebraic_decay])
 def test_band_derivative_is_bit_identical(build):
     f = build()
     _assert_modulus_is_the_reference(f, f)
-    for k in range(11):
-        assert _derivative_or_refusal(spectral_derivative, f, k) == \
-            _derivative_or_refusal(_reference_derivative, f, k), k
+    _assert_derivatives_are_the_reference(f, f, build.__name__)
 
 
 def test_grid_cache_is_bounded_and_read_only():
@@ -886,7 +901,7 @@ def _reference_sups(f):
         except DerivativeOrderUnreliable as e:
             return (type(e), str(e))
         i = int(np.argmax(d[sel]))
-        out.append(tuple(float(v).hex() for v in (d[sel][i], f.xs[sel][i], np.max(d))))
+        out.append(tuple(float(v).hex() for v in (d[sel][i], np.max(d))))
     return out
 
 

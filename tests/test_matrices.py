@@ -76,8 +76,9 @@ from wcalc.weightfuncs import (
 
 def test_matrix_invariants():
     G = build_gevrey_matrix((1.0, 2.0, 3.0))
-    assert G.check_M().holds
-    assert G.check_Msc().holds
+    assert G.is_standard_lc()
+    # rows that decrease in x are not ordered
+    assert not WeightMatrix((1.0, 2.0), (gevrey(2.0), gevrey(1.0)), None, "down").is_standard_lc()
     with pytest.raises(ValueError):
         WeightMatrix((2.0, 1.0), (gevrey(1.0), gevrey(2.0)), None, "bad")
 

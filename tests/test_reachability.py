@@ -204,6 +204,19 @@ def test_one_site_builds_a_sampled_function():
     assert sites == ["fourier.py:_function_of"], sites
 
 
+def test_one_site_takes_a_derivative():
+    # the sup table decides every refusal before its one batched inverse
+    # FFT; a second call site would bring an unrefused derivative back
+    sites = [
+        f"{p.name}:{fn.name}"
+        for p, tree in _modules().items()
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Call) and _callee(n) == "spectral_derivative"
+    ]
+    assert sites == ["fourier.py:_sup_table"], sites
+
+
 def _callee(call: ast.Call) -> str:
     return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", "")
 

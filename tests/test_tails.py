@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wcalc import tails
@@ -95,6 +95,28 @@ def test_root_gap_limit_cases():
     assert root_gap_limit(None, g2) is None
     assert root_gap_limit(PowerIndex(1.0, 2.0), PowerIndex(1.0, 2.0)) == 0.0
     assert root_gap_limit(PowerIndex(1.0, 3.0), PowerIndex(9.0, 2.0)) == math.inf
+
+
+# both kinds, u drawn from a few values so that equal u is common, and v
+# from a few values or any float, so that equal and unequal v both occur
+_scales = st.one_of(
+    st.builds(tails.Scale, st.just("log"), st.sampled_from((0.0, 0.5, 1.0, 1.5)),
+              st.one_of(st.sampled_from((-1.0, 0.0, 2.0)), st.floats(-1e6, 1e6))),
+    st.builds(tails.Scale, st.just("poly"), st.sampled_from((0.5, 1.0, 2.0)),
+              st.one_of(st.sampled_from((0.5, 1.0, 2.0)), st.floats(1e-6, 1e6))),
+)
+
+
+@given(_scales, _scales)
+@settings(max_examples=300, deadline=None)
+@example(tails.Scale("log", 1.0, 0.5), tails.Scale("log", 1.0, 0.5))    # 0
+@example(tails.Scale("log", 1.0, 0.5), tails.Scale("log", 1.0, -2.0))   # finite
+@example(tails.Scale("log", 1.0, 0.5), tails.Scale("log", 2.0, 0.5))    # -inf
+@example(tails.Scale("poly", 1.0, 0.5), tails.Scale("log", 2.0, 0.5))   # +inf
+@example(tails.Scale("poly", 1.0, 0.5), tails.Scale("poly", 1.0, 3.0))  # -inf
+def test_gap_limit_is_antisymmetric(a, b):
+    # the strict and L conditions share one pair test on this identity
+    assert tails.Scale.gap_limit(a, b) == -tails.Scale.gap_limit(b, a)
 
 
 def test_stepped_tail_integer_step_matches_subsequence():
