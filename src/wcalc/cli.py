@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import __version__, catalogue, convex, sequences, serialize, verdicts
-from .errors import RoutesDisagree, TruncationExhausted, WcalcError
+from .errors import RoutesDisagree, StorageExceeded, TruncationExhausted, WcalcError
 from .matrices import (
     CONDITION_NAMES,
     MultiIndexChain,
@@ -466,7 +466,10 @@ def main(argv=None) -> int:
     except RoutesDisagree as e:
         print(f"internal consistency violation: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    except WcalcError as e:
+    except (WcalcError, MemoryError) as e:
+        if isinstance(e, MemoryError):
+            # the limit is the machine's: the same argv may pass on another
+            e = StorageExceeded(str(e) or "out of memory")
         print(f"precondition failure: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -17,6 +17,10 @@ class DomainExceeded(WcalcError):
     """A requested index needs slopes beyond the representation horizon."""
 
 
+class StorageExceeded(WcalcError):
+    """What an argument asks for is more than the machine can store."""
+
+
 class RoutesDisagree(WcalcError):
     """Two theorem-equivalent computations returned different verdicts.
 

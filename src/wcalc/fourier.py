@@ -50,10 +50,12 @@ Keyed on serials, what a function keeps holds no row.  A function that
 keeps all four needs no transform at all.  A harness over Gevrey rows
 meets few distinct bumps: every row with log M_0 = log M_1 = 0 gives the
 same depth-1 control.  The rows keep what is theirs: the Bump of each
-(box, depth) bump_builder was asked for, and the derived rows
-sequence_from_weight(omega, l, K_MAX), so every function of a harness,
-and every later harness over the same memoised rows, shares them.  A warm
-harness is then one lookup per (function, side, row).
+(box, depth) bump_builder was asked for, the derived rows
+sequence_from_weight(omega, l, K_MAX), and, on a matrix's first row, the
+outcome of the harness's hypothesis gates keyed on the serials of the rows
+they read, so every function of a harness, and every later harness over
+the same memoised rows, shares them.  A warm harness is then one lookup
+for the gates and one per (function, side, row).
 
 A bump is synthesised from its spectrum on the bins 0..n/2, the others
 filled with the conjugate mirror.  This gives the full-grid product bit
@@ -83,7 +85,7 @@ from .errors import (
     TailDominates,
     WidthBudgetExceeded,
 )
-from .matrices import WeightMatrix, check_matrix_condition
+from .matrices import WeightMatrix, _candidates, check_matrix_condition
 from .quasi import matrix_nq_verdict
 from .sequences import LogWeightSequence, kept, lc_minorant, row_serial
 from .verdicts import Verdict
@@ -848,6 +850,24 @@ def _side(f, name: str, rows, refused) -> str:
     return "negative"
 
 
+def _gates(M: WeightMatrix) -> str | None:
+    """The message of the first hypothesis gate of theorem51_harness that
+    M fails, or None: (M_L), then (M_mg), in the Roumieu variant, then
+    non-quasianalyticity.
+
+    The harness keeps it on M's first row under the labels, row serials
+    and extended flags of _candidates(M, "up"), which names every input
+    the gates read: L and mg read that pool through matrices._roumieu,
+    and the NQ gate reads the rows.  A gate that comes to read anything
+    else, such as the extender's label scale, must be named in the key."""
+    for cond in ("L_roumieu", "mg_roumieu"):
+        if not check_matrix_condition(M, cond).holds:
+            return cond
+    if not matrix_nq_verdict(M, "roumieu").holds:
+        return "matrix generates a quasianalytic class"
+    return None
+
+
 def theorem51_harness(M: WeightMatrix, bump_depth: int = 30) -> dict:
     """Battery equality check of the three membership routes.
 
@@ -861,12 +881,14 @@ def theorem51_harness(M: WeightMatrix, bump_depth: int = 30) -> dict:
     Each row's answer on each side is kept on the function under
     (side name, row_serial(row)), and each bump's construction on its row
     under (box, depth), so a harness over rows it has met asks no answer
-    again.  The hypothesis gates run on every call."""
-    for cond in ("L_roumieu", "mg_roumieu"):
-        if not check_matrix_condition(M, cond).holds:
-            raise HypothesisNotCertified(cond)
-    if not matrix_nq_verdict(M, "roumieu").holds:
-        raise HypothesisNotCertified("matrix generates a quasianalytic class")
+    again.  The hypothesis gates' outcome (_gates), a refusal message or
+    None, is kept on the first row under the serials of the rows and
+    extended rows they read, so a harness over a matrix of the same rows
+    and extender runs no gate again."""
+    key = tuple((lbl, row_serial(row), ext) for lbl, row, ext in _candidates(M, "up"))
+    refusal = kept(M.rows[0], "_gates", lambda: _gates(M), key) if M.rows else _gates(M)
+    if refusal is not None:
+        raise HypothesisNotCertified(refusal)
 
     battery = {f"bump:{lbl:g}": bump_builder(_UNIT, row, bump_depth)
                for lbl, row in zip(M.labels, M.rows)}

@@ -42,9 +42,11 @@ in a reference cycle would outlive its last user until the garbage
 collector ran: the derived rows and the minorant it keeps are rows of
 their own, what it keeps about a check against another row is keyed on
 that row's row_serial, and a kept verdict's witness holds only numbers
-and strings.  An evicted row comes
-back as a new row with a new serial and nothing kept, so what its
-partners kept under the old serial is dead.
+and strings.  So does the outcome of the Fourier harness's hypothesis
+gates, which a matrix's first row keeps keyed on the serials of the
+matrix's rows and extended rows.  An evicted row comes back as a new row
+with a new serial and nothing kept, so what its partners kept under the
+old serial is dead.
 
 Array code here is bit-identical to the scalar loops it stands for: numpy
 does only + - * /, comparisons and reductions (min, max, argmin) on the
@@ -225,6 +227,11 @@ KEPT = {
     # power of two at or above twice the most distinct keys one row met,
     # counted as for kept_pair below: - / - / 4.
     "_bump": 8,
+    # fourier.theorem51_harness: _gates' refusal message or None, on a
+    # matrix's first row by the (label, row_serial, extended) of each
+    # entry of its Roumieu pool.  Bound as for _bump, from the most
+    # distinct pools one first row met: - / - / 15.
+    "_gates": 32,
     # On a fourier.SampledFunction, keyed on row serials, so that a function
     # in _function_of's cache keeps alive no row the row memo has evicted.
     # Bounds in rows as for _bump, from the most rows one function met:

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import pathlib
+import resource
 import subprocess
 import sys
 import warnings
@@ -194,6 +195,24 @@ def test_overflowing_dent_is_exit_0_without_a_warning():
     assert res.returncode == 0
     assert b"Warning" not in res.stderr
     assert json.loads(res.stdout)["sequence"]["label"]
+
+
+def test_storage_past_the_address_space_is_exit_3():
+    # the row of 3e8 + 1 values does not fit in 1.2 GB of address space;
+    # the limit is set in the child, so it acts on the child alone
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_200_000 * 1024,) * 2)
+
+    res = subprocess.run(
+        [sys.executable, "-m", "wcalc.cli", "analyze", "--seq", "gevrey:2",
+         "--pmax", "300000000"],
+        capture_output=True, text=True, preexec_fn=limit,
+    )
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("precondition failure: StorageExceeded: ")
+    assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
+    assert res.stdout == ""
 
 
 def test_file_matrix_without_rows_is_exit_2(tmp_path, capsys):

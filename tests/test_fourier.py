@@ -245,6 +245,9 @@ def test_harness_hypothesis_gate():
     M = matrix_from_rows((gevrey(1.0, 200),), (1.0,))
     with pytest.raises(HypothesisNotCertified):
         theorem51_harness(M)
+    # no row generates a non-quasianalytic class, and none keeps the outcome
+    with pytest.raises(HypothesisNotCertified, match="^matrix generates a quasianalytic class$"):
+        theorem51_harness(WeightMatrix((), ()))
 
 
 # -- the three membership sides against the indicators they replaced --------
@@ -1061,32 +1064,114 @@ def test_second_harness_reuses_every_bump(monkeypatch):
     assert minorants == []
 
 
+def _counted(monkeypatch, calls: collections.Counter, owner, *names) -> None:
+    """Count in calls, by name, every call of owner's attributes names."""
+    for name in names:
+        def wrapper(*args, inner=getattr(owner, name), name=name):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+
 def test_warm_harness_keeps_its_per_row_work(monkeypatch):
     first = theorem51_harness(build_gevrey_matrix(GEVREY_ROWS, 200))
     count = _FFTCounter(monkeypatch)
     calls = collections.Counter()
-
-    def counted(module, name):
-        inner = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(quasi, "increasing_root_minorant")
-    counted(quasi, "check_nq")
-    counted(matrices, "min_plus_self")
-    counted(LogWeightSequence, "log_at")
-    for name in ("seminorm_derivative", "fourier_norm", "sequence_from_weight", "_bump"):
-        counted(fourier, name)
-    # rows built afresh hit the NQ routes and mg prefix sups kept on the
-    # memoised rows, each function's side answers per row and each row's
-    # bump constructions: no seminorm, norm, derived row or bump is asked for
+    _counted(monkeypatch, calls, quasi, "increasing_root_minorant", "check_nq")
+    _counted(monkeypatch, calls, matrices, "min_plus_self")
+    _counted(monkeypatch, calls, LogWeightSequence, "log_at")
+    _counted(monkeypatch, calls, fourier, "seminorm_derivative", "fourier_norm",
+             "sequence_from_weight", "_bump", "check_matrix_condition", "matrix_nq_verdict")
+    # rows built afresh hit the gate outcome kept on the first memoised
+    # row, each function's side answers per row and each row's bump
+    # constructions: no gate, seminorm, norm, derived row or bump is asked for
     assert theorem51_harness(build_gevrey_matrix(GEVREY_ROWS, 200)) == first
     assert (count.forward, count.inverse) == (0, 0)
     assert calls == {}
+
+
+def _outside_rows(labels):
+    """Gevrey rows of build_gevrey_matrix, built outside the row memo."""
+    G = build_gevrey_matrix(labels, 200)
+    return G, tuple(LogWeightSequence(r.L, r.tail, 0, r.label) for r in G.rows)
+
+
+def _gate_calls(monkeypatch) -> collections.Counter:
+    calls = collections.Counter()
+    _counted(monkeypatch, calls, fourier, "check_matrix_condition", "matrix_nq_verdict")
+    return calls
+
+
+def test_a_refusal_is_kept(monkeypatch):
+    # two rows and no extender (as from --matrix file:): the top row has no
+    # partner above it, so the L gate refuses, once
+    G, rows = _outside_rows((1.0, 2.0))
+    calls, counts = _gate_calls(monkeypatch), []
+    for _ in range(2):
+        calls.clear()
+        with pytest.raises(HypothesisNotCertified) as exc:
+            theorem51_harness(WeightMatrix(G.labels, rows, None, "file"))
+        assert str(exc.value) == "L_roumieu"
+        counts.append(dict(calls))
+    assert counts == [{"check_matrix_condition": 1}, {}]
+    assert list(rows[0].__dict__["_gates"].values()) == ["L_roumieu"]
+
+
+@pytest.mark.parametrize("extended_first", [False, True])
+def test_the_gate_key_names_the_extender(extended_first):
+    # the same rows and labels: the extender's rows answer L, so the two
+    # matrices read different pools and keep two outcomes
+    G, rows = _outside_rows((1.0, 2.0))
+    bare = WeightMatrix(G.labels, rows, None, "file")
+    extended = WeightMatrix(G.labels, rows, G.extender, "gevrey-matrix")
+    for M in (extended, bare) if extended_first else (bare, extended):
+        if M is bare:
+            with pytest.raises(HypothesisNotCertified, match="^L_roumieu$"):
+                theorem51_harness(M)
+        else:
+            assert theorem51_harness(M) == theorem51_harness(G)
+    assert set(rows[0].__dict__["_gates"].values()) == {"L_roumieu", None}
+
+
+def test_first_row_keeps_its_latest_gate_outcomes(monkeypatch):
+    G, rows = _outside_rows((1.0, 2.0))
+    bound = KEPT["_gates"]
+
+    def refuse(top):
+        with pytest.raises(HypothesisNotCertified, match="^L_roumieu$"):
+            theorem51_harness(WeightMatrix((1.0, top), rows, None, "file"))
+
+    def key(top):
+        return ((1.0, row_serial(rows[0]), False), (top, row_serial(rows[1]), False))
+
+    for top in range(2, bound + 4):
+        refuse(float(top))
+    assert list(rows[0].__dict__["_gates"]) == [key(float(t)) for t in range(4, bound + 4)]
+    # an evicted outcome is decided again, and kept as the latest
+    calls = _gate_calls(monkeypatch)
+    refuse(2.0)
+    assert calls == {"check_matrix_condition": 1}
+    assert list(rows[0].__dict__["_gates"])[-1] == key(2.0)
+
+
+def test_a_kept_gate_outcome_holds_no_matrix():
+    # over memoised rows, which outlive it, a matrix dies with its last
+    # user, passed or refused, with no help from the garbage collector
+    gc.disable()
+    try:
+        for extender in (True, False):
+            G = build_gevrey_matrix((1.0, 2.0), 200)
+            M = WeightMatrix(G.labels, G.rows, G.extender if extender else None, "m")
+            try:
+                theorem51_harness(M)
+            except HypothesisNotCertified:
+                assert not extender
+            ref = weakref.ref(M)
+            del G, M
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _ref_trend_classify(per_order):
